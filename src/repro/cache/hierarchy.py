@@ -30,7 +30,7 @@ from repro.common.stats import StatCounters
 from repro.cache.cache import SetAssocCache
 from repro.cache.eid_index import EidIndex
 from repro.cache.line import CacheLine, LineState
-from repro.cache.vector_mirror import L1TagMirror
+from repro.cache.vector_mirror import ROW_WAYS, L1TagMirror
 
 
 class EvictionSink:
@@ -136,8 +136,11 @@ class CacheHierarchy:
         # REPRO_VECTOR=0 drops every mirror and restores the scalar loops;
         # REPRO_VECTOR_MC=0 drops them only for multi-core systems (the
         # dedicated escape hatch the service layer pins on fleet workers).
-        if os.environ.get("REPRO_VECTOR", "1") != "0" and (
-            n_cores == 1 or os.environ.get("REPRO_VECTOR_MC", "1") != "0"
+        # An L1 wider than one mirror row (ROW_WAYS) gets none either.
+        if (
+            os.environ.get("REPRO_VECTOR", "1") != "0"
+            and (n_cores == 1 or os.environ.get("REPRO_VECTOR_MC", "1") != "0")
+            and l1_assoc <= ROW_WAYS
         ):
             for l1 in self._l1:
                 l1._vec = L1TagMirror(

@@ -4,8 +4,10 @@ The columnar interpreter (:meth:`repro.sim.simulator.Simulation.
 _run_single_core_vector` under ``REPRO_VECTOR``) classifies a lookahead
 window of references at once: set indices and an L1 tag probe in numpy.
 Python dicts cannot be probed array-at-a-time, so the single core's L1
-carries this mirror — a ``(n_sets, assoc)`` int64 tag table plus a parallel
-EID table.
+carries this mirror — a ``(n_sets, ways)`` int64 tag table plus a parallel
+EID table. ``ways`` is the associativity, except that the L1 mirror pads
+every row to :data:`ROW_WAYS` ways with ways that are always empty, so a
+row's match vector is exactly one 8-byte word (see :class:`L1TagMirror`).
 
 The mirror is **lazily coherent**. Keeping it exact at every miss fill /
 eviction / retag costs a function call on the cache's hottest paths — a tax
@@ -40,7 +42,8 @@ matter, and only one is dangerous:
 
 Tags are line addresses (always ``>= 0``); empty ways hold ``-1``. The EID
 table is only consulted for ways whose tag matched, so its value for empty
-ways is irrelevant.
+ways is irrelevant. A line's slot is ``set * ways + way``; within one
+synced table, slots and resident addresses map one to one.
 
 The same structure mirrors the L2 and LLC for the batched miss-chain
 engine (:mod:`repro.cache.miss_engine`): :class:`LevelMirror` adds a dirty
@@ -59,6 +62,10 @@ import numpy as np
 #: Sentinel tag for an empty way (line addresses are non-negative).
 EMPTY = -1
 
+#: Row width of the L1 mirror: one byte of tag matches per way makes a
+#: row's match vector one little-endian 64-bit word.
+ROW_WAYS = 8
+
 
 class TagMirror:
     """Array mirror of a set-associative cache's residency and EID tags."""
@@ -66,6 +73,7 @@ class TagMirror:
     __slots__ = (
         "n_sets",
         "assoc",
+        "ways",
         "_line_shift",
         "_set_mask",
         "tags",
@@ -80,16 +88,19 @@ class TagMirror:
         "stale",
     )
 
-    def __init__(self, n_sets, assoc, line_shift, set_mask):
+    def __init__(self, n_sets, assoc, line_shift, set_mask, ways=None):
         self.n_sets = n_sets
         self.assoc = assoc
+        #: Ways per row: ``assoc``, or more — ways past ``assoc`` are
+        #: never claimed, so they stay empty.
+        self.ways = ways = assoc if ways is None else ways
         self._line_shift = line_shift
         self._set_mask = set_mask
-        self.tags = np.full(n_sets * assoc, EMPTY, dtype=np.int64)
-        self.eids = np.zeros(n_sets * assoc, dtype=np.int64)
+        self.tags = np.full(n_sets * ways, EMPTY, dtype=np.int64)
+        self.eids = np.zeros(n_sets * ways, dtype=np.int64)
         #: 2-D views over the same storage for fancy-indexed row reads.
-        self.tags2d = self.tags.reshape(n_sets, assoc)
-        self.eids2d = self.eids.reshape(n_sets, assoc)
+        self.tags2d = self.tags.reshape(n_sets, ways)
+        self.eids2d = self.eids.reshape(n_sets, ways)
         #: Free ways per set (way indices; order is irrelevant).
         self._free = [list(range(assoc)) for _ in range(n_sets)]
         #: Lines that became resident since the last sync.
@@ -134,13 +145,13 @@ class TagMirror:
         if evictq:
             tags = self.tags
             free = self._free
-            assoc = self.assoc
+            ways = self.ways
             for line in evictq:
                 slot = line._vslot
                 if slot >= 0:
                     line._vslot = -1
                     tags[slot] = EMPTY
-                    free[slot // assoc].append(slot % assoc)
+                    free[slot // ways].append(slot % ways)
             evictq.clear()
         pending = self.pending
         if pending:
@@ -148,13 +159,13 @@ class TagMirror:
             eids = self.eids
             shift = self._line_shift
             mask = self._set_mask
-            assoc = self.assoc
+            ways = self.ways
             free = self._free
             for line in pending:
                 addr = line.addr
                 if line._vslot < 0 and l1_tags.get(addr) is line:
                     set_index = (addr >> shift) & mask
-                    slot = set_index * assoc + free[set_index].pop()
+                    slot = set_index * ways + free[set_index].pop()
                     line._vslot = slot
                     tags[slot] = addr
                     eids[slot] = line.eid
@@ -178,13 +189,13 @@ class TagMirror:
         tags = self.tags
         eids = self.eids
         tags.fill(EMPTY)
-        assoc = self.assoc
+        ways = self.ways
         shift = self._line_shift
         mask = self._set_mask
-        free = self._free = [list(range(assoc)) for _ in range(self.n_sets)]
+        free = self._free = [list(range(self.assoc)) for _ in range(self.n_sets)]
         for addr, line in l1_tags.items():
             set_index = (addr >> shift) & mask
-            slot = set_index * assoc + free[set_index].pop()
+            slot = set_index * ways + free[set_index].pop()
             line._vslot = slot
             tags[slot] = addr
             eids[slot] = line.eid
@@ -211,9 +222,22 @@ class TagMirror:
         return int((self.tags != EMPTY).sum())
 
 
-#: The single core's private L1 carries a plain tag mirror (the columnar
-#: interpreter's hit classifier). Kept under its historical name.
-L1TagMirror = TagMirror
+class L1TagMirror(TagMirror):
+    """A private L1's mirror, every row padded to :data:`ROW_WAYS` ways.
+
+    The columnar interpreter compares a window's addresses against their
+    set rows and views each row's ``ROW_WAYS`` match bytes as one
+    little-endian ``uint64``: nonzero is a hit, and the position of its one
+    set byte is the matched way, hence the mirror slot. Padding serves
+    every associativity up to ``ROW_WAYS`` with that one code path; the
+    hierarchy attaches no mirror to a wider L1 (its cores run the scalar
+    loops).
+    """
+
+    __slots__ = ()
+
+    def __init__(self, n_sets, assoc, line_shift, set_mask):
+        super().__init__(n_sets, assoc, line_shift, set_mask, ways=ROW_WAYS)
 
 
 class LevelMirror(TagMirror):

@@ -81,6 +81,11 @@ _SHORT_LIMIT = 2
 _DISENGAGE_REFS = 4096
 _DISENGAGE_MAX = 65536
 
+#: A mirror row's match bytes read as one word (see L1TagMirror), and
+#: the multiplier that moves the index of its one set byte to the top.
+_ROW_WORD = np.dtype("<u8")
+_WAY_OF_BYTE = np.uint64(0x0001020304050607)
+
 SCHEME_NAMES = ("ideal", "journaling", "shadow", "frm", "thynvm", "picl")
 
 
@@ -189,7 +194,6 @@ class _CoreVecState:
         if chunk is None:
             return False
         chunk.ensure_metadata()
-        chunk.ensure_arrays()
         self.gaps = chunk.gaps
         self.addrs = chunk.addrs
         self.writes = chunk.writes
@@ -197,9 +201,9 @@ class _CoreVecState:
         self.run_ends = chunk.run_ends
         self.rcum = chunk.run_cum
         self.wcum = chunk.write_cum
-        self.np_addrs = chunk.np_addrs
-        self.np_writes = chunk.np_writes
-        self.n = len(chunk.gaps)
+        self.np_addrs = chunk.frozen.addrs
+        self.np_writes = chunk.frozen.writes
+        self.n = len(chunk)
         self.pos = 0
         self.win_end = 0
         if self.gen is not None:
@@ -518,24 +522,45 @@ class Simulation:
            cannot observe: every load hit, plus store hits the scheme's
            ``vector_store_filter`` declares silent (all of them, none, or
            only lines tagged with a given EID — PiCL's same-epoch branch).
-           Everything else is *residual*.
+           Everything else is *residual*. The probe has no row reduction:
+           the mirror's rows are padded to eight ways, so each reference's
+           row of matches is one 64-bit word, nonzero on a hit, whose one
+           set byte names the way — and with it the reference's mirror
+           slot ``set * ways + way``.
         2. **Bulk-applies all-fast stretches.** A stretch of consecutive
            fast references is applied at once: cycle/stall arithmetic from
            the cumulative metadata, bulk counter bumps, MRU reordering in
            last-touch order, last-write tokens per line — exactly the
-           state the references would have left one by one. Applying a
-           fast stretch cannot change residency or EIDs, so it can never
-           invalidate its own classification.
+           state the references would have left one by one. Per-line
+           order comes from per-slot last-touch, first-store and
+           last-store positions (scatter max/min over the mirror's slots,
+           no sort). That is sound because slots and addresses map one to
+           one within a stretch: the mirror was exact when the window was
+           classified, it holds each resident line in exactly one slot,
+           and a line evicted mid-window has its remaining fast
+           references demoted (step 3) before any stretch reaches them.
+           Applying a fast stretch cannot change residency or EIDs, so it
+           can never invalidate its own classification.
         3. **Replays residuals exactly** through the verbatim scalar body,
            so misses, evictions, undo logging, and crash-plan sites behave
            identically. A residual's evictions CAN invalidate the rest of
            the window (a classified hit whose line just left — the
            stale-positive direction; see vector_mirror's docstring), so the
-           mirror logs removals and the loop rescans the remaining window
-           for any victim, reclassifying from the current position when one
-           appears. Residual side effects can also flip references the
-           *other* way (a cross-epoch store retags its line silent); those
-           stay residual and replay exactly, which is merely conservative.
+           mirror logs removals and the loop demotes the victims'
+           remaining fast positions to residual after every replay.
+           Residual side effects can also flip references the *other* way
+           (a cross-epoch store retags its line silent); those stay
+           residual and replay exactly, which is merely conservative.
+
+        Only exact replays read the chunk one reference at a time, so only
+        they box it: the chunk's Python lists start unthawed, and every
+        replay first thaws from the reference before its start to the end
+        of the same-line run holding its last reference (the furthest a
+        coalescing tail reaches), and the plain-Python bulk path thaws its
+        stretch. Everything else — segmentation, the window tuner, the
+        cumulative ends of a bulk stretch — reads the numpy columns as
+        ints. On a hit-dominated trace that leaves over 90% of the chunk
+        unboxed.
 
         The loop is self-tuning: the window doubles while classification
         keeps paying off (long fast prefixes) and shrinks when prefixes
@@ -564,8 +589,12 @@ class Simulation:
         stores = hierarchy._stores
         modified = LineState.MODIFIED
         tags2d = vec.tags2d
-        eids2d = vec.eids2d
+        eids = vec.eids
+        ways = vec.ways
+        n_slots = len(eids)
         removed = vec.removed
+        # Stretch and store ordinals for bulk_span's scatter reductions.
+        positions = np.arange(_WINDOW_MAX, dtype=np.int64)
         core = self.cores[0]
         epoch_span = self.config.epoch_instructions
         next_epoch = epoch_span
@@ -579,7 +608,6 @@ class Simulation:
         scalar_budget = 0
         burst_len = _DISENGAGE_REFS
         productive = False
-        dbg = getattr(self, "_vec_debug", None)
         # Batched miss-chain engine (repro.cache.miss_engine): residual
         # spans drain through one fused loop instead of the per-miss call
         # chain. None when ineligible (REPRO_BATCH_MISS=0, multi-channel
@@ -588,18 +616,19 @@ class Simulation:
         engine = build_miss_engine(self)
 
         for chunk in self.traces[0].chunks():
-            chunk.ensure_metadata()
-            chunk.ensure_arrays()
-            gaps = chunk.gaps
-            addrs = chunk.addrs
-            writes = chunk.writes
-            cum = chunk.cum_instructions
-            run_ends = chunk.run_ends
-            rcum = chunk.run_cum
-            wcum = chunk.write_cum
-            np_addrs = chunk.np_addrs
-            np_writes = chunk.np_writes
-            n = len(gaps)
+            # The lists start unthawed: every exact replay below thaws
+            # the range it reads first (see TraceChunk.thaw); everything
+            # else reads the numpy columns.
+            gaps, addrs, writes, cum, run_ends, wcum = chunk.lists
+            thaw = chunk.thaw
+            frozen = chunk.frozen
+            np_addrs = frozen.addrs
+            np_writes = frozen.writes
+            np_cum = frozen.cum
+            np_run_ends = frozen.run_ends
+            np_rcum = frozen.run_cum
+            np_wcum = frozen.write_cum
+            n = len(chunk)
             base = total
 
             def scalar_span(
@@ -686,14 +715,20 @@ class Simulation:
                         i = run_end
                 return i
 
+            def thaw_span(i, stop, seg_end):
+                """Thaw what an exact replay of [i, stop) can read: from
+                reference i-1 to the end of the run holding stop-1."""
+                end = int(np_run_ends[stop - 1])
+                thaw(i - 1, end if end < seg_end else seg_end)
+
             def bulk_span(
                 s,
                 r,
                 nruns,
+                slots,
                 # Same default-arg binding as scalar_span: the group loops
                 # below run once per coalescing group.
                 addrs=addrs,
-                cum=cum,
                 run_ends=run_ends,
                 wcum=wcum,
                 core=core,
@@ -719,18 +754,21 @@ class Simulation:
                 (MRU order, last-write token, dirty bit) is applied once
                 per *distinct* line. The Python path iterates coalescing
                 groups (``run_ends`` jumps), never references, so its cost
-                matches the scalar loop's O(runs) — the numpy reductions
-                take over above a run-count crossover.
+                matches the scalar loop's O(runs); above a run-count
+                crossover the numpy path takes over, keyed on ``slots`` —
+                the stretch's mirror slots, which within one all-fast
+                stretch map one to one onto its addresses.
                 """
                 k = r - s
-                prev_cum = cum[s - 1] if s else 0
-                base_w = wcum[s - 1] if s else 0
-                nw = wcum[r - 1] - base_w
-                core.cycle += (cum[r - 1] - prev_cum) - k + k * l1_latency
+                prev_cum = int(np_cum[s - 1]) if s else 0
+                base_w = int(np_wcum[s - 1]) if s else 0
+                nw = int(np_wcum[r - 1]) - base_w
+                core.cycle += (int(np_cum[r - 1]) - prev_cum) - k + k * l1_latency
                 core.mem_stall_cycles += k * l1_latency
                 l1_hits.bump(k)
                 loads.bump(k - nw)
                 if nruns < _NUMPY_BULK_MIN:
+                    thaw(s, r)
                     # MRU: one move-to-front per distinct line, ascending
                     # last-touch, so the final order matches k individual
                     # touches (re-inserting moves a key to the end).
@@ -782,9 +820,14 @@ class Simulation:
                         stores.bump(nw)
                         scheme.on_store_bulk(nw)
                     return
+                # Per-slot last touch by scatter-max; the positions that
+                # are their slot's last touch, ascending, give the MRU
+                # order — no sort.
                 a_seg = np_addrs[s:r]
-                ru, ridx = np.unique(a_seg[::-1], return_index=True)
-                for addr in ru[np.argsort(ridx)[::-1]].tolist():
+                pos = positions[:k]
+                last = np.zeros(n_slots, dtype=np.int64)
+                np.maximum.at(last, slots, pos)
+                for addr in a_seg[last[slots] == pos].tolist():
                     line = l1_tags[addr]
                     cache_set = l1_sets[(addr >> l1_shift) & l1_mask]
                     if cache_set[0] is not line:
@@ -793,14 +836,19 @@ class Simulation:
                 if nw:
                     nt = system._next_token
                     system._next_token = nt + nw
-                    waddr = a_seg[np.flatnonzero(np_writes[s:r])]
-                    wu, widx = np.unique(waddr[::-1], return_index=True)
-                    last_tok = (nt + (nw - 1) - widx).tolist()
-                    wu_list = wu.tolist()
-                    first_idx = np.unique(waddr, return_index=True)[1]
-                    for j in np.argsort(first_idx).tolist():
-                        addr = wu_list[j]
-                        tok = last_tok[j]
+                    # Same argument as the Python path, by store ordinal:
+                    # a line keeps the token of its last store, and lines
+                    # dirty in first-store order.
+                    wpos = np.flatnonzero(np_writes[s:r])
+                    wslots = slots[wpos]
+                    ords = positions[:nw]
+                    first = np.full(n_slots, nw, dtype=np.int64)
+                    np.minimum.at(first, wslots, ords)
+                    final = np.zeros(n_slots, dtype=np.int64)
+                    np.maximum.at(final, wslots, ords)
+                    firsts = first[wslots] == ords
+                    toks = (final[wslots[firsts]] + nt).tolist()
+                    for addr, tok in zip(a_seg[wpos[firsts]].tolist(), toks):
                         line = l1_tags[addr]
                         line.token = tok
                         if not line._dirty:
@@ -820,7 +868,7 @@ class Simulation:
                 limit = next_epoch - base
                 if crash is not None and crash - base < limit:
                     limit = crash - base
-                seg_end = bisect_left(cum, limit, index) + 1
+                seg_end = int(np_cum[index:].searchsorted(limit)) + index + 1
                 if seg_end > n:
                     seg_end = n
                 # ``is True``/``is False`` below: an EID filter value of 0
@@ -834,6 +882,7 @@ class Simulation:
                         stop = i + scalar_budget
                         if stop > seg_end:
                             stop = seg_end
+                        thaw_span(i, stop, seg_end)
                         if engine is not None:
                             # The drain maintains the mirror queues at its
                             # inlined fill/evict sites for free, so bursts
@@ -853,11 +902,10 @@ class Simulation:
                                 l1._vec = vec
                                 vec.stale = True
                         scalar_budget -= ni - i
-                        if dbg is not None:
-                            dbg["burst_refs"] += ni - i
                         i = ni
                         continue
                     if seg_end - i < bulk_min:
+                        thaw_span(i, seg_end, seg_end)
                         if engine is not None:
                             i = drain(i, seg_end, seg_end, sfilter)
                         else:
@@ -872,17 +920,23 @@ class Simulation:
                         we = seg_end
                     a_win = np_addrs[wb:we]
                     sidx = (a_win >> l1_shift) & l1_mask
-                    eq = tags2d[sidx] == a_win[:, None]
-                    hit = eq.any(axis=1)
+                    # One little-endian word per mirror row, byte w set
+                    # where way w holds the address: tags are unique in a
+                    # set and padding ways never match, so a hit is a
+                    # nonzero word with exactly one byte set, 1 << 8w.
+                    # Multiplying by 0x0001020304050607 lands w in the top
+                    # byte (lower terms stay below it, higher ones wrap
+                    # off), giving every reference its slot set*ways+way.
+                    row = (tags2d[sidx] == a_win[:, None]).view(_ROW_WORD).ravel()
+                    hit = row != 0
+                    slot = sidx * ways + ((row * _WAY_OF_BYTE) >> 56).view(np.int64)
                     if sfilter is True:
                         fast = hit
                     elif sfilter is False:
                         fast = hit & ~np_writes[wb:we]
                     else:
                         fast = np.where(
-                            np_writes[wb:we],
-                            (eq & (eids2d[sidx] == sfilter)).any(axis=1),
-                            hit,
+                            np_writes[wb:we], hit & (eids[slot] == sfilter), hit
                         )
                     bad = (np.flatnonzero(~fast) + wb).tolist()
                     n_bad = len(bad)
@@ -894,6 +948,7 @@ class Simulation:
                         # needed). Counted as unproductive below, which
                         # steers persistently miss-heavy phases into
                         # drain bursts with zero classification cost.
+                        thaw_span(wb, we, seg_end)
                         i = drain(wb, we, seg_end, sfilter)
                         removed.clear()
                         bulked_runs = 0
@@ -920,9 +975,11 @@ class Simulation:
                                 # not references: the scalar loop replays
                                 # a same-line run in O(1), so a long but
                                 # run-sparse stretch is cheaper replayed.
-                                nruns = rcum[nxt - 1] - (rcum[i - 1] if i else 0)
+                                nruns = int(np_rcum[nxt - 1]) - (
+                                    int(np_rcum[i - 1]) if i else 0
+                                )
                                 if nruns >= bulk_min:
-                                    bulk_span(i, nxt, nruns)
+                                    bulk_span(i, nxt, nruns, slot[i - wb:nxt - wb])
                                     bulked_runs += nruns
                                     i = nxt
                                     if i >= we:
@@ -930,6 +987,7 @@ class Simulation:
                             stop = nxt + 1
                             if stop > seg_end:
                                 stop = seg_end
+                            thaw_span(i, stop, seg_end)
                             if engine is not None:
                                 i = drain(i, stop, seg_end, sfilter)
                             else:
@@ -942,7 +1000,11 @@ class Simulation:
                                 # list (demotion is always safe:
                                 # residuals replay exactly). Re-adds need
                                 # no check — a classified miss replays
-                                # exactly anyway.
+                                # exactly anyway. This is also what keeps
+                                # a bulk stretch's slots one to one with
+                                # its addresses: a slot freed mid-window
+                                # and refilled by another line can only
+                                # be read through a demoted position.
                                 if i < we:
                                     j = int(np.searchsorted(fpos, i))
                                     if j < len(fpos):
@@ -963,13 +1025,7 @@ class Simulation:
                                 removed.clear()
                     # -- self-tuning: how much of the window's coalescing
                     #    work was actually bulk-applied?
-                    creached = rcum[i - 1] - (rcum[wb - 1] if wb else 0)
-                    if dbg is not None:
-                        dbg["windows"] += 1
-                        dbg["win_refs"] += i - wb
-                        dbg["win_runs"] += creached
-                        dbg["bulked_runs"] += bulked_runs
-                        dbg["win_bad"] += n_bad
+                    creached = int(np_rcum[i - 1]) - (int(np_rcum[wb - 1]) if wb else 0)
                     if bulked_runs * 2 >= creached:
                         shorts = 0
                         productive = True
@@ -990,7 +1046,7 @@ class Simulation:
                             productive = False
                             scalar_budget = burst_len
                 index = seg_end
-                total = base + cum[index - 1]
+                total = base + int(np_cum[index - 1])
                 if total >= next_epoch:
                     system.total_instructions = total
                     core.instructions = total
@@ -1116,7 +1172,6 @@ class Simulation:
         arch_image = system.arch_image
         crash = crash_at_instructions
         bulk_min = _BULK_MIN_MC
-        dbg = getattr(self, "_vec_debug", None)
         # Per-core miss-chain engines over the one shared LLC/NVM sink
         # (None when ineligible — every drain site falls back to the
         # scalar body, byte-identically).
@@ -1392,8 +1447,6 @@ class Simulation:
                                 st, core, cid, i, stop, budget, tbase, iofs
                             )
                             st.scalar_budget -= ni - i
-                        if dbg is not None:
-                            dbg["burst_refs"] += ni - i
                         i = ni
                         if budget is not None and core.cycle > budget:
                             return i
@@ -1451,9 +1504,6 @@ class Simulation:
                     if not st.win_dense:
                         st.win_fpos = np.flatnonzero(fast) + wb
                         st.win_fast = a_win[fast]
-                    if dbg is not None:
-                        dbg["windows"] += 1
-                        dbg["win_bad"] += len(bad)
                 # -- consume the live window up to this turn's bound
                 lim = st.win_end
                 if lim > seg_end:
@@ -1585,10 +1635,6 @@ class Simulation:
             rcum = st.rcum
             wb = st.win_wb
             creached = rcum[i - 1] - (rcum[wb - 1] if wb else 0)
-            if dbg is not None:
-                dbg["win_refs"] += i - wb
-                dbg["win_runs"] += creached
-                dbg["bulked_runs"] += st.win_bulked
             st.win_end = 0
             if st.win_bulked * 2 >= creached:
                 st.shorts = 0
@@ -1677,7 +1723,6 @@ class Simulation:
                     and st.gen_live
                     and st.gen_serial == epoch_serial
                     and st.gen_i == st.pos
-                    and dbg is None
                 ):
                     # Direct resume of a parked burst generator: it owns
                     # the whole turn protocol (segment bound, counters,
@@ -1723,7 +1768,6 @@ class Simulation:
                     st.pos < st.win_end
                     and not st.win_dense
                     and st.win_serial == epoch_serial
-                    and dbg is None
                 ):
                     # Window hot path: consume the live classified window
                     # without the run_turn/run_span frames or the segment
@@ -1768,7 +1812,6 @@ class Simulation:
                     and st.pos >= st.win_end
                     and st.pos < st.n
                     and st.drain is None
-                    and dbg is None
                 ):
                     # Scalar-burst hot path for engine-declined configs
                     # (banked NVM, multi-channel — no persistent drain

@@ -21,11 +21,13 @@ temporal and spatial locality stay independent knobs.
 
 Two speed facilities live alongside the generator:
 
-* **Batch metadata** (:meth:`TraceChunk.ensure_metadata`): cumulative
-  instruction counts and same-line run lengths, computed lazily per chunk
-  with numpy. The batched single-core interpreter uses them to place epoch
-  and crash boundaries without per-reference checks and to coalesce
-  same-line runs (see :mod:`repro.sim.simulator`).
+* **Batch metadata and lazy boxing** (:class:`_FrozenChunk`,
+  :class:`TraceChunk`): cumulative instruction and store counts and
+  same-line run lengths, computed once per chunk with numpy. The batched
+  single-core interpreter uses them to place epoch and crash boundaries
+  without per-reference checks and to coalesce same-line runs (see
+  :mod:`repro.sim.simulator`); the columnar one also reads them straight
+  from numpy and boxes only the blocks it replays one at a time.
 * **Cross-scheme memoization** (:func:`make_trace`): figure sweeps drive
   the identical stream through every scheme at each (benchmark, config,
   seed) point, so generated chunks are memoized per process, keyed on
@@ -73,94 +75,119 @@ def _run_cum_array(addrs):
     return np.cumsum(starts)
 
 
+#: References boxed per thaw block: :meth:`TraceChunk.thaw` converts
+#: whole blocks, so scattered residual replays cost one small slice each.
+THAW_BLOCK = 64
+
+#: The :class:`_FrozenChunk` arrays an exact replay reads one reference
+#: at a time, in :attr:`TraceChunk.lists` order.
+_REPLAY_COLUMNS = ("gaps", "addrs", "writes", "cum", "run_ends", "write_cum")
+
+
+def _column(index, doc):
+    """A TraceChunk replay column read whole: thaws the chunk first."""
+
+    def read(self):
+        self.ensure_metadata()
+        return self.lists[index]
+
+    return property(read, doc=doc)
+
+
 class TraceChunk:
-    """One generated batch of references, as parallel Python lists."""
+    """One batch of references, boxed into Python lists on demand.
+
+    The per-reference loops index Python lists (numpy scalar reads cost
+    several times a list read), but the columnar interpreter bulk-applies
+    most of a hit-dominated chunk straight from the numpy columns of its
+    :class:`_FrozenChunk` and never reads those references one at a time.
+    So a chunk starts with every list slot ``None`` and :meth:`thaw`
+    boxes only the blocks a caller is about to replay; an unthawed slot
+    fails loudly (``None`` in arithmetic) instead of reading wrong data.
+
+    The column attributes (``gaps``, ``addrs``, ``writes``,
+    ``cum_instructions``, ``run_ends``, ``write_cum``, and ``run_cum``,
+    which no replay reads and so is boxed only here) return complete
+    lists, thawing the whole chunk first, so every consumer that walks a
+    chunk end to end — the scalar loops, the multi-core paths,
+    calibration, record/replay — reads them as plain lists.
+    :attr:`lists` hands out the same replay lists without thawing.
+    """
 
     __slots__ = (
-        "gaps",
-        "addrs",
-        "writes",
+        "frozen",
         "instructions",
-        "cum_instructions",
-        "run_ends",
-        "run_cum",
-        "write_cum",
-        "_meta_arrays",
-        "np_addrs",
-        "np_writes",
+        "lists",
+        "thawed_refs",
+        "_filled",
+        "_run_cum",
     )
 
-    def __init__(
-        self, gaps, addrs, writes, instructions, meta_arrays=None, arrays=None
-    ):
-        self.gaps = gaps
-        self.addrs = addrs
-        self.writes = writes
-        self.instructions = instructions
-        #: Inclusive cumulative instruction count per reference (lazy).
-        self.cum_instructions = None
-        #: Per-index end (exclusive) of the same-line run starting there (lazy).
-        self.run_ends = None
-        #: Inclusive cumulative count of same-line run starts (lazy); the
-        #: columnar interpreter's cost model is *coalescing groups*, not
-        #: references, so it sizes bulk work by run count in O(1).
-        self.run_cum = None
-        #: Inclusive cumulative store count per reference (lazy).
-        self.write_cum = None
-        #: Precomputed (cum, run_ends, run_cum, write_cum) numpy arrays
-        #: from the memo's frozen storage; ensure_metadata converts
-        #: instead of recomputing (None for freshly generated chunks).
-        self._meta_arrays = meta_arrays
-        #: Numpy views of addrs/writes for the columnar interpreter;
-        #: delivered by the generator/memo when it has them, otherwise
-        #: built on demand by ensure_arrays.
-        if arrays is not None:
-            self.np_addrs, self.np_writes = arrays
-        else:
-            self.np_addrs = None
-            self.np_writes = None
+    def __init__(self, frozen):
+        #: The numpy columns and metadata (see :class:`_FrozenChunk`).
+        self.frozen = frozen
+        self.instructions = frozen.instructions
+        n = len(frozen)
+        #: The replay columns as lists, in ``_REPLAY_COLUMNS`` order,
+        #: filled block by block by :meth:`thaw`.
+        self.lists = tuple([None] * n for _ in _REPLAY_COLUMNS)
+        #: References boxed so far (whole blocks).
+        self.thawed_refs = 0
+        self._filled = bytearray(-(-n // THAW_BLOCK))
+        self._run_cum = None
 
     def __len__(self):
-        return len(self.gaps)
+        return len(self.frozen)
 
-    def ensure_arrays(self):
-        """Numpy addrs/writes for array-at-a-time classification (idempotent)."""
-        if self.np_addrs is None:
-            self.np_addrs = np.asarray(self.addrs, dtype=np.int64)
-            self.np_writes = np.asarray(self.writes, dtype=bool)
+    gaps = _column(0, "Non-memory instructions before each reference.")
+    addrs = _column(1, "Line address of each reference.")
+    writes = _column(2, "True for each store.")
+    cum_instructions = _column(
+        3,
+        "Inclusive cumulative instruction count (``sum(gaps[:i+1]) + i + 1``):"
+        " segments the chunk at epoch/crash boundaries.",
+    )
+    run_ends = _column(
+        4, "Exclusive end of the same-line run starting at each reference."
+    )
+    write_cum = _column(5, "Inclusive cumulative store count.")
+
+    @property
+    def run_cum(self):
+        """Inclusive cumulative count of same-line run starts, boxed whole
+        on first read: the multi-core columnar interpreter sizes work in
+        coalescing groups, in O(1)."""
+        if self._run_cum is None:
+            self._run_cum = self.frozen.run_cum.tolist()
+        return self._run_cum
+
+    def thaw(self, lo, hi):
+        """Box every replay column of the blocks covering ``[lo, hi)``.
+
+        Idempotent and cheap when the range is already thawed; each
+        contiguous run of unfilled blocks costs one slice per column.
+        """
+        filled = self._filled
+        frozen = self.frozen
+        block = THAW_BLOCK
+        end = -(-hi // block)
+        b = filled.find(0, lo // block if lo > 0 else 0, end)
+        while b >= 0:
+            e = filled.find(1, b, end)
+            if e < 0:
+                e = end
+            s = b * block
+            t = min(e * block, len(frozen))
+            for lst, name in zip(self.lists, _REPLAY_COLUMNS):
+                lst[s:t] = getattr(frozen, name)[s:t].tolist()
+            filled[b:e] = b"\x01" * (e - b)
+            self.thawed_refs += t - s
+            b = filled.find(0, e, end)
         return self
 
     def ensure_metadata(self):
-        """Compute the batch-interpreter metadata once (idempotent).
-
-        ``cum_instructions[i]`` is the chunk-relative instruction count
-        after reference ``i`` retires (``sum(gaps[:i+1]) + i + 1``), used
-        to segment the chunk at epoch/crash boundaries. ``run_ends[i]`` is
-        the exclusive end of the longest stretch ``i..run_ends[i]-1`` of
-        references to one line address; ``run_cum[i]`` counts same-line
-        run starts in ``0..i`` so a stretch's coalescing-group count is
-        O(1); ``write_cum[i]`` counts stores in ``0..i`` so a run tail's
-        load/store split is O(1). Memoized chunks carry the arrays
-        precomputed (see :class:`_FrozenChunk`) and only pay the list
-        conversion here.
-        """
-        if self.cum_instructions is not None:
-            return self
-        if self._meta_arrays is not None:
-            cum, run_ends, run_cum, write_cum = self._meta_arrays
-            self.cum_instructions = cum.tolist()
-            self.run_ends = run_ends.tolist()
-            self.run_cum = run_cum.tolist()
-            self.write_cum = write_cum.tolist()
-            return self
-        gaps = np.asarray(self.gaps, dtype=np.int64)
-        self.cum_instructions = np.cumsum(gaps + 1).tolist()
-        writes = np.asarray(self.writes, dtype=np.int64)
-        self.write_cum = np.cumsum(writes).tolist()
-        addrs = np.asarray(self.addrs, dtype=np.int64)
-        self.run_ends = _run_ends_array(addrs).tolist()
-        self.run_cum = _run_cum_array(addrs).tolist()
-        return self
+        """Thaw the whole chunk (idempotent); returns the chunk."""
+        return self.thaw(0, len(self.frozen))
 
 
 def _zipf_cdf(n_ranks, alpha):
@@ -207,20 +234,14 @@ class SyntheticTrace:
 
     def chunks(self):
         """Yield :class:`TraceChunk` batches until the instruction budget ends."""
-        for gaps, addrs, writes, instructions in self._array_chunks():
-            yield TraceChunk(
-                gaps.tolist(),
-                addrs.tolist(),
-                writes.tolist(),
-                instructions,
-                arrays=(addrs, writes),
-            )
+        for gaps, addrs, writes in self._array_chunks():
+            yield _FrozenChunk(gaps, addrs, writes).thaw()
 
     def _array_chunks(self):
-        """Yield ``(gaps, addrs, writes, instructions)`` numpy batches.
+        """Yield ``(gaps, addrs, writes)`` numpy batches.
 
         The memo freezes these arrays directly (no round trip through
-        Python lists); :meth:`chunks` is the list-delivering wrapper the
+        Python lists); :meth:`chunks` wraps them in the chunks the
         simulator consumes.
         """
         profile = self.profile
@@ -242,7 +263,7 @@ class SyntheticTrace:
                 writes = writes[:cut]
                 instructions = int(gaps.sum()) + cut
             self._instructions_emitted += instructions
-            yield gaps, addrs, writes, instructions
+            yield gaps, addrs, writes
 
     def _make_addresses(self, n, writes):
         profile = self.profile
@@ -297,15 +318,18 @@ class SyntheticTrace:
 
 
 class _FrozenChunk:
-    """Memoized chunk storage: compact numpy arrays, nothing boxed.
+    """Chunk storage: compact numpy arrays, nothing boxed.
 
-    Holding generated streams as Python lists would keep millions of boxed
-    ints resident for the life of the process, and that residency measurably
+    Every :class:`TraceChunk` is built from one of these — by the
+    generator, the memo and :class:`repro.trace.tracefile.RecordedTrace`
+    alike — so the batch-interpreter metadata is computed here, once, on
+    the arrays. The memo keeps the frozen chunks themselves: holding
+    generated streams as Python lists would keep millions of boxed ints
+    resident for the life of the process, and that residency measurably
     degrades allocator/cache locality for *every subsequent simulation*
     (~20% on the throughput harness). Numpy arrays are contiguous, 8 bytes
     per element, and invisible to the GC, so a frozen trace costs only its
-    raw bytes. The batch-interpreter metadata is computed here once, on the
-    arrays; :meth:`thaw` delivers a list-backed :class:`TraceChunk` whose
+    raw bytes; :meth:`thaw` delivers a fresh :class:`TraceChunk` whose
     lists are transient (they die with the chunk after it is consumed).
     """
 
@@ -320,12 +344,12 @@ class _FrozenChunk:
         "write_cum",
     )
 
-    def __init__(self, gaps, addrs, writes, instructions):
+    def __init__(self, gaps, addrs, writes):
         self.gaps = gaps
         self.addrs = addrs
         self.writes = writes
-        self.instructions = instructions
         self.cum = np.cumsum(gaps + 1)
+        self.instructions = int(self.cum[-1])
         self.write_cum = np.cumsum(writes.astype(np.int64))
         self.run_ends = _run_ends_array(addrs)
         self.run_cum = _run_cum_array(addrs)
@@ -334,15 +358,8 @@ class _FrozenChunk:
         return len(self.gaps)
 
     def thaw(self):
-        """Materialize the list-backed chunk the simulator consumes."""
-        return TraceChunk(
-            self.gaps.tolist(),
-            self.addrs.tolist(),
-            self.writes.tolist(),
-            self.instructions,
-            meta_arrays=(self.cum, self.run_ends, self.run_cum, self.write_cum),
-            arrays=(self.addrs, self.writes),
-        )
+        """A fresh, unthawed :class:`TraceChunk` over these arrays."""
+        return TraceChunk(self)
 
 
 class MaterializedTrace:
@@ -366,7 +383,7 @@ class MaterializedTrace:
         return int(self.n_instructions * self.profile.mem_ratio)
 
     def chunks(self):
-        """Yield freshly thawed :class:`TraceChunk` batches, in order."""
+        """Yield a fresh :class:`TraceChunk` per frozen chunk, in order."""
         for frozen in self._chunks:
             yield frozen.thaw()
 
@@ -416,8 +433,8 @@ def make_trace(profile, n_instructions, seed=0, addr_base=0):
             profile, n_instructions, seed=seed, addr_base=addr_base
         )
         chunks = [
-            _FrozenChunk(gaps, addrs, writes, instructions)
-            for gaps, addrs, writes, instructions in source._array_chunks()
+            _FrozenChunk(gaps, addrs, writes)
+            for gaps, addrs, writes in source._array_chunks()
         ]
         refs = sum(len(chunk) for chunk in chunks)
         _trace_memo[key] = (chunks, refs)

@@ -16,7 +16,7 @@ arrays (gaps, line addresses, write flags) plus the generating metadata.
 import numpy as np
 
 from repro.common.errors import ConfigurationError
-from repro.trace.synthetic import TraceChunk
+from repro.trace.synthetic import CHUNK_REFS, _FrozenChunk
 
 _FORMAT_VERSION = 1
 
@@ -41,17 +41,13 @@ class RecordedTrace:
         """Exact reference count (the trace is materialized)."""
         return len(self.gaps)
 
-    def chunks(self, chunk_refs=8192):
+    def chunks(self, chunk_refs=CHUNK_REFS):
         """Yield TraceChunks exactly as the generator would."""
         for start in range(0, len(self.gaps), chunk_refs):
             end = start + chunk_refs
-            gaps = self.gaps[start:end]
-            yield TraceChunk(
-                gaps.tolist(),
-                self.addrs[start:end].tolist(),
-                self.writes[start:end].tolist(),
-                int(gaps.sum()) + len(gaps),
-            )
+            yield _FrozenChunk(
+                self.gaps[start:end], self.addrs[start:end], self.writes[start:end]
+            ).thaw()
 
 
 def record_trace(trace):

@@ -18,6 +18,12 @@ and miss-heavy traces, plus the configs that force the store filter off
 (sub-block granularity, capped log). A hypothesis fuzz then walks the
 workload-profile space itself so the classifier's window/repair logic is
 exercised on shapes no curated benchmark hits.
+
+The columnar loop reads trace chunks lazily — it boxes only the blocks
+it replays one reference at a time — so the identity checks also cross
+L1 associativities (the mirror pads rows to eight ways), every trace
+source, and crashes through recovery on a hit-dominated trace, and
+``TestLazyThaw`` pins the laziness itself.
 """
 
 import dataclasses
@@ -26,11 +32,20 @@ import os
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.fault.plan import SITE_UNDO_FLUSH, CrashPlan
 from repro.sim.config import SystemConfig
 from repro.sim.simulator import Simulation
 from repro.trace import profiles
 from repro.trace.profiles import WorkloadProfile
-from repro.common.units import MB
+from repro.trace.synthetic import (
+    THAW_BLOCK,
+    MaterializedTrace,
+    SyntheticTrace,
+    TraceChunk,
+    make_trace,
+)
+from repro.trace.tracefile import RecordedTrace, load_trace, save_trace
+from repro.common.units import KB, MB
 
 
 def small_config(**overrides):
@@ -44,12 +59,15 @@ N = 60_000  # a few scheduled epochs at scale 256
 SCHEMES = ("ideal", "journaling", "shadow", "frm", "thynvm", "picl")
 
 
-def run_mode(vector, config, scheme, bench, n, seed, crash_at=None):
+def run_mode(
+    vector, config, scheme, bench, n, seed, crash_at=None, crash_plan=None, trace=None
+):
     """Run one simulation with the columnar interpreter on or off.
 
     ``REPRO_VECTOR`` is read when the hierarchy is built, so the
     environment must be set before ``Simulation`` is constructed — and
     restored afterwards so the two modes cannot leak into each other.
+    ``trace`` (a zero-argument factory) replaces the generated trace.
     """
     previous = os.environ.get("REPRO_VECTOR")
     os.environ["REPRO_VECTOR"] = "1" if vector else "0"
@@ -63,7 +81,9 @@ def run_mode(vector, config, scheme, bench, n, seed, crash_at=None):
     # The gate must actually have taken effect, or the test compares the
     # scalar interpreter against itself.
     assert (sim.hierarchy._l1[0]._vec is not None) == vector
-    sim.run(crash_at_instructions=crash_at)
+    if trace is not None:
+        sim.traces[0] = trace()
+    sim.run(crash_at_instructions=crash_at, crash_plan=crash_plan)
     return sim
 
 
@@ -141,6 +161,144 @@ class TestBitIdentity:
         assert_identical(scalar, columnar)
 
 
+def assert_identical_recovery(scalar, columnar):
+    image_a, commit_a, ref_a = scalar.crash_and_recover()
+    image_b, commit_b, ref_b = columnar.crash_and_recover()
+    assert commit_a == commit_b
+    assert image_a == image_b
+    assert ref_a == ref_b
+
+
+class TestAssociativity:
+    # The L1 mirror pads every row to eight ways so one code path
+    # classifies any associativity; 16 sets each (a 3-way L1 needs it).
+    @pytest.mark.parametrize("assoc", (2, 3, 8))
+    @pytest.mark.parametrize("scheme,bench", [("picl", "hmmer"), ("frm", "gcc")])
+    def test_l1_associativity_identical(self, assoc, scheme, bench):
+        config = small_config(l1_assoc=assoc, l1_size=assoc * 16 * 64)
+        scalar = run_mode(False, config, scheme, bench, N, seed=61)
+        columnar = run_mode(True, config, scheme, bench, N, seed=61)
+        assert_identical(scalar, columnar)
+
+
+class TestTraceSources:
+    @pytest.mark.parametrize("source", ("memo", "fresh", "file"))
+    def test_trace_source_identical(self, source, monkeypatch, tmp_path):
+        # Every source builds its chunks through the same frozen-chunk
+        # constructor; the columnar loop must not care which one it got.
+        config = small_config()
+        factory = None
+        if source == "fresh":
+            monkeypatch.setenv("REPRO_NO_TRACE_MEMO", "1")
+        elif source == "file":
+            path = tmp_path / "hmmer.npz"
+            recorder = Simulation(config, "picl", ["hmmer"], N, seed=71)
+            save_trace(path, recorder.traces[0])
+
+            def factory():
+                return load_trace(path)
+
+        scalar = run_mode(False, config, "picl", "hmmer", N, seed=71, trace=factory)
+        columnar = run_mode(True, config, "picl", "hmmer", N, seed=71, trace=factory)
+        expected = {
+            "memo": MaterializedTrace,
+            "fresh": SyntheticTrace,
+            "file": RecordedTrace,
+        }[source]
+        assert isinstance(columnar.traces[0], expected)
+        assert_identical(scalar, columnar)
+
+
+class TestLazyCrashes:
+    # gcc's crash test above thaws nearly every block; on hmmer most of
+    # the chunk is never boxed when the crash lands.
+    def test_instruction_crash_and_recovery(self):
+        config = small_config()
+        crash_at = N // 2 + 137
+        scalar = run_mode(False, config, "picl", "hmmer", N, 83, crash_at=crash_at)
+        columnar = run_mode(True, config, "picl", "hmmer", N, 83, crash_at=crash_at)
+        assert scalar.crashed and columnar.crashed
+        assert_identical(scalar, columnar)
+        assert_identical_recovery(scalar, columnar)
+
+    def test_site_crash_and_recovery(self):
+        # Hit-dominated runs this small reach only the undo-flush site
+        # (hmmer flushes about once per 117k instructions); the third
+        # flush tears after one entry, about 60% of the way through.
+        config = small_config()
+        plans = [
+            CrashPlan.on_event(SITE_UNDO_FLUSH, occurrence=3, tear_entries=1)
+            for _ in "ab"
+        ]
+        n = 400_000
+        scalar = run_mode(False, config, "picl", "hmmer", n, 89, crash_plan=plans[0])
+        columnar = run_mode(True, config, "picl", "hmmer", n, 89, crash_plan=plans[1])
+        assert plans[0].fired and plans[1].fired
+        assert scalar.crash_site == columnar.crash_site == SITE_UNDO_FLUSH
+        assert_identical(scalar, columnar)
+        assert_identical_recovery(scalar, columnar)
+
+
+class TestLazyThaw:
+    def test_thaw_fills_whole_blocks(self):
+        chunk = next(make_trace(profiles.get_profile("gcc"), 20_000, seed=3).chunks())
+        gaps = chunk.lists[0]
+        assert chunk.thawed_refs == 0 and gaps[0] is None
+        chunk.thaw(THAW_BLOCK + 5, 2 * THAW_BLOCK + 5)
+        assert chunk.thawed_refs == 2 * THAW_BLOCK
+        assert gaps[THAW_BLOCK - 1] is None and gaps[3 * THAW_BLOCK] is None
+        # Reading outside the thawed blocks raises instead of misreading.
+        with pytest.raises(TypeError):
+            gaps[3 * THAW_BLOCK] + 1
+        frozen = chunk.frozen
+        arrays = (
+            frozen.gaps,
+            frozen.addrs,
+            frozen.writes,
+            frozen.cum,
+            frozen.run_ends,
+            frozen.write_cum,
+        )
+        lo, hi = THAW_BLOCK, 3 * THAW_BLOCK
+        for column, array in zip(chunk.lists, arrays):
+            assert column[lo:hi] == array[lo:hi].tolist()
+        chunk.thaw(THAW_BLOCK, 3 * THAW_BLOCK)
+        assert chunk.thawed_refs == 2 * THAW_BLOCK
+        # Reading a whole column thaws the rest.
+        assert chunk.gaps == chunk.frozen.gaps.tolist()
+        assert chunk.thawed_refs == len(chunk)
+
+    def test_missed_thaw_raises(self, monkeypatch):
+        # If the interpreter ever replayed a reference it had not thawed,
+        # it would read None and fail, never a wrong value.
+        monkeypatch.setattr(TraceChunk, "thaw", lambda self, lo, hi: self)
+        sim = Simulation(small_config(), "picl", ["hmmer"], N, seed=5)
+        with pytest.raises(TypeError):
+            sim.run()
+
+    def test_hit_dominated_run_thaws_little(self, monkeypatch):
+        # Nearly every reference of ideal/hmmer is bulk-applied from the
+        # numpy columns; the per-chunk counts show how little is boxed.
+        config = SystemConfig().scaled(128)
+        sim = Simulation(
+            config, "ideal", ["hmmer"], config.epoch_instructions * 4, seed=7
+        )
+        trace = sim.traces[0]
+        seen = []
+        chunks = trace.chunks
+
+        def recording():
+            for chunk in chunks():
+                seen.append(chunk)
+                yield chunk
+
+        monkeypatch.setattr(trace, "chunks", recording)
+        sim.run()
+        refs = sum(len(chunk) for chunk in seen)
+        assert refs > 100_000
+        assert sum(chunk.thawed_refs for chunk in seen) < 0.1 * refs
+
+
 class TestGate:
     def test_mirror_attached_by_default(self):
         sim = Simulation(small_config(), "ideal", ["gcc"], 1_000, seed=1)
@@ -149,6 +307,11 @@ class TestGate:
     def test_mirror_detached_when_disabled(self, monkeypatch):
         monkeypatch.setenv("REPRO_VECTOR", "0")
         sim = Simulation(small_config(), "ideal", ["gcc"], 1_000, seed=1)
+        assert sim.hierarchy._l1[0]._vec is None
+
+    def test_no_mirror_for_l1_wider_than_a_row(self):
+        config = small_config(l1_assoc=16, l1_size=16 * KB)
+        sim = Simulation(config, "ideal", ["gcc"], 1_000, seed=1)
         assert sim.hierarchy._l1[0]._vec is None
 
     def test_multi_core_mirrors_attached_by_default(self):
