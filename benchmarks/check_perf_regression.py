@@ -10,13 +10,12 @@ falls materially below the committed one — the interleaved ratio, not
 absolute refs/sec, is the only number comparable across machines.
 It runs the batched miss-chain matrix the same way
 (``perf_common.make_misschain_rows``, ``REPRO_BATCH_MISS=0`` vs ``=1``
-under the columnar interpreter) against ``BENCH_misschain.json``, and
-the eight-core fig10 matrix (``perf_common.make_multicore_rows``,
-``REPRO_VECTOR=0`` vs ``=1``) against ``BENCH_multicore.json``. All
+under the columnar interpreter) against ``BENCH_misschain.json``. All
 comparisons are per row, never only the aggregate: parity rows (gcc
-under the columnar check, hmmer under the miss-chain check, the
-hit-dominated mixes under the multi-core check) would otherwise mask a
-regression on the rows each engine exists for. After every matrix it
+under the columnar check, hmmer under the miss-chain check) would
+otherwise mask a regression on the rows each engine exists for. The
+eight-core mixes are timed by the ``mc-mix`` workload of
+``benchmarks/bench``. After every matrix it
 rolls the ``overall`` block of each ``BENCH_*.json`` into one
 ``BENCH_summary.json``, so the uploaded artifact has a single
 diffable index of every protocol's headline numbers. A
@@ -58,9 +57,6 @@ COLUMNAR = os.path.join(
 )
 MISSCHAIN = os.path.join(
     os.path.dirname(__file__), "results", "BENCH_misschain.json"
-)
-MULTICORE = os.path.join(
-    os.path.dirname(__file__), "results", "BENCH_multicore.json"
 )
 SUMMARY = os.path.join(
     os.path.dirname(__file__), "results", "BENCH_summary.json"
@@ -117,18 +113,6 @@ def main(argv=None):
     parser.add_argument(
         "--skip-misschain", action="store_true",
         help="skip the REPRO_BATCH_MISS matrix",
-    )
-    parser.add_argument(
-        "--multicore-baseline", default=MULTICORE,
-        help="committed BENCH_multicore.json to compare against",
-    )
-    parser.add_argument(
-        "--multicore-output", default=MULTICORE,
-        help="where to write this run's BENCH_multicore.json",
-    )
-    parser.add_argument(
-        "--skip-multicore", action="store_true",
-        help="skip the eight-core REPRO_VECTOR matrix",
     )
     parser.add_argument(
         "--summary-output", default=SUMMARY,
@@ -199,8 +183,6 @@ def main(argv=None):
         regressions += check_columnar(args)
     if not args.skip_misschain:
         regressions += check_misschain(args)
-    if not args.skip_multicore:
-        regressions += check_multicore(args)
     if not args.skip_distributed:
         regressions += check_distributed(args)
 
@@ -364,85 +346,6 @@ def check_misschain(args):
         ),
     )
     print("wrote %s" % args.misschain_output)
-    return regressions
-
-
-def check_multicore(args):
-    """Run the eight-core REPRO_VECTOR matrix and compare, warn-only.
-
-    Per-row speedups against the committed ``BENCH_multicore.json``,
-    like :func:`check_misschain` — the hit-dominated mixes sit near
-    parity by design (heap turns average only a few references there),
-    so the aggregate alone would let them mask a collapse on the
-    miss-heavy mixes the horizon-batched loop exists for. The geomean
-    is printed for the log but the warnings are per row.
-    """
-    baseline = None
-    if os.path.exists(args.multicore_baseline):
-        baseline = perf_common.load_bench_json(args.multicore_baseline)
-        if baseline.get("protocol") != perf_common.MULTICORE_PROTOCOL:
-            print(
-                "multicore baseline protocol %r != %r; skipping comparison"
-                % (baseline.get("protocol"), perf_common.MULTICORE_PROTOCOL)
-            )
-            baseline = None
-    else:
-        print(
-            "no committed baseline at %s; recording only"
-            % args.multicore_baseline
-        )
-
-    passes = max(2, args.passes)  # a ratio from single passes is all noise
-    measurements, overall = perf_common.measure_multicore(passes=passes)
-    print("%-14s %12s %12s %9s %12s" % (
-        "row", "scalar r/s", "batched r/s", "speedup", "vs-baseline"))
-    regressions = 0
-    for m in measurements:
-        ratio = ""
-        if baseline is not None:
-            base = baseline["rows"].get(m["label"], {}).get("speedup")
-            if base:
-                ratio = "%.2fx" % (m["speedup"] / base)
-                if m["speedup"] < base * (1.0 - args.threshold):
-                    regressions += 1
-                    warn(
-                        "%s: multi-core speedup %.2fx vs baseline %.2fx "
-                        "(%.0f%% drop)"
-                        % (
-                            m["label"],
-                            m["speedup"],
-                            base,
-                            100.0 * (1.0 - m["speedup"] / base),
-                        )
-                    )
-        print(
-            "%-14s %12.0f %12.0f %8.2fx %12s"
-            % (
-                m["label"],
-                m["scalar_refs_per_sec"],
-                m["batched_refs_per_sec"],
-                m["speedup"],
-                ratio,
-            )
-        )
-    print("%-14s %12.0f %12.0f %8.2fx" % (
-        "overall",
-        overall["scalar_refs_per_sec"],
-        overall["batched_refs_per_sec"],
-        overall["speedup"],
-    ))
-    print("%-14s %25s %8.2fx" % ("geomean", "", overall["speedup_geomean"]))
-
-    perf_common.write_bench_json(
-        args.multicore_output,
-        perf_common.multicore_payload(
-            measurements,
-            overall,
-            note="%s; check_perf_regression passes=%d"
-            % (perf_common.MULTICORE_PROTOCOL, passes),
-        ),
-    )
-    print("wrote %s" % args.multicore_output)
     return regressions
 
 

@@ -129,20 +129,16 @@ class CacheHierarchy:
         # SetAssocCache, because only the shared level is ever ACS-scanned.
         self.llc.eid_index = EidIndex()
         # The columnar interpreter classifies whole epoch segments against a
-        # numpy mirror of each core's L1 tags/EIDs (see
-        # repro.cache.vector_mirror). L1s are private, so the mirror
-        # generalizes per core: the single-core loop reads core 0's, the
-        # horizon-batched multi-core loop reads the running core's.
-        # REPRO_VECTOR=0 drops every mirror and restores the scalar loops;
-        # REPRO_VECTOR_MC=0 drops them only for multi-core systems (the
-        # dedicated escape hatch the service layer pins on fleet workers).
-        # An L1 wider than one mirror row (ROW_WAYS) gets none either.
-        if (
-            os.environ.get("REPRO_VECTOR", "1") != "0"
-            and (n_cores == 1 or os.environ.get("REPRO_VECTOR_MC", "1") != "0")
-            and l1_assoc <= ROW_WAYS
-        ):
-            for l1 in self._l1:
+        # numpy mirror of the single core's L1 tags/EIDs (see
+        # repro.cache.vector_mirror). Multi-core runs classify nothing, so
+        # their L1s carry none. REPRO_VECTOR=0 drops the mirror and
+        # restores the scalar loops (``vector`` records the choice for
+        # the multi-core engine selection); an L1 wider than one mirror
+        # row (ROW_WAYS) gets none either.
+        self.vector = os.environ.get("REPRO_VECTOR", "1") != "0"
+        if self.vector and l1_assoc <= ROW_WAYS:
+            if n_cores == 1:
+                l1 = self._l1[0]
                 l1._vec = L1TagMirror(
                     l1.n_sets, l1.assoc, l1._line_shift, l1._set_mask
                 )

@@ -49,29 +49,30 @@ observe it:
 * counters/cycles/tokens flush in a ``finally``, so even a mid-drain
   ``CrashSignal`` leaves exactly the scalar crash-time values.
 
-**Safety conditions** (checked by :func:`build_engine` /
-:func:`build_engines`; any failure falls back to the scalar path,
-bit-identically):
+**Safety conditions** (:func:`decline_reason` names the first one that
+fails; the simulation then runs the scalar chain, bit-identically):
 
 * ``REPRO_BATCH_MISS`` not ``0`` (the escape hatch);
-* the columnar L1 mirror attached to every core's L1 (engines are
-  per-core: each binds one core's private L1/L2 and mirror, and all of
-  them share the exact LLC/NVM sink — the horizon-batched multi-core
-  interpreter serializes the turns, so at most one drain is live at a
-  time);
 * no DRAM cache in front of NVM, plain single-channel ``NvmDevice``
   (the banked/open-page device has per-bank state the inline recurrence
   does not model);
 * the hierarchy's eviction sink is the scheme itself.
 
-Multi-core drains take a ``budget`` (the turn's cycle horizon): the
-drain retires references while the core's clock stays at or under it and
-stops after the first reference that crosses — exactly the heap loop's
-"re-push and compare" continuation rule. A ``tbase``/``ibase`` pair
-additionally keeps ``system.total_instructions`` / ``core.instructions``
-crash-exact: the scalar multi-core loop retires them per reference, so
-the drain's ``finally`` recomputes both from the chunk's cumulative
-instruction counts at whatever reference it stopped on.
+**One loop for one core or many.** The same generator drains a span of
+the single core's chunk for the columnar interpreter and runs a whole
+multi-core simulation. With several cores it keeps the scalar heap
+loop's order: it pops the earliest ``cycle * n_cores + core`` key (the
+heap loop's ``(cycle, core)`` tuple as one int) and runs that core while
+its clock stays within the *horizon* — the smallest other key, which no
+other core can move while this one runs. The first reference past the
+horizon still retires; then the loop writes back the core's clock,
+``heappushpop``s its key, and unpacks the next core's private caches
+and trace columns (:meth:`MissChainEngine.bind`) in place. Everything
+the cores share (token counter, NVM channel, deferred undo entries,
+stat deltas) stays in locals across the switch.
+The loop yields to its caller (``Simulation._run_multi_core_drain``)
+only where the running core retires the reference that crosses the next
+epoch or crash boundary, or the last reference of its chunk.
 
 Scheme dispatch is derived from method identity
 (:meth:`repro.baselines.base.CrashConsistencyScheme.miss_engine_profile`):
@@ -86,6 +87,7 @@ catch much later. ``EidIndex.verify_against`` is the differential oracle
 for exactly this class of bug.
 """
 
+import heapq
 import os
 from bisect import bisect_left
 
@@ -100,81 +102,90 @@ from repro.mem.nvm import AccessCategory, NvmDevice
 #: write-back dispatch: out-of-line call / inline base body / inline PiCL body
 _WB_CALL, _WB_BASE, _WB_PICL = 0, 1, 2
 
+#: The horizon of a turn no other core can end: a single-core drain, or
+#: the last core still running.
+_NO_HORIZON = 1 << 62
 
-def _eligible(sim):
-    """Shared safety gate; returns (controller, device) or None."""
+
+def decline_reason(sim):
+    """Why the drain cannot run ``sim``, or None when it can."""
     if os.environ.get("REPRO_BATCH_MISS", "1") == "0":
-        return None
+        return "REPRO_BATCH_MISS=0"
     hierarchy = sim.hierarchy
-    if any(l1._vec is None for l1 in hierarchy._l1):
-        return None
     if hierarchy.sink is not sim.scheme:
-        return None
+        return "eviction sink is not the scheme"
     controller = hierarchy.controller
     if controller.dram_cache is not None:
-        return None
+        return "dram cache in front of nvm"
     device = controller.device
     # Exactly the plain closed-page device whose channel recurrence the
     # drain transcribes; the banked open-page subclass (and any future
     # device) keeps the scalar path.
-    if type(device) is not NvmDevice or device._only_channel is None:
-        return None
-    return controller, device
+    if type(device) is not NvmDevice:
+        return "nvm device is %s" % type(device).__name__
+    if device._only_channel is None:
+        return "nvm has %d channels" % len(device._channels)
+    return None
 
 
 def build_engine(sim):
-    """Build the single-core miss-chain engine, or None when ineligible."""
-    if sim.hierarchy.n_cores != 1:
+    """The single-core engine for the columnar interpreter, or None when
+    the simulation has several cores, no L1 mirror, or is declined."""
+    if sim.hierarchy.n_cores != 1 or sim.hierarchy._l1[0]._vec is None:
         return None
-    parts = _eligible(sim)
-    if parts is None:
+    if decline_reason(sim) is not None:
         return None
-    controller, device = parts
-    return MissChainEngine(sim, controller, device)
+    return MissChainEngine(sim)
 
 
-def build_engines(sim):
-    """Per-core engines for the multi-core interpreter, or None.
+def _store_mode(sfilter):
+    """The drain's store dispatch for a ``vector_store_filter()`` value:
+    ``(0, None)`` scheme-silent (base on_store, inline no-op), ``(1,
+    None)`` call ``sink.on_store`` per store, ``(2, eid)`` PiCL's plain
+    mode with the full cross-epoch branch transcribed inline."""
+    if sfilter is True:
+        return 0, None
+    if sfilter is False:
+        return 1, None
+    return 2, sfilter
 
-    One engine per core, each bound to that core's private L1/L2 and L1
-    mirror; the LLC/NVM bindings are shared. The interpreter's horizon
-    rule guarantees at most one drain runs at a time, so the shared
-    deferred state (channel recurrence, stat deltas) never interleaves.
+
+class CoreTurns:
+    """What the multi-core drain loop shares with the simulation loop
+    that resumes it.
+
+    ``heap`` holds one ``cycle * n_cores + core`` key per core waiting
+    for a turn; ``bindings[core]`` is the core's :meth:`MissChainEngine.bind`
+    tuple (None once its trace is exhausted) and ``pos[core]`` its
+    position in that chunk. ``cid`` is the core the loop last stopped
+    on, and ``done`` counts the references of chunks already retired, so
+    ``done + sum(pos)`` is every reference run so far.
     """
-    parts = _eligible(sim)
-    if parts is None:
-        return None
-    controller, device = parts
-    return [
-        MissChainEngine(sim, controller, device, core_id=core_id, eager_gap=True)
-        for core_id in range(sim.hierarchy.n_cores)
-    ]
+
+    __slots__ = ("heap", "bindings", "pos", "cid", "done")
+
+    def __init__(self, n_cores):
+        self.heap = []
+        self.bindings = [None] * n_cores
+        self.pos = [0] * n_cores
+        self.cid = 0
+        self.done = 0
 
 
 class MissChainEngine:
     """Per-simulation state + the drain-closure factory."""
 
-    def __init__(self, sim, controller, device, core_id=0, eager_gap=False):
+    def __init__(self, sim):
         hierarchy = sim.hierarchy
         self.hierarchy = hierarchy
         self.system = sim.system
         self.scheme = sim.scheme
-        self.core_id = core_id
-        #: Crash-time gap convention of the scalar loop this engine must
-        #: mirror. The multi-core heap loop charges a reference's compute
-        #: gap to the core BEFORE issuing the access
-        #: (``advance_compute``), the single-core segment loop only
-        #: commits it together with the access wait — observable solely
-        #: when a CrashSignal escapes mid-chain, where the crashed core's
-        #: clock must match the scalar loop's to the cycle.
-        self.eager_gap = eager_gap
-        self.core = sim.cores[core_id]
+        self.cores = sim.cores
+        controller = hierarchy.controller
         self.controller = controller
-        self.device = device
-        self.l1 = hierarchy._l1[core_id]
-        self.l2 = hierarchy._l2[core_id]
+        self.device = controller.device
+        self.l2 = hierarchy._l2[0]
         self.llc = hierarchy.llc
-        self.vec = self.l1._vec
 
         sink = hierarchy.sink
         wb = type(sink).write_back
@@ -188,6 +199,20 @@ class MissChainEngine:
         self.fill_token_overridden = profile["fill_token"]
         # PiCL state (None-safe for every other scheme).
         self.buffer = getattr(sink, "buffer", None)
+
+    def bind(self, core_id, chunk):
+        """One core's switch-in tuple: its clock, private L1/L2 and the
+        replay columns of its current chunk, in the order the drain
+        loop unpacks them."""
+        l1 = self.hierarchy._l1[core_id]
+        l2 = self.hierarchy._l2[core_id]
+        gaps, addrs, writes, cum, run_ends, wcum = chunk.ensure_metadata().lists
+        return (
+            self.cores[core_id],
+            l1, l1._tags, l1._sets, l1._dirty_lines,
+            l2, l2._tags, l2._sets, l2._dirty_lines, l2._vec,
+            gaps, addrs, writes, cum, run_ends, wcum, len(gaps),
+        )
 
     # ------------------------------------------------------------------
     # window classification (profiling / Amdahl accounting)
@@ -232,36 +257,39 @@ class MissChainEngine:
     # the drain
     # ------------------------------------------------------------------
 
-    def make_drain(self, gaps, addrs, writes, cum, run_ends, wcum):
-        """Build the fused drain for one trace chunk.
+    def make_drain(self, gaps=(), addrs=(), writes=(), cum=(), run_ends=(), wcum=()):
+        """Build the fused drain for one trace chunk of the single core.
 
-        Returns ``drain(i, stop, seg_end, sfilter, budget=None,
-        tbase=None, ibase=None) -> new i`` with the same contract as the
-        interpreter's ``scalar_span``: processes references in
-        ``[i, stop)`` exactly, may advance past ``stop`` (never
-        ``seg_end``) through run-coalescing tails. ``sfilter`` is the
-        segment's ``vector_store_filter()`` value and fixes the store
+        Returns ``drain(i, stop, seg_end, sfilter) -> new i`` with the
+        same contract as the interpreter's ``scalar_span``: processes
+        references in ``[i, stop)`` exactly, may advance past ``stop``
+        (never ``seg_end``) through run-coalescing tails. ``sfilter`` is
+        the segment's ``vector_store_filter()`` value and fixes the store
         dispatch for the whole call (the SystemEID only moves at segment
         boundaries).
 
-        ``budget`` (multi-core turns) is the horizon: the first reference
-        of the call always retires (the heap pop is unconditional), after
-        which the drain stops as soon as the core's clock exceeds the
-        budget — including mid-run, where the coalescing tail is clamped
-        to the references whose start cycle still fits. ``tbase`` /
-        ``ibase`` make the instruction counters crash-exact: when given,
-        the ``finally`` writes ``system.total_instructions = tbase +
-        cum[i-1]`` and ``core.instructions = ibase + cum[i-1]`` so a
-        ``CrashSignal`` escaping mid-drain leaves exactly the per-
-        reference values of the scalar heap loop.
+        ``drain.turn_gen`` is the generator behind it. ``drain`` runs it
+        once to the end of its span; ``turn_gen(0, 0, 0, None, turns,
+        boundary)`` runs it as the multi-core loop over a
+        :class:`CoreTurns` (the chunk arguments are then unused: every
+        turn binds its core's own). That generator yields the number of
+        references run so far each time the running core retires the
+        reference that crosses ``boundary`` — the next epoch or crash
+        point, in total instructions — or the last of its chunk, after
+        writing back every counter the caller reads. The caller fires
+        the epoch, stops on a crash, or loads the core's next chunk
+        (setting its binding to None when the trace is done) and sends
+        the next boundary. The generator returns when no core is left.
+        A ``CrashSignal`` escaping mid-chain leaves ``turns.cid`` /
+        ``turns.pos`` on the in-flight reference.
         """
         hierarchy = self.hierarchy
         system = self.system
         scheme = self.scheme
         controller = self.controller
         device = self.device
-        l1, l2, llc = self.l1, self.l2, self.llc
-        vec = self.vec
+        l1, l2, llc = hierarchy._l1[0], self.l2, self.llc
+        vec = l1._vec
         buffer = self.buffer
         bloom = buffer.bloom if buffer is not None else None
         channel = device._only_channel
@@ -271,28 +299,14 @@ class MissChainEngine:
             stop,
             seg_end,
             sfilter,
-            budget=None,
-            tbase=None,
-            ibase=None,
-            # Multi-core persistent-burst protocol: when ``cstate`` (the
-            # caller's per-core state) is given, the generator maintains
-            # ``cstate.pos`` / ``cstate.gen_i`` / ``cstate.scalar_budget``
-            # / ``cstate.gen_live`` itself at every park point, and
-            # ``auto_epoch`` / ``auto_crash`` switch the segment bound to
-            # self-managed: recomputed on every resume from the freshly
-            # resynced instruction totals (foreign turns move them while
-            # this generator is parked), overriding the ``seg_end``
-            # argument. ``auto_epoch`` itself is stable while the
-            # generator lives — an epoch fire bumps the caller's serial,
-            # which retires the generator before the next resume.
-            cstate=None,
-            auto_epoch=None,
-            auto_crash=None,
+            turns=None,
+            boundary=None,
             # Default-arg binding, like the interpreter's scalar_span: the
             # body runs per reference and locals beat closure derefs.
             bisect=bisect_left,
-            nlen=len(cum),
-            cid=self.core_id,
+            heappop=heapq.heappop,
+            heappushpop=heapq.heappushpop,
+            store_filter=scheme.vector_store_filter,
             back_inv=hierarchy._back_invalidate,
             gaps=gaps,
             addrs=addrs,
@@ -300,13 +314,17 @@ class MissChainEngine:
             cum=cum,
             run_ends=run_ends,
             wcum=wcum,
+            n=len(gaps),
             system=system,
             scheme=scheme,
             sink=hierarchy.sink,
             track=system.track_reference,
             arch_image=system.arch_image,
             modified=LineState.MODIFIED,
-            # L1
+            # L1 (the first core's private caches; multi-core turns rebind
+            # them per core, together with the core and its chunk columns)
+            cid=0,
+            core=self.cores[0],
             l1=l1,
             l1_tags=l1._tags,
             l1_sets=l1._sets,
@@ -315,10 +333,13 @@ class MissChainEngine:
             l1_mask=l1._set_mask,
             l1_assoc=l1.assoc,
             l1_latency=l1.hit_latency,
-            vec_pending=vec.pending,
-            vec_evictq=vec.evictq,
-            vec_eidq=vec.eidq,
-            vec_removed=vec.removed,
+            lat1=l1.hit_latency - 1,
+            # The columnar interpreter's L1 mirror (single core only: the
+            # hierarchy attaches none to multi-core systems).
+            vec_pending=(vec.pending if vec is not None else None),
+            vec_evictq=(vec.evictq if vec is not None else None),
+            vec_eidq=(vec.eidq if vec is not None else None),
+            vec_removed=(vec.removed if vec is not None else None),
             # L2
             l2=l2,
             l2_tags=l2._tags,
@@ -384,6 +405,9 @@ class MissChainEngine:
             s_llc_miss=hierarchy._llc_misses,
             s_llc_dirty=hierarchy._llc_dirty_evictions,
             s_llc_clean=hierarchy._llc_clean_evictions,
+            # Every L1 (and every L2) counts into the one shared
+            # "l1.evictions" ("l2.evictions") slot, so one delta per
+            # level serves all cores.
             s_l1_ev=l1._evictions,
             s_l2_ev=l2._evictions,
             s_llc_ev=llc._evictions,
@@ -400,20 +424,22 @@ class MissChainEngine:
             EID_NONE=EpochId.NONE,
             SimulationError=SimulationError,
             UndoEntry=UndoEntry,
-            core=self.core,
-            eager_gap=self.eager_gap,
         ):
-            # Store dispatch for this call (see vector_store_filter): True
-            # -> scheme-silent (base on_store, inline no-op); False -> call
-            # sink.on_store per store; int -> PiCL's plain mode, with the
-            # full cross-epoch branch transcribed inline.
-            if sfilter is True:
-                smode = 0
-            elif sfilter is False:
-                smode = 1
+            if turns is None:
+                smode, sys_eid = _store_mode(sfilter)
+                eff = stop if stop < seg_end else seg_end
+                budget = _NO_HORIZON
+                clean = False
             else:
-                smode = 2
-                sys_eid = sfilter
+                smode, sys_eid = _store_mode(store_filter())
+                heap = turns.heap
+                bindings = turns.bindings
+                cpos = turns.pos
+                ncores = len(bindings)
+                room = boundary - system.total_instructions
+                # Nothing runs until the first pop below.
+                push = 0
+                clean = True
             # Deferred accumulators.
             ccycle = core.cycle
             mstall = core.mem_stall_cycles
@@ -438,36 +464,56 @@ class MissChainEngine:
             wbk = channel.write_backlog
             bua = channel.backlog_updated_at
             ch_live = True
-            clean = False
-            last_i = i
             try:
                 while True:
-                    if auto_epoch is None:
-                        eff = stop
-                    else:
-                        # Self-managed segment bound: same formula as the
-                        # caller's run_turn segmentation — the bound
-                        # includes the boundary-crossing reference (+1) —
-                        # but recomputed here on every resume, because
-                        # foreign turns shrink the distance to the
-                        # epoch/crash boundary while this core is parked.
-                        limit = auto_epoch - tbase
-                        if auto_crash is not None and auto_crash - tbase < limit:
-                            limit = auto_crash - tbase
-                        seg_end = bisect(cum, limit, i) + 1
-                        if seg_end > nlen:
-                            seg_end = nlen
-                        eff = stop if stop < seg_end else seg_end
-                    while i < eff:
-                        if eager_gap:
-                            # The multi-core scalar loop commits the gap
-                            # (advance_compute) before the access chain,
-                            # so a CrashSignal from inside the chain must
-                            # observe it on the core clock.
-                            ccycle += gaps[i]
-                            cycle = ccycle
+                    if turns is not None:
+                        # ==== switch to the earliest (cycle, core) ====
+                        if push == 1:
+                            # The running core crossed its horizon: write
+                            # back its clock and position, and hand the
+                            # turn to the smallest key — the scalar loop's
+                            # push-then-pop.
+                            core.cycle = ccycle
+                            core.mem_stall_cycles = mstall
+                            cpos[cid] = i
+                            room = climit - cum[i - 1]
+                            key = heappushpop(heap, ccycle * ncores + cid)
+                        elif push:
+                            # Back from the caller, the core still running
+                            # (its state was written back at the yield).
+                            key = heappushpop(heap, ccycle * ncores + cid)
+                        elif heap:
+                            # First turn, or the last core's trace ran out.
+                            key = heappop(heap)
+                            clean = False
                         else:
-                            cycle = ccycle + gaps[i]
+                            return
+                        cid = key % ncores
+                        (
+                            core, l1, l1_tags, l1_sets, l1_dirty,
+                            l2, l2_tags, l2_sets, l2_dirty, l2_vec,
+                            gaps, addrs, writes, cum, run_ends, wcum, n,
+                        ) = bindings[cid]
+                        i = cpos[cid]
+                        ccycle = core.cycle
+                        mstall = core.mem_stall_cycles
+                        # The horizon: the core keeps the turn while its
+                        # key stays below the smallest other key, i.e.
+                        # while its clock is at most this.
+                        if heap:
+                            budget = (heap[0] - cid - 1) // ncores
+                        else:
+                            budget = _NO_HORIZON
+                        # The segment ends at (and includes) the first
+                        # reference whose retirement reaches the boundary.
+                        climit = (cum[i - 1] if i else 0) + room
+                        if cum[-1] < climit:
+                            seg_end = eff = n
+                        else:
+                            seg_end = eff = bisect(cum, climit, i) + 1
+                        push = 1
+                    while i < eff:
+                        cycle = ccycle + gaps[i]
                         addr = addrs[i]
                         w = writes[i]
                         if w:
@@ -624,8 +670,9 @@ class MissChainEngine:
                                                 l1_copy._home = None
                                                 if l1_copy._dirty:
                                                     del l1_dirty[vaddr]
-                                                vec_removed.append(vaddr)
-                                                vec_evictq.append(l1_copy)
+                                                if vec_removed is not None:
+                                                    vec_removed.append(vaddr)
+                                                    vec_evictq.append(l1_copy)
                                             l2_copy = l2_tags.pop(vaddr, None)
                                             if l2_copy is not None:
                                                 l2_sets[
@@ -824,8 +871,9 @@ class MissChainEngine:
                                         dropped._home = None
                                         if dropped._dirty:
                                             del l1_dirty[vaddr]
-                                        vec_removed.append(vaddr)
-                                        vec_evictq.append(dropped)
+                                        if vec_removed is not None:
+                                            vec_removed.append(vaddr)
+                                            vec_evictq.append(dropped)
                                     if dropped is not None and dropped._dirty:
                                         # _merge_lines inline: the L2 victim is
                                         # detached (_home None) — only the data
@@ -887,14 +935,16 @@ class MissChainEngine:
                             l1_tags[addr] = line
                             line._home = l1
                             # (copy_fill lines are clean: no dirty insert)
-                            vec_pending.append(line)
+                            if vec_pending is not None:
+                                vec_pending.append(line)
                             if len(cache_set) > l1_assoc:
                                 victim = cache_set.pop()
                                 vaddr = victim.addr
                                 del l1_tags[vaddr]
                                 victim._home = None
-                                vec_removed.append(vaddr)
-                                vec_evictq.append(victim)
+                                if vec_removed is not None:
+                                    vec_removed.append(vaddr)
+                                    vec_evictq.append(victim)
                                 d_l1_ev += 1
                                 if victim._dirty:
                                     del l1_dirty[vaddr]
@@ -1033,7 +1083,8 @@ class MissChainEngine:
                                 line._dirty = True
                                 l1_dirty[addr] = line
                             line.state = modified
-                            vec_eidq.append(line)
+                            if vec_eidq is not None:
+                                vec_eidq.append(line)
                             d_stores += 1
                             if track:
                                 arch_image[addr] = token
@@ -1041,7 +1092,7 @@ class MissChainEngine:
                             d_loads += 1
                         ccycle = cycle + wait
                         mstall += wait
-                        if budget is not None and ccycle > budget:
+                        if ccycle > budget:
                             # Horizon crossed: this reference still retires
                             # (the heap loop pushes after it), but the turn
                             # ends here — no tail, no next reference.
@@ -1052,21 +1103,22 @@ class MissChainEngine:
                         if run_end > seg_end:
                             run_end = seg_end
                         i += 1
-                        if budget is not None and run_end > i:
-                            # Clamp the tail to the horizon: a tail reference
-                            # executes iff the clock before it is within
-                            # budget (each costs its gap plus the hit
-                            # latency), and the first crossing reference is
-                            # included — the same continuation rule as the
-                            # per-reference loop above.
-                            e = i
-                            cc = ccycle
-                            while e < run_end and cc <= budget:
-                                cc += cum[e] - cum[e - 1] + l1_latency - 1
-                                e += 1
-                            run_end = e
                         if run_end > i:
                             k = run_end - i
+                            # The clock after the whole tail: each
+                            # reference costs its gap plus the hit latency.
+                            cend = ccycle + (cum[run_end - 1] - cum[i - 1]) + k * lat1
+                            if cend > budget:
+                                # The horizon falls inside the tail: a tail
+                                # reference runs iff the clock before it is
+                                # within the horizon, and the first one past
+                                # it is included — the per-reference rule.
+                                run_end = i
+                                cend = ccycle
+                                while cend <= budget:
+                                    cend += cum[run_end] - cum[run_end - 1] + lat1
+                                    run_end += 1
+                                k = run_end - i
                             kw = wcum[run_end - 1] - wcum[i - 1]
                             if kw:
                                 # The head access just made ``line`` resident
@@ -1107,28 +1159,22 @@ class MissChainEngine:
                                 ntok += kw
                                 if track:
                                     arch_image[addr] = last_token
-                                wait = k * l1_latency
                             else:
                                 d_l1_hits += k
                                 d_loads += k
-                                wait = k * l1_latency
-                            ccycle += (cum[run_end - 1] - cum[i - 1]) - k + wait
+                            wait = k * l1_latency
+                            ccycle = cend
                             mstall += wait
                             i = run_end
-                            if budget is not None and ccycle > budget:
+                            if ccycle > budget:
                                 break
-                    # ---- horizon yield ----------------------------------
-                    # Park only the state other agents read between turns:
-                    # the shared NVM channel recurrence, the global token
-                    # counter, the undo-FIFO deferrals (foreign hazard
-                    # probes read ``buffer._entries``), this core's clock
-                    # (the heap orders on it), and the instruction
-                    # counters (foreign resumes re-derive their own bases
-                    # from the global total). The stat deltas have no
-                    # mid-run readers — they stay deferred until the
-                    # generator finishes or is closed (the ``finally``
-                    # below always flushes the deltas; ``clean`` guards
-                    # only the parked state).
+                    if i < eff:
+                        # Horizon crossed mid-segment: switch cores (above).
+                        continue
+                    # ==== segment end ====
+                    # The span is done, or the running core just retired
+                    # the reference that crosses the boundary or ends its
+                    # chunk: write back everything the caller may read.
                     if pend:
                         buffer._entries.extend(pend)
                         created.value += len(pend)
@@ -1139,40 +1185,35 @@ class MissChainEngine:
                     core.cycle = ccycle
                     core.mem_stall_cycles = mstall
                     system._next_token = ntok
-                    if tbase is not None:
-                        done = cum[i - 1] if i else 0
-                        system.total_instructions = tbase + done
-                        core.instructions = ibase + done
-                    if cstate is not None:
-                        cstate.pos = i
-                        cstate.gen_i = i
-                        cstate.scalar_budget -= i - last_i
-                        last_i = i
                     clean = True
-                    if i >= eff:
-                        # Burst retired, segment boundary reached, or
-                        # chunk tail hit: the caller runs the boundary
-                        # bookkeeping (``gen_live`` tells it this was a
-                        # completion, not a horizon park).
-                        if cstate is not None:
-                            cstate.gen_live = False
+                    if turns is None:
                         yield i
                         return
-                    budget = yield i
-                    clean = False
-                    # ---- resume: reload what other turns moved ----------
-                    ccycle = core.cycle
-                    mstall = core.mem_stall_cycles
+                    cpos[cid] = i
+                    turns.cid = cid
+                    system.total_instructions = boundary - climit + cum[i - 1]
+                    boundary = yield turns.done + sum(cpos)
+                    # The caller may have fired an epoch (ACS traffic,
+                    # stop-the-world stalls, a new SystemEID) or loaded
+                    # the core's next chunk: reload what it can move.
                     ntok = system._next_token
                     rbu = channel.read_busy_until
                     wbk = channel.write_backlog
                     bua = channel.backlog_updated_at
-                    if tbase is not None:
-                        done = cum[i - 1] if i else 0
-                        tbase = system.total_instructions - done
-                        ibase = core.instructions - done
+                    ccycle = core.cycle
+                    mstall = core.mem_stall_cycles
+                    room = boundary - system.total_instructions
+                    smode, sys_eid = _store_mode(store_filter())
+                    if bindings[cid] is None:
+                        push = 0
+                    else:
+                        push = 2
+                        clean = False
             finally:
                 if not clean:
+                    # A CrashSignal escaped mid-reference (or the caller
+                    # closed a single-core drain early): leave the exact
+                    # scalar crash-time state.
                     if pend:
                         buffer._entries.extend(pend)
                         created.value += len(pend)
@@ -1182,26 +1223,15 @@ class MissChainEngine:
                         channel.backlog_updated_at = bua
                     core.cycle = ccycle
                     core.mem_stall_cycles = mstall
-                    if tbase is not None:
-                        # Multi-core crash exactness: the scalar heap loop
-                        # retires total/core instructions per reference, so
-                        # recompute both from the chunk's cumulative counts at
-                        # whatever reference this call stopped on — including
-                        # a CrashSignal escaping mid-reference, where ``i`` is
-                        # the in-flight (uncounted) reference. With
-                        # ``eager_gap`` the scalar loop's advance_compute has
-                        # already retired the in-flight gap onto the CORE
-                        # counter (never the global total, which it only
-                        # bumps after the access returns), so mirror that.
-                        done = cum[i - 1] if i else 0
-                        system.total_instructions = tbase + done
-                        core.instructions = ibase + done
-                        if eager_gap and i < nlen:
-                            core.instructions += gaps[i]
                     system._next_token = ntok
-                # Deltas accumulate across parked turns; they flush exactly
-                # once — here — whether the generator completes, dies on a
-                # crash, or is closed while parked.
+                    if turns is not None:
+                        cpos[cid] = i
+                        turns.cid = cid
+                        system.total_instructions = (
+                            boundary - climit + (cum[i - 1] if i else 0)
+                        )
+                # The stat deltas have no mid-run readers: they flush
+                # exactly once — here — however the generator ends.
                 if seq_delta:
                     scheme._store_seq += seq_delta
                 if d_l1_hits:
@@ -1245,18 +1275,13 @@ class MissChainEngine:
                 if d_cross:
                     s_cross.value += d_cross
 
-        def drain(i, stop, seg_end, sfilter, budget=None, tbase=None, ibase=None):
-            # One-shot wrapper over the generator: a single advance covers
-            # the whole span (or the first horizon crossing — the shared
-            # state is parked at the yield, so closing the parked
-            # generator is side-effect free).
-            g = turn_gen(i, stop, seg_end, sfilter, budget, tbase, ibase)
+        def drain(i, stop, seg_end, sfilter):
+            # One-shot: a single advance covers the whole span, and
+            # closing the finished generator flushes the deltas.
+            g = turn_gen(i, stop, seg_end, sfilter)
             i = next(g)
             g.close()
             return i
 
-        # The multi-core burst path holds one generator per core across
-        # turns (sending each turn's budget) so the prologue/epilogue
-        # amortizes over the whole burst, not one ~4-reference turn.
         drain.turn_gen = turn_gen
         return drain

@@ -106,8 +106,7 @@ class TraceChunk:
     fails loudly (``None`` in arithmetic) instead of reading wrong data.
 
     The column attributes (``gaps``, ``addrs``, ``writes``,
-    ``cum_instructions``, ``run_ends``, ``write_cum``, and ``run_cum``,
-    which no replay reads and so is boxed only here) return complete
+    ``cum_instructions``, ``run_ends``, ``write_cum``) return complete
     lists, thawing the whole chunk first, so every consumer that walks a
     chunk end to end — the scalar loops, the multi-core paths,
     calibration, record/replay — reads them as plain lists.
@@ -120,7 +119,6 @@ class TraceChunk:
         "lists",
         "thawed_refs",
         "_filled",
-        "_run_cum",
     )
 
     def __init__(self, frozen):
@@ -134,7 +132,6 @@ class TraceChunk:
         #: References boxed so far (whole blocks).
         self.thawed_refs = 0
         self._filled = bytearray(-(-n // THAW_BLOCK))
-        self._run_cum = None
 
     def __len__(self):
         return len(self.frozen)
@@ -151,15 +148,6 @@ class TraceChunk:
         4, "Exclusive end of the same-line run starting at each reference."
     )
     write_cum = _column(5, "Inclusive cumulative store count.")
-
-    @property
-    def run_cum(self):
-        """Inclusive cumulative count of same-line run starts, boxed whole
-        on first read: the multi-core columnar interpreter sizes work in
-        coalescing groups, in O(1)."""
-        if self._run_cum is None:
-            self._run_cum = self.frozen.run_cum.tolist()
-        return self._run_cum
 
     def thaw(self, lo, hi):
         """Box every replay column of the blocks covering ``[lo, hi)``.

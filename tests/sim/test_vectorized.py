@@ -314,30 +314,47 @@ class TestGate:
         sim = Simulation(config, "ideal", ["gcc"], 1_000, seed=1)
         assert sim.hierarchy._l1[0]._vec is None
 
-    def test_multi_core_mirrors_attached_by_default(self):
-        # The horizon-batched multi-core loop classifies each core's
-        # lookahead against its own private-L1 mirror.
-        config = dataclasses.replace(small_config(), n_cores=2)
-        sim = Simulation(config, "ideal", ["gcc", "mcf"], 1_000, seed=1)
-        assert all(l1._vec is not None for l1 in sim.hierarchy._l1)
-
-    def test_multi_core_sub_switch_restores_scalar(self, monkeypatch):
-        # REPRO_VECTOR_MC=0 pins the heap loop to the scalar body while
-        # leaving single-core rows columnar — the bisect switch for
-        # suspected multi-core interpreter bugs.
-        monkeypatch.setenv("REPRO_VECTOR_MC", "0")
+    def test_multi_core_keeps_no_mirrors(self):
+        # Multi-core runs classify nothing: the drain loop runs every
+        # reference, so no private L1 carries a mirror.
         config = dataclasses.replace(small_config(), n_cores=2)
         sim = Simulation(config, "ideal", ["gcc", "mcf"], 1_000, seed=1)
         assert all(l1._vec is None for l1 in sim.hierarchy._l1)
+        sim.run()
+        assert sim.engine == "drain"
+
+    def test_retired_multi_core_sub_switch_is_inert(self, monkeypatch):
+        # REPRO_VECTOR_MC once pinned multi-core runs to the scalar heap
+        # loop; it is retired, so setting it changes nothing.
+        monkeypatch.setenv("REPRO_VECTOR_MC", "0")
+        config = dataclasses.replace(small_config(), n_cores=2)
+        sim = Simulation(config, "ideal", ["gcc", "mcf"], 1_000, seed=1)
+        sim.run()
+        assert sim.engine == "drain"
         single = Simulation(small_config(), "ideal", ["gcc"], 1_000, seed=1)
         assert single.hierarchy._l1[0]._vec is not None
 
     def test_multi_core_master_switch_wins(self, monkeypatch):
-        # REPRO_VECTOR=0 disables every interpreter, multi-core included.
+        # REPRO_VECTOR=0 disables every fast loop, multi-core included.
         monkeypatch.setenv("REPRO_VECTOR", "0")
         config = dataclasses.replace(small_config(), n_cores=2)
         sim = Simulation(config, "ideal", ["gcc", "mcf"], 1_000, seed=1)
         assert all(l1._vec is None for l1 in sim.hierarchy._l1)
+        sim.run()
+        assert sim.engine == "scalar: REPRO_VECTOR=0"
+
+    def test_single_core_engine_is_recorded(self, monkeypatch):
+        sim = Simulation(small_config(), "ideal", ["gcc"], 1_000, seed=1)
+        sim.run()
+        assert sim.engine == "columnar+drain"
+        monkeypatch.setenv("REPRO_BATCH_MISS", "0")
+        sim = Simulation(small_config(), "ideal", ["gcc"], 1_000, seed=1)
+        sim.run()
+        assert sim.engine == "columnar: REPRO_BATCH_MISS=0"
+        config = small_config(l1_assoc=16, l1_size=16 * KB)
+        sim = Simulation(config, "ideal", ["gcc"], 1_000, seed=1)
+        sim.run()
+        assert sim.engine == "scalar: l1 is 16-way, wider than a mirror row"
 
 
 # Workload space for the fuzz: every axis the trace generator exposes,
