@@ -78,9 +78,9 @@ class CrashConsistencyScheme:
     def vector_store_filter(self):
         """Which L1 store hits the columnar interpreter may bulk-apply.
 
-        The columnar loop (Simulation._run_single_core under
-        ``REPRO_VECTOR``) classifies a whole epoch segment at once and
-        wants to apply store hits in bulk — but only stores whose
+        The single-core driver (Simulation._run_single_core, when the
+        L1 carries a mirror) classifies windows of an epoch segment at
+        once and wants to apply store hits in bulk — but only stores whose
         ``on_store`` call would provably be a no-op (return 0, change no
         scheme state beyond what :meth:`on_store_bulk` accounts for).
 

@@ -174,25 +174,6 @@ class SetAssocCache:
             index.discard(line)
         return line
 
-    def attach_mirror(self):
-        """Attach a :class:`LevelMirror` (tag+EID+dirty planes) to a level.
-
-        Used by the batched miss-chain engine's profiling/verification
-        modes. Residency changes routed through :meth:`insert` /
-        :meth:`remove` queue against it automatically; the hierarchy's
-        inlined L2/LLC fill and eviction sites append to the same queues.
-        The mirror starts stale so its first sync rebuilds from the live
-        tag dict.
-        """
-        from repro.cache.vector_mirror import LevelMirror
-
-        vec = LevelMirror(
-            self.n_sets, self.assoc, self._line_shift, self._set_mask
-        )
-        vec.stale = True
-        self._vec = vec
-        return vec
-
     def invalidate_all(self):
         """Drop every line (models power loss: SRAM contents vanish)."""
         for line in self._tags.values():

@@ -30,7 +30,7 @@ from repro.common.stats import StatCounters
 from repro.cache.cache import SetAssocCache
 from repro.cache.eid_index import EidIndex
 from repro.cache.line import CacheLine, LineState
-from repro.cache.vector_mirror import ROW_WAYS, L1TagMirror
+from repro.cache.vector_mirror import ROW_WAYS, TagMirror
 
 
 class EvictionSink:
@@ -128,30 +128,17 @@ class CacheHierarchy:
         # private caches only need dirty-line tracking. Attached here, not in
         # SetAssocCache, because only the shared level is ever ACS-scanned.
         self.llc.eid_index = EidIndex()
-        # The columnar interpreter classifies whole epoch segments against a
-        # numpy mirror of the single core's L1 tags/EIDs (see
-        # repro.cache.vector_mirror). Multi-core runs classify nothing, so
-        # their L1s carry none. REPRO_VECTOR=0 drops the mirror and
-        # restores the scalar loops (``vector`` records the choice for
-        # the multi-core engine selection); an L1 wider than one mirror
-        # row (ROW_WAYS) gets none either.
+        # The single-core driver classifies windows of references against
+        # a numpy mirror of the L1's tags/EIDs (see
+        # repro.cache.vector_mirror). Only a single core's L1 carries one,
+        # and only if it is at most one mirror row (ROW_WAYS) wide; no L2
+        # or LLC ever does. REPRO_VECTOR=0 selects the reference path: no
+        # mirror and the scalar loops (``vector`` records the choice for
+        # the engine selection in Simulation.run).
         self.vector = os.environ.get("REPRO_VECTOR", "1") != "0"
-        if self.vector and l1_assoc <= ROW_WAYS:
-            if n_cores == 1:
-                l1 = self._l1[0]
-                l1._vec = L1TagMirror(
-                    l1.n_sets, l1.assoc, l1._line_shift, l1._set_mask
-                )
-            # The batched miss-chain engine's *profiling* mode additionally
-            # mirrors L2/LLC tags+EIDs+dirty (LevelMirror) so residual
-            # misses can be classified per level before mutation. Only
-            # attached on request: production drains re-probe the live
-            # dicts anyway, and an attached mirror taxes every inlined
-            # fill/evict site with queue appends.
-            if os.environ.get("REPRO_MISS_PROFILE", "0") == "1":
-                for l2 in self._l2:
-                    l2.attach_mirror()
-                self.llc.attach_mirror()
+        if self.vector and n_cores == 1 and l1_assoc <= ROW_WAYS:
+            l1 = self._l1[0]
+            l1._vec = TagMirror(l1.n_sets, l1.assoc, l1._line_shift, l1._set_mask)
         self.sink = EvictionSink(controller)
         #: Mirrors SetAssocCache._brute_scan: run the original full-sweep
         #: sync paths as a differential oracle (REPRO_BRUTE_SCAN=1).
@@ -343,18 +330,12 @@ class CacheHierarchy:
         line._home = l2
         if line._dirty:
             l2._dirty_lines[line_addr] = line
-        l2_vec = l2._vec
-        if l2_vec is not None:
-            l2_vec.pending.append(line)
         if len(cache_set) > l2.assoc:
             victim = cache_set.pop()
             del l2._tags[victim.addr]
             victim._home = None
             if victim._dirty:
                 del l2._dirty_lines[victim.addr]
-            if l2_vec is not None:
-                l2_vec.removed.append(victim.addr)
-                l2_vec.evictq.append(victim)
             l2._evictions.value += 1
             dropped = self._l1[core].remove(victim.addr)
             if dropped is not None and dropped._dirty:
@@ -387,17 +368,11 @@ class CacheHierarchy:
         index = llc.eid_index
         if index is not None and (line.eid >= 0 or line.sub_eids is not None):
             index.add(line)
-        llc_vec = llc._vec
-        if llc_vec is not None:
-            llc_vec.pending.append(line)
         if len(cache_set) <= llc.assoc:
             return 0
         victim = cache_set.pop()
         del llc._tags[victim.addr]
         victim._home = None
-        if llc_vec is not None:
-            llc_vec.removed.append(victim.addr)
-            llc_vec.evictq.append(victim)
         if victim._dirty:
             del llc._dirty_lines[victim.addr]
         # Inlined EidIndex.discard: under PiCL nearly every victim is
@@ -489,9 +464,6 @@ class CacheHierarchy:
             l2_copy._home = None
             if l2_copy._dirty:
                 del l2._dirty_lines[addr]
-            if l2._vec is not None:
-                l2._vec.removed.append(addr)
-                l2._vec.evictq.append(l2_copy)
         # L1 holds the freshest data; fall back to L2.
         if l1_copy is not None and l1_copy._dirty:
             self._merge_lines(llc_victim, l1_copy)

@@ -59,7 +59,7 @@ class CacheLine:
         #: its dirty-line dict and EID index exact without scanning.
         self._home = None
         #: Claimed way slot in the L1's columnar tag mirror (-1 if none);
-        #: assigned lazily by L1TagMirror.sync, not at fill time.
+        #: assigned lazily by TagMirror.sync, not at fill time.
         self._vslot = -1
 
     @property

@@ -28,7 +28,7 @@ bookkeeping*:
 
 **Bit-identity argument.** The drain visits references in exactly the
 scalar order and mutates all *shared* structures (tag dicts, LRU lists,
-dirty dicts, EID index, mirror queues, NVM image, undo log) at exactly
+dirty dicts, EID index, L1 mirror queues, NVM image, undo log) at exactly
 the scalar program points. Deferral is restricted to state nothing reads
 mid-drain, and every deferral is forced down before any point that could
 observe it:
@@ -50,16 +50,16 @@ observe it:
   ``CrashSignal`` leaves exactly the scalar crash-time values.
 
 **Safety conditions** (:func:`decline_reason` names the first one that
-fails; the simulation then runs the scalar chain, bit-identically):
+fails; the simulation then runs the scalar chain, bit-identically, as it
+does under ``REPRO_VECTOR=0``):
 
-* ``REPRO_BATCH_MISS`` not ``0`` (the escape hatch);
 * no DRAM cache in front of NVM, plain single-channel ``NvmDevice``
   (the banked/open-page device has per-bank state the inline recurrence
   does not model);
 * the hierarchy's eviction sink is the scheme itself.
 
 **One loop for one core or many.** The same generator drains a span of
-the single core's chunk for the columnar interpreter and runs a whole
+the single core's chunk for ``Simulation._run_single_core`` and runs a whole
 multi-core simulation. With several cores it keeps the scalar heap
 loop's order: it pops the earliest ``cycle * n_cores + core`` key (the
 heap loop's ``(cycle, core)`` tuple as one int) and runs that core while
@@ -88,7 +88,6 @@ for exactly this class of bug.
 """
 
 import heapq
-import os
 from bisect import bisect_left
 
 from repro.baselines.base import CrashConsistencyScheme
@@ -109,8 +108,6 @@ _NO_HORIZON = 1 << 62
 
 def decline_reason(sim):
     """Why the drain cannot run ``sim``, or None when it can."""
-    if os.environ.get("REPRO_BATCH_MISS", "1") == "0":
-        return "REPRO_BATCH_MISS=0"
     hierarchy = sim.hierarchy
     if hierarchy.sink is not sim.scheme:
         return "eviction sink is not the scheme"
@@ -126,16 +123,6 @@ def decline_reason(sim):
     if device._only_channel is None:
         return "nvm has %d channels" % len(device._channels)
     return None
-
-
-def build_engine(sim):
-    """The single-core engine for the columnar interpreter, or None when
-    the simulation has several cores, no L1 mirror, or is declined."""
-    if sim.hierarchy.n_cores != 1 or sim.hierarchy._l1[0]._vec is None:
-        return None
-    if decline_reason(sim) is not None:
-        return None
-    return MissChainEngine(sim)
 
 
 def _store_mode(sfilter):
@@ -210,48 +197,9 @@ class MissChainEngine:
         return (
             self.cores[core_id],
             l1, l1._tags, l1._sets, l1._dirty_lines,
-            l2, l2._tags, l2._sets, l2._dirty_lines, l2._vec,
+            l2, l2._tags, l2._sets, l2._dirty_lines,
             gaps, addrs, writes, cum, run_ends, wcum, len(gaps),
         )
-
-    # ------------------------------------------------------------------
-    # window classification (profiling / Amdahl accounting)
-    # ------------------------------------------------------------------
-
-    def classify(self, miss_addrs):
-        """Classify residual miss addresses per level, mutation-free.
-
-        Requires the L2/LLC :class:`~repro.cache.vector_mirror.LevelMirror`
-        planes (``REPRO_MISS_PROFILE=1``). Returns a dict with the class
-        counts the docs' Amdahl breakdown uses: classified L2 hits, LLC
-        hits, NVM fills, and how many NVM fills land in LLC sets whose
-        LRU way is dirty (a write-back-likely fill). Advisory by design —
-        the drain re-probes live dicts — so this never feeds timing.
-        """
-        import numpy as np
-
-        l2_vec = self.l2._vec
-        llc_vec = self.llc._vec
-        if l2_vec is None or llc_vec is None or not len(miss_addrs):
-            return None
-        l2_vec.sync_level(self.l2)
-        llc_vec.sync_level(self.llc)
-        a = np.asarray(miss_addrs, dtype=np.int64)
-        s2 = (a >> l2_vec._line_shift) & l2_vec._set_mask
-        l2_hit = (l2_vec.tags2d[s2] == a[:, None]).any(axis=1)
-        sL = (a >> llc_vec._line_shift) & llc_vec._set_mask
-        llc_rows = llc_vec.tags2d[sL]
-        llc_hit = (llc_rows == a[:, None]).any(axis=1)
-        nvm = ~l2_hit & ~llc_hit
-        full = (llc_rows != -1).all(axis=1)
-        lru_dirty = llc_vec.dirty2d[sL][:, -1] != 0
-        return {
-            "misses": int(a.size),
-            "l2_hits": int(np.count_nonzero(l2_hit)),
-            "llc_hits": int(np.count_nonzero(llc_hit & ~l2_hit)),
-            "nvm_fills": int(np.count_nonzero(nvm)),
-            "dirty_victim_fills": int(np.count_nonzero(nvm & full & lru_dirty)),
-        }
 
     # ------------------------------------------------------------------
     # the drain
@@ -349,7 +297,6 @@ class MissChainEngine:
             l2_mask=l2._set_mask,
             l2_assoc=l2.assoc,
             l2_latency=l2.hit_latency,
-            l2_vec=l2._vec,
             # LLC
             llc=llc,
             llc_tags=llc._tags,
@@ -359,7 +306,6 @@ class MissChainEngine:
             llc_mask=llc._set_mask,
             llc_assoc=llc.assoc,
             llc_latency=llc.hit_latency,
-            llc_vec=llc._vec,
             index=llc.eid_index,
             buckets=llc.eid_index.buckets if llc.eid_index is not None else None,
             index_refresh=(
@@ -491,7 +437,7 @@ class MissChainEngine:
                         cid = key % ncores
                         (
                             core, l1, l1_tags, l1_sets, l1_dirty,
-                            l2, l2_tags, l2_sets, l2_dirty, l2_vec,
+                            l2, l2_tags, l2_sets, l2_dirty,
                             gaps, addrs, writes, cum, run_ends, wcum, n,
                         ) = bindings[cid]
                         i = cpos[cid]
@@ -627,8 +573,6 @@ class MissChainEngine:
                                     llc_line._home = llc
                                     # (fresh line: clean, untagged — the dirty
                                     # dict / EID index inserts are dead code)
-                                    if llc_vec is not None:
-                                        llc_vec.pending.append(llc_line)
                                     if len(cache_set) > llc_assoc:
                                         victim = cache_set.pop()
                                         vaddr = victim.addr
@@ -636,9 +580,6 @@ class MissChainEngine:
                                         victim._home = None
                                         if victim._dirty:
                                             del llc_dirty[vaddr]
-                                        if llc_vec is not None:
-                                            llc_vec.removed.append(vaddr)
-                                            llc_vec.evictq.append(victim)
                                         # EidIndex.discard, inline — never
                                         # deferred (see module docstring).
                                         if index is not None:
@@ -681,9 +622,6 @@ class MissChainEngine:
                                                 l2_copy._home = None
                                                 if l2_copy._dirty:
                                                     del l2_dirty[vaddr]
-                                                if l2_vec is not None:
-                                                    l2_vec.removed.append(vaddr)
-                                                    l2_vec.evictq.append(l2_copy)
                                             if l1_copy is not None and l1_copy._dirty:
                                                 src = l1_copy
                                             elif l2_copy is not None and l2_copy._dirty:
@@ -848,8 +786,6 @@ class MissChainEngine:
                                 l2_tags[addr] = source
                                 source._home = l2
                                 # (copy_fill lines are clean: no dirty insert)
-                                if l2_vec is not None:
-                                    l2_vec.pending.append(source)
                                 if len(cache_set) > l2_assoc:
                                     victim = cache_set.pop()
                                     vaddr = victim.addr
@@ -857,9 +793,6 @@ class MissChainEngine:
                                     victim._home = None
                                     if victim._dirty:
                                         del l2_dirty[vaddr]
-                                    if l2_vec is not None:
-                                        l2_vec.removed.append(vaddr)
-                                        l2_vec.evictq.append(victim)
                                     d_l2_ev += 1
                                     # l1.remove(vaddr), inline (L1 has no EID
                                     # index; the mirror queues are eager).
@@ -915,8 +848,6 @@ class MissChainEngine:
                                                 index_refresh(
                                                     target, old, had_sub
                                                 )
-                                            if llc_vec is not None:
-                                                llc_vec.eidq.append(target)
                                 lat = lat2 + l2_latency
                             # copy_fill inline (L2 → L1).
                             line = new_line(CacheLine)
@@ -956,24 +887,15 @@ class MissChainEngine:
                                             "absent from l2" % vaddr
                                         )
                                     # _merge_lines inline: target lives in the
-                                    # L2 — dirty dict and mirror queue live, no
-                                    # EID index on private caches.
+                                    # L2 — dirty dict live, no mirror and no
+                                    # EID index on private L2s.
                                     target.token = victim.token
                                     if not target._dirty:
                                         target._dirty = True
                                         l2_dirty[vaddr] = target
-                                    old = target.eid
-                                    new_eid = victim.eid
-                                    had_sub = target.sub_eids is not None
-                                    target.eid = new_eid
+                                    target.eid = victim.eid
                                     if victim.sub_eids is not None:
                                         target.sub_eids = list(victim.sub_eids)
-                                    if new_eid != old or (
-                                        target.sub_eids is not None
-                                        and not had_sub
-                                    ):
-                                        if l2_vec is not None:
-                                            l2_vec.eidq.append(target)
                             fill_lat = lat + l1_latency
                             if w:
                                 wait = int(fill_lat * smf) + fstall
@@ -1064,8 +986,6 @@ class MissChainEngine:
                                                 if bucket is None:
                                                     bucket = buckets[sys_eid] = {}
                                                 bucket[addr] = llc_fwd
-                                                if llc_vec is not None:
-                                                    llc_vec.eidq.append(llc_fwd)
                             elif smode == 1:
                                 # (pend is provably empty in smode 1.)
                                 channel.read_busy_until = rbu

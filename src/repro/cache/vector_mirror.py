@@ -1,13 +1,14 @@
 """Numpy mirror of one L1's tag and EID state for columnar classification.
 
-The columnar interpreter (:meth:`repro.sim.simulator.Simulation.
-_run_single_core_vector` under ``REPRO_VECTOR``) classifies a lookahead
-window of references at once: set indices and an L1 tag probe in numpy.
-Python dicts cannot be probed array-at-a-time, so the single core's L1
-carries this mirror — a ``(n_sets, ways)`` int64 tag table plus a parallel
-EID table. ``ways`` is the associativity, except that the L1 mirror pads
-every row to :data:`ROW_WAYS` ways with ways that are always empty, so a
-row's match vector is exactly one 8-byte word (see :class:`L1TagMirror`).
+The single-core driver (:meth:`repro.sim.simulator.Simulation.
+_run_single_core`) classifies a lookahead window of references at once:
+set indices and an L1 tag probe in numpy. Python dicts cannot be probed
+array-at-a-time, so the single core's L1 (unless ``REPRO_VECTOR=0``, or
+it is wider than :data:`ROW_WAYS` ways) carries this mirror — a
+``(n_sets, ROW_WAYS)`` int64 tag table plus a parallel EID table, every
+row padded with ways that are always empty, so a row's match vector is
+exactly one 8-byte word (see :class:`TagMirror`). No L2 or LLC carries a
+mirror.
 
 The mirror is **lazily coherent**. Keeping it exact at every miss fill /
 eviction / retag costs a function call on the cache's hottest paths — a tax
@@ -44,17 +45,6 @@ Tags are line addresses (always ``>= 0``); empty ways hold ``-1``. The EID
 table is only consulted for ways whose tag matched, so its value for empty
 ways is irrelevant. A line's slot is ``set * ways + way``; within one
 synced table, slots and resident addresses map one to one.
-
-The same structure mirrors the L2 and LLC for the batched miss-chain
-engine (:mod:`repro.cache.miss_engine`): :class:`LevelMirror` adds a dirty
-plane so a window's residual misses can be classified per level — L2 hit /
-LLC hit / NVM fill, dirty-victim likelihood — array-at-a-time before any
-state is mutated. Those planes are *advisory*: the drain loop re-probes
-the live tag dicts as it mutates (a mid-window fill or eviction would
-otherwise go unseen), so a stale plane can only mispredict a class, never
-corrupt a result. ``REPRO_BRUTE_SCAN=1``-style verification is available
-through :meth:`LevelMirror.verify_against`, which diffs a synced plane
-against the live cache and fails fast on divergence.
 """
 
 import numpy as np
@@ -68,7 +58,17 @@ ROW_WAYS = 8
 
 
 class TagMirror:
-    """Array mirror of a set-associative cache's residency and EID tags."""
+    """Array mirror of an L1's residency and EID tags, rows padded to
+    :data:`ROW_WAYS` ways.
+
+    The columnar interpreter compares a window's addresses against their
+    set rows and views each row's ``ROW_WAYS`` match bytes as one
+    little-endian ``uint64``: nonzero is a hit, and the position of its one
+    set byte is the matched way, hence the mirror slot. Padding serves
+    every associativity up to ``ROW_WAYS`` with that one code path; the
+    hierarchy attaches no mirror to a wider L1 (the single-core driver
+    then replays every reference through the drain or the scalar body).
+    """
 
     __slots__ = (
         "n_sets",
@@ -79,7 +79,6 @@ class TagMirror:
         "tags",
         "eids",
         "tags2d",
-        "eids2d",
         "_free",
         "pending",
         "evictq",
@@ -88,19 +87,18 @@ class TagMirror:
         "stale",
     )
 
-    def __init__(self, n_sets, assoc, line_shift, set_mask, ways=None):
+    def __init__(self, n_sets, assoc, line_shift, set_mask):
         self.n_sets = n_sets
         self.assoc = assoc
-        #: Ways per row: ``assoc``, or more — ways past ``assoc`` are
-        #: never claimed, so they stay empty.
-        self.ways = ways = assoc if ways is None else ways
+        #: Ways per row; ways past ``assoc`` are never claimed, so they
+        #: stay empty.
+        self.ways = ways = ROW_WAYS
         self._line_shift = line_shift
         self._set_mask = set_mask
         self.tags = np.full(n_sets * ways, EMPTY, dtype=np.int64)
         self.eids = np.zeros(n_sets * ways, dtype=np.int64)
-        #: 2-D views over the same storage for fancy-indexed row reads.
+        #: A 2-D view over the same storage for fancy-indexed row reads.
         self.tags2d = self.tags.reshape(n_sets, ways)
-        self.eids2d = self.eids.reshape(n_sets, ways)
         #: Free ways per set (way indices; order is irrelevant).
         self._free = [list(range(assoc)) for _ in range(n_sets)]
         #: Lines that became resident since the last sync.
@@ -221,87 +219,3 @@ class TagMirror:
     def __len__(self):
         return int((self.tags != EMPTY).sum())
 
-
-class L1TagMirror(TagMirror):
-    """A private L1's mirror, every row padded to :data:`ROW_WAYS` ways.
-
-    The columnar interpreter compares a window's addresses against their
-    set rows and views each row's ``ROW_WAYS`` match bytes as one
-    little-endian ``uint64``: nonzero is a hit, and the position of its one
-    set byte is the matched way, hence the mirror slot. Padding serves
-    every associativity up to ``ROW_WAYS`` with that one code path; the
-    hierarchy attaches no mirror to a wider L1 (its cores run the scalar
-    loops).
-    """
-
-    __slots__ = ()
-
-    def __init__(self, n_sets, assoc, line_shift, set_mask):
-        super().__init__(n_sets, assoc, line_shift, set_mask, ways=ROW_WAYS)
-
-
-class LevelMirror(TagMirror):
-    """Tag + EID + dirty planes for a shared level (L2 or LLC).
-
-    Used by the batched miss-chain engine to classify a window's residual
-    misses per level (L2 hit / LLC hit / NVM fill, dirty-victim share)
-    before any state mutation. Unlike the L1 mirror, whose classifications
-    gate the bulk path and must therefore be exact at sync time, these
-    planes are advisory — the drain loop re-probes live dicts as it
-    mutates — so the dirty plane is simply rebuilt from the level's dirty
-    dict at each sync (O(dirty), and dirty sets at these levels are small
-    relative to the window cadence).
-    """
-
-    __slots__ = ("dirty", "dirty2d")
-
-    def __init__(self, n_sets, assoc, line_shift, set_mask):
-        super().__init__(n_sets, assoc, line_shift, set_mask)
-        self.dirty = np.zeros(n_sets * assoc, dtype=np.int8)
-        self.dirty2d = self.dirty.reshape(n_sets, assoc)
-
-    def sync_level(self, cache):
-        """Sync tags/EIDs from the level's queues, then rebuild dirty."""
-        self.sync(cache._tags)
-        dirty = self.dirty
-        dirty.fill(0)
-        for line in cache._dirty_lines.values():
-            slot = line._vslot
-            if slot >= 0:
-                dirty[slot] = 1
-
-    def clear(self):
-        super().clear()
-        self.dirty.fill(0)
-
-    def verify_against(self, cache):
-        """Brute-force differential oracle (``REPRO_BRUTE_SCAN`` idiom).
-
-        Diffs a just-synced plane against the live cache and returns a
-        list of mismatch descriptions (empty = coherent). Tests and the
-        escape hatch call this; production never does.
-        """
-        problems = []
-        seen = 0
-        for addr, line in cache._tags.items():
-            slot = line._vslot
-            if slot < 0:
-                problems.append("resident %#x has no slot" % addr)
-                continue
-            seen += 1
-            if self.tags[slot] != addr:
-                problems.append(
-                    "slot %d tag %d != addr %#x" % (slot, self.tags[slot], addr)
-                )
-            elif self.eids[slot] != line.eid:
-                problems.append(
-                    "addr %#x eid %d != %d" % (addr, self.eids[slot], line.eid)
-                )
-            elif bool(self.dirty[slot]) != bool(line._dirty):
-                problems.append(
-                    "addr %#x dirty %d != %s" % (addr, self.dirty[slot], line._dirty)
-                )
-        occupied = int((self.tags != EMPTY).sum())
-        if occupied != seen:
-            problems.append("mirror holds %d tags, cache %d" % (occupied, seen))
-        return problems

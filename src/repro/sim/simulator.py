@@ -21,7 +21,6 @@ image together with the reference snapshot it must match.
 """
 
 import heapq
-from bisect import bisect_left
 
 import numpy as np
 
@@ -71,7 +70,7 @@ _SHORT_LIMIT = 2
 _DISENGAGE_REFS = 4096
 _DISENGAGE_MAX = 65536
 
-#: A mirror row's match bytes read as one word (see L1TagMirror), and
+#: A mirror row's match bytes read as one word (see TagMirror), and
 #: the multiplier that moves the index of its one set byte to the top.
 _ROW_WORD = np.dtype("<u8")
 _WAY_OF_BYTE = np.uint64(0x0001020304050607)
@@ -243,30 +242,25 @@ class Simulation:
             else:
                 crash_plan.install(self)
         try:
-            hierarchy = self.hierarchy
-            # REPRO_VECTOR=0 (read when the hierarchy was built) keeps
-            # the scalar loops; otherwise the miss-chain drain runs
-            # wherever decline_reason accepts the config.
-            if not hierarchy.vector:
-                reason = "REPRO_VECTOR=0"
-            elif len(self.cores) == 1 and hierarchy._l1[0]._vec is None:
-                reason = "l1 is %d-way, wider than a mirror row" % (
-                    hierarchy._l1[0].assoc
-                )
-            else:
+            # REPRO_VECTOR=0 (read when the hierarchy was built) selects
+            # the reference path: no mirror, and the scalar loops.
+            # Otherwise the miss-chain drain runs wherever decline_reason
+            # accepts the config.
+            if self.hierarchy.vector:
                 reason = decline_reason(self)
+            else:
+                reason = "REPRO_VECTOR=0"
             engine = MissChainEngine(self) if reason is None else None
             if len(self.cores) == 1:
-                # The columnar interpreter needs only the L1 mirror; the
-                # drain serves its residual spans when the config allows.
-                if hierarchy._l1[0]._vec is not None:
+                if self.hierarchy._l1[0]._vec is not None:
                     self.engine = "columnar" + (
                         "+drain" if engine is not None else ": " + reason
                     )
-                    self._run_single_core_vector(crash_at_instructions, engine)
+                elif engine is not None:
+                    self.engine = "drain"
                 else:
                     self.engine = "scalar: " + reason
-                    self._run_single_core(crash_at_instructions)
+                self._run_single_core(crash_at_instructions, engine)
             elif engine is not None:
                 self.engine = "drain"
                 self._run_multi_core_drain(crash_at_instructions, engine)
@@ -281,144 +275,35 @@ class Simulation:
             self.crash_site = signal.site
         return self.result()
 
-    def _run_single_core(self, crash_at_instructions):
-        """The dominant case: one core, batched over boundary-free segments.
+    def _run_single_core(self, crash_at_instructions, engine):
+        """The single-core driver: boundary-free segments, replayed or bulked.
 
         Each chunk is segmented at the epoch/crash boundaries up front
-        (via its cumulative instruction counts, ``bisect`` against the
-        next boundary), so the inner loop runs check-free: no per-reference
-        epoch or crash comparison. Within a segment, a run of consecutive
-        references to one line (``chunk.run_ends``) is dispatched through
-        :meth:`repro.cache.hierarchy.CacheHierarchy.access_repeat` — the
-        coalescing fast path that charges ``count × hit_latency`` when the
-        repeats provably cannot change cache or scheme state, and returns
-        None (forcing exact one-by-one replay) when they could. Instruction
-        counters are synced at segment boundaries only; nothing observes
-        them in between. Results are bit-identical to the per-reference
-        loop (asserted by tests/sim/test_batching.py).
-        """
-        system = self.system
-        scheme = self.scheme
-        hierarchy = self.hierarchy
-        access = hierarchy.access
-        access_repeat = hierarchy.access_repeat
-        # The L1 read-hit path of ``access`` is inlined below (same shape,
-        # same counters) — it is the single most common operation of a run,
-        # and the call itself is measurable at this volume.
-        l1 = hierarchy._l1[0]
-        l1_tags = l1._tags
-        l1_sets = l1._sets
-        l1_shift = l1._line_shift
-        l1_mask = l1._set_mask
-        l1_latency = l1.hit_latency
-        l1_hits = hierarchy._l1_hits
-        loads = hierarchy._loads
-        core = self.cores[0]
-        epoch_span = self.config.epoch_instructions
-        next_epoch = epoch_span
-        track = system.track_reference
-        arch_image = system.arch_image
-        total = system.total_instructions
-        crash = crash_at_instructions
+        (its cumulative instruction counts searched against the next
+        boundary), so nothing inside a segment compares against a
+        boundary. Instruction counters are synced at segment ends only;
+        nothing observes them in between.
 
-        for chunk in self.traces[0].chunks():
-            chunk.ensure_metadata()
-            gaps = chunk.gaps
-            addrs = chunk.addrs
-            writes = chunk.writes
-            cum = chunk.cum_instructions
-            run_ends = chunk.run_ends
-            wcum = chunk.write_cum
-            n = len(gaps)
-            base = total
-            index = 0
-            while index < n:
-                # The segment ends at (and includes) the first reference
-                # whose retirement crosses the next epoch or crash point.
-                limit = next_epoch - base
-                if crash is not None and crash - base < limit:
-                    limit = crash - base
-                seg_end = bisect_left(cum, limit, index) + 1
-                if seg_end > n:
-                    seg_end = n
-                while index < seg_end:
-                    gap = gaps[index]
-                    cycle = core.cycle + gap
-                    addr = addrs[index]
-                    if writes[index]:
-                        token = system._next_token
-                        system._next_token = token + 1
-                        wait = access(0, addr, True, token, cycle)
-                        if track:
-                            arch_image[addr] = token
-                    else:
-                        line = l1_tags.get(addr)
-                        if line is not None:
-                            cache_set = l1_sets[(addr >> l1_shift) & l1_mask]
-                            if cache_set[0] is not line:
-                                cache_set.remove(line)
-                                cache_set.insert(0, line)
-                            l1_hits.value += 1
-                            loads.value += 1
-                            wait = l1_latency
-                        else:
-                            wait = access(0, addr, False, 0, cycle)
-                    core.cycle = cycle + wait
-                    core.mem_stall_cycles += wait
-                    run_end = run_ends[index]
-                    if run_end > seg_end:
-                        run_end = seg_end
-                    index += 1
-                    if run_end > index:
-                        # Tail of a same-line run: after the access above
-                        # the line is L1-resident at MRU, so the repeats
-                        # may coalesce. Tokens are only consumed (and the
-                        # reference image only updated) once the fast path
-                        # commits to the whole tail.
-                        k = run_end - index
-                        kw = wcum[run_end - 1] - wcum[index - 1]
-                        if kw:
-                            last_token = system._next_token + kw - 1
-                            wait = access_repeat(
-                                0, addr, k - kw, kw, last_token, core.cycle
-                            )
-                            if wait is None:
-                                continue
-                            system._next_token += kw
-                            if track:
-                                arch_image[addr] = last_token
-                        else:
-                            wait = access_repeat(0, addr, k, 0, 0, core.cycle)
-                            if wait is None:
-                                continue
-                        core.cycle += (cum[run_end - 1] - cum[index - 1]) - k + wait
-                        core.mem_stall_cycles += wait
-                        index = run_end
-                total = base + cum[index - 1]
-                if total >= next_epoch:
-                    system.total_instructions = total
-                    core.instructions = total
-                    stall = scheme.on_epoch_boundary(core.cycle)
-                    system.broadcast_stall(stall)
-                    next_epoch += epoch_span
-                if crash is not None and total >= crash:
-                    system.total_instructions = total
-                    core.instructions = total
-                    self.crashed = True
-                    return
-            system.total_instructions = total
-            core.instructions = total
-        core.finished = True
+        References that must replay exactly go to one *residual*
+        function, chosen once per run: the fused miss-chain drain
+        (:meth:`repro.cache.miss_engine.MissChainEngine.make_drain`) when
+        ``engine`` is given, else ``scalar_span`` — the verbatim scalar
+        body, one ``hierarchy.access`` per reference, where a run of
+        consecutive references to one line (``chunk.run_ends``) goes
+        through :meth:`repro.cache.hierarchy.CacheHierarchy.access_repeat`
+        — the coalescing fast path that charges ``count × hit_latency``
+        when the repeats provably cannot change cache or scheme state,
+        and returns None (forcing exact one-by-one replay) when they
+        could. Both return the same state, bit for bit.
 
-    def _run_single_core_vector(self, crash_at_instructions, engine):
-        """Columnar interpreter: classify lookahead windows array-at-a-time.
-
-        Builds on the segmented loop above but replaces its per-reference
-        walk. Within each boundary-free segment the loop repeatedly:
+        Without an L1 mirror (``REPRO_VECTOR=0``, or an L1 wider than a
+        mirror row) every segment goes to the residual function whole.
+        With one, the driver is the *columnar interpreter*: within each
+        segment it repeatedly:
 
         1. **Classifies a window.** Set indices and an L1 tag probe for the
            next ``window`` references in numpy against the L1's live tag
-           mirror (:class:`repro.cache.vector_mirror.L1TagMirror`). A
+           mirror (:class:`repro.cache.vector_mirror.TagMirror`). A
            reference is *fast* when it is a classified L1 hit the scheme
            cannot observe: every load hit, plus store hits the scheme's
            ``vector_store_filter`` declares silent (all of them, none, or
@@ -442,7 +327,7 @@ class Simulation:
            references demoted (step 3) before any stretch reaches them.
            Applying a fast stretch cannot change residency or EIDs, so it
            can never invalidate its own classification.
-        3. **Replays residuals exactly** through the verbatim scalar body,
+        3. **Replays residuals exactly** through the residual function,
            so misses, evictions, undo logging, and crash-plan sites behave
            identically. A residual's evictions CAN invalidate the rest of
            the window (a classified hit whose line just left — the
@@ -469,8 +354,10 @@ class Simulation:
         into a pure scalar burst before probing again, so miss-heavy
         workloads pay near-zero classification overhead.
 
-        Bit-identical to the scalar loop — same counters, tokens, cycles,
-        recovery images — asserted by tests/sim/test_vectorized.py.
+        Bit-identical to the reference path (``REPRO_VECTOR=0``) — same
+        counters, tokens, cycles, recovery images — asserted by
+        tests/sim/test_vectorized.py; tests/sim/test_batching.py diffs
+        it against a plain per-reference loop.
         """
         system = self.system
         scheme = self.scheme
@@ -489,11 +376,12 @@ class Simulation:
         loads = hierarchy._loads
         stores = hierarchy._stores
         modified = LineState.MODIFIED
-        tags2d = vec.tags2d
-        eids = vec.eids
-        ways = vec.ways
-        n_slots = len(eids)
-        removed = vec.removed
+        if vec is not None:
+            tags2d = vec.tags2d
+            eids = vec.eids
+            ways = vec.ways
+            n_slots = len(eids)
+            removed = vec.removed
         # Stretch and store ordinals for bulk_span's scatter reductions.
         positions = np.arange(_WINDOW_MAX, dtype=np.int64)
         core = self.cores[0]
@@ -509,17 +397,14 @@ class Simulation:
         scalar_budget = 0
         burst_len = _DISENGAGE_REFS
         productive = False
-        # ``engine`` is the batched miss-chain engine
-        # (repro.cache.miss_engine): residual spans drain through one
-        # fused loop instead of the per-miss call chain. None when
-        # declined (REPRO_BATCH_MISS=0, multi-channel NVM, DRAM cache,
-        # foreign sink) — every call site below then falls back to
-        # scalar_span, byte-identically.
 
         for chunk in self.traces[0].chunks():
-            # The lists start unthawed: every exact replay below thaws
-            # the range it reads first (see TraceChunk.thaw); everything
-            # else reads the numpy columns.
+            # The lists start unthawed: with a mirror, every exact replay
+            # below thaws the range it reads first (see TraceChunk.thaw)
+            # and everything else reads the numpy columns; without one,
+            # every reference replays, so the whole chunk thaws up front.
+            if vec is None:
+                chunk.ensure_metadata()
             gaps, addrs, writes, cum, run_ends, wcum = chunk.lists
             thaw = chunk.thaw
             frozen = chunk.frozen
@@ -536,6 +421,7 @@ class Simulation:
                 i,
                 stop,
                 seg_end,
+                sfilter=None,
                 # Default-arg binding: the body runs per reference, and
                 # locals are materially faster than closure derefs there.
                 gaps=gaps,
@@ -562,7 +448,8 @@ class Simulation:
 
                 Run-coalescing tails may legitimately advance past ``stop``
                 (never past ``seg_end``) — the caller's window bookkeeping
-                skips anything already consumed.
+                skips anything already consumed. ``sfilter`` is unused: it
+                keeps the drain's signature.
                 """
                 while i < stop:
                     gap = gaps[i]
@@ -575,6 +462,9 @@ class Simulation:
                         if track:
                             arch_image[addr] = token
                     else:
+                        # The L1 read-hit path of ``access``, inlined
+                        # (same shape, same counters): the most common
+                        # operation of a run, where the call itself shows.
                         line = l1_tags.get(addr)
                         if line is not None:
                             cache_set = l1_sets[(addr >> l1_shift) & l1_mask]
@@ -593,6 +483,11 @@ class Simulation:
                         run_end = seg_end
                     i += 1
                     if run_end > i:
+                        # Tail of a same-line run: after the access above
+                        # the line is L1-resident at MRU, so the repeats
+                        # may coalesce. Tokens are only consumed (and the
+                        # reference image only updated) once the fast path
+                        # commits to the whole tail.
                         k = run_end - i
                         kw = wcum[run_end - 1] - wcum[i - 1]
                         if kw:
@@ -762,7 +657,9 @@ class Simulation:
                     scheme.on_store_bulk(nw)
 
             if engine is not None:
-                drain = engine.make_drain(gaps, addrs, writes, cum, run_ends, wcum)
+                residual = engine.make_drain(gaps, addrs, writes, cum, run_ends, wcum)
+            else:
+                residual = scalar_span
 
             index = 0
             while index < n:
@@ -778,6 +675,10 @@ class Simulation:
                 # boundaries, which are segment ends by construction).
                 sfilter = scheme.vector_store_filter()
                 i = index
+                if vec is None:
+                    # No mirror to classify against: the whole segment
+                    # replays exactly.
+                    i = residual(i, seg_end, seg_end, sfilter)
                 while i < seg_end:
                     if scalar_budget > 0:
                         stop = i + scalar_budget
@@ -789,7 +690,7 @@ class Simulation:
                             # inlined fill/evict sites for free, so bursts
                             # keep the mirror attached — no stale rebuild
                             # at the next sync.
-                            ni = drain(i, stop, seg_end, sfilter)
+                            ni = residual(i, stop, seg_end, sfilter)
                         else:
                             # Detach the mirror for the burst: the hot
                             # cache paths then pay zero queue-append tax
@@ -798,7 +699,7 @@ class Simulation:
                             # instead of replaying what the burst changed.
                             l1._vec = None
                             try:
-                                ni = scalar_span(i, stop, seg_end)
+                                ni = residual(i, stop, seg_end)
                             finally:
                                 l1._vec = vec
                                 vec.stale = True
@@ -807,10 +708,7 @@ class Simulation:
                         continue
                     if seg_end - i < bulk_min:
                         thaw_span(i, seg_end, seg_end)
-                        if engine is not None:
-                            i = drain(i, seg_end, seg_end, sfilter)
-                        else:
-                            i = scalar_span(i, seg_end, seg_end)
+                        i = residual(i, seg_end, seg_end, sfilter)
                         break
                     # -- classify the next window against the mirror,
                     #    reconciled here (and only here) with the live tags
@@ -850,7 +748,7 @@ class Simulation:
                         # steers persistently miss-heavy phases into
                         # drain bursts with zero classification cost.
                         thaw_span(wb, we, seg_end)
-                        i = drain(wb, we, seg_end, sfilter)
+                        i = residual(wb, we, seg_end, sfilter)
                         removed.clear()
                         bulked_runs = 0
                     else:
@@ -889,10 +787,7 @@ class Simulation:
                             if stop > seg_end:
                                 stop = seg_end
                             thaw_span(i, stop, seg_end)
-                            if engine is not None:
-                                i = drain(i, stop, seg_end, sfilter)
-                            else:
-                                i = scalar_span(i, stop, seg_end)
+                            i = residual(i, stop, seg_end, sfilter)
                             if removed:
                                 # Stale-positive guard: a classified-fast
                                 # position whose line was just evicted is

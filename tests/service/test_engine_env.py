@@ -1,8 +1,7 @@
 """Engine-flag propagation: client environment governs worker processes.
 
-``REPRO_VECTOR`` / ``REPRO_BATCH_MISS`` / ``REPRO_BRUTE_SCAN`` /
-``REPRO_MISS_PROFILE`` select *how* a simulation executes (all modes are
-bit-identical), and they are read when the hierarchy is built — in the
+``REPRO_VECTOR`` / ``REPRO_BRUTE_SCAN`` select *how* a simulation
+executes (all modes are bit-identical), and they are read when the hierarchy is built — in the
 worker process. These tests pin the contract that a submitting client's
 flags travel with its batch: captured by :func:`engine_env`, shipped
 through the protocol, spooled for restart recovery, carried on scheduler
@@ -48,9 +47,9 @@ class TestCaptureAndApply:
     def test_engine_env_captures_only_set_engine_flags(self, monkeypatch):
         for name in ENGINE_FLAGS:
             monkeypatch.delenv(name, raising=False)
-        monkeypatch.setenv("REPRO_BATCH_MISS", "0")
+        monkeypatch.setenv("REPRO_VECTOR", "0")
         monkeypatch.setenv("REPRO_JOBS", "4")  # not an engine flag
-        assert engine_env() == {"REPRO_BATCH_MISS": "0"}
+        assert engine_env() == {"REPRO_VECTOR": "0"}
 
     def test_engine_env_reads_an_explicit_mapping(self):
         captured = engine_env({"REPRO_VECTOR": "1", "PATH": "/bin"})
@@ -62,29 +61,27 @@ class TestCaptureAndApply:
         assert os.environ["REPRO_VECTOR"] == "0"
 
     def test_apply_dict_is_authoritative_for_every_flag(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VECTOR", "0")
         monkeypatch.setenv("REPRO_BRUTE_SCAN", "1")
         # Register with monkeypatch before apply_engine_env mutates it,
         # so the flag is restored (not leaked) after this test.
-        monkeypatch.setenv("REPRO_BATCH_MISS", "sentinel")
-        apply_engine_env({"REPRO_BATCH_MISS": "0"})
-        assert os.environ.get("REPRO_BATCH_MISS") == "0"
+        monkeypatch.setenv("REPRO_VECTOR", "sentinel")
+        apply_engine_env({"REPRO_VECTOR": "0"})
+        assert os.environ.get("REPRO_VECTOR") == "0"
         # Flags absent from the capture are scrubbed, not inherited.
-        assert "REPRO_VECTOR" not in os.environ
         assert "REPRO_BRUTE_SCAN" not in os.environ
 
 
 class TestIsolatedChild:
     def test_child_runs_under_the_submitted_env(self, monkeypatch):
-        # The daemon's own environment disables the interpreter...
-        monkeypatch.setenv("REPRO_VECTOR", "0")
-        monkeypatch.delenv("REPRO_BATCH_MISS", raising=False)
-        # ...but the client pinned only REPRO_BATCH_MISS=0.
+        # The daemon's own environment turns on the brute-force scans...
+        monkeypatch.setenv("REPRO_BRUTE_SCAN", "1")
+        monkeypatch.delenv("REPRO_VECTOR", raising=False)
+        # ...but the client pinned only REPRO_VECTOR=0.
         (seen,) = execute_batch_with_retry(
-            [probe(1)], env={"REPRO_BATCH_MISS": "0"}
+            [probe(1)], env={"REPRO_VECTOR": "0"}
         )
-        assert seen["REPRO_BATCH_MISS"] == "0"
-        assert seen["REPRO_VECTOR"] is None  # daemon setting scrubbed
+        assert seen["REPRO_VECTOR"] == "0"
+        assert seen["REPRO_BRUTE_SCAN"] is None  # daemon setting scrubbed
 
     def test_no_env_means_the_child_inherits(self, monkeypatch):
         monkeypatch.setenv("REPRO_VECTOR", "0")
@@ -101,7 +98,7 @@ class TestSchedulerUnits:
             # Submit before start(): units queue without dispatching, so
             # the queue is inspectable.
             scheduler.submit(
-                "client-a", [probe(3)], env={"REPRO_BATCH_MISS": "0"}
+                "client-a", [probe(3)], env={"REPRO_VECTOR": "0"}
             )
             scheduler.submit("client-b", [probe(4)])
             for queue in scheduler._queues.values():
@@ -111,7 +108,7 @@ class TestSchedulerUnits:
             await scheduler.close()
 
         asyncio.run(scenario())
-        assert ("client-a", {"REPRO_BATCH_MISS": "0"}) in events
+        assert ("client-a", {"REPRO_VECTOR": "0"}) in events
         assert ("client-b", None) in events
 
 
@@ -141,7 +138,7 @@ class TestProtocolAndSpool:
             with open(service._spool_path("old"), "wb") as handle:
                 pickle.dump([probe(6)], handle)
             # New format: dict with the engine-flag capture.
-            service._spool("new", [probe(7)], env={"REPRO_BATCH_MISS": "0"})
+            service._spool("new", [probe(7)], env={"REPRO_VECTOR": "0"})
             service._stopping = asyncio.Event()
             service.scheduler.start()
             service._recover_spool()
@@ -151,4 +148,4 @@ class TestProtocolAndSpool:
 
         asyncio.run(scenario())
         assert ("old", None) in seen
-        assert ("new", {"REPRO_BATCH_MISS": "0"}) in seen
+        assert ("new", {"REPRO_VECTOR": "0"}) in seen

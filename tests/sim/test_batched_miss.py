@@ -1,51 +1,46 @@
-"""Bit-identity of the batched miss-chain engine.
+"""Bit-identity of the miss-chain drain running without the L1 mirror.
 
-``REPRO_BATCH_MISS`` (default on) swaps the columnar interpreter's
-residual path — per-reference replay through ``CacheHierarchy.access``
-— for the fused drain of :mod:`repro.cache.miss_engine`: the whole
-L2/LLC/NVM chain transcribed into one loop with deferred batch
-bookkeeping. Like the interpreter itself, this is an optimization, not a
-model change, so this file drives the engine (``REPRO_BATCH_MISS=1``)
-and the scalar chain (``=0``) — both under ``REPRO_VECTOR=1`` — over the
-same points and asserts exact equality of every observable: cycles,
-stalls, tokens, the architectural image, the full stat snapshot, and
-crash-recovery output.
+An L1 wider than a mirror row (more than eight ways) carries no tag
+mirror, so :meth:`Simulation._run_single_core` has nothing to classify
+against and hands every segment whole to the fused drain of
+:mod:`repro.cache.miss_engine` — hits included. That engine is
+``"drain"``; ``tests/sim/test_vectorized.py`` covers the default
+``"columnar+drain"`` engine, where the drain only sees the residual
+references the classifier could not bulk-apply.
 
-Beyond the scheme x benchmark matrix, the suite aims at exactly the
-state the engine defers or transcribes:
-
-* semantic crash sites *inside* a drained window (LLC-eviction window,
-  torn undo flush, the pre-in-place window) — the deferred undo run and
-  channel locals must land before any ``CrashSignal`` can observe them;
-* PiCL's store-filter regimes (plain / sub-block / capped log), which
-  select the three store-dispatch modes of the drain;
-* the decline gates (flag off, banked open-page device, multi-channel,
-  multi-core) — ineligible configs must fall back to the scalar chain;
-* the ``REPRO_MISS_PROFILE`` differential oracles: after an engine run
-  the L2/LLC mirror planes and the LLC EID index must verify clean
-  against a brute-force sweep of the live caches;
-* a hypothesis fuzz over the workload-profile space, so the drain's
-  window interleavings are exercised on shapes no curated benchmark
-  hits.
+This file drives the drain-only engine and the reference path
+(``REPRO_VECTOR=0``: ``scalar_span`` for every reference) over the same
+points and asserts exact equality of every observable: cycles, stalls,
+tokens, the architectural image, the full stat snapshot, and
+crash-recovery output. It crosses miss-heavy and hit-dominated traces,
+mid-epoch crashes under every scheme, the configs the drain declines
+(which must fall back to ``scalar_span`` and still match), and a
+hypothesis fuzz over the workload-profile space.
 """
-
-import dataclasses
-import os
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cache.miss_engine import build_engine
-from repro.common.units import MB
-from repro.fault.plan import CrashPlan
+from helpers import (
+    assert_identical,
+    assert_identical_recovery,
+    fuzz_profiles,
+    open_page,
+    run_mode,
+    two_channels,
+)
+from repro.cache.miss_engine import decline_reason
+from repro.common.units import KB
 from repro.sim.config import SystemConfig
 from repro.sim.simulator import Simulation
 from repro.trace import profiles
-from repro.trace.profiles import WorkloadProfile
 
 
 def small_config(**overrides):
-    defaults = dict(track_reference=True, reference_depth=32)
+    """A scale-256 system whose 16-way L1 is too wide for a mirror row."""
+    defaults = dict(
+        track_reference=True, reference_depth=32, l1_assoc=16, l1_size=16 * KB
+    )
     defaults.update(overrides)
     return SystemConfig().scaled(256, **defaults)
 
@@ -55,75 +50,14 @@ N = 60_000  # a few scheduled epochs at scale 256
 SCHEMES = ("ideal", "journaling", "shadow", "frm", "thynvm", "picl")
 
 
-def run_mode(
-    batched,
-    config,
-    scheme,
-    bench,
-    n,
-    seed,
-    crash_at=None,
-    plan=None,
-    expect_engine=None,
-):
-    """Run one simulation with the miss-chain engine on or off.
-
-    ``REPRO_VECTOR`` is read when the hierarchy is built and
-    ``REPRO_BATCH_MISS`` when the interpreter starts a run, so both stay
-    pinned across construction *and* ``run()`` — and are restored after,
-    so the two modes cannot leak into each other. ``expect_engine``
-    overrides the default gate check (engine attached iff ``batched``)
-    for configs the engine deliberately declines.
-    """
-    saved = {
-        name: os.environ.get(name)
-        for name in ("REPRO_VECTOR", "REPRO_BATCH_MISS")
-    }
-    os.environ["REPRO_VECTOR"] = "1"
-    os.environ["REPRO_BATCH_MISS"] = "1" if batched else "0"
-    if expect_engine is None:
-        expect_engine = batched
-    try:
-        sim = Simulation(config, scheme, [bench], n, seed=seed)
-        # The gate must actually take effect, or the test compares the
-        # engine against itself (or the scalar chain against itself).
-        assert (build_engine(sim) is not None) == expect_engine
-        sim.run(crash_at_instructions=crash_at, crash_plan=plan)
-    finally:
-        for name, value in saved.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
-    return sim
-
-
-def assert_identical(scalar, batched):
-    """Every observable of the two simulations must match exactly."""
-    a, b = scalar.result(), batched.result()
-    assert a.cycles == b.cycles
-    assert a.instructions == b.instructions
-    assert a.per_core_cycles == b.per_core_cycles
-    assert scalar.cores[0].mem_stall_cycles == batched.cores[0].mem_stall_cycles
-    assert scalar.system._next_token == batched.system._next_token
-    assert scalar.system.arch_image == batched.system.arch_image
-    assert scalar.stats.snapshot() == batched.stats.snapshot()
-
-
-# Scheme x benchmark points biased toward miss-heavy traces (the drain
-# exists for them), with hmmer/lbm keeping the near-empty-residual and
-# long-run regimes honest. Every scheme appears, covering all three
-# store-dispatch modes and both write-back transcriptions.
+# Miss-heavy traces (mcf, gcc), where the drain's L2/LLC/NVM chain does
+# the work, and hit-dominated hmmer, where nearly every reference the
+# drain runs is an L1 hit the columnar engine would have bulk-applied.
 PAIRS = [
-    ("ideal", "gcc"),
     ("journaling", "mcf"),
     ("shadow", "gcc"),
-    ("frm", "astar"),
-    ("thynvm", "mcf"),
-    ("picl", "gcc"),
-    ("picl", "astar"),
     ("picl", "hmmer"),
-    ("picl", "lbm"),
+    ("picl", "gcc"),
 ]
 
 
@@ -132,235 +66,73 @@ class TestBitIdentity:
     def test_full_run_identical(self, scheme, bench):
         config = small_config()
         scalar = run_mode(False, config, scheme, bench, N, seed=77)
-        batched = run_mode(True, config, scheme, bench, N, seed=77)
-        assert_identical(scalar, batched)
-
-    def test_sub_block_granularity_identical(self):
-        # 16 B tracking forces the store filter off, so every store in a
-        # drained window goes through the out-of-line on_store call site.
-        config = small_config()
-        config = dataclasses.replace(
-            config, picl=dataclasses.replace(config.picl, tracking_granularity=16)
-        )
-        scalar = run_mode(False, config, "picl", "gcc", N, seed=21)
-        batched = run_mode(True, config, "picl", "gcc", N, seed=21)
-        assert_identical(scalar, batched)
-
-    def test_capped_log_identical(self):
-        # A hard log cap disables plain mode: the drain must dispatch
-        # stores out of line and never touch the deferred undo run.
-        config = small_config()
-        config = dataclasses.replace(
-            config,
-            picl=dataclasses.replace(config.picl, log_max_bytes=64 * 1024 * 1024),
-        )
-        scalar = run_mode(False, config, "picl", "gcc", N, seed=33)
-        batched = run_mode(True, config, "picl", "gcc", N, seed=33)
-        assert_identical(scalar, batched)
+        drained = run_mode(True, config, scheme, bench, N, seed=77, engine="drain")
+        assert_identical(scalar, drained)
 
 
 class TestCrashSites:
-    """Crashes landing *inside* a drained window must observe the exact
-    scalar-chain state: deferred counters, cycles, tokens, and the
-    pending undo run all land (via the drain's ``finally`` and pre-site
-    merges) before the signal propagates."""
+    """A crash landing inside a drained segment must observe the exact
+    scalar state: deferred counters, cycles, tokens and the pending undo
+    run all land before the signal propagates."""
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_instruction_crash_identical(self, scheme):
         config = small_config()
         crash_at = N // 2 + 137  # mid-epoch, not on a boundary
-        scalar = run_mode(
-            False, config, scheme, "gcc", N, seed=9, crash_at=crash_at
+        scalar = run_mode(False, config, scheme, "gcc", N, seed=9, crash_at=crash_at)
+        drained = run_mode(
+            True, config, scheme, "gcc", N, seed=9, crash_at=crash_at, engine="drain"
         )
-        batched = run_mode(
-            True, config, scheme, "gcc", N, seed=9, crash_at=crash_at
-        )
-        assert scalar.crashed and batched.crashed
-        assert_identical(scalar, batched)
-        image_a, commit_a, ref_a = scalar.crash_and_recover()
-        image_b, commit_b, ref_b = batched.crash_and_recover()
-        assert commit_a == commit_b
-        assert image_a == image_b
-        assert ref_a == ref_b
-
-    # Occurrences chosen deep enough that the site fires from a drain in
-    # a miss-heavy phase, not from the first scalar warm-up window.
-    SITE_PLANS = [
-        ("llc_eviction", "picl", dict(occurrence=300)),
-        ("llc_eviction", "journaling", dict(occurrence=15)),
-        ("undo_flush", "picl", dict(occurrence=3, tear_entries=7)),
-        ("pre_inplace", "picl", dict(occurrence=200)),
-    ]
-
-    @pytest.mark.parametrize("site,scheme,kwargs", SITE_PLANS)
-    def test_semantic_site_crash_identical(self, site, scheme, kwargs):
-        config = small_config()
-        plan_a = CrashPlan.on_event(site, **kwargs)
-        plan_b = CrashPlan.on_event(site, **kwargs)
-        scalar = run_mode(
-            False, config, scheme, "gcc", N, seed=5, plan=plan_a
-        )
-        batched = run_mode(
-            True, config, scheme, "gcc", N, seed=5, plan=plan_b
-        )
-        # Both modes must reach the site the same number of times, and
-        # these occurrences are chosen so the site actually fires.
-        assert plan_a.fired and plan_b.fired
-        assert scalar.crashed == batched.crashed
-        assert_identical(scalar, batched)
-        if scalar.crashed:
-            image_a, commit_a, ref_a = scalar.crash_and_recover()
-            image_b, commit_b, ref_b = batched.crash_and_recover()
-            assert commit_a == commit_b
-            assert image_a == image_b
-            assert ref_a == ref_b
+        assert scalar.crashed and drained.crashed
+        assert_identical(scalar, drained)
+        assert_identical_recovery(scalar, drained)
 
 
 class TestGate:
-    def test_engine_attached_by_default(self):
-        sim = Simulation(small_config(), "picl", ["gcc"], 1_000, seed=1)
-        assert build_engine(sim) is not None
-
-    def test_flag_disables(self, monkeypatch):
-        sim = Simulation(small_config(), "picl", ["gcc"], 1_000, seed=1)
-        monkeypatch.setenv("REPRO_BATCH_MISS", "0")
-        assert build_engine(sim) is None
-
-    def test_no_mirror_declines(self, monkeypatch):
-        # No columnar L1 mirror (REPRO_VECTOR=0) means no windows to
-        # drain; the engine requires the interpreter.
-        monkeypatch.setenv("REPRO_VECTOR", "0")
-        sim = Simulation(small_config(), "picl", ["gcc"], 1_000, seed=1)
-        assert build_engine(sim) is None
-
-    def test_multi_core_declines(self):
-        config = dataclasses.replace(small_config(), n_cores=2)
-        sim = Simulation(config, "picl", ["gcc", "mcf"], 1_000, seed=1)
-        assert build_engine(sim) is None
-
     def test_open_page_device_declines(self):
         # The banked open-page device has per-bank row state the inline
         # channel recurrence does not model.
-        config = small_config()
-        config = dataclasses.replace(
-            config, nvm=dataclasses.replace(config.nvm, page_policy="open")
-        )
-        sim = Simulation(config, "picl", ["gcc"], 1_000, seed=1)
-        assert build_engine(sim) is None
+        sim = Simulation(open_page(small_config()), "picl", ["gcc"], 1_000, seed=1)
+        assert decline_reason(sim) == "nvm device is BankedNvmDevice"
 
     def test_multi_channel_declines(self):
-        config = small_config()
-        config = dataclasses.replace(
-            config, nvm=dataclasses.replace(config.nvm, n_channels=2)
-        )
-        sim = Simulation(config, "picl", ["gcc"], 1_000, seed=1)
-        assert build_engine(sim) is None
+        sim = Simulation(two_channels(small_config()), "picl", ["gcc"], 1_000, seed=1)
+        assert decline_reason(sim) == "nvm has 2 channels"
 
+    # Wrapped in lambdas so the cases keep the ids they have always been
+    # collected under ([<lambda>0], [<lambda>1]).
     @pytest.mark.parametrize("config_fn", [
-        lambda c: dataclasses.replace(
-            c, nvm=dataclasses.replace(c.nvm, page_policy="open")
-        ),
-        lambda c: dataclasses.replace(
-            c, nvm=dataclasses.replace(c.nvm, n_channels=2)
-        ),
+        lambda c: open_page(c),
+        lambda c: two_channels(c),
     ])
     def test_declined_configs_still_identical(self, config_fn):
-        # With the engine declined, REPRO_BATCH_MISS=1 and =0 must run
-        # the very same scalar path — the flag is inert, not harmful.
+        # With neither a mirror nor the drain, the default engine is
+        # scalar_span itself: it must record why, and match the
+        # reference path exactly.
         config = config_fn(small_config())
+        reason = decline_reason(Simulation(config, "picl", ["gcc"], 1_000, seed=3))
+        assert reason is not None
         scalar = run_mode(False, config, "picl", "gcc", 20_000, seed=3)
-        batched_flag = run_mode(
-            True, config, "picl", "gcc", 20_000, seed=3, expect_engine=False
+        declined = run_mode(
+            True, config, "picl", "gcc", 20_000, seed=3, engine="scalar: " + reason
         )
-        assert_identical(scalar, batched_flag)
-
-
-class TestMirrorOracles:
-    """``REPRO_MISS_PROFILE=1`` attaches LevelMirror planes to L2/LLC;
-    the drain maintains their queues eagerly at every eviction site, so
-    after a full engine run a sync + brute-force diff must be clean —
-    and the LLC EID index must survive the drain's inline discards and
-    retags exactly."""
-
-    def test_planes_and_index_verify_clean(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VECTOR", "1")
-        monkeypatch.setenv("REPRO_BATCH_MISS", "1")
-        monkeypatch.setenv("REPRO_MISS_PROFILE", "1")
-        sim = Simulation(small_config(), "picl", ["gcc"], N, seed=13)
-        assert build_engine(sim) is not None
-        sim.run()
-        hierarchy = sim.hierarchy
-        l2, llc = hierarchy._l2[0], hierarchy.llc
-        assert l2._vec is not None and llc._vec is not None
-        l2._vec.sync_level(l2)
-        llc._vec.sync_level(llc)
-        assert l2._vec.verify_against(l2) == []
-        assert llc._vec.verify_against(llc) == []
-        assert llc.eid_index.verify_against(llc) == []
-
-    def test_classify_matches_drain_outcome_scale(self, monkeypatch):
-        # classify() is advisory, but its totals must at least be sane:
-        # every residual miss lands in exactly one class.
-        monkeypatch.setenv("REPRO_VECTOR", "1")
-        monkeypatch.setenv("REPRO_BATCH_MISS", "1")
-        monkeypatch.setenv("REPRO_MISS_PROFILE", "1")
-        sim = Simulation(small_config(), "picl", ["gcc"], 20_000, seed=4)
-        engine = build_engine(sim)
-        sim.run()
-        profile = engine.classify([line.addr for line in
-                                   list(sim.hierarchy.llc._tags.values())[:64]])
-        assert profile is not None
-        assert (
-            profile["l2_hits"] + profile["llc_hits"] + profile["nvm_fills"]
-            == profile["misses"]
-        )
-        assert 0 <= profile["dirty_victim_fills"] <= profile["nvm_fills"]
-
-
-# Workload space for the fuzz, constrained exactly as
-# WorkloadProfile.__post_init__ demands (mirrors test_vectorized).
-_fuzz_profiles = st.builds(
-    lambda mem, wf, seq, chase_scale, ws, alpha, run, sb, zb_scale: WorkloadProfile(
-        "_fuzz",
-        mem_ratio=mem,
-        write_frac=wf,
-        working_set_bytes=ws * MB,
-        seq_frac=seq,
-        chase_frac=min((1.0 - seq) * chase_scale, 1.0 - seq),
-        zipf_alpha=alpha,
-        category="fuzz",
-        seq_run=run,
-        write_seq_bias=sb,
-        write_zipf_bias=min((1.0 - sb) * zb_scale, 1.0 - sb),
-    ),
-    mem=st.floats(0.05, 1.0),
-    wf=st.floats(0.0, 1.0),
-    seq=st.floats(0.0, 1.0),
-    chase_scale=st.floats(0.0, 1.0),
-    ws=st.integers(1, 64),
-    alpha=st.floats(0.05, 1.5),
-    run=st.integers(1, 16),
-    sb=st.floats(0.0, 1.0),
-    zb_scale=st.floats(0.0, 1.0),
-)
+        assert_identical(scalar, declined)
 
 
 class TestFuzz:
     @settings(max_examples=10, deadline=None)
     @given(
-        profile=_fuzz_profiles,
+        profile=fuzz_profiles,
         scheme=st.sampled_from(SCHEMES),
         seed=st.integers(0, 2**20),
     )
     def test_random_workloads_identical(self, profile, scheme, seed):
         profiles._BY_NAME["_fuzz"] = profile
         try:
-            scalar = run_mode(
-                False, small_config(), scheme, "_fuzz", 20_000, seed=seed
-            )
-            batched = run_mode(
-                True, small_config(), scheme, "_fuzz", 20_000, seed=seed
+            scalar = run_mode(False, small_config(), scheme, "_fuzz", 20_000, seed=seed)
+            drained = run_mode(
+                True, small_config(), scheme, "_fuzz", 20_000, seed=seed, engine="drain"
             )
         finally:
             del profiles._BY_NAME["_fuzz"]
-        assert_identical(scalar, batched)
+        assert_identical(scalar, drained)

@@ -1,12 +1,14 @@
-"""Bit-identity of the batched single-core interpreter.
+"""Bit-identity of the single-core driver against a per-reference loop.
 
-The segmented/coalescing loop in :meth:`Simulation._run_single_core` is an
-optimization, not a model change: every counter, every cycle, and every
-recovered byte must match what the original per-reference loop produced.
-This file keeps a faithful copy of that original loop (``naive_run``) and
-drives both interpreters over the same (scheme, benchmark) points —
-including a crash-injection run and the sub-block granularity fallback —
-asserting exact equality of the results.
+:meth:`Simulation._run_single_core` segments each chunk at epoch and
+crash boundaries, coalesces same-line runs, and by default classifies
+windows against the L1 mirror and drains residual spans through the
+fused miss chain. All of that is optimization, not a model change: every
+counter, every cycle, and every recovered byte must match what the
+original per-reference loop produced. This file keeps a faithful copy of
+that original loop (``naive_run``) and drives both over the same
+(scheme, benchmark) points — including a crash-injection run and the
+sub-block granularity fallback — asserting exact equality of the results.
 
 It also pins down the trace-side machinery the batched loop depends on:
 the lazily computed run/cumsum metadata and the cross-scheme memo
@@ -40,9 +42,9 @@ N = 60_000  # a few scheduled epochs at scale 256
 def naive_run(config, scheme_name, benchmark, n_instructions, seed, crash_at=None):
     """Drive a Simulation with the original per-reference loop.
 
-    This is the pre-batching ``_run_single_core`` (plus ``run``'s finalize
-    step), kept verbatim as the reference semantics the batched
-    interpreter must reproduce bit-for-bit.
+    This is the loop the single-core driver grew from (plus ``run``'s
+    finalize step), kept verbatim as the reference semantics the driver
+    must reproduce bit-for-bit.
     """
     sim = Simulation(config, scheme_name, [benchmark], n_instructions, seed=seed)
     sim._ran = True

@@ -214,13 +214,6 @@ class TestDeclined:
         assert scalar.stats.get("dram.hits") > 0
         assert_identical(scalar, declined)
 
-    def test_batch_miss_flag(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH_MISS", "0")
-        config = small_config(2)
-        sim = run_mode(True, config, "picl", benchlist(2), 2_000, 5,
-                       engine="scalar: REPRO_BATCH_MISS=0")
-        assert sim.result().instructions > 0
-
 
 class TestCrashIdentity:
     @pytest.mark.parametrize("scheme", SCHEMES)

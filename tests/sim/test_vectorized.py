@@ -1,12 +1,14 @@
-"""Bit-identity of the columnar single-core interpreter.
+"""Bit-identity of the fast single-core engine against the reference path.
 
-``REPRO_VECTOR`` (default on) swaps :meth:`Simulation._run_single_core`
-for the columnar loop in ``_run_single_core_vector``: windows of the
-reference stream are classified array-at-a-time against the L1 tag
-mirror, all-fast stretches are applied in bulk, and everything else
-replays through the exact per-reference path. Like the batching PR
-before it, this is an optimization, not a model change — so this file
-drives the scalar (``REPRO_VECTOR=0``) and columnar interpreters over
+``REPRO_VECTOR=0`` selects the reference path: no L1 mirror, and every
+reference replays through ``scalar_span``, the verbatim scalar body of
+:meth:`Simulation._run_single_core`. By default the same driver runs the
+fast engine: windows of the reference stream are classified
+array-at-a-time against the L1 tag mirror, all-fast stretches are
+applied in bulk, and everything else replays exactly through the fused
+miss-chain drain of :mod:`repro.cache.miss_engine` (the whole
+L2/LLC/NVM chain in one loop, with deferred batch bookkeeping). Both are
+optimizations, not model changes — so this file drives both paths over
 the same points and asserts exact equality of every observable: cycles,
 stalls, tokens, the architectural image, the full stat snapshot, and
 crash-recovery output.
@@ -15,28 +17,42 @@ The matrix deliberately crosses every scheme (each has a different
 ``vector_store_filter`` contract: always-fast, never-fast, and
 EID-conditional) with benchmarks spanning hit-dominated, run-structured,
 and miss-heavy traces, plus the configs that force the store filter off
-(sub-block granularity, capped log). A hypothesis fuzz then walks the
-workload-profile space itself so the classifier's window/repair logic is
+(sub-block granularity, capped log). Crashes land mid-epoch and at
+semantic sites *inside* a drained window (LLC-eviction window, torn undo
+flush, the pre-in-place window), where the drain's deferred undo run and
+channel locals must land before any ``CrashSignal`` can observe them. A
+hypothesis fuzz then walks the workload-profile space itself so the
+classifier's window/repair logic and the drain's interleavings are
 exercised on shapes no curated benchmark hits.
 
 The columnar loop reads trace chunks lazily — it boxes only the blocks
 it replays one reference at a time — so the identity checks also cross
 L1 associativities (the mirror pads rows to eight ways), every trace
 source, and crashes through recovery on a hit-dominated trace, and
-``TestLazyThaw`` pins the laziness itself.
+``TestLazyThaw`` pins the laziness itself. ``TestGate`` pins which loop
+each config selects, including the configs the fast paths decline. The
+``"drain"`` engine an L1 wider than a mirror row runs has its own suite,
+``tests/sim/test_batched_miss.py``.
 """
 
 import dataclasses
-import os
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import (
+    assert_identical,
+    assert_identical_recovery,
+    fuzz_profiles,
+    open_page,
+    run_mode,
+    two_channels,
+)
 from repro.fault.plan import SITE_UNDO_FLUSH, CrashPlan
+from repro.mem.dram_cache import DramCache, DramCacheMode
 from repro.sim.config import SystemConfig
 from repro.sim.simulator import Simulation
 from repro.trace import profiles
-from repro.trace.profiles import WorkloadProfile
 from repro.trace.synthetic import (
     THAW_BLOCK,
     MaterializedTrace,
@@ -45,7 +61,7 @@ from repro.trace.synthetic import (
     make_trace,
 )
 from repro.trace.tracefile import RecordedTrace, load_trace, save_trace
-from repro.common.units import KB, MB
+from repro.common.units import KB
 
 
 def small_config(**overrides):
@@ -59,50 +75,13 @@ N = 60_000  # a few scheduled epochs at scale 256
 SCHEMES = ("ideal", "journaling", "shadow", "frm", "thynvm", "picl")
 
 
-def run_mode(
-    vector, config, scheme, bench, n, seed, crash_at=None, crash_plan=None, trace=None
-):
-    """Run one simulation with the columnar interpreter on or off.
-
-    ``REPRO_VECTOR`` is read when the hierarchy is built, so the
-    environment must be set before ``Simulation`` is constructed — and
-    restored afterwards so the two modes cannot leak into each other.
-    ``trace`` (a zero-argument factory) replaces the generated trace.
-    """
-    previous = os.environ.get("REPRO_VECTOR")
-    os.environ["REPRO_VECTOR"] = "1" if vector else "0"
-    try:
-        sim = Simulation(config, scheme, [bench], n, seed=seed)
-    finally:
-        if previous is None:
-            del os.environ["REPRO_VECTOR"]
-        else:
-            os.environ["REPRO_VECTOR"] = previous
-    # The gate must actually have taken effect, or the test compares the
-    # scalar interpreter against itself.
-    assert (sim.hierarchy._l1[0]._vec is not None) == vector
-    if trace is not None:
-        sim.traces[0] = trace()
-    sim.run(crash_at_instructions=crash_at, crash_plan=crash_plan)
-    return sim
-
-
-def assert_identical(scalar, columnar):
-    """Every observable of the two simulations must match exactly."""
-    a, b = scalar.result(), columnar.result()
-    assert a.cycles == b.cycles
-    assert a.instructions == b.instructions
-    assert a.per_core_cycles == b.per_core_cycles
-    assert scalar.cores[0].mem_stall_cycles == columnar.cores[0].mem_stall_cycles
-    assert scalar.system._next_token == columnar.system._next_token
-    assert scalar.system.arch_image == columnar.system.arch_image
-    assert scalar.stats.snapshot() == columnar.stats.snapshot()
-
-
 # Scheme x benchmark points chosen for coverage of the classifier's
 # regimes: hmmer (hit-dominated; the bulk path carries nearly every
 # window), lbm/h264ref (long same-line runs; the run-based cost model),
-# gcc/mcf/astar (miss-heavy; disengage bursts and repair demotions).
+# gcc/mcf/astar (miss-heavy; disengage bursts, repair demotions, and the
+# drain's residual-dense windows). Every scheme appears on a miss-heavy
+# trace, covering all three store-dispatch modes of the drain and both
+# write-back transcriptions.
 PAIRS = [
     ("ideal", "hmmer"),
     ("journaling", "mcf"),
@@ -112,6 +91,20 @@ PAIRS = [
     ("picl", "hmmer"),
     ("picl", "gcc"),
     ("picl", "h264ref"),
+    ("ideal", "gcc"),
+    ("frm", "astar"),
+    ("thynvm", "mcf"),
+    ("picl", "astar"),
+    ("picl", "lbm"),
+]
+
+# Semantic crash sites, with occurrences deep enough that the site fires
+# from a drain in a miss-heavy phase, not from the first warm-up window.
+SITE_PLANS = [
+    ("llc_eviction", "picl", dict(occurrence=300)),
+    ("llc_eviction", "journaling", dict(occurrence=15)),
+    ("undo_flush", "picl", dict(occurrence=3, tear_entries=7)),
+    ("pre_inplace", "picl", dict(occurrence=200)),
 ]
 
 
@@ -131,42 +124,61 @@ class TestBitIdentity:
         columnar = run_mode(True, config, scheme, "gcc", N, seed=9, crash_at=crash_at)
         assert scalar.crashed and columnar.crashed
         assert_identical(scalar, columnar)
-        image_a, commit_a, ref_a = scalar.crash_and_recover()
-        image_b, commit_b, ref_b = columnar.crash_and_recover()
-        assert commit_a == commit_b
-        assert image_a == image_b
-        assert ref_a == ref_b
+        assert_identical_recovery(scalar, columnar)
 
-    def test_sub_block_granularity_identical(self):
+    @pytest.mark.parametrize("site,scheme,kwargs", SITE_PLANS)
+    def test_semantic_site_crash_identical(self, site, scheme, kwargs):
+        # A crash inside a drained window must observe the exact scalar
+        # state: deferred counters, cycles, tokens, and the pending undo
+        # run all land before the signal propagates.
+        config = small_config()
+        plan_a = CrashPlan.on_event(site, **kwargs)
+        plan_b = CrashPlan.on_event(site, **kwargs)
+        scalar = run_mode(False, config, scheme, "gcc", N, seed=5, crash_plan=plan_a)
+        columnar = run_mode(True, config, scheme, "gcc", N, seed=5, crash_plan=plan_b)
+        # Both paths must reach the site the same number of times, and
+        # these occurrences are chosen so the site actually fires.
+        assert plan_a.fired and plan_b.fired
+        assert scalar.crashed == columnar.crashed
+        assert_identical(scalar, columnar)
+        if scalar.crashed:
+            assert_identical_recovery(scalar, columnar)
+
+    @pytest.mark.parametrize("bench", ("lbm", "gcc"))
+    def test_sub_block_granularity_identical(self, bench):
         # 16 B tracking makes picl's store filter decline every store, so
-        # the columnar loop only bulks loads; stores all go residual.
+        # the columnar loop only bulks loads, and every store goes through
+        # the drain's out-of-line on_store call site.
         config = small_config()
         config = dataclasses.replace(
             config, picl=dataclasses.replace(config.picl, tracking_granularity=16)
         )
-        scalar = run_mode(False, config, "picl", "lbm", N, seed=21)
-        columnar = run_mode(True, config, "picl", "lbm", N, seed=21)
+        scalar = run_mode(False, config, "picl", bench, N, seed=21)
+        columnar = run_mode(True, config, "picl", bench, N, seed=21)
         assert_identical(scalar, columnar)
 
-    def test_capped_log_identical(self):
+    @pytest.mark.parametrize("bench", ("lbm", "gcc"))
+    def test_capped_log_identical(self, bench):
         # A hard log cap makes every store check log pressure; the store
-        # filter must refuse and the columnar loop must still agree.
+        # filter must refuse, the drain must dispatch stores out of line
+        # and never touch its deferred undo run, and both must agree.
         config = small_config()
         config = dataclasses.replace(
             config,
             picl=dataclasses.replace(config.picl, log_max_bytes=64 * 1024 * 1024),
         )
-        scalar = run_mode(False, config, "picl", "lbm", N, seed=33)
-        columnar = run_mode(True, config, "picl", "lbm", N, seed=33)
+        scalar = run_mode(False, config, "picl", bench, N, seed=33)
+        columnar = run_mode(True, config, "picl", bench, N, seed=33)
         assert_identical(scalar, columnar)
 
-
-def assert_identical_recovery(scalar, columnar):
-    image_a, commit_a, ref_a = scalar.crash_and_recover()
-    image_b, commit_b, ref_b = columnar.crash_and_recover()
-    assert commit_a == commit_b
-    assert image_a == image_b
-    assert ref_a == ref_b
+    def test_eid_index_verifies_after_drain(self):
+        # The drain discards LLC victims from the EID index inline, never
+        # deferred (see repro.cache.miss_engine); after a full run a
+        # brute-force sweep of the LLC must agree with the index.
+        sim = run_mode(True, small_config(), "picl", "gcc", N, seed=13)
+        assert sim.engine == "columnar+drain"
+        llc = sim.hierarchy.llc
+        assert llc.eid_index.verify_against(llc) == []
 
 
 class TestAssociativity:
@@ -299,6 +311,39 @@ class TestLazyThaw:
         assert sum(chunk.thawed_refs for chunk in seen) < 0.1 * refs
 
 
+def _wide_l1(config):
+    return dataclasses.replace(config, l1_assoc=16, l1_size=16 * KB)
+
+
+def _attach_dram_cache(sim):
+    dram = DramCache(64 * KB, assoc=2, mode=DramCacheMode.WRITE_THROUGH)
+    sim.controller.dram_cache = dram
+    dram.attach(sim.controller)
+
+
+def _same(config):
+    return config
+
+
+# (config, prepare, REPRO_VECTOR on, crash, the loop that must run).
+# tests/sim/test_batched_miss.py runs the mirror-less "drain" engine
+# over schemes, instruction crashes and declined configs; the row here
+# takes it through a torn undo flush.
+ENGINE_ROWS = [
+    pytest.param(_same, None, True, None, "columnar+drain", id="4-way-l1"),
+    pytest.param(_wide_l1, None, True, "undo_flush", "drain",
+                 id="16-way-l1-undo-flush-crash"),
+    pytest.param(two_channels, None, True, None,
+                 "columnar: nvm has 2 channels", id="2-channel-nvm"),
+    pytest.param(_same, _attach_dram_cache, True, None,
+                 "columnar: dram cache in front of nvm", id="dram-cache"),
+    pytest.param(open_page, None, True, None,
+                 "columnar: nvm device is BankedNvmDevice", id="open-page-nvm"),
+    pytest.param(_same, None, False, None, "scalar: REPRO_VECTOR=0",
+                 id="reference"),
+]
+
+
 class TestGate:
     def test_mirror_attached_by_default(self):
         sim = Simulation(small_config(), "ideal", ["gcc"], 1_000, seed=1)
@@ -343,52 +388,34 @@ class TestGate:
         sim.run()
         assert sim.engine == "scalar: REPRO_VECTOR=0"
 
-    def test_single_core_engine_is_recorded(self, monkeypatch):
-        sim = Simulation(small_config(), "ideal", ["gcc"], 1_000, seed=1)
-        sim.run()
-        assert sim.engine == "columnar+drain"
-        monkeypatch.setenv("REPRO_BATCH_MISS", "0")
-        sim = Simulation(small_config(), "ideal", ["gcc"], 1_000, seed=1)
-        sim.run()
-        assert sim.engine == "columnar: REPRO_BATCH_MISS=0"
-        config = small_config(l1_assoc=16, l1_size=16 * KB)
-        sim = Simulation(config, "ideal", ["gcc"], 1_000, seed=1)
-        sim.run()
-        assert sim.engine == "scalar: l1 is 16-way, wider than a mirror row"
-
-
-# Workload space for the fuzz: every axis the trace generator exposes,
-# constrained exactly as WorkloadProfile.__post_init__ demands.
-_fuzz_profiles = st.builds(
-    lambda mem, wf, seq, chase_scale, ws, alpha, run, sb, zb_scale: WorkloadProfile(
-        "_fuzz",
-        mem_ratio=mem,
-        write_frac=wf,
-        working_set_bytes=ws * MB,
-        seq_frac=seq,
-        chase_frac=min((1.0 - seq) * chase_scale, 1.0 - seq),
-        zipf_alpha=alpha,
-        category="fuzz",
-        seq_run=run,
-        write_seq_bias=sb,
-        write_zipf_bias=min((1.0 - sb) * zb_scale, 1.0 - sb),
-    ),
-    mem=st.floats(0.05, 1.0),
-    wf=st.floats(0.0, 1.0),
-    seq=st.floats(0.0, 1.0),
-    chase_scale=st.floats(0.0, 1.0),
-    ws=st.integers(1, 64),
-    alpha=st.floats(0.05, 1.5),
-    run=st.integers(1, 16),
-    sb=st.floats(0.0, 1.0),
-    zb_scale=st.floats(0.0, 1.0),
-)
+    @pytest.mark.parametrize(
+        "config_fn,prepare,vector,crash,engine", ENGINE_ROWS
+    )
+    def test_engine_selection(self, config_fn, prepare, vector, crash, engine):
+        # Two facts pick the single-core loop: whether the L1 carries a
+        # mirror, and whether the drain accepts the config. Whatever runs
+        # must match the reference path exactly, through recovery.
+        config = config_fn(small_config())
+        runs = []
+        for side in (vector, False):
+            plan = None
+            if crash == "undo_flush":
+                plan = CrashPlan.on_event(SITE_UNDO_FLUSH, occurrence=3, tear_entries=7)
+            runs.append(
+                run_mode(side, config, "picl", "gcc", N, 19, crash_plan=plan,
+                         prepare=prepare, engine=engine)
+            )
+            assert plan is None or plan.fired
+        sim, reference = runs
+        assert sim.crashed == reference.crashed == (crash is not None)
+        assert_identical(reference, sim)
+        assert_identical_recovery(reference, sim)
 
 
 class TestFuzz:
     @settings(max_examples=10, deadline=None)
     @given(
-        profile=_fuzz_profiles,
+        profile=fuzz_profiles,
         scheme=st.sampled_from(SCHEMES),
         seed=st.integers(0, 2**20),
     )
