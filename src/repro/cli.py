@@ -160,22 +160,6 @@ def _add_service_commands(subparsers):
         "status", help="print a running daemon's status snapshot"
     )
     _add_endpoint_arguments(status)
-    worker = subparsers.add_parser(
-        "worker", help="run a remote fleet worker attached to a daemon"
-    )
-    _add_endpoint_arguments(worker)
-    worker.add_argument(
-        "--name",
-        default=None,
-        help="worker name for the daemon's host table (default: "
-        "hostname-pid); health is scored per name across reconnects",
-    )
-    worker.add_argument(
-        "--slots",
-        default=None,
-        help="concurrent units this worker accepts (a count or 'auto' "
-        "for one per CPU; default: 1)",
-    )
 
 
 def _parse_tcp(value):
@@ -236,42 +220,6 @@ def _submit_main(args):
     return 0
 
 
-def _worker_main(args):
-    from repro.service.worker import SweepWorker
-    from repro.sim.parallel import available_cpus
-
-    if args.slots is None:
-        slots = 1
-    elif str(args.slots).lower() == "auto":
-        slots = available_cpus()
-    else:
-        slots = int(args.slots)
-    worker = SweepWorker(
-        name=args.name,
-        socket_path=args.socket,
-        tcp=_parse_tcp(args.tcp),
-        slots=slots,
-        on_event=lambda event, **fields: print(
-            "repro worker: %s %s" % (event, fields), file=sys.stderr
-        ),
-    )
-    print(
-        "repro: worker %s (%d slot%s) dialing %s"
-        % (
-            worker.name,
-            worker.slots,
-            "" if worker.slots == 1 else "s",
-            args.tcp or args.socket or "default socket",
-        ),
-        file=sys.stderr,
-    )
-    try:
-        return worker.run()
-    except KeyboardInterrupt:
-        worker.stop()
-        return 0
-
-
 def _status_main(args):
     import json
 
@@ -297,7 +245,6 @@ def main(argv=None):
         print("  %-10s %s" % ("serve", "run the sweep-service daemon"))
         print("  %-10s %s" % ("submit", "submit a figure batch to the daemon"))
         print("  %-10s %s" % ("status", "daemon status snapshot"))
-        print("  %-10s %s" % ("worker", "remote fleet worker for a daemon"))
         print("  %-10s %s" % ("list", "this listing"))
         return 0
     if args.command == "serve":
@@ -306,8 +253,6 @@ def main(argv=None):
         return _submit_main(args)
     if args.command == "status":
         return _status_main(args)
-    if args.command == "worker":
-        return _worker_main(args)
     command_main, _help = commands[args.command]
     command_args = [args.preset] if args.preset else []
     if getattr(args, "jobs", None):

@@ -9,17 +9,12 @@
 * :mod:`repro.fault.harness` — the differential crash matrix: every
   scheme × crash point, recovered image checked token-exactly against
   the architectural oracle snapshot.
-* :mod:`repro.fault.chaos` — seeded fleet-chaos plans (worker kill,
-  heartbeat freeze, frame drop/garble, partition-then-rejoin) driven
-  through the remote-worker trigger sites; ``benchmarks/chaos_smoke.py``
-  is the differential harness on top.
 
 Only the plan layer is imported eagerly: the harness pulls in the full
 simulator, which itself threads ``CrashSignal`` through its run loop —
 import :mod:`repro.fault.harness` explicitly where needed.
 """
 
-from repro.fault.chaos import ChaosAction, ChaosPlan
 from repro.fault.plan import (
     SEMANTIC_SITES,
     SITE_ACS_SCAN,
@@ -31,8 +26,6 @@ from repro.fault.plan import (
 )
 
 __all__ = [
-    "ChaosAction",
-    "ChaosPlan",
     "CrashPlan",
     "CrashSignal",
     "SEMANTIC_SITES",

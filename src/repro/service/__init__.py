@@ -22,14 +22,6 @@ This package puts a scheduler in front of it:
   event journal (enqueue/dispatch/cache_hit/join/retry/crash/done) that
   makes the farm observable and lets tests assert "exactly one
   execution per digest".
-* :class:`~repro.service.worker.SweepWorker` — a remote fleet member
-  (``repro worker``): dials the daemon, registers capabilities, runs
-  assigned units under a heartbeat-renewed lease.
-* :class:`~repro.service.placement.HostTable` — lease-based liveness,
-  per-host circuit breakers, and least-loaded same-trace-affine
-  placement for the fleet. Zero registered workers degrades the daemon
-  to the local thread-pool path bit-identically.
-
 Durability: every accepted batch is spooled to disk and every finished
 point is appended to the checkpoint journal before the client sees it, so
 a daemon killed mid-batch resumes on restart with no lost or duplicated
@@ -42,23 +34,19 @@ on-disk cache, it is for *local, trusted* clients only.
 
 from repro.service.client import ServiceClient, wait_until_ready
 from repro.service.events import EventLog, read_events
-from repro.service.placement import HostTable
 from repro.service.scheduler import Scheduler
 from repro.service.server import (
     DEFAULT_SPOOL_DIR,
     SweepService,
     default_socket_path,
 )
-from repro.service.worker import SweepWorker
 
 __all__ = [
     "DEFAULT_SPOOL_DIR",
     "EventLog",
-    "HostTable",
     "Scheduler",
     "ServiceClient",
     "SweepService",
-    "SweepWorker",
     "default_socket_path",
     "read_events",
     "wait_until_ready",

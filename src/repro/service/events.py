@@ -23,12 +23,9 @@ Event vocabulary (producers in :mod:`repro.service.scheduler` /
 ``journal_hit``, ``join`` (deduped onto an in-flight execution),
 ``retry`` (transient worker crash/timeout, attempt counted), ``failed``,
 ``batch_accepted``, ``batch_done``, ``batch_recovered``,
-``spool_corrupt``, ``serve``, ``stop``; fleet events ``worker_register``,
-``worker_expired`` (lease lapsed), ``worker_lost`` (connection died),
-``worker_quarantine`` (circuit breaker tripped), ``assign``, ``requeue``,
-``stale_result`` (zombie delivery discarded), ``unit_error``; plus the
-observability events ``protocol_error``, ``client_disconnect``,
-``io_error``, and ``signal_handler_unavailable``.
+``spool_corrupt``, ``serve``, ``stop``; plus the observability events
+``protocol_error``, ``client_disconnect``, ``io_error``, and
+``signal_handler_unavailable``.
 """
 
 import collections
@@ -179,9 +176,7 @@ def executions_per_digest(records):
     """``{digest: number of completed executions}`` from event records.
 
     The dedupe property under test: every digest's count is exactly 1 —
-    cache hits, journal hits, and joins serve every other request. Only
-    *accepted* completions emit ``done``; a zombie worker's discarded
-    delivery does not count, which is precisely the exactly-once claim.
+    cache hits, journal hits, and joins serve every other request.
     """
     counts = collections.Counter()
     for record in records:

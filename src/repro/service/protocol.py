@@ -67,54 +67,6 @@ def submit_points(batch_id, points, env=None):
     }
 
 
-def register_worker(name, capabilities=None):
-    """A worker's registration handshake.
-
-    ``capabilities`` is a JSON-safe dict advertising what the host can
-    do — at minimum ``slots`` (concurrent units it will accept) and
-    ``engine`` (its :func:`repro.sim.parallel.engine_env` capture). The
-    daemon answers ``registered`` with the granted ``worker`` id, the
-    ``lease`` length, and the ``heartbeat`` cadence it expects.
-    """
-    return {
-        "op": "register",
-        "protocol": PROTOCOL_VERSION,
-        "name": name,
-        "capabilities": dict(capabilities or {}),
-    }
-
-
-def heartbeat(worker_id):
-    """A lease renewal. The daemon answers ``lease`` with ``ok``:
-    False means the lease already lapsed (the sender is a zombie) and
-    the worker must re-register before doing anything else."""
-    return {"op": "heartbeat", "worker": worker_id}
-
-
-def unit_result(worker_id, unit_id, results):
-    """A completed unit's results, in the unit's point order."""
-    return {
-        "op": "unit_result",
-        "worker": worker_id,
-        "unit": unit_id,
-        "results": [encode_payload(result) for result in results],
-    }
-
-
-def unit_error(worker_id, unit_id, error, transient=True):
-    """A failed unit. ``transient`` distinguishes host trouble (crash,
-    timeout — requeue elsewhere, score the host) from a deterministic
-    simulation error (fails anywhere — fail the points, host is fine).
-    """
-    return {
-        "op": "unit_error",
-        "worker": worker_id,
-        "unit": unit_id,
-        "error": str(error),
-        "transient": bool(transient),
-    }
-
-
 def submit_figure(
     batch_id, figure, preset=None, benchmarks=None, epochs=None, env=None
 ):

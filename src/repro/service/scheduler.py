@@ -12,81 +12,49 @@ One :class:`Scheduler` owns all execution state of a running daemon:
   units (see :func:`repro.sim.parallel.trace_batches`); the dispatcher
   pops units round-robin across clients, so a client submitting a
   29-benchmark figure cannot starve one submitting a single point.
-* **Dispatch.** A popped unit goes to the remote fleet first: the
-  :class:`~repro.service.placement.HostTable` picks a least-loaded,
-  trace-affine worker among those whose lease is alive and whose circuit
-  breaker admits work. When no host is placeable — and always when zero
-  workers are registered — the unit runs on the local thread-pool path,
-  each slot driving :func:`~repro.sim.parallel.execute_batch_with_retry`
-  (an isolated, killable child process with capped-backoff retries), so
-  a daemon with no fleet behaves exactly like the pre-fleet daemon.
-* **Failure-driven reassignment.** A worker that crashes, drops its
-  connection, or lets its lease lapse sheds its assigned units: each is
-  requeued onto the fleet exactly once, and pinned to the local pool if
-  it fails again. A result arriving from a *zombie* — a holder of an
-  expired lease or a superseded assignment — is discarded, so the
-  accepted-execution count per digest stays exactly one (the ``done``
-  event in the log) no matter how the fleet misbehaves.
+* **Dispatch.** While a local slot is free, the dispatcher pops the
+  next unit and runs it on the thread pool; each slot drives
+  :func:`~repro.sim.parallel.execute_batch_with_retry` (an isolated,
+  killable child process with capped-backoff retries). Every capacity
+  change wakes the dispatcher: a submit, or a unit finishing.
 * **Write-through.** A finished point is appended to the checkpoint
   journal and stored in the result cache *before* its future resolves,
   so no client can observe a result the daemon could later lose.
 
 The scheduler must be driven from a single asyncio event loop
-(``submit``, ``start``/``close``, and all ``worker_*`` calls are
-loop-side); only the event log and the runner are touched from executor
-threads.
+(``submit`` and ``start``/``close`` are loop-side); only the event log
+and the runner are touched from executor threads.
 """
 
 import asyncio
 import collections
 from concurrent.futures import ThreadPoolExecutor
 
-from repro.service import protocol
 from repro.service.events import EventLog
-from repro.service.placement import HostTable
 from repro.sim.parallel import (
     DEFAULT_BACKOFF,
     PointExecutionError,
     execute_batch_with_retry,
     fault_env,
     kill_isolated_processes,
-    lease_env,
     point_digest,
     resolve_jobs,
     trace_batches,
-    trace_key,
 )
 
 
 class _Unit:
     """One dispatchable same-trace batch owned by one client."""
 
-    __slots__ = (
-        "client",
-        "batch_id",
-        "entries",
-        "env",
-        "unit_id",
-        "trace",
-        "requeues",
-        "force_local",
-    )
+    __slots__ = ("client", "batch_id", "entries", "env")
 
-    def __init__(self, client, batch_id, entries, env=None, unit_id=None):
+    def __init__(self, client, batch_id, entries, env=None):
         self.client = client
         self.batch_id = batch_id
         self.entries = entries  # [(digest, point, future), ...]
         #: The client's engine-flag capture (see ENGINE_FLAGS), pinned in
         #: the worker child that runs this unit; None = inherit.
         self.env = env
-        self.unit_id = unit_id
-        self.trace = trace_key(entries[0][1]) if entries else None
-        #: Times this unit was given back after a host failure. The
-        #: first failure re-enters fleet placement; the second pins the
-        #: unit to the local pool — "requeued onto the fleet exactly
-        #: once", so a pathological fleet cannot bounce a unit forever.
-        self.requeues = 0
-        self.force_local = False
 
     def digests(self):
         return [digest for digest, _point, _future in self.entries]
@@ -103,8 +71,7 @@ class Scheduler:
     ``runner(points) -> results`` for tests; the default is the isolated
     retrying machinery honoring ``timeout``/``retries``/``backoff``
     (which themselves default to ``REPRO_POINT_TIMEOUT`` /
-    ``REPRO_RETRIES``). ``lease`` overrides ``REPRO_LEASE`` for the
-    fleet's liveness deadline.
+    ``REPRO_RETRIES``).
     """
 
     def __init__(
@@ -117,7 +84,6 @@ class Scheduler:
         retries=None,
         backoff=DEFAULT_BACKOFF,
         runner=None,
-        lease=None,
     ):
         self.jobs = resolve_jobs(jobs)
         self.cache = cache
@@ -128,19 +94,12 @@ class Scheduler:
         self.retries = env_retries if retries is None else retries
         self.backoff = backoff
         self._runner = runner
-        env_lease, env_heartbeat = lease_env()
-        self.lease = env_lease if lease is None else lease
-        self.heartbeat_interval = min(env_heartbeat, max(self.lease / 3.0, 0.05))
-        self.hosts = HostTable(lease=self.lease)
         self._inflight = {}  # digest -> asyncio.Future (unresolved only)
         self._queues = collections.OrderedDict()  # client -> deque[_Unit]
         self._rotation = 0
-        self._assigned = {}  # unit_id -> (unit, host) on the fleet
-        self._unit_serial = 0
-        self._local_running = 0
+        self._running = 0
         self._wakeup = None  # asyncio.Event, created in start()
         self._dispatcher = None
-        self._lease_task = None
         self._unit_tasks = set()
         self._executor = ThreadPoolExecutor(
             max_workers=self.jobs, thread_name_prefix="sweep-unit"
@@ -152,37 +111,22 @@ class Scheduler:
     # ------------------------------------------------------------------
 
     def start(self):
-        """Start the dispatcher and lease monitor on the running loop."""
+        """Start the dispatcher on the running loop."""
         self._wakeup = asyncio.Event()
         self._dispatcher = asyncio.ensure_future(self._dispatch_loop())
-        self._lease_task = asyncio.ensure_future(self._lease_loop())
 
     async def close(self):
         """Stop dispatching, kill live workers, fail queued futures."""
         self._closed = True
-        for task in (self._dispatcher, self._lease_task):
-            if task is None:
-                continue
-            task.cancel()
+        if self._dispatcher is not None:
+            self._dispatcher.cancel()
             try:
-                await task
+                await self._dispatcher
             except asyncio.CancelledError:
                 pass
         # Deliberately killed children must not be retried or relaunched;
         # their waiting unit tasks fail fast with WorkerCrashError.
         kill_isolated_processes()
-        for unit_id, (unit, host) in list(self._assigned.items()):
-            for digest, _point, future in unit.entries:
-                self._inflight.pop(digest, None)
-                if not future.done():
-                    future.cancel()
-        self._assigned.clear()
-        for host in self.hosts.live():
-            if host.close is not None:
-                try:
-                    host.close()
-                except Exception:  # a dying connection must not block close
-                    pass
         for queue in self._queues.values():
             for unit in queue:
                 for digest, _point, future in unit.entries:
@@ -259,15 +203,8 @@ class Scheduler:
             queue = self._queues.setdefault(client, collections.deque())
             fresh_points = [point for _digest, point, _future in fresh]
             for indices in trace_batches(fresh_points, range(len(fresh))):
-                self._unit_serial += 1
                 queue.append(
-                    _Unit(
-                        client,
-                        batch_id,
-                        [fresh[i] for i in indices],
-                        env=env,
-                        unit_id="u%d" % self._unit_serial,
-                    )
+                    _Unit(client, batch_id, [fresh[i] for i in indices], env=env)
                 )
             if self._wakeup is not None:  # submits before start() just queue
                 self._wakeup.set()
@@ -298,16 +235,6 @@ class Scheduler:
             del self._queues[client]
         return None
 
-    def _push_back(self, unit):
-        """Return an unplaceable unit to the head of its client's queue.
-
-        Deliberately does *not* set the wakeup event: the dispatcher
-        calls this when nothing can be placed, and signalling here would
-        spin the pump hot. External state changes (results, lease ticks,
-        registrations, submits) are what wake it.
-        """
-        self._queues.setdefault(unit.client, collections.deque()).appendleft(unit)
-
     async def _dispatch_loop(self):
         while True:
             self._wakeup.clear()
@@ -315,229 +242,20 @@ class Scheduler:
             await self._wakeup.wait()
 
     def _pump(self):
-        """Place/launch as many queued units as current capacity allows.
+        """Launch queued units while a local slot is free.
 
         Synchronous (no awaits), so cancellation can never strand a
-        popped unit: every pop either dispatches or pushes back before
-        control returns to the loop.
+        popped unit. Capacity is checked *before* popping: a pop advances
+        the fairness rotation.
         """
-        while True:
-            # Capacity is checked *before* popping: a pop advances the
-            # fairness rotation, so popping a unit we cannot place would
-            # push it back out of turn.
-            has_local = self._local_running < self.jobs
-            has_remote = self.hosts.placeable()
-            if not has_local and not has_remote:
-                return
+        while self._running < self.jobs:
             unit = self._next_unit()
             if unit is None:
                 return
-            if not unit.force_local and has_remote:
-                host = self.hosts.place(unit.trace)
-                if host is not None:
-                    self._assign_remote(unit, host)
-                    continue
-            # No placeable worker right now (or the unit is pinned
-            # local): fall back to the local pool. With zero registered
-            # workers this is exactly the pre-fleet daemon's path.
-            if has_local:
-                self._local_running += 1
-                task = asyncio.ensure_future(self._run_unit(unit))
-                self._unit_tasks.add(task)
-                task.add_done_callback(self._unit_tasks.discard)
-                continue
-            # A local-pinned unit met a busy pool with only remote
-            # capacity free: wait for a local slot.
-            self._push_back(unit)
-            return
-
-    async def _lease_loop(self):
-        """Expire lapsed leases and kick the pump on a fixed cadence.
-
-        The tick also reopens quarantine probe windows and is the pump's
-        backstop wake-up, so its interval bounds how long a placeable
-        unit can sit after a missed capacity signal.
-        """
-        interval = max(0.05, self.lease / 4.0)
-        while True:
-            await asyncio.sleep(interval)
-            for host in self.hosts.expire():
-                self._host_died(host, "worker_expired")
-            self._wakeup.set()
-
-    # ------------------------------------------------------------------
-    # remote (fleet) execution
-    # ------------------------------------------------------------------
-
-    def _assign_remote(self, unit, host):
-        """Ship a unit to a worker; the lease now covers its execution."""
-        self.hosts.assign(host, unit.unit_id, unit.trace)
-        self._assigned[unit.unit_id] = (unit, host)
-        self.events.append(
-            "assign",
-            unit=unit.unit_id,
-            worker=host.worker_id,
-            digests=unit.digests(),
-            client=unit.client,
-            batch=unit.batch_id,
-        )
-        try:
-            host.send(
-                {
-                    "event": "assign",
-                    "unit": unit.unit_id,
-                    "points": [
-                        protocol.encode_payload(point)
-                        for _digest, point, _future in unit.entries
-                    ],
-                    "env": unit.env,
-                }
-            )
-        except Exception:
-            # The connection died under us; treat it as a lost worker so
-            # the unit is requeued immediately rather than at the lease.
-            lost = self.hosts.lost(host.worker_id)
-            if lost is not None:
-                self._host_died(lost, "worker_lost")
-
-    def worker_register(self, name, capabilities=None, send=None, close=None):
-        """A worker connection registered; returns its live host entry."""
-        host = self.hosts.register(name, capabilities, send=send, close=close)
-        self.events.append(
-            "worker_register",
-            worker=host.worker_id,
-            capacity=host.capacity,
-            capabilities={
-                key: value
-                for key, value in host.capabilities.items()
-                if isinstance(value, (str, int, float, bool, dict, list))
-            },
-        )
-        self._wakeup.set()
-        return host
-
-    def worker_heartbeat(self, worker_id):
-        """Renew a lease; False means the holder is a zombie."""
-        return self.hosts.heartbeat(worker_id)
-
-    def worker_lost(self, worker_id):
-        """A worker connection dropped (EOF, reset, garbled framing)."""
-        host = self.hosts.lost(worker_id)
-        if host is not None:
-            self._host_died(host, "worker_lost")
-
-    def worker_result(self, worker_id, unit_id, results):
-        """A worker delivered a unit's results. False = discarded.
-
-        Acceptance requires the assignment to still be held by exactly
-        this ``worker_id``: an expired lease, a reassignment, or an
-        unknown worker makes the delivery a zombie's and it is dropped —
-        the requeued execution is the one whose ``done`` events (and
-        journal/cache writes) count.
-        """
-        entry = self._assigned.get(unit_id)
-        host = self.hosts.get(worker_id)
-        if entry is None or host is None or entry[1].worker_id != worker_id:
-            self.events.append(
-                "stale_result", unit=unit_id, worker=worker_id
-            )
-            return False
-        unit, host = entry
-        if len(results) != len(unit.entries):
-            # Framing nonsense: penalize the host and give the unit away.
-            del self._assigned[unit_id]
-            self.hosts.release(host, unit_id)
-            self._record_host_failure(host, "short result frame")
-            self._requeue(unit, "bad_frame", host)
-            return False
-        del self._assigned[unit_id]
-        self.hosts.release(host, unit_id)
-        self.hosts.record_success(host.name)
-        self._settle_unit(unit, results, worker=host.worker_id)
-        self._wakeup.set()
-        return True
-
-    def worker_error(self, worker_id, unit_id, error, transient=True):
-        """A worker reported a unit failure. False = stale/discarded.
-
-        ``transient`` (worker child crashed / timed out) penalizes the
-        host and requeues the unit; a deterministic simulation error
-        fails exactly these points — the host is fine, and rerunning
-        elsewhere would fail identically.
-        """
-        entry = self._assigned.get(unit_id)
-        host = self.hosts.get(worker_id)
-        if entry is None or host is None or entry[1].worker_id != worker_id:
-            self.events.append(
-                "stale_result", unit=unit_id, worker=worker_id, error=str(error)
-            )
-            return False
-        unit, host = entry
-        del self._assigned[unit_id]
-        self.hosts.release(host, unit_id)
-        self.events.append(
-            "unit_error",
-            unit=unit_id,
-            worker=worker_id,
-            transient=bool(transient),
-            error=str(error),
-        )
-        if transient:
-            self._record_host_failure(host, str(error))
-            self._requeue(unit, "worker_error", host)
-        else:
-            self.hosts.record_success(host.name)
-            self._fail_unit(unit, PointExecutionError(str(error)))
-        self._wakeup.set()
-        return True
-
-    def _host_died(self, host, reason):
-        """Shed a dead host's units; score the incident; kick the pump."""
-        self.events.append(
-            reason,
-            worker=host.worker_id,
-            units=sorted(host.units),
-        )
-        self._record_host_failure(host, reason)
-        for unit_id in list(host.units):
-            entry = self._assigned.pop(unit_id, None)
-            self.hosts.release(host, unit_id)
-            if entry is not None:
-                self._requeue(entry[0], reason, host)
-        if host.close is not None:
-            try:
-                host.close()
-            except Exception:  # the transport is already gone
-                pass
-        self._wakeup.set()
-
-    def _record_host_failure(self, host, error):
-        if self.hosts.record_failure(host.name):
-            health = self.hosts.health(host.name)
-            self.events.append(
-                "worker_quarantine",
-                worker=host.name,
-                failures=health.failures,
-                backoff=health.backoff,
-                error=str(error),
-            )
-
-    def _requeue(self, unit, reason, host=None):
-        """Give a unit back after a host failure (fleet-retry once)."""
-        unit.requeues += 1
-        if unit.requeues > 1:
-            unit.force_local = True
-        self.events.append(
-            "requeue",
-            unit=unit.unit_id,
-            digests=unit.digests(),
-            reason=reason,
-            worker=host.worker_id if host is not None else None,
-            requeues=unit.requeues,
-            forced_local=unit.force_local,
-        )
-        self._push_back(unit)
-        self._wakeup.set()
+            self._running += 1
+            task = asyncio.ensure_future(self._run_unit(unit))
+            self._unit_tasks.add(task)
+            task.add_done_callback(self._unit_tasks.discard)
 
     # ------------------------------------------------------------------
     # local (thread-pool) execution
@@ -598,15 +316,15 @@ class Scheduler:
         else:
             self._settle_unit(unit, results)
         finally:
-            self._local_running -= 1
+            self._running -= 1
             if self._wakeup is not None:
                 self._wakeup.set()
 
     # ------------------------------------------------------------------
-    # settlement (shared by local and fleet paths)
+    # settlement
     # ------------------------------------------------------------------
 
-    def _settle_unit(self, unit, results, worker=None):
+    def _settle_unit(self, unit, results):
         """Durability before visibility: journal + cache, then futures."""
         for (digest, point, future), result in zip(unit.entries, results):
             if self.checkpoint is not None:
@@ -614,14 +332,9 @@ class Scheduler:
             if self.cache is not None:
                 self.cache.store(point, result)
             self._inflight.pop(digest, None)
-            record = {
-                "digest": digest,
-                "client": unit.client,
-                "batch": unit.batch_id,
-            }
-            if worker is not None:
-                record["worker"] = worker
-            self.events.append("done", **record)
+            self.events.append(
+                "done", digest=digest, client=unit.client, batch=unit.batch_id
+            )
             if not future.done():
                 future.set_result(result)
 
@@ -648,15 +361,10 @@ class Scheduler:
         return {
             "jobs": self.jobs,
             "inflight": len(self._inflight),
-            "assigned": {
-                unit_id: host.worker_id
-                for unit_id, (_unit, host) in self._assigned.items()
-            },
             "queued": {
                 client: sum(len(unit.entries) for unit in queue)
                 for client, queue in self._queues.items()
             },
-            "workers": self.hosts.snapshot(),
             "journaled": len(self.checkpoint) if self.checkpoint else 0,
             "events": self.events.snapshot(),
             "cache": {

@@ -73,7 +73,6 @@ class SweepService:
         retries=None,
         backoff=DEFAULT_BACKOFF,
         runner=None,
-        lease=None,
     ):
         self.spool_dir = spool_dir or DEFAULT_SPOOL_DIR
         self.batch_dir = os.path.join(self.spool_dir, "batches")
@@ -96,7 +95,6 @@ class SweepService:
             retries=retries,
             backoff=backoff,
             runner=runner,
-            lease=lease,
         )
         self._server = None
         self._stopping = None
@@ -318,11 +316,6 @@ class SweepService:
                     break
                 elif op == "submit":
                     await self._handle_submit(message, writer, client)
-                elif op == "register":
-                    # The connection becomes a worker channel for the
-                    # rest of its life; returns when the worker is gone.
-                    await self._handle_worker(message, reader, writer)
-                    break
                 else:
                     await self._send(
                         writer,
@@ -341,126 +334,6 @@ class SweepService:
                 self.events.append(
                     "io_error", op="close_client", client=client, error=str(exc)
                 )
-
-    async def _handle_worker(self, message, reader, writer):
-        """Drive one remote-worker connection until it dies.
-
-        The worker registered on what began as a client connection; from
-        here the connection is a full-duplex worker channel: the
-        scheduler pushes ``assign`` frames through ``send`` whenever
-        placement picks this host, and this loop consumes the worker's
-        heartbeats, results, and errors. Liveness is the lease's job —
-        this loop never times out a read; it only reacts to EOF, resets,
-        and garbled frames (all of which mean the *connection* is dead
-        or untrustworthy, and the scheduler requeues the host's units).
-        """
-
-        def send(msg):
-            writer.write(protocol.dumps(msg))
-
-        def close():
-            writer.close()
-
-        def admit(msg):
-            host = self.scheduler.worker_register(
-                str(msg.get("name") or "worker"),
-                msg.get("capabilities"),
-                send=send,
-                close=close,
-            )
-            send(
-                {
-                    "event": "registered",
-                    "worker": host.worker_id,
-                    "lease": self.scheduler.lease,
-                    "heartbeat": self.scheduler.heartbeat_interval,
-                    "protocol": protocol.PROTOCOL_VERSION,
-                }
-            )
-            return host
-
-        worker_id = admit(message).worker_id
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except ValueError as exc:
-                    self.events.append(
-                        "protocol_error", worker=worker_id, error=str(exc)
-                    )
-                    self.scheduler.worker_lost(worker_id)
-                    return
-                if not line:
-                    self.scheduler.worker_lost(worker_id)
-                    return
-                try:
-                    msg = protocol.loads(line)
-                except ValueError as exc:
-                    # A garbled frame means the stream can no longer be
-                    # trusted: drop the worker (its units requeue) and
-                    # let it reconnect with a clean channel.
-                    self.events.append(
-                        "protocol_error", worker=worker_id, error=str(exc)
-                    )
-                    self.scheduler.worker_lost(worker_id)
-                    return
-                op = msg.get("op")
-                if op == "heartbeat":
-                    ok = self.scheduler.worker_heartbeat(msg.get("worker"))
-                    send({"event": "lease", "ok": ok})
-                elif op == "register":
-                    # A zombie re-admitting itself after its lease
-                    # lapsed; it gets a brand-new worker id.
-                    worker_id = admit(msg).worker_id
-                elif op == "unit_result":
-                    try:
-                        results = [
-                            protocol.decode_payload(text)
-                            for text in msg.get("results") or []
-                        ]
-                    except Exception as exc:
-                        self.events.append(
-                            "protocol_error",
-                            worker=worker_id,
-                            unit=msg.get("unit"),
-                            error="undecodable results: %s" % exc,
-                        )
-                        self.scheduler.worker_lost(worker_id)
-                        return
-                    accepted = self.scheduler.worker_result(
-                        msg.get("worker"), msg.get("unit"), results
-                    )
-                    send(
-                        {
-                            "event": "ack",
-                            "unit": msg.get("unit"),
-                            "accepted": accepted,
-                        }
-                    )
-                elif op == "unit_error":
-                    accepted = self.scheduler.worker_error(
-                        msg.get("worker"),
-                        msg.get("unit"),
-                        msg.get("error"),
-                        transient=bool(msg.get("transient", True)),
-                    )
-                    send(
-                        {
-                            "event": "ack",
-                            "unit": msg.get("unit"),
-                            "accepted": accepted,
-                        }
-                    )
-                else:
-                    send(
-                        {"event": "error", "error": "unknown worker op %r" % (op,)}
-                    )
-                await writer.drain()
-        except (ConnectionError, asyncio.IncompleteReadError) as exc:
-            self.events.append(
-                "io_error", op="worker_channel", worker=worker_id, error=str(exc)
-            )
-            self.scheduler.worker_lost(worker_id)
 
     async def _send(self, writer, message):
         writer.write(protocol.dumps(message))
@@ -485,7 +358,7 @@ class SweepService:
                 )
                 return
             # Sanitize: only the known engine flags may travel into
-            # worker environments — a submit is not a general env
+            # child-process environments — a submit is not a general env
             # injection channel.
             env = {
                 name: str(value)

@@ -97,32 +97,6 @@ ISOLATED_FALLBACK_TIMEOUT = 3600.0
 #: stop meaning anything the moment the sweep runs on the service.
 ENGINE_FLAGS = ("REPRO_VECTOR", "REPRO_BRUTE_SCAN")
 
-#: Default remote-worker lease in seconds: a worker that has not
-#: heartbeated for this long is presumed dead and its assigned units are
-#: requeued. Long enough that a GC pause or a loaded box does not shed
-#: work, short enough that a dead host stalls a sweep by seconds, not
-#: minutes.
-DEFAULT_LEASE = 15.0
-
-
-def lease_env():
-    """The fleet liveness knobs: ``(lease_seconds, heartbeat_interval)``.
-
-    ``REPRO_LEASE`` sets the lease deadline (default
-    :data:`DEFAULT_LEASE`); ``REPRO_HEARTBEAT`` the worker's send
-    interval (default a third of the lease, so two heartbeats can be
-    lost before the lease lapses). Non-positive values fall back to the
-    defaults — a zero lease would declare every worker dead on arrival.
-    """
-    lease = _env_float("REPRO_LEASE")
-    if lease is None or lease <= 0:
-        lease = DEFAULT_LEASE
-    heartbeat = _env_float("REPRO_HEARTBEAT")
-    if heartbeat is None or heartbeat <= 0:
-        heartbeat = max(lease / 3.0, 0.1)
-    return lease, heartbeat
-
-
 def engine_env(environ=None):
     """The engine-flag bindings present in ``environ`` (default: live env).
 
@@ -265,9 +239,8 @@ def trace_key(point):
     Exactly the fields that determine the generated reference stream:
     benchmarks, instruction budget, seed, sharing mode, and the config
     scale (``scale_profile`` shrinks working sets, changing addresses).
-    Shared by :func:`trace_batches` and the fleet's same-trace placement
-    affinity (:mod:`repro.service.placement`): two units with equal keys
-    replay the same stream, so running them on the same worker process
+    :func:`trace_batches` groups on it: two points with equal keys
+    replay the same stream, so running them in the same worker process
     turns the second generation into a memo hit.
     """
     return (
@@ -368,15 +341,12 @@ def resolve_jobs(jobs=None):
     return max(1, jobs)
 
 
-def available_cpus():
+def _available_cpus():
     """CPUs actually available to this process (affinity-mask aware)."""
     try:
         return len(os.sched_getaffinity(0)) or 1
     except (AttributeError, OSError):
         return os.cpu_count() or 1
-
-
-_available_cpus = available_cpus
 
 
 # ----------------------------------------------------------------------

@@ -117,7 +117,7 @@ def test_stalled_stream_reconnects_and_resumes():
     def first(message, send):
         send(accepted(message, 2))
         send(point(message, 0, "r0"))
-        # ...then silence: the lease on the client's patience runs out.
+        # ...then silence: the client's patience runs out.
 
     def second(message, send):
         # The daemon answers a re-submission idempotently: same batch,

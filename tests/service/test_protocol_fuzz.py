@@ -1,8 +1,8 @@
 """Protocol robustness fuzzing: hostile frames against a live daemon.
 
-Satellite of the fleet PR: truncated frames, non-JSON garbage, non-
-base64 payloads, and frames at/over the 64 MiB ``STREAM_LIMIT`` must
-each produce a *clean* protocol error — an ``error`` reply and/or a
+Truncated frames, non-JSON garbage, non-base64 payloads, frames
+at/over the 64 MiB ``STREAM_LIMIT``, and ops the daemon does not speak
+must each produce a *clean* protocol error — an ``error`` reply and/or a
 closed connection — never a hung read loop or a dead daemon. Every test
 finishes by pinging the daemon over a fresh connection to prove it
 survived.
@@ -170,54 +170,37 @@ class TestStreamLimit:
         assert_daemon_alive(daemon)
 
 
-class TestWorkerChannelFuzz:
-    def test_garbled_worker_frame_drops_connection_not_daemon(self, daemon):
-        conn = RawConnection(daemon.socket)
-        try:
-            conn.send_raw(
-                json.dumps(
-                    {"op": "register", "name": "fuzzer", "capabilities": {}}
-                ).encode()
-                + b"\n"
-            )
-            registered = json.loads(conn.recv_line())
-            assert registered["event"] == "registered"
-            # Now corrupt the channel: the daemon must drop us cleanly.
-            conn.send_raw(b"\xde\xad\xbe\xef garbage frame\n")
-            try:
-                assert conn.recv_line() == b""
-            except (ConnectionResetError, OSError):
-                pass
-        finally:
-            conn.close()
-        assert_daemon_alive(daemon)
+#: Frames of the retired remote-worker protocol, as a worker sent them.
+RETIRED_FRAMES = {
+    "register": {"op": "register", "name": "fuzzer", "capabilities": {}},
+    "heartbeat": {"op": "heartbeat", "worker": "fuzzer#1"},
+    "unit_result": {
+        "op": "unit_result",
+        "worker": "fuzzer#1",
+        "unit": "u1",
+        "results": [],
+    },
+    "unit_error": {
+        "op": "unit_error",
+        "worker": "fuzzer#1",
+        "unit": "u1",
+        "error": "boom",
+        "transient": True,
+    },
+}
 
-    def test_results_from_unknown_worker_are_acked_unaccepted(self, daemon):
+
+class TestRetiredWorkerOps:
+    @pytest.mark.parametrize("op", sorted(RETIRED_FRAMES))
+    def test_rejected_as_unknown_op(self, daemon, op):
         conn = RawConnection(daemon.socket)
         try:
-            conn.send_raw(
-                json.dumps(
-                    {"op": "register", "name": "fuzzer2", "capabilities": {}}
-                ).encode()
-                + b"\n"
-            )
-            assert json.loads(conn.recv_line())["event"] == "registered"
-            # A result for a unit that was never assigned, under a
-            # worker id that never existed: discarded, not crashed.
-            conn.send_raw(
-                json.dumps(
-                    {
-                        "op": "unit_result",
-                        "worker": "ghost#999",
-                        "unit": "u999",
-                        "results": [],
-                    }
-                ).encode()
-                + b"\n"
-            )
+            conn.send_raw(json.dumps(RETIRED_FRAMES[op]).encode() + b"\n")
             reply = json.loads(conn.recv_line())
-            assert reply["event"] == "ack"
-            assert reply["accepted"] is False
+            assert reply == {"event": "error", "error": "unknown op %r" % op}
+            # The connection stays a client connection.
+            conn.send_raw(b'{"op": "ping"}\n')
+            assert json.loads(conn.recv_line())["event"] == "pong"
         finally:
             conn.close()
         assert_daemon_alive(daemon)

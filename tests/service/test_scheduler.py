@@ -9,6 +9,7 @@ points and leaves the digests retryable.
 """
 
 import asyncio
+import json
 import threading
 import time
 
@@ -195,8 +196,10 @@ class TestFairness:
             alice = scheduler.submit("alice", make_points(11, 12, 13))
             bob = scheduler.submit("bob", make_points(21))
             scheduler.start()
-            await asyncio.gather(
-                *(f for f, _s in alice), *(f for f, _s in bob)
+            # A missed dispatcher wake-up must fail the test, not hang it.
+            await asyncio.wait_for(
+                asyncio.gather(*(f for f, _s in alice), *(f for f, _s in bob)),
+                timeout=30,
             )
             await scheduler.close()
 
@@ -209,6 +212,36 @@ class TestFairness:
         # Bob's single point is served second, not starved behind the
         # rest of Alice's batch.
         assert order == ["alice", "bob", "alice", "alice"]
+
+
+class TestStatus:
+    def test_status_is_json_safe(self, tmp_path):
+        async def scenario():
+            scheduler = Scheduler(
+                jobs=1,
+                cache=ResultCache(str(tmp_path / "cache")),
+                checkpoint=SweepCheckpoint(str(tmp_path / "j.ckpt")),
+                runner=RecordingRunner(),
+            )
+            scheduler.start()
+            (future, _source), = scheduler.submit("alice", make_points(51))
+            await future
+            status = scheduler.status()
+            await scheduler.close()
+            return status
+
+        status = run_async(scenario())
+        json.dumps(status)
+        # Exactly what ``repro status`` prints (before the server's own
+        # spool and client counts are added).
+        assert set(status) == {
+            "jobs",
+            "inflight",
+            "queued",
+            "journaled",
+            "events",
+            "cache",
+        }
 
 
 class TestFailure:
