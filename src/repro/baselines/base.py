@@ -61,12 +61,12 @@ class CrashConsistencyScheme:
     def on_store_repeat(self, core, line, count, now):
         """Batch ``count`` repeated stores when each is a provable no-op.
 
-        The coalescing fast path (CacheHierarchy.access_repeat) calls this
-        for the tail of a same-line store run. Returning 0 asserts that
+        The miss-chain drain's run-coalescing tail calls this for the
+        tail of a same-line store run. Returning 0 asserts that
         ``count`` consecutive ``on_store`` calls on this line would each
         have returned 0 without any observable state change (beyond the
         idempotent bookkeeping this method applies itself); returning None
-        makes the hierarchy fall back and replay them exactly, and must
+        makes the drain fall back and replay them exactly, and must
         leave the scheme untouched. The default only batches when
         ``on_store`` is the inherited no-op — a scheme that overrides
         ``on_store`` must opt in with its own override here.

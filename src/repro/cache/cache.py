@@ -100,22 +100,6 @@ class SetAssocCache:
         """Presence check without LRU side effects."""
         return line_addr in self._tags
 
-    def mru_lookup(self, line_addr):
-        """Return the line only if it is resident *and* already MRU.
-
-        A repeated access to an MRU line cannot reorder the set, so the
-        coalescing fast path (see CacheHierarchy.access_repeat) is exact
-        precisely when this returns a line; any other case must replay
-        accesses one by one. No LRU side effects.
-        """
-        line = self._tags.get(line_addr)
-        if line is None:
-            return None
-        cache_set = self._sets[(line_addr >> self._line_shift) & self._set_mask]
-        if cache_set[0] is not line:
-            return None
-        return line
-
     # ------------------------------------------------------------------
     # insertion / removal
     # ------------------------------------------------------------------

@@ -55,7 +55,8 @@ class EvictionSink:
     def on_store_repeat(self, core, line, count, now):
         """Batch hook for ``count`` repeated stores that are scheme no-ops.
 
-        Contract (see CacheHierarchy.access_repeat): return 0 after
+        The miss-chain drain calls this for the tail of a same-line store
+        run (see repro.cache.miss_engine). Contract: return 0 after
         applying bookkeeping that is *provably identical* to ``count``
         consecutive ``on_store`` calls on this line — which also means no
         stall and no state change a later access could observe differently.
@@ -132,9 +133,9 @@ class CacheHierarchy:
         # a numpy mirror of the L1's tags/EIDs (see
         # repro.cache.vector_mirror). Only a single core's L1 carries one,
         # and only if it is at most one mirror row (ROW_WAYS) wide; no L2
-        # or LLC ever does. REPRO_VECTOR=0 selects the reference path: no
-        # mirror and the scalar loops (``vector`` records the choice for
-        # the engine selection in Simulation.run).
+        # or LLC ever does. REPRO_VECTOR=0 selects the reference loop and
+        # no mirror (``vector`` records the choice for the engine
+        # selection in Simulation.run).
         self.vector = os.environ.get("REPRO_VECTOR", "1") != "0"
         if self.vector and n_cores == 1 and l1_assoc <= ROW_WAYS:
             l1 = self._l1[0]
@@ -205,48 +206,6 @@ class CacheHierarchy:
             vec.eidq.append(line)
         self._stores.value += 1
         return wait
-
-    def access_repeat(self, core, line_addr, n_reads, n_writes, last_token, now):
-        """Coalesce a run of repeated accesses to one line; None = replay.
-
-        The single-core interpreter calls this for the tail of a same-line
-        run after the head reference went through :meth:`access` exactly.
-        The fast path is taken only when every tail access is provably an
-        L1 hit that changes nothing observable step by step:
-
-        * the line is resident in L1 *and already MRU*, so LRU order is
-          untouched (the head access made it MRU; a concurrent core could
-          have back-invalidated it, which the probe catches);
-        * reads then only bump hit/load counters and cost ``hit_latency``;
-        * writes additionally require the line to be dirty and MODIFIED
-          (so ``dirty``/``state`` assignments are no-ops) and the scheme
-          to batch them as no-ops via ``sink.on_store_repeat`` — PiCL's
-          same-epoch stores, a tracked table entry for the redo schemes.
-          ``last_token`` (the run's final store token) is then applied;
-          intermediate tokens are unobservable because nothing else runs
-          between the coalesced stores.
-
-        Returns the total blocked cycles (``(n_reads + n_writes) *
-        hit_latency``), or None when the caller must replay the tail
-        through the exact path. Nothing is mutated on the None path.
-        """
-        l1 = self._l1[core]
-        # Inlined SetAssocCache.mru_lookup: resident *and* already MRU.
-        line = l1._tags.get(line_addr)
-        if line is None:
-            return None
-        if l1._sets[(line_addr >> l1._line_shift) & l1._set_mask][0] is not line:
-            return None
-        if n_writes:
-            if not line._dirty or line.state != LineState.MODIFIED:
-                return None
-            if self.sink.on_store_repeat(core, line, n_writes, now) is None:
-                return None
-            line.token = last_token
-            self._stores.value += n_writes
-        self._l1_hits.value += n_reads + n_writes
-        self._loads.value += n_reads
-        return (n_reads + n_writes) * l1.hit_latency
 
     def _fill_to_l1(self, core, line_addr, now):
         """Bring a line into the core's L1; returns (line, latency, stall)."""

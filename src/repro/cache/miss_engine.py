@@ -50,19 +50,19 @@ observe it:
   ``CrashSignal`` leaves exactly the scalar crash-time values.
 
 **Safety conditions** (:func:`decline_reason` names the first one that
-fails; the simulation then runs the scalar chain, bit-identically, as it
-does under ``REPRO_VECTOR=0``):
+fails; the simulation then runs the reference loop,
+``Simulation._run_reference``, as it does under ``REPRO_VECTOR=0``):
 
-* no DRAM cache in front of NVM, plain single-channel ``NvmDevice``
-  (the banked/open-page device has per-bank state the inline recurrence
-  does not model);
-* the hierarchy's eviction sink is the scheme itself.
+* the hierarchy's eviction sink is the scheme itself;
+* no DRAM cache in front of NVM;
+* a single NVM channel, whose recurrence the drain transcribes.
 
 **One loop for one core or many.** The same generator drains a span of
 the single core's chunk for ``Simulation._run_single_core`` and runs a whole
-multi-core simulation. With several cores it keeps the scalar heap
-loop's order: it pops the earliest ``cycle * n_cores + core`` key (the
-heap loop's ``(cycle, core)`` tuple as one int) and runs that core while
+multi-core simulation. With several cores it keeps the order of the
+reference heap loop (``Simulation._run_reference``): it pops the
+earliest ``cycle * n_cores + core`` key (the heap loop's ``(cycle,
+core)`` tuple as one int) and runs that core while
 its clock stays within the *horizon* — the smallest other key, which no
 other core can move while this one runs. The first reference past the
 horizon still retires; then the loop writes back the core's clock,
@@ -96,7 +96,7 @@ from repro.common.eid import EpochId
 from repro.common.errors import SimulationError
 from repro.core.picl import PiclScheme
 from repro.core.undo import UndoEntry
-from repro.mem.nvm import AccessCategory, NvmDevice
+from repro.mem.nvm import AccessCategory
 
 #: write-back dispatch: out-of-line call / inline base body / inline PiCL body
 _WB_CALL, _WB_BASE, _WB_PICL = 0, 1, 2
@@ -115,11 +115,6 @@ def decline_reason(sim):
     if controller.dram_cache is not None:
         return "dram cache in front of nvm"
     device = controller.device
-    # Exactly the plain closed-page device whose channel recurrence the
-    # drain transcribes; the banked open-page subclass (and any future
-    # device) keeps the scalar path.
-    if type(device) is not NvmDevice:
-        return "nvm device is %s" % type(device).__name__
     if device._only_channel is None:
         return "nvm has %d channels" % len(device._channels)
     return None
@@ -186,6 +181,10 @@ class MissChainEngine:
         self.fill_token_overridden = profile["fill_token"]
         # PiCL state (None-safe for every other scheme).
         self.buffer = getattr(sink, "buffer", None)
+        #: Where a CrashSignal escaped a single-core drain: the chunk
+        #: index of the reference in flight (None until one does).
+        #: Multi-core turns leave it in ``CoreTurns.pos`` instead.
+        self.inflight = None
 
     def bind(self, core_id, chunk):
         """One core's switch-in tuple: its clock, private L1/L2 and the
@@ -208,9 +207,8 @@ class MissChainEngine:
     def make_drain(self, gaps=(), addrs=(), writes=(), cum=(), run_ends=(), wcum=()):
         """Build the fused drain for one trace chunk of the single core.
 
-        Returns ``drain(i, stop, seg_end, sfilter) -> new i`` with the
-        same contract as the interpreter's ``scalar_span``: processes
-        references in ``[i, stop)`` exactly, may advance past ``stop``
+        Returns ``drain(i, stop, seg_end, sfilter) -> new i``: processes
+        references in ``[i, stop)`` exactly, and may advance past ``stop``
         (never ``seg_end``) through run-coalescing tails. ``sfilter`` is
         the segment's ``vector_store_filter()`` value and fixes the store
         dispatch for the whole call (the SystemEID only moves at segment
@@ -229,7 +227,8 @@ class MissChainEngine:
         (setting its binding to None when the trace is done) and sends
         the next boundary. The generator returns when no core is left.
         A ``CrashSignal`` escaping mid-chain leaves ``turns.cid`` /
-        ``turns.pos`` on the in-flight reference.
+        ``turns.pos`` on the in-flight reference (a single-core drain
+        leaves its index in :attr:`inflight`).
         """
         hierarchy = self.hierarchy
         system = self.system
@@ -249,8 +248,8 @@ class MissChainEngine:
             sfilter,
             turns=None,
             boundary=None,
-            # Default-arg binding, like the interpreter's scalar_span: the
-            # body runs per reference and locals beat closure derefs.
+            # Default-arg binding: the body runs per reference, and
+            # locals beat closure derefs.
             bisect=bisect_left,
             heappop=heapq.heappop,
             heappushpop=heapq.heappushpop,
@@ -1018,7 +1017,16 @@ class MissChainEngine:
                             # ends here — no tail, no next reference.
                             i += 1
                             break
-                        # ==== run-coalescing tail (access_repeat inline) ====
+                        # ==== run-coalescing tail ====
+                        # The rest of a same-line run costs one hit latency
+                        # a reference when every repeat is provably an L1
+                        # hit that changes nothing step by step: repeated
+                        # stores also need a dirty, MODIFIED line and a
+                        # scheme that batches them as no-ops (inline for
+                        # PiCL's same-epoch stores, else
+                        # ``sink.on_store_repeat``). Only the run's last
+                        # token lands: nothing runs between the coalesced
+                        # stores. Otherwise the tail replays one by one.
                         run_end = run_ends[i]
                         if run_end > seg_end:
                             run_end = seg_end
@@ -1044,7 +1052,7 @@ class MissChainEngine:
                                 # The head access just made ``line`` resident
                                 # and MRU (fills insert at the front, hits
                                 # move to it, and no scheme callback evicts
-                                # L1 lines), so the scalar probe is provably
+                                # L1 lines), so the MRU probe is provably
                                 # true and skipped; the dirty/MODIFIED guard
                                 # is real — the head may have been a load.
                                 ok = False
@@ -1150,6 +1158,8 @@ class MissChainEngine:
                         system.total_instructions = (
                             boundary - climit + (cum[i - 1] if i else 0)
                         )
+                    else:
+                        self.inflight = i
                 # The stat deltas have no mid-run readers: they flush
                 # exactly once — here — however the generator ends.
                 if seq_delta:

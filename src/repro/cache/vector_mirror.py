@@ -84,7 +84,6 @@ class TagMirror:
         "evictq",
         "eidq",
         "removed",
-        "stale",
     )
 
     def __init__(self, n_sets, assoc, line_shift, set_mask):
@@ -112,12 +111,6 @@ class TagMirror:
         #: references to the exact path (stale-positive demotion). Eager,
         #: unlike the slot queues: it guards *within* a window.
         self.removed = []
-        #: True when events happened that no queue recorded — the
-        #: interpreter detaches the mirror entirely (``l1._vec = None``)
-        #: for disengaged scalar bursts, so even the queue appends cost
-        #: nothing, then sets this on re-attach. The next sync must
-        #: rebuild from the live tags.
-        self.stale = False
 
     def sync(self, l1_tags):
         """Drain the queues so the tag table matches the live cache.
@@ -128,16 +121,12 @@ class TagMirror:
         ``l1_tags`` is the cache's live tag dict — a queued line only
         claims a way if it is *still* the resident line for its address.
 
-        When the mirror was detached (``stale``) or more events queued up
-        than the cache holds lines, replaying history is pointless (or
-        impossible): rebuild the table from the live tag dict instead,
-        which bounds every sync at O(resident).
+        When more events queued up than the cache holds lines, replaying
+        history is pointless: rebuild the table from the live tag dict
+        instead, which bounds every sync at O(resident).
         """
         evictq = self.evictq
-        if self.stale or (
-            len(self.pending) + len(evictq) + len(self.eidq)
-            > len(l1_tags)
-        ):
+        if len(self.pending) + len(evictq) + len(self.eidq) > len(l1_tags):
             self.rebuild(l1_tags)
             return
         if evictq:
@@ -200,7 +189,6 @@ class TagMirror:
         self.pending.clear()
         self.evictq.clear()
         self.eidq.clear()
-        self.stale = False
 
     def clear(self):
         """Power loss / invalidate_all: every way empties at once.
@@ -214,7 +202,6 @@ class TagMirror:
         self.evictq.clear()
         self.eidq.clear()
         self.removed.clear()
-        self.stale = False
 
     def __len__(self):
         return int((self.tags != EMPTY).sum())

@@ -20,10 +20,8 @@ class MemoryController:
     """FCFS closed-page controller over one NVM device."""
 
     def __init__(self, timings, stats=None, dram_cache=None):
-        from repro.mem.banked import make_device
-
         self.stats = stats if stats is not None else StatCounters()
-        self.device = make_device(timings, self.stats)
+        self.device = NvmDevice(timings, self.stats)
         self.image = MemoryImage()
         self.dram_cache = dram_cache
         if dram_cache is not None:

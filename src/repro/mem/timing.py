@@ -43,14 +43,6 @@ class NvmTimings:
     #: exceeds this many cycles of pending service time.
     write_queue_limit_ns: float = 2000.0
 
-    #: Row-buffer management: "closed" (the paper's controller — every
-    #: isolated line access pays the row-miss cost) or "open" (per-bank
-    #: open rows via :class:`repro.mem.banked.BankedNvmDevice`).
-    page_policy: str = "closed"
-
-    #: Banks per channel (used by the open-page device only).
-    n_banks: int = 8
-
     def __post_init__(self):
         if self.cpu_ghz <= 0:
             raise ConfigurationError("cpu_ghz must be positive")
@@ -60,10 +52,6 @@ class NvmTimings:
             raise ConfigurationError("n_channels must be positive")
         if self.link_gb_per_s <= 0:
             raise ConfigurationError("link_gb_per_s must be positive")
-        if self.page_policy not in ("closed", "open"):
-            raise ConfigurationError("page_policy must be 'closed' or 'open'")
-        if not is_power_of_two(self.n_banks):
-            raise ConfigurationError("n_banks must be a power of two")
         self.row_read_cycles = cycles_from_ns(self.row_read_ns, self.cpu_ghz)
         self.row_write_cycles = cycles_from_ns(self.row_write_ns, self.cpu_ghz)
         self.write_queue_limit_cycles = cycles_from_ns(

@@ -44,7 +44,7 @@ _CORE_ADDR_STRIDE = 1 << 40
 
 #: Columnar interpreter: shortest all-fast stretch (in references *and* in
 #: coalescing groups) worth bulk application; anything shorter replays
-#: through the scalar body, whose run-coalescing covers it in O(groups).
+#: through the drain, whose run-coalescing covers it in O(groups).
 _BULK_MIN = 8
 
 #: Bulk stretches spanning at least this many coalescing groups use the
@@ -60,11 +60,11 @@ _WINDOW_MIN = 128
 _WINDOW_MAX = 4096
 
 #: After this many consecutive unproductive windows the interpreter
-#: disengages into a scalar burst before probing again, so miss-heavy
+#: disengages into a drain burst before probing again, so miss-heavy
 #: phases pay ~zero classification overhead. Bursts start at
 #: _DISENGAGE_REFS references and double up to _DISENGAGE_MAX while
 #: re-probes keep failing (geometric backoff), so a workload the columnar
-#: path never helps converges to pure scalar speed while still noticing a
+#: path never helps converges to pure drain speed while still noticing a
 #: phase change within ~_DISENGAGE_MAX references.
 _SHORT_LIMIT = 2
 _DISENGAGE_REFS = 4096
@@ -82,7 +82,7 @@ class _TraceCursor:
     """Positional reader over a trace's chunks.
 
     Indexes the chunk's parallel gap/addr/write lists directly so the
-    interleaved multi-core loop never materializes a per-reference tuple.
+    reference loop never materializes a per-reference tuple.
     """
 
     __slots__ = ("_chunks", "gaps", "addrs", "writes", "pos", "n")
@@ -209,8 +209,9 @@ class Simulation:
         #: The semantic crash site that fired (None for clean runs and
         #: instruction-count crashes).
         self.crash_site = None
-        #: Which interpreter ran, and why any fast path declined — e.g.
-        #: ``"drain"`` or ``"scalar: nvm has 2 channels"``; set by run().
+        #: Which interpreter ran, set by run(): ``"columnar+drain"`` or
+        #: ``"drain"`` for the fast engine, or ``"reference: <reason>"``
+        #: when it declined — e.g. ``"reference: nvm has 2 channels"``.
         self.engine = None
         self._ran = False
 
@@ -243,30 +244,27 @@ class Simulation:
                 crash_plan.install(self)
         try:
             # REPRO_VECTOR=0 (read when the hierarchy was built) selects
-            # the reference path: no mirror, and the scalar loops.
-            # Otherwise the miss-chain drain runs wherever decline_reason
-            # accepts the config.
+            # the reference loop, and so does every config the miss-chain
+            # drain declines; everything else runs the fast engine.
             if self.hierarchy.vector:
                 reason = decline_reason(self)
             else:
                 reason = "REPRO_VECTOR=0"
-            engine = MissChainEngine(self) if reason is None else None
-            if len(self.cores) == 1:
-                if self.hierarchy._l1[0]._vec is not None:
-                    self.engine = "columnar" + (
-                        "+drain" if engine is not None else ": " + reason
-                    )
-                elif engine is not None:
-                    self.engine = "drain"
-                else:
-                    self.engine = "scalar: " + reason
-                self._run_single_core(crash_at_instructions, engine)
-            elif engine is not None:
-                self.engine = "drain"
-                self._run_multi_core_drain(crash_at_instructions, engine)
+            if reason is not None:
+                self.engine = "reference: " + reason
+                # Nothing classifies against the L1 mirror here: detach
+                # it so the cache paths stop queueing updates for it.
+                self.hierarchy._l1[0]._vec = None
+                self._run_reference(crash_at_instructions)
+            elif len(self.cores) == 1:
+                columnar = self.hierarchy._l1[0]._vec is not None
+                self.engine = "columnar+drain" if columnar else "drain"
+                self._run_single_core(crash_at_instructions, MissChainEngine(self))
             else:
-                self.engine = "scalar: " + reason
-                self._run_multi_core(crash_at_instructions)
+                self.engine = "drain"
+                self._run_multi_core_drain(
+                    crash_at_instructions, MissChainEngine(self)
+                )
             if not self.crashed:
                 stall = self.scheme.finalize(self.system.max_cycle())
                 self.system.broadcast_stall(stall)
@@ -276,30 +274,24 @@ class Simulation:
         return self.result()
 
     def _run_single_core(self, crash_at_instructions, engine):
-        """The single-core driver: boundary-free segments, replayed or bulked.
+        """The single-core driver: boundary-free segments, drained or bulked.
 
         Each chunk is segmented at the epoch/crash boundaries up front
         (its cumulative instruction counts searched against the next
         boundary), so nothing inside a segment compares against a
-        boundary. Instruction counters are synced at segment ends only;
-        nothing observes them in between.
+        boundary. Instruction counters are synced at segment ends, and
+        where a ``CrashSignal`` escapes the drain; nothing observes them
+        in between.
 
-        References that must replay exactly go to one *residual*
-        function, chosen once per run: the fused miss-chain drain
-        (:meth:`repro.cache.miss_engine.MissChainEngine.make_drain`) when
-        ``engine`` is given, else ``scalar_span`` — the verbatim scalar
-        body, one ``hierarchy.access`` per reference, where a run of
-        consecutive references to one line (``chunk.run_ends``) goes
-        through :meth:`repro.cache.hierarchy.CacheHierarchy.access_repeat`
-        — the coalescing fast path that charges ``count × hit_latency``
-        when the repeats provably cannot change cache or scheme state,
-        and returns None (forcing exact one-by-one replay) when they
-        could. Both return the same state, bit for bit.
+        References that must replay exactly go to the fused miss-chain
+        drain (:meth:`repro.cache.miss_engine.MissChainEngine.make_drain`),
+        which also coalesces the tail of a run of consecutive references
+        to one line (``chunk.run_ends``) when the repeats provably cannot
+        change cache or scheme state.
 
-        Without an L1 mirror (``REPRO_VECTOR=0``, or an L1 wider than a
-        mirror row) every segment goes to the residual function whole.
-        With one, the driver is the *columnar interpreter*: within each
-        segment it repeatedly:
+        Without an L1 mirror (an L1 wider than a mirror row) every
+        segment goes to the drain whole. With one, the driver is the
+        *columnar interpreter*: within each segment it repeatedly:
 
         1. **Classifies a window.** Set indices and an L1 tag probe for the
            next ``window`` references in numpy against the L1's live tag
@@ -327,8 +319,8 @@ class Simulation:
            references demoted (step 3) before any stretch reaches them.
            Applying a fast stretch cannot change residency or EIDs, so it
            can never invalidate its own classification.
-        3. **Replays residuals exactly** through the residual function,
-           so misses, evictions, undo logging, and crash-plan sites behave
+        3. **Replays residuals exactly** through the drain, so misses,
+           evictions, undo logging, and crash-plan sites behave
            identically. A residual's evictions CAN invalidate the rest of
            the window (a classified hit whose line just left — the
            stale-positive direction; see vector_mirror's docstring), so the
@@ -351,19 +343,17 @@ class Simulation:
         The loop is self-tuning: the window doubles while classification
         keeps paying off (long fast prefixes) and shrinks when prefixes
         come up short; after a few consecutive short prefixes it disengages
-        into a pure scalar burst before probing again, so miss-heavy
+        into a pure drain burst before probing again, so miss-heavy
         workloads pay near-zero classification overhead.
 
-        Bit-identical to the reference path (``REPRO_VECTOR=0``) — same
-        counters, tokens, cycles, recovery images — asserted by
-        tests/sim/test_vectorized.py; tests/sim/test_batching.py diffs
-        it against a plain per-reference loop.
+        Bit-identical to the reference loop (:meth:`_run_reference`) —
+        same counters, tokens, cycles, recovery images — asserted by
+        tests/sim/test_vectorized.py, test_batched_miss.py and
+        test_batching.py.
         """
         system = self.system
         scheme = self.scheme
         hierarchy = self.hierarchy
-        access = hierarchy.access
-        access_repeat = hierarchy.access_repeat
         l1 = hierarchy._l1[0]
         vec = l1._vec
         l1_tags = l1._tags
@@ -394,189 +384,148 @@ class Simulation:
         bulk_min = _BULK_MIN
         window = _WINDOW_INIT
         shorts = 0
-        scalar_budget = 0
+        drain_budget = 0
         burst_len = _DISENGAGE_REFS
         productive = False
 
-        for chunk in self.traces[0].chunks():
-            # The lists start unthawed: with a mirror, every exact replay
-            # below thaws the range it reads first (see TraceChunk.thaw)
-            # and everything else reads the numpy columns; without one,
-            # every reference replays, so the whole chunk thaws up front.
-            if vec is None:
-                chunk.ensure_metadata()
-            gaps, addrs, writes, cum, run_ends, wcum = chunk.lists
-            thaw = chunk.thaw
-            frozen = chunk.frozen
-            np_addrs = frozen.addrs
-            np_writes = frozen.writes
-            np_cum = frozen.cum
-            np_run_ends = frozen.run_ends
-            np_rcum = frozen.run_cum
-            np_wcum = frozen.write_cum
-            n = len(chunk)
-            base = total
+        try:
+            for chunk in self.traces[0].chunks():
+                # The lists start unthawed: with a mirror, every exact
+                # replay below thaws the range it reads first (see
+                # TraceChunk.thaw) and everything else reads the numpy
+                # columns; without one, every reference replays, so the
+                # whole chunk thaws up front.
+                if vec is None:
+                    chunk.ensure_metadata()
+                gaps, addrs, writes, cum, run_ends, wcum = chunk.lists
+                thaw = chunk.thaw
+                frozen = chunk.frozen
+                np_addrs = frozen.addrs
+                np_writes = frozen.writes
+                np_cum = frozen.cum
+                np_run_ends = frozen.run_ends
+                np_rcum = frozen.run_cum
+                np_wcum = frozen.write_cum
+                n = len(chunk)
+                base = total
 
-            def scalar_span(
-                i,
-                stop,
-                seg_end,
-                sfilter=None,
-                # Default-arg binding: the body runs per reference, and
-                # locals are materially faster than closure derefs there.
-                gaps=gaps,
-                addrs=addrs,
-                writes=writes,
-                cum=cum,
-                run_ends=run_ends,
-                wcum=wcum,
-                core=core,
-                system=system,
-                access=access,
-                access_repeat=access_repeat,
-                track=track,
-                arch_image=arch_image,
-                l1_tags=l1_tags,
-                l1_sets=l1_sets,
-                l1_shift=l1_shift,
-                l1_mask=l1_mask,
-                l1_latency=l1_latency,
-                l1_hits=l1_hits,
-                loads=loads,
-            ):
-                """The verbatim scalar body over [i, stop); returns new i.
+                def thaw_span(i, stop, seg_end):
+                    """Thaw what an exact replay of [i, stop) can read: from
+                    reference i-1 to the end of the run holding stop-1."""
+                    end = int(np_run_ends[stop - 1])
+                    thaw(i - 1, end if end < seg_end else seg_end)
 
-                Run-coalescing tails may legitimately advance past ``stop``
-                (never past ``seg_end``) — the caller's window bookkeeping
-                skips anything already consumed. ``sfilter`` is unused: it
-                keeps the drain's signature.
-                """
-                while i < stop:
-                    gap = gaps[i]
-                    cycle = core.cycle + gap
-                    addr = addrs[i]
-                    if writes[i]:
-                        token = system._next_token
-                        system._next_token = token + 1
-                        wait = access(0, addr, True, token, cycle)
-                        if track:
-                            arch_image[addr] = token
-                    else:
-                        # The L1 read-hit path of ``access``, inlined
-                        # (same shape, same counters): the most common
-                        # operation of a run, where the call itself shows.
-                        line = l1_tags.get(addr)
-                        if line is not None:
+                def bulk_span(
+                    s,
+                    r,
+                    nruns,
+                    slots,
+                    # Default-arg binding: the group loops below run once
+                    # per coalescing group, and locals are materially
+                    # faster than closure derefs there.
+                    addrs=addrs,
+                    run_ends=run_ends,
+                    wcum=wcum,
+                    core=core,
+                    system=system,
+                    scheme=scheme,
+                    track=track,
+                    arch_image=arch_image,
+                    l1_tags=l1_tags,
+                    l1_sets=l1_sets,
+                    l1_dirty=l1_dirty,
+                    l1_shift=l1_shift,
+                    l1_mask=l1_mask,
+                    l1_latency=l1_latency,
+                    l1_hits=l1_hits,
+                    loads=loads,
+                    stores=stores,
+                    modified=modified,
+                ):
+                    """Apply the all-fast stretch [s, r) at once.
+
+                    The aggregate arithmetic (cycles, stalls, counters,
+                    token range) is O(1) off the cumulative metadata;
+                    per-line state (MRU order, last-write token, dirty bit)
+                    is applied once per *distinct* line. The Python path
+                    iterates coalescing groups (``run_ends`` jumps), never
+                    references, so its cost matches the drain's O(runs);
+                    above a run-count crossover the numpy path takes over,
+                    keyed on ``slots`` — the stretch's mirror slots, which
+                    within one all-fast stretch map one to one onto its
+                    addresses.
+                    """
+                    k = r - s
+                    prev_cum = int(np_cum[s - 1]) if s else 0
+                    base_w = int(np_wcum[s - 1]) if s else 0
+                    nw = int(np_wcum[r - 1]) - base_w
+                    core.cycle += (int(np_cum[r - 1]) - prev_cum) - k + k * l1_latency
+                    core.mem_stall_cycles += k * l1_latency
+                    l1_hits.bump(k)
+                    loads.bump(k - nw)
+                    if nruns < _NUMPY_BULK_MIN:
+                        thaw(s, r)
+                        # MRU: one move-to-front per distinct line,
+                        # ascending last-touch, so the final order matches
+                        # k individual touches (re-inserting moves a key to
+                        # the end).
+                        order = {}
+                        j = s
+                        while j < r:
+                            addr = addrs[j]
+                            if addr in order:
+                                del order[addr]
+                            order[addr] = None
+                            j = run_ends[j]
+                        for addr in order:
+                            line = l1_tags[addr]
                             cache_set = l1_sets[(addr >> l1_shift) & l1_mask]
                             if cache_set[0] is not line:
                                 cache_set.remove(line)
                                 cache_set.insert(0, line)
-                            l1_hits.value += 1
-                            loads.value += 1
-                            wait = l1_latency
-                        else:
-                            wait = access(0, addr, False, 0, cycle)
-                    core.cycle = cycle + wait
-                    core.mem_stall_cycles += wait
-                    run_end = run_ends[i]
-                    if run_end > seg_end:
-                        run_end = seg_end
-                    i += 1
-                    if run_end > i:
-                        # Tail of a same-line run: after the access above
-                        # the line is L1-resident at MRU, so the repeats
-                        # may coalesce. Tokens are only consumed (and the
-                        # reference image only updated) once the fast path
-                        # commits to the whole tail.
-                        k = run_end - i
-                        kw = wcum[run_end - 1] - wcum[i - 1]
-                        if kw:
-                            last_token = system._next_token + kw - 1
-                            wait = access_repeat(
-                                0, addr, k - kw, kw, last_token, core.cycle
-                            )
-                            if wait is None:
-                                continue
-                            system._next_token += kw
-                            if track:
-                                arch_image[addr] = last_token
-                        else:
-                            wait = access_repeat(0, addr, k, 0, 0, core.cycle)
-                            if wait is None:
-                                continue
-                        core.cycle += (
-                            cum[run_end - 1] - cum[i - 1]
-                        ) - k + wait
-                        core.mem_stall_cycles += wait
-                        i = run_end
-                return i
-
-            def thaw_span(i, stop, seg_end):
-                """Thaw what an exact replay of [i, stop) can read: from
-                reference i-1 to the end of the run holding stop-1."""
-                end = int(np_run_ends[stop - 1])
-                thaw(i - 1, end if end < seg_end else seg_end)
-
-            def bulk_span(
-                s,
-                r,
-                nruns,
-                slots,
-                # Same default-arg binding as scalar_span: the group loops
-                # below run once per coalescing group.
-                addrs=addrs,
-                run_ends=run_ends,
-                wcum=wcum,
-                core=core,
-                system=system,
-                scheme=scheme,
-                track=track,
-                arch_image=arch_image,
-                l1_tags=l1_tags,
-                l1_sets=l1_sets,
-                l1_dirty=l1_dirty,
-                l1_shift=l1_shift,
-                l1_mask=l1_mask,
-                l1_latency=l1_latency,
-                l1_hits=l1_hits,
-                loads=loads,
-                stores=stores,
-                modified=modified,
-            ):
-                """Apply the all-fast stretch [s, r) at once.
-
-                The aggregate arithmetic (cycles, stalls, counters, token
-                range) is O(1) off the cumulative metadata; per-line state
-                (MRU order, last-write token, dirty bit) is applied once
-                per *distinct* line. The Python path iterates coalescing
-                groups (``run_ends`` jumps), never references, so its cost
-                matches the scalar loop's O(runs); above a run-count
-                crossover the numpy path takes over, keyed on ``slots`` —
-                the stretch's mirror slots, which within one all-fast
-                stretch map one to one onto its addresses.
-                """
-                k = r - s
-                prev_cum = int(np_cum[s - 1]) if s else 0
-                base_w = int(np_wcum[s - 1]) if s else 0
-                nw = int(np_wcum[r - 1]) - base_w
-                core.cycle += (int(np_cum[r - 1]) - prev_cum) - k + k * l1_latency
-                core.mem_stall_cycles += k * l1_latency
-                l1_hits.bump(k)
-                loads.bump(k - nw)
-                if nruns < _NUMPY_BULK_MIN:
-                    thaw(s, r)
-                    # MRU: one move-to-front per distinct line, ascending
-                    # last-touch, so the final order matches k individual
-                    # touches (re-inserting moves a key to the end).
-                    order = {}
-                    j = s
-                    while j < r:
-                        addr = addrs[j]
-                        if addr in order:
-                            del order[addr]
-                        order[addr] = None
-                        j = run_ends[j]
-                    for addr in order:
+                        if nw:
+                            nt = system._next_token
+                            system._next_token = nt + nw
+                            # A line's surviving token is its last store in
+                            # the stretch: the last write of the last run
+                            # that stores to it, whose ordinal is the
+                            # cumulative write count at that run's end
+                            # (intermediates are unobservable — the same
+                            # argument as the drain's run-coalescing tail).
+                            # Dict insertion order = first-store order,
+                            # matching the dirty dict's scalar order.
+                            last = {}
+                            j = s
+                            prev_w = base_w
+                            while j < r:
+                                e = run_ends[j]
+                                if e > r:
+                                    e = r
+                                wend = wcum[e - 1]
+                                if wend != prev_w:
+                                    last[addrs[j]] = nt + (wend - base_w) - 1
+                                    prev_w = wend
+                                j = e
+                            for addr, tok in last.items():
+                                line = l1_tags[addr]
+                                line.token = tok
+                                if not line._dirty:
+                                    line._dirty = True
+                                    l1_dirty[addr] = line
+                                line.state = modified
+                                if track:
+                                    arch_image[addr] = tok
+                            stores.bump(nw)
+                            scheme.on_store_bulk(nw)
+                        return
+                    # Per-slot last touch by scatter-max; the positions
+                    # that are their slot's last touch, ascending, give the
+                    # MRU order — no sort.
+                    a_seg = np_addrs[s:r]
+                    pos = positions[:k]
+                    last = np.zeros(n_slots, dtype=np.int64)
+                    np.maximum.at(last, slots, pos)
+                    for addr in a_seg[last[slots] == pos].tolist():
                         line = l1_tags[addr]
                         cache_set = l1_sets[(addr >> l1_shift) & l1_mask]
                         if cache_set[0] is not line:
@@ -585,26 +534,19 @@ class Simulation:
                     if nw:
                         nt = system._next_token
                         system._next_token = nt + nw
-                        # A line's surviving token is its last store in the
-                        # stretch: the last write of the last run that
-                        # stores to it, whose ordinal is the cumulative
-                        # write count at that run's end (intermediates are
-                        # unobservable — same argument as access_repeat's
-                        # last_token). Dict insertion order = first-store
-                        # order, matching the dirty dict's scalar order.
-                        last = {}
-                        j = s
-                        prev_w = base_w
-                        while j < r:
-                            e = run_ends[j]
-                            if e > r:
-                                e = r
-                            wend = wcum[e - 1]
-                            if wend != prev_w:
-                                last[addrs[j]] = nt + (wend - base_w) - 1
-                                prev_w = wend
-                            j = e
-                        for addr, tok in last.items():
+                        # Same argument as the Python path, by store
+                        # ordinal: a line keeps the token of its last
+                        # store, and lines dirty in first-store order.
+                        wpos = np.flatnonzero(np_writes[s:r])
+                        wslots = slots[wpos]
+                        ords = positions[:nw]
+                        first = np.full(n_slots, nw, dtype=np.int64)
+                        np.minimum.at(first, wslots, ords)
+                        final = np.zeros(n_slots, dtype=np.int64)
+                        np.maximum.at(final, wslots, ords)
+                        firsts = first[wslots] == ords
+                        toks = (final[wslots[firsts]] + nt).tolist()
+                        for addr, tok in zip(a_seg[wpos[firsts]].tolist(), toks):
                             line = l1_tags[addr]
                             line.token = tok
                             if not line._dirty:
@@ -615,251 +557,227 @@ class Simulation:
                                 arch_image[addr] = tok
                         stores.bump(nw)
                         scheme.on_store_bulk(nw)
-                    return
-                # Per-slot last touch by scatter-max; the positions that
-                # are their slot's last touch, ascending, give the MRU
-                # order — no sort.
-                a_seg = np_addrs[s:r]
-                pos = positions[:k]
-                last = np.zeros(n_slots, dtype=np.int64)
-                np.maximum.at(last, slots, pos)
-                for addr in a_seg[last[slots] == pos].tolist():
-                    line = l1_tags[addr]
-                    cache_set = l1_sets[(addr >> l1_shift) & l1_mask]
-                    if cache_set[0] is not line:
-                        cache_set.remove(line)
-                        cache_set.insert(0, line)
-                if nw:
-                    nt = system._next_token
-                    system._next_token = nt + nw
-                    # Same argument as the Python path, by store ordinal:
-                    # a line keeps the token of its last store, and lines
-                    # dirty in first-store order.
-                    wpos = np.flatnonzero(np_writes[s:r])
-                    wslots = slots[wpos]
-                    ords = positions[:nw]
-                    first = np.full(n_slots, nw, dtype=np.int64)
-                    np.minimum.at(first, wslots, ords)
-                    final = np.zeros(n_slots, dtype=np.int64)
-                    np.maximum.at(final, wslots, ords)
-                    firsts = first[wslots] == ords
-                    toks = (final[wslots[firsts]] + nt).tolist()
-                    for addr, tok in zip(a_seg[wpos[firsts]].tolist(), toks):
-                        line = l1_tags[addr]
-                        line.token = tok
-                        if not line._dirty:
-                            line._dirty = True
-                            l1_dirty[addr] = line
-                        line.state = modified
-                        if track:
-                            arch_image[addr] = tok
-                    stores.bump(nw)
-                    scheme.on_store_bulk(nw)
 
-            if engine is not None:
-                residual = engine.make_drain(gaps, addrs, writes, cum, run_ends, wcum)
-            else:
-                residual = scalar_span
+                drain = engine.make_drain(gaps, addrs, writes, cum, run_ends, wcum)
 
-            index = 0
-            while index < n:
-                limit = next_epoch - base
-                if crash is not None and crash - base < limit:
-                    limit = crash - base
-                seg_end = int(np_cum[index:].searchsorted(limit)) + index + 1
-                if seg_end > n:
-                    seg_end = n
-                # ``is True``/``is False`` below: an EID filter value of 0
-                # or 1 must not be mistaken for the booleans. The filter is
-                # fixed within a segment (the SystemEID only moves at
-                # boundaries, which are segment ends by construction).
-                sfilter = scheme.vector_store_filter()
-                i = index
-                if vec is None:
-                    # No mirror to classify against: the whole segment
-                    # replays exactly.
-                    i = residual(i, seg_end, seg_end, sfilter)
-                while i < seg_end:
-                    if scalar_budget > 0:
-                        stop = i + scalar_budget
-                        if stop > seg_end:
-                            stop = seg_end
-                        thaw_span(i, stop, seg_end)
-                        if engine is not None:
-                            # The drain maintains the mirror queues at its
-                            # inlined fill/evict sites for free, so bursts
-                            # keep the mirror attached — no stale rebuild
-                            # at the next sync.
-                            ni = residual(i, stop, seg_end, sfilter)
-                        else:
-                            # Detach the mirror for the burst: the hot
-                            # cache paths then pay zero queue-append tax
-                            # (byte-identical to REPRO_VECTOR=0), and the
-                            # next sync rebuilds from the live tags
-                            # instead of replaying what the burst changed.
-                            l1._vec = None
-                            try:
-                                ni = residual(i, stop, seg_end)
-                            finally:
-                                l1._vec = vec
-                                vec.stale = True
-                        scalar_budget -= ni - i
-                        i = ni
-                        continue
-                    if seg_end - i < bulk_min:
-                        thaw_span(i, seg_end, seg_end)
-                        i = residual(i, seg_end, seg_end, sfilter)
-                        break
-                    # -- classify the next window against the mirror,
-                    #    reconciled here (and only here) with the live tags
-                    vec.sync(l1_tags)
-                    wb = i
-                    we = wb + window
-                    if we > seg_end:
-                        we = seg_end
-                    a_win = np_addrs[wb:we]
-                    sidx = (a_win >> l1_shift) & l1_mask
-                    # One little-endian word per mirror row, byte w set
-                    # where way w holds the address: tags are unique in a
-                    # set and padding ways never match, so a hit is a
-                    # nonzero word with exactly one byte set, 1 << 8w.
-                    # Multiplying by 0x0001020304050607 lands w in the top
-                    # byte (lower terms stay below it, higher ones wrap
-                    # off), giving every reference its slot set*ways+way.
-                    row = (tags2d[sidx] == a_win[:, None]).view(_ROW_WORD).ravel()
-                    hit = row != 0
-                    slot = sidx * ways + ((row * _WAY_OF_BYTE) >> 56).view(np.int64)
-                    if sfilter is True:
-                        fast = hit
-                    elif sfilter is False:
-                        fast = hit & ~np_writes[wb:we]
-                    else:
-                        fast = np.where(
-                            np_writes[wb:we], hit & (eids[slot] == sfilter), hit
-                        )
-                    bad = (np.flatnonzero(~fast) + wb).tolist()
-                    n_bad = len(bad)
-                    if engine is not None and n_bad * 4 >= we - wb:
-                        # Residual-dense window (≥25%): the walk's bulk
-                        # stretches cannot pay for themselves between
-                        # misses, so hand the whole window to the drain
-                        # (exact path, no stale-positive bookkeeping
-                        # needed). Counted as unproductive below, which
-                        # steers persistently miss-heavy phases into
-                        # drain bursts with zero classification cost.
-                        thaw_span(wb, we, seg_end)
-                        i = residual(wb, we, seg_end, sfilter)
-                        removed.clear()
-                        bulked_runs = 0
-                    else:
-                        # Fast positions (absolute) and their addresses,
-                        # for the stale-positive guard below: only a
-                        # victim that the *remaining fast* part of the
-                        # window references can invalidate the
-                        # classification — residual positions replay
-                        # exactly regardless.
-                        fpos = np.flatnonzero(fast) + wb
-                        fast_addrs = a_win[fast]
-                        removed.clear()
-                        # -- walk the window: bulk fast stretches, replay
-                        #    residuals, revalidate after each residual
-                        bptr = 0
-                        bulked_runs = 0
-                        while i < we:
-                            while bptr < n_bad and bad[bptr] < i:
-                                bptr += 1
-                            nxt = bad[bptr] if bptr < n_bad else we
-                            if nxt - i >= bulk_min:
-                                # Size the stretch in coalescing groups,
-                                # not references: the scalar loop replays
-                                # a same-line run in O(1), so a long but
-                                # run-sparse stretch is cheaper replayed.
-                                nruns = int(np_rcum[nxt - 1]) - (
-                                    int(np_rcum[i - 1]) if i else 0
-                                )
-                                if nruns >= bulk_min:
-                                    bulk_span(i, nxt, nruns, slot[i - wb:nxt - wb])
-                                    bulked_runs += nruns
-                                    i = nxt
-                                    if i >= we:
-                                        break
-                            stop = nxt + 1
+                index = 0
+                while index < n:
+                    limit = next_epoch - base
+                    if crash is not None and crash - base < limit:
+                        limit = crash - base
+                    seg_end = int(np_cum[index:].searchsorted(limit)) + index + 1
+                    if seg_end > n:
+                        seg_end = n
+                    # ``is True``/``is False`` below: an EID filter value
+                    # of 0 or 1 must not be mistaken for the booleans. The
+                    # filter is fixed within a segment (the SystemEID only
+                    # moves at boundaries, which are segment ends by
+                    # construction).
+                    sfilter = scheme.vector_store_filter()
+                    i = index
+                    if vec is None:
+                        # No mirror to classify against: the whole segment
+                        # replays exactly.
+                        i = drain(i, seg_end, seg_end, sfilter)
+                    while i < seg_end:
+                        if drain_budget > 0:
+                            # A drain burst. The drain maintains the mirror
+                            # queues at its inlined fill/evict sites, so the
+                            # mirror stays attached through it.
+                            stop = i + drain_budget
                             if stop > seg_end:
                                 stop = seg_end
                             thaw_span(i, stop, seg_end)
-                            i = residual(i, stop, seg_end, sfilter)
-                            if removed:
-                                # Stale-positive guard: a classified-fast
-                                # position whose line was just evicted is
-                                # no longer safe to bulk — demote it to
-                                # residual by splicing it into the bad
-                                # list (demotion is always safe:
-                                # residuals replay exactly). Re-adds need
-                                # no check — a classified miss replays
-                                # exactly anyway. This is also what keeps
-                                # a bulk stretch's slots one to one with
-                                # its addresses: a slot freed mid-window
-                                # and refilled by another line can only
-                                # be read through a demoted position.
-                                if i < we:
-                                    j = int(np.searchsorted(fpos, i))
-                                    if j < len(fpos):
-                                        tail = fast_addrs[j:]
-                                        stale = None
-                                        for victim in removed:
-                                            m = tail == victim
-                                            if m.any():
-                                                if stale is None:
-                                                    stale = m
-                                                else:
-                                                    stale |= m
-                                        if stale is not None:
-                                            extra = fpos[j:][stale].tolist()
-                                            bad = sorted(bad[bptr:] + extra)
-                                            n_bad = len(bad)
-                                            bptr = 0
-                                removed.clear()
-                    # -- self-tuning: how much of the window's coalescing
-                    #    work was actually bulk-applied?
-                    creached = int(np_rcum[i - 1]) - (int(np_rcum[wb - 1]) if wb else 0)
-                    if bulked_runs * 2 >= creached:
-                        shorts = 0
-                        productive = True
-                        burst_len = _DISENGAGE_REFS
-                        if n_bad == 0 and window < _WINDOW_MAX:
-                            window *= 2
-                    else:
-                        if window > _WINDOW_MIN:
-                            window //= 2
-                        shorts += 1
-                        if shorts >= _SHORT_LIMIT:
-                            # Classification is not paying off: run a
-                            # scalar burst before probing again. Back off
-                            # geometrically while probes keep failing.
+                            ni = drain(i, stop, seg_end, sfilter)
+                            drain_budget -= ni - i
+                            i = ni
+                            continue
+                        if seg_end - i < bulk_min:
+                            thaw_span(i, seg_end, seg_end)
+                            i = drain(i, seg_end, seg_end, sfilter)
+                            break
+                        # -- classify the next window against the mirror,
+                        #    reconciled here (and only here) with the live
+                        #    tags
+                        vec.sync(l1_tags)
+                        wb = i
+                        we = wb + window
+                        if we > seg_end:
+                            we = seg_end
+                        a_win = np_addrs[wb:we]
+                        sidx = (a_win >> l1_shift) & l1_mask
+                        # One little-endian word per mirror row, byte w set
+                        # where way w holds the address: tags are unique in
+                        # a set and padding ways never match, so a hit is a
+                        # nonzero word with exactly one byte set, 1 << 8w.
+                        # Multiplying by 0x0001020304050607 lands w in the
+                        # top byte (lower terms stay below it, higher ones
+                        # wrap off), giving every reference its slot
+                        # set*ways+way.
+                        row = (tags2d[sidx] == a_win[:, None]).view(_ROW_WORD).ravel()
+                        hit = row != 0
+                        slot = sidx * ways + ((row * _WAY_OF_BYTE) >> 56).view(np.int64)
+                        if sfilter is True:
+                            fast = hit
+                        elif sfilter is False:
+                            fast = hit & ~np_writes[wb:we]
+                        else:
+                            fast = np.where(
+                                np_writes[wb:we], hit & (eids[slot] == sfilter), hit
+                            )
+                        bad = (np.flatnonzero(~fast) + wb).tolist()
+                        n_bad = len(bad)
+                        if n_bad * 4 >= we - wb:
+                            # Residual-dense window (≥25%): the walk's bulk
+                            # stretches cannot pay for themselves between
+                            # misses, so hand the whole window to the drain
+                            # (exact path, no stale-positive bookkeeping
+                            # needed). Counted as unproductive below, which
+                            # steers persistently miss-heavy phases into
+                            # drain bursts with zero classification cost.
+                            thaw_span(wb, we, seg_end)
+                            i = drain(wb, we, seg_end, sfilter)
+                            removed.clear()
+                            bulked_runs = 0
+                        else:
+                            # Fast positions (absolute) and their addresses,
+                            # for the stale-positive guard below: only a
+                            # victim that the *remaining fast* part of the
+                            # window references can invalidate the
+                            # classification — residual positions replay
+                            # exactly regardless.
+                            fpos = np.flatnonzero(fast) + wb
+                            fast_addrs = a_win[fast]
+                            removed.clear()
+                            # -- walk the window: bulk fast stretches,
+                            #    replay residuals, revalidate after each
+                            #    residual
+                            bptr = 0
+                            bulked_runs = 0
+                            while i < we:
+                                while bptr < n_bad and bad[bptr] < i:
+                                    bptr += 1
+                                nxt = bad[bptr] if bptr < n_bad else we
+                                if nxt - i >= bulk_min:
+                                    # Size the stretch in coalescing groups,
+                                    # not references: the drain replays a
+                                    # same-line run in O(1), so a long but
+                                    # run-sparse stretch is cheaper replayed.
+                                    nruns = int(np_rcum[nxt - 1]) - (
+                                        int(np_rcum[i - 1]) if i else 0
+                                    )
+                                    if nruns >= bulk_min:
+                                        bulk_span(i, nxt, nruns, slot[i - wb:nxt - wb])
+                                        bulked_runs += nruns
+                                        i = nxt
+                                        if i >= we:
+                                            break
+                                stop = nxt + 1
+                                if stop > seg_end:
+                                    stop = seg_end
+                                thaw_span(i, stop, seg_end)
+                                i = drain(i, stop, seg_end, sfilter)
+                                if removed:
+                                    # Stale-positive guard: a
+                                    # classified-fast position whose line
+                                    # was just evicted is no longer safe to
+                                    # bulk — demote it to residual by
+                                    # splicing it into the bad list
+                                    # (demotion is always safe: residuals
+                                    # replay exactly). Re-adds need no
+                                    # check — a classified miss replays
+                                    # exactly anyway. This is also what
+                                    # keeps a bulk stretch's slots one to
+                                    # one with its addresses: a slot freed
+                                    # mid-window and refilled by another
+                                    # line can only be read through a
+                                    # demoted position.
+                                    if i < we:
+                                        j = int(np.searchsorted(fpos, i))
+                                        if j < len(fpos):
+                                            tail = fast_addrs[j:]
+                                            stale = None
+                                            for victim in removed:
+                                                m = tail == victim
+                                                if m.any():
+                                                    if stale is None:
+                                                        stale = m
+                                                    else:
+                                                        stale |= m
+                                            if stale is not None:
+                                                extra = fpos[j:][stale].tolist()
+                                                bad = sorted(bad[bptr:] + extra)
+                                                n_bad = len(bad)
+                                                bptr = 0
+                                    removed.clear()
+                        # -- self-tuning: how much of the window's
+                        #    coalescing work was actually bulk-applied?
+                        creached = int(np_rcum[i - 1]) - (
+                            int(np_rcum[wb - 1]) if wb else 0
+                        )
+                        if bulked_runs * 2 >= creached:
                             shorts = 0
-                            if not productive and burst_len < _DISENGAGE_MAX:
-                                burst_len *= 2
-                            productive = False
-                            scalar_budget = burst_len
-                index = seg_end
-                total = base + int(np_cum[index - 1])
-                if total >= next_epoch:
-                    system.total_instructions = total
-                    core.instructions = total
-                    stall = scheme.on_epoch_boundary(core.cycle)
-                    system.broadcast_stall(stall)
-                    next_epoch += epoch_span
-                if crash is not None and total >= crash:
-                    system.total_instructions = total
-                    core.instructions = total
-                    self.crashed = True
-                    return
-            system.total_instructions = total
-            core.instructions = total
+                            productive = True
+                            burst_len = _DISENGAGE_REFS
+                            if n_bad == 0 and window < _WINDOW_MAX:
+                                window *= 2
+                        else:
+                            if window > _WINDOW_MIN:
+                                window //= 2
+                            shorts += 1
+                            if shorts >= _SHORT_LIMIT:
+                                # Classification is not paying off: run a
+                                # drain burst before probing again. Back
+                                # off geometrically while probes keep
+                                # failing.
+                                shorts = 0
+                                if not productive and burst_len < _DISENGAGE_MAX:
+                                    burst_len *= 2
+                                productive = False
+                                drain_budget = burst_len
+                    index = seg_end
+                    total = base + int(np_cum[index - 1])
+                    if total >= next_epoch:
+                        system.total_instructions = total
+                        core.instructions = total
+                        stall = scheme.on_epoch_boundary(core.cycle)
+                        system.broadcast_stall(stall)
+                        next_epoch += epoch_span
+                    if crash is not None and total >= crash:
+                        system.total_instructions = total
+                        core.instructions = total
+                        self.crashed = True
+                        return
+                system.total_instructions = total
+                core.instructions = total
+        except CrashSignal:
+            i = engine.inflight
+            if i is not None:
+                # The signal escaped the drain mid-chain. The reference
+                # loop retires a reference's gap before its access chain,
+                # so the gap is on the core's clock and instruction count
+                # — never on the system total, which moves only after the
+                # access. (A crash at an epoch boundary finds the counters
+                # already synced above.)
+                total = base + (int(np_cum[i - 1]) if i else 0)
+                gap = int(frozen.gaps[i])
+                system.total_instructions = total
+                core.instructions = total + gap
+                core.cycle += gap
+            raise
         core.finished = True
 
-    def _run_multi_core(self, crash_at_instructions):
-        """Interleave cores by always advancing the earliest clock."""
+    def _run_reference(self, crash_at_instructions):
+        """The reference interpreter, for one core or many.
+
+        Interleaves cores by always advancing the earliest clock, one
+        ``hierarchy.access`` per reference: the compute gap retires before
+        the access, and the epoch and crash checks read the system
+        instruction total after it. ``REPRO_VECTOR=0`` runs every config
+        here, and so does every config
+        :func:`repro.cache.miss_engine.decline_reason` rejects; the fast
+        engine must match it bit for bit.
+        """
         system = self.system
         hierarchy = self.hierarchy
         scheme = self.scheme
@@ -908,7 +826,7 @@ class Simulation:
     def _run_multi_core_drain(self, crash_at_instructions, engine):
         """Run the multi-core drain loop, handling what it yields.
 
-        The scalar heap loop above pops the earliest ``(cycle, core)``
+        The reference loop above pops the earliest ``(cycle, core)``
         key, runs that core for ONE reference, and pushes it back. Heap
         keys are written only at push time, so while core C runs every
         other key is frozen, and C is re-popped for as long as its key
@@ -921,11 +839,11 @@ class Simulation:
         chain and switches cores inline. It comes back here only when
         the running core retires the reference that crosses the next
         epoch or crash boundary, or the last reference of its chunk, so
-        everything the scalar loop does between references — epoch
+        everything the reference loop does between references — epoch
         commits and their stop-the-world stall, crash stops, chunk
-        loading — lives in this loop, in the scalar order.
+        loading — lives in this loop, in the reference order.
 
-        Bit-identical to ``_run_multi_core`` — same tokens, cycles,
+        Bit-identical to :meth:`_run_reference` — same tokens, cycles,
         counters, recovery images — asserted by
         tests/sim/test_multicore_vectorized.py and the fig10/fig12 CI
         byte-diff gates.
@@ -976,7 +894,7 @@ class Simulation:
                 except StopIteration:
                     break
                 except CrashSignal:
-                    # The scalar loop retires a reference's gap
+                    # The reference loop retires a reference's gap
                     # (advance_compute) before its access chain, so a
                     # crash escaping mid-chain leaves the gap on the
                     # core's clock and instruction count — never on the

@@ -108,7 +108,7 @@ class TraceChunk:
     The column attributes (``gaps``, ``addrs``, ``writes``,
     ``cum_instructions``, ``run_ends``, ``write_cum``) return complete
     lists, thawing the whole chunk first, so every consumer that walks a
-    chunk end to end — the scalar loops, the multi-core paths,
+    chunk end to end — the reference loop, the drain,
     calibration, record/replay — reads them as plain lists.
     :attr:`lists` hands out the same replay lists without thawing.
     """

@@ -7,11 +7,12 @@ multi-undo example directly: store these lines, commit, store again,
 crash, recover, compare.
 
 ``run_mode`` and the ``assert_identical*`` checks are shared by the
-single-core engine identity suites: each runs one point on a fast engine
-and on the reference path (``REPRO_VECTOR=0``) and compares every
-observable. ``open_page``/``two_channels`` are the NVM configs the
-miss-chain drain declines, and ``fuzz_profiles`` spans the
-workload-profile space for their hypothesis fuzzes.
+single-core engine identity suites: each runs one point on the fast
+engine and on the reference loop (``REPRO_VECTOR=0``) and compares every
+observable. ``two_channels`` is an NVM config the miss-chain drain
+declines, so it runs the reference loop on both sides, and
+``fuzz_profiles`` spans the workload-profile space for the hypothesis
+fuzzes.
 """
 
 import dataclasses
@@ -84,7 +85,7 @@ def run_mode(
     prepare=None,
     engine="columnar+drain",
 ):
-    """Run one single-core simulation on a fast engine or the reference path.
+    """Run one single-core simulation on the fast engine or the reference loop.
 
     ``REPRO_VECTOR`` is read when the hierarchy is built, so the
     environment must be set before ``Simulation`` is constructed — and
@@ -108,37 +109,32 @@ def run_mode(
         prepare(sim)
     sim.run(crash_at_instructions=crash_at, crash_plan=crash_plan)
     # The gate must actually have taken effect, or the test compares the
-    # reference path (or the wrong fast engine) against itself.
-    assert sim.engine == (engine if vector else "scalar: REPRO_VECTOR=0")
+    # reference loop (or the wrong fast engine) against itself.
+    assert sim.engine == (engine if vector else "reference: REPRO_VECTOR=0")
     return sim
 
 
-def assert_identical(scalar, fast):
+def assert_identical(reference, fast):
     """Every observable of the two simulations must match exactly."""
-    a, b = scalar.result(), fast.result()
+    a, b = reference.result(), fast.result()
     assert a.cycles == b.cycles
     assert a.instructions == b.instructions
     assert a.per_core_cycles == b.per_core_cycles
-    assert scalar.cores[0].mem_stall_cycles == fast.cores[0].mem_stall_cycles
-    assert scalar.system._next_token == fast.system._next_token
-    assert scalar.system.arch_image == fast.system.arch_image
-    assert scalar.stats.snapshot() == fast.stats.snapshot()
+    core_a, core_b = reference.cores[0], fast.cores[0]
+    assert core_a.instructions == core_b.instructions
+    assert core_a.mem_stall_cycles == core_b.mem_stall_cycles
+    assert reference.system._next_token == fast.system._next_token
+    assert reference.system.arch_image == fast.system.arch_image
+    assert reference.stats.snapshot() == fast.stats.snapshot()
 
 
-def assert_identical_recovery(scalar, fast):
+def assert_identical_recovery(reference, fast):
     """Both simulations power-fail now and recover the same image."""
-    image_a, commit_a, ref_a = scalar.crash_and_recover()
+    image_a, commit_a, ref_a = reference.crash_and_recover()
     image_b, commit_b, ref_b = fast.crash_and_recover()
     assert commit_a == commit_b
     assert image_a == image_b
     assert ref_a == ref_b
-
-
-def open_page(config):
-    """``config`` with a banked open-page NVM device."""
-    return dataclasses.replace(
-        config, nvm=dataclasses.replace(config.nvm, page_policy="open")
-    )
 
 
 def two_channels(config):

@@ -8,15 +8,17 @@ against and hands every segment whole to the fused drain of
 ``"columnar+drain"`` engine, where the drain only sees the residual
 references the classifier could not bulk-apply.
 
-This file drives the drain-only engine and the reference path
-(``REPRO_VECTOR=0``: ``scalar_span`` for every reference) over the same
-points and asserts exact equality of every observable: cycles, stalls,
-tokens, the architectural image, the full stat snapshot, and
+This file drives the drain-only engine and the reference loop
+(``REPRO_VECTOR=0``: one ``hierarchy.access`` per reference) over the
+same points and asserts exact equality of every observable: cycles,
+stalls, tokens, the architectural image, the full stat snapshot, and
 crash-recovery output. It crosses miss-heavy and hit-dominated traces,
 mid-epoch crashes under every scheme, the configs the drain declines
-(which must fall back to ``scalar_span`` and still match), and a
-hypothesis fuzz over the workload-profile space.
+(which must run the reference loop and say so), and a hypothesis fuzz
+over the workload-profile space.
 """
+
+import dataclasses
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,7 +27,6 @@ from helpers import (
     assert_identical,
     assert_identical_recovery,
     fuzz_profiles,
-    open_page,
     run_mode,
     two_channels,
 )
@@ -88,13 +89,13 @@ class TestCrashSites:
         assert_identical_recovery(scalar, drained)
 
 
-class TestGate:
-    def test_open_page_device_declines(self):
-        # The banked open-page device has per-bank row state the inline
-        # channel recurrence does not model.
-        sim = Simulation(open_page(small_config()), "picl", ["gcc"], 1_000, seed=1)
-        assert decline_reason(sim) == "nvm device is BankedNvmDevice"
+def four_channels(config):
+    return dataclasses.replace(
+        config, nvm=dataclasses.replace(config.nvm, n_channels=4)
+    )
 
+
+class TestGate:
     def test_multi_channel_declines(self):
         sim = Simulation(two_channels(small_config()), "picl", ["gcc"], 1_000, seed=1)
         assert decline_reason(sim) == "nvm has 2 channels"
@@ -102,19 +103,19 @@ class TestGate:
     # Wrapped in lambdas so the cases keep the ids they have always been
     # collected under ([<lambda>0], [<lambda>1]).
     @pytest.mark.parametrize("config_fn", [
-        lambda c: open_page(c),
+        lambda c: four_channels(c),
         lambda c: two_channels(c),
     ])
     def test_declined_configs_still_identical(self, config_fn):
-        # With neither a mirror nor the drain, the default engine is
-        # scalar_span itself: it must record why, and match the
-        # reference path exactly.
+        # A config the drain declines runs the reference loop: it must
+        # record why, and match a REPRO_VECTOR=0 run exactly.
         config = config_fn(small_config())
         reason = decline_reason(Simulation(config, "picl", ["gcc"], 1_000, seed=3))
         assert reason is not None
         scalar = run_mode(False, config, "picl", "gcc", 20_000, seed=3)
         declined = run_mode(
-            True, config, "picl", "gcc", 20_000, seed=3, engine="scalar: " + reason
+            True, config, "picl", "gcc", 20_000, seed=3,
+            engine="reference: " + reason,
         )
         assert_identical(scalar, declined)
 

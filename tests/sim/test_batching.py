@@ -1,14 +1,15 @@
-"""Bit-identity of the single-core driver against a per-reference loop.
+"""Bit-identity of the single-core driver against the reference loop.
 
 :meth:`Simulation._run_single_core` segments each chunk at epoch and
 crash boundaries, coalesces same-line runs, and by default classifies
 windows against the L1 mirror and drains residual spans through the
 fused miss chain. All of that is optimization, not a model change: every
 counter, every cycle, and every recovered byte must match what the
-original per-reference loop produced. This file keeps a faithful copy of
-that original loop (``naive_run``) and drives both over the same
-(scheme, benchmark) points — including a crash-injection run and the
-sub-block granularity fallback — asserting exact equality of the results.
+reference loop (``REPRO_VECTOR=0``: one ``hierarchy.access`` per
+reference) produces. This file drives both over the same (scheme,
+benchmark) points — including crash injection by instruction count and
+at every semantic site, and the sub-block granularity fallback —
+asserting exact equality of the results.
 
 It also pins down the trace-side machinery the batched loop depends on:
 the lazily computed run/cumsum metadata and the cross-scheme memo
@@ -19,8 +20,9 @@ import dataclasses
 
 import pytest
 
+from helpers import assert_identical, assert_identical_recovery, run_mode
+from repro.fault.plan import SEMANTIC_SITES, CrashPlan
 from repro.sim.config import SystemConfig
-from repro.sim.simulator import Simulation
 from repro.trace.profiles import get_profile
 from repro.trace.synthetic import (
     MaterializedTrace,
@@ -39,84 +41,26 @@ def small_config(**overrides):
 N = 60_000  # a few scheduled epochs at scale 256
 
 
-def naive_run(config, scheme_name, benchmark, n_instructions, seed, crash_at=None):
-    """Drive a Simulation with the original per-reference loop.
-
-    This is the loop the single-core driver grew from (plus ``run``'s
-    finalize step), kept verbatim as the reference semantics the driver
-    must reproduce bit-for-bit.
-    """
-    sim = Simulation(config, scheme_name, [benchmark], n_instructions, seed=seed)
-    sim._ran = True
-    system = sim.system
-    scheme = sim.scheme
-    access = sim.hierarchy.access
-    core = sim.cores[0]
-    epoch_span = sim.config.epoch_instructions
-    next_epoch = epoch_span
-    track = system.track_reference
-    arch_image = system.arch_image
-    total = system.total_instructions
-    crash = crash_at
-
-    def loop():
-        nonlocal total, next_epoch
-        for chunk in sim.traces[0].chunks():
-            gaps = chunk.gaps
-            addrs = chunk.addrs
-            writes = chunk.writes
-            for index in range(len(gaps)):
-                gap = gaps[index]
-                cycle = core.cycle + gap
-                core.cycle = cycle
-                core.instructions += gap
-                addr = addrs[index]
-                if writes[index]:
-                    token = system.new_token()
-                    wait = access(0, addr, True, token, cycle)
-                    if track:
-                        arch_image[addr] = token
-                else:
-                    wait = access(0, addr, False, 0, cycle)
-                core.cycle = cycle + wait
-                core.instructions += 1
-                core.mem_stall_cycles += wait
-                total += gap + 1
-                if total >= next_epoch:
-                    system.total_instructions = total
-                    stall = scheme.on_epoch_boundary(core.cycle)
-                    system.broadcast_stall(stall)
-                    next_epoch += epoch_span
-                if crash is not None and total >= crash:
-                    system.total_instructions = total
-                    sim.crashed = True
-                    return
-            system.total_instructions = total
-        core.finished = True
-
-    loop()
-    if not sim.crashed:
-        stall = scheme.finalize(system.max_cycle())
-        system.broadcast_stall(stall)
-    return sim
+def run_pair(config, scheme, bench, seed, **kwargs):
+    """The same point on the reference loop and on the default engine."""
+    return (
+        run_mode(False, config, scheme, bench, N, seed, **kwargs),
+        run_mode(True, config, scheme, bench, N, seed, **kwargs),
+    )
 
 
-def batched_run(config, scheme_name, benchmark, n_instructions, seed, crash_at=None):
-    sim = Simulation(config, scheme_name, [benchmark], n_instructions, seed=seed)
-    sim.run(crash_at_instructions=crash_at)
-    return sim
-
-
-def assert_identical(naive, batched):
-    """Every observable of the two simulations must match exactly."""
-    a, b = naive.result(), batched.result()
-    assert a.cycles == b.cycles
-    assert a.instructions == b.instructions
-    assert a.per_core_cycles == b.per_core_cycles
-    assert naive.cores[0].mem_stall_cycles == batched.cores[0].mem_stall_cycles
-    assert naive.system._next_token == batched.system._next_token
-    assert naive.system.arch_image == batched.system.arch_image
-    assert naive.stats.snapshot() == batched.stats.snapshot()
+def retired_prefix(sim):
+    """``(instructions, references, next gap)`` of the longest prefix of
+    the trace that fits in the system's instruction total."""
+    total = sim.system.total_instructions
+    done = refs = 0
+    for chunk in sim.traces[0].chunks():
+        for gap in chunk.gaps:
+            if done + gap + 1 > total:
+                return done, refs, gap
+            done += gap + 1
+            refs += 1
+    return done, refs, 0
 
 
 PAIRS = [
@@ -132,35 +76,28 @@ PAIRS = [
 class TestBitIdentity:
     @pytest.mark.parametrize("scheme,bench", PAIRS)
     def test_full_run_identical(self, scheme, bench):
-        config = small_config()
-        naive = naive_run(config, scheme, bench, N, seed=77)
-        batched = batched_run(config, scheme, bench, N, seed=77)
-        assert_identical(naive, batched)
+        reference, fast = run_pair(small_config(), scheme, bench, 77)
+        assert_identical(reference, fast)
 
     def test_crash_run_identical(self):
-        config = small_config()
         crash_at = N // 2 + 137  # mid-epoch, not on a boundary
-        naive = naive_run(config, "picl", "gcc", N, seed=9, crash_at=crash_at)
-        batched = batched_run(config, "picl", "gcc", N, seed=9, crash_at=crash_at)
-        assert naive.crashed and batched.crashed
-        assert_identical(naive, batched)
-        image_a, commit_a, ref_a = naive.crash_and_recover()
-        image_b, commit_b, ref_b = batched.crash_and_recover()
-        assert commit_a == commit_b
-        assert image_a == image_b
-        assert ref_a == ref_b
+        reference, fast = run_pair(
+            small_config(), "picl", "gcc", 9, crash_at=crash_at
+        )
+        assert reference.crashed and fast.crashed
+        assert_identical(reference, fast)
+        assert_identical_recovery(reference, fast)
 
     def test_sub_block_granularity_falls_back_identically(self):
         # 16 B tracking rotates the store sequence across sub-blocks, so
         # the coalescing fast path must refuse picl stores — and still
-        # match the naive loop exactly.
+        # match the reference loop exactly.
         config = small_config()
         config = dataclasses.replace(
             config, picl=dataclasses.replace(config.picl, tracking_granularity=16)
         )
-        naive = naive_run(config, "picl", "lbm", N, seed=21)
-        batched = batched_run(config, "picl", "lbm", N, seed=21)
-        assert_identical(naive, batched)
+        reference, fast = run_pair(config, "picl", "lbm", 21)
+        assert_identical(reference, fast)
 
     def test_capped_log_falls_back_identically(self):
         # A hard log cap makes every store check log pressure, which the
@@ -170,9 +107,33 @@ class TestBitIdentity:
             config,
             picl=dataclasses.replace(config.picl, log_max_bytes=64 * 1024 * 1024),
         )
-        naive = naive_run(config, "picl", "lbm", N, seed=33)
-        batched = batched_run(config, "picl", "lbm", N, seed=33)
-        assert_identical(naive, batched)
+        reference, fast = run_pair(config, "picl", "lbm", 33)
+        assert_identical(reference, fast)
+
+    @pytest.mark.parametrize("scheme", ("picl", "frm", "journaling"))
+    @pytest.mark.parametrize("site", SEMANTIC_SITES)
+    def test_site_crash_leaves_reference_state(self, site, scheme):
+        # The reference loop retires a reference's gap before its access
+        # chain and adds it to the system total after the access. So a
+        # crash escaping mid-chain leaves the gap on the core's clock and
+        # instruction count but not on the total, which counts exactly
+        # the retired references. The fast engine must leave the same.
+        plans = [CrashPlan.on_event(site, occurrence=3) for _ in "ab"]
+        reference = run_mode(
+            False, small_config(), scheme, "gcc", N, 5, crash_plan=plans[0]
+        )
+        fast = run_mode(True, small_config(), scheme, "gcc", N, 5, crash_plan=plans[1])
+        assert plans[0].fired == plans[1].fired
+        assert reference.crashed == fast.crashed
+        assert reference.crash_site == fast.crash_site
+        for sim in (reference, fast):
+            done, refs, gap = retired_prefix(sim)
+            assert done == sim.system.total_instructions
+            assert refs == sim.stats.get("loads") + sim.stats.get("stores")
+            assert sim.cores[0].instructions - done in (0, gap)
+        assert_identical(reference, fast)
+        if reference.crashed:
+            assert_identical_recovery(reference, fast)
 
 
 class TestTraceMetadata:
@@ -242,8 +203,8 @@ class TestTraceMemo:
     def test_simulation_identical_with_and_without_memo(self, monkeypatch):
         config = small_config()
         clear_trace_memo()
-        with_memo = batched_run(config, "picl", "gcc", N, seed=13)
+        with_memo = run_mode(True, config, "picl", "gcc", N, seed=13)
         monkeypatch.setenv("REPRO_NO_TRACE_MEMO", "1")
-        without_memo = batched_run(config, "picl", "gcc", N, seed=13)
+        without_memo = run_mode(True, config, "picl", "gcc", N, seed=13)
         assert_identical(with_memo, without_memo)
         clear_trace_memo()

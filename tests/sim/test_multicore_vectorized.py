@@ -1,12 +1,12 @@
 """Bit-identity of the multi-core drain loop.
 
-``Simulation._run_multi_core_drain`` replaces the scalar heap loop (pop
+``Simulation._run_multi_core_drain`` replaces the reference heap loop (pop
 the earliest-clock core, advance it one reference, push it back) with
 horizon-bounded turns through the fused miss chain: the popped core runs
 until its clock crosses the smallest other heap key, then the loop
 switches cores inline. Token order, the shared-LLC coupling, and the
 ``total_instructions`` epoch accounting are all constrained to match the
-scalar loop exactly — so this file drives both loops (``REPRO_VECTOR=0``
+reference loop exactly — so this file drives both loops (``REPRO_VECTOR=0``
 vs the default) over the same multi-core points and asserts exact
 equality of every observable, the same contract ``test_vectorized.py``
 pins for the single-core columnar loop.
@@ -18,7 +18,7 @@ scheme (the three store-dispatch modes), short epochs (many epoch
 commits mid-turn), and crashes — both instruction-count stops (which
 land mid-turn) and semantic-site plans whose ``CrashSignal`` escapes
 mid-chain, through full recovery. Configs the drain declines must run
-the scalar loop and say so. A hypothesis fuzz then walks the product
+the reference loop and say so. A hypothesis fuzz then walks the product
 space so untested corners of (cores, sharing, scheme, crash mode, seed)
 still get coverage.
 """
@@ -61,13 +61,13 @@ def benchlist(n_cores, rotate=0):
 
 def run_mode(vector, config, scheme, benches, n, seed, shared_memory=False,
              crash_at=None, crash_plan=None, prepare=None, engine=None):
-    """Run one multi-core simulation on the drain loop or the scalar one.
+    """Run one multi-core simulation on the drain loop or the reference one.
 
     ``REPRO_VECTOR`` is read when the hierarchy is built, so it is pinned
     around construction and restored immediately. ``prepare`` edits the
     built simulation before it runs. The loop that ran is asserted
     (``engine`` overrides the default expectation for declined configs),
-    so the test can never compare the scalar heap loop against itself.
+    so the test can never compare the reference loop against itself.
     """
     previous = os.environ.get("REPRO_VECTOR")
     os.environ["REPRO_VECTOR"] = "1" if vector else "0"
@@ -85,7 +85,7 @@ def run_mode(vector, config, scheme, benches, n, seed, shared_memory=False,
         prepare(sim)
     sim.run(crash_at_instructions=crash_at, crash_plan=crash_plan)
     if engine is None:
-        engine = "drain" if vector else "scalar: REPRO_VECTOR=0"
+        engine = "drain" if vector else "reference: REPRO_VECTOR=0"
     assert sim.engine == engine
     return sim
 
@@ -192,7 +192,7 @@ def _attach_dram_cache(sim):
 
 
 class TestDeclined:
-    """Configs the drain declines run the scalar heap loop — say so, and
+    """Configs the drain declines run the reference loop — say so, and
     match a REPRO_VECTOR=0 run exactly."""
 
     def test_two_channel_nvm(self):
@@ -200,7 +200,7 @@ class TestDeclined:
         benches = benchlist(2)
         scalar = run_mode(False, config, "picl", benches, N, 71)
         declined = run_mode(True, config, "picl", benches, N, 71,
-                            engine="scalar: nvm has 2 channels")
+                            engine="reference: nvm has 2 channels")
         assert_identical(scalar, declined)
 
     def test_dram_cache(self):
@@ -210,7 +210,7 @@ class TestDeclined:
                           prepare=_attach_dram_cache)
         declined = run_mode(True, config, "frm", benches, N, 73,
                             prepare=_attach_dram_cache,
-                            engine="scalar: dram cache in front of nvm")
+                            engine="reference: dram cache in front of nvm")
         assert scalar.stats.get("dram.hits") > 0
         assert_identical(scalar, declined)
 
@@ -255,7 +255,7 @@ class TestCrashIdentity:
             assert_identical_recovery(scalar, batched)
 
     def test_eager_gap_on_mid_chain_crash(self):
-        # The scalar heap loop retires a reference's compute gap
+        # The reference heap loop retires a reference's compute gap
         # (advance_compute) BEFORE its access chain, and adds it to the
         # system total only after the access returns. So when an
         # llc_eviction CrashSignal escapes from inside the chain, the

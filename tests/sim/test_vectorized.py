@@ -1,9 +1,10 @@
-"""Bit-identity of the fast single-core engine against the reference path.
+"""Bit-identity of the fast single-core engine against the reference loop.
 
-``REPRO_VECTOR=0`` selects the reference path: no L1 mirror, and every
-reference replays through ``scalar_span``, the verbatim scalar body of
-:meth:`Simulation._run_single_core`. By default the same driver runs the
-fast engine: windows of the reference stream are classified
+``REPRO_VECTOR=0`` selects the reference loop,
+:meth:`Simulation._run_reference`: no L1 mirror, and one
+``hierarchy.access`` per reference. By default
+:meth:`Simulation._run_single_core` runs the fast engine: windows of the
+reference stream are classified
 array-at-a-time against the L1 tag mirror, all-fast stretches are
 applied in bulk, and everything else replays exactly through the fused
 miss-chain drain of :mod:`repro.cache.miss_engine` (the whole
@@ -44,7 +45,6 @@ from helpers import (
     assert_identical,
     assert_identical_recovery,
     fuzz_profiles,
-    open_page,
     run_mode,
     two_channels,
 )
@@ -334,12 +334,10 @@ ENGINE_ROWS = [
     pytest.param(_wide_l1, None, True, "undo_flush", "drain",
                  id="16-way-l1-undo-flush-crash"),
     pytest.param(two_channels, None, True, None,
-                 "columnar: nvm has 2 channels", id="2-channel-nvm"),
+                 "reference: nvm has 2 channels", id="2-channel-nvm"),
     pytest.param(_same, _attach_dram_cache, True, None,
-                 "columnar: dram cache in front of nvm", id="dram-cache"),
-    pytest.param(open_page, None, True, None,
-                 "columnar: nvm device is BankedNvmDevice", id="open-page-nvm"),
-    pytest.param(_same, None, False, None, "scalar: REPRO_VECTOR=0",
+                 "reference: dram cache in front of nvm", id="dram-cache"),
+    pytest.param(_same, None, False, None, "reference: REPRO_VECTOR=0",
                  id="reference"),
 ]
 
@@ -369,7 +367,7 @@ class TestGate:
         assert sim.engine == "drain"
 
     def test_retired_multi_core_sub_switch_is_inert(self, monkeypatch):
-        # REPRO_VECTOR_MC once pinned multi-core runs to the scalar heap
+        # REPRO_VECTOR_MC once pinned multi-core runs to the reference
         # loop; it is retired, so setting it changes nothing.
         monkeypatch.setenv("REPRO_VECTOR_MC", "0")
         config = dataclasses.replace(small_config(), n_cores=2)
@@ -386,15 +384,16 @@ class TestGate:
         sim = Simulation(config, "ideal", ["gcc", "mcf"], 1_000, seed=1)
         assert all(l1._vec is None for l1 in sim.hierarchy._l1)
         sim.run()
-        assert sim.engine == "scalar: REPRO_VECTOR=0"
+        assert sim.engine == "reference: REPRO_VECTOR=0"
 
     @pytest.mark.parametrize(
         "config_fn,prepare,vector,crash,engine", ENGINE_ROWS
     )
     def test_engine_selection(self, config_fn, prepare, vector, crash, engine):
-        # Two facts pick the single-core loop: whether the L1 carries a
-        # mirror, and whether the drain accepts the config. Whatever runs
-        # must match the reference path exactly, through recovery.
+        # Two facts pick the single-core loop: whether the drain accepts
+        # the config (else the reference loop runs), and whether the L1
+        # carries a mirror. Whatever runs must match the reference loop
+        # exactly, through recovery.
         config = config_fn(small_config())
         runs = []
         for side in (vector, False):
