@@ -12,11 +12,9 @@ and dirty-bit flips (via :class:`repro.cache.line.CacheLine`'s ``_home``
 back-pointer) maintain it — so flush and sync paths touch only the dirty
 lines instead of sweeping every set; the shared LLC additionally carries an
 :class:`repro.cache.eid_index.EidIndex` (attached by the hierarchy) that
-buckets tagged lines by EID for the ACS engine. ``REPRO_BRUTE_SCAN=1``
-keeps the original full-sweep paths alive as a differential oracle.
+buckets tagged lines by EID for the ACS engine. The original full-sweep
+paths stay alive behind ``_brute_scan`` as the tests' differential oracle.
 """
-
-import os
 
 from repro.common.address import LINE_SIZE
 from repro.common.errors import ConfigurationError
@@ -68,9 +66,9 @@ class SetAssocCache:
         #: hierarchy attaches one to the single core's L1 under
         #: ``REPRO_VECTOR``); every residency change must keep it coherent.
         self._vec = None
-        #: Differential escape hatch: recompute dirty_lines() by the
-        #: original full sweep so tests can diff the indexed paths.
-        self._brute_scan = os.environ.get("REPRO_BRUTE_SCAN", "") == "1"
+        #: Differential oracle: recompute dirty_lines() by the original
+        #: full sweep. Only tests set it (tests/helpers.py force_brute).
+        self._brute_scan = False
         self.stats = stats if stats is not None else StatCounters()
         self._evictions = self.stats.slot("%s.evictions" % name)
 
@@ -180,8 +178,8 @@ class SetAssocCache:
         """Iterate over every resident line (no LRU side effects).
 
         This is the brute-force sweep — O(capacity) — kept for tests and
-        as the ``REPRO_BRUTE_SCAN=1`` differential oracle; production
-        paths read the dirty dict / EID index instead.
+        as the differential oracle; production paths read the dirty dict
+        / EID index instead.
         """
         for cache_set in self._sets:
             for line in cache_set:

@@ -32,7 +32,7 @@ if ``sub_eids is not None``, else ``buckets[line.eid]`` if ``line.eid >=
 consumers that need the brute-force sweep's exact visit order regroup
 candidates by cache set (see ``SetAssocCache.dirty_lines`` and
 ``AcsEngine``), so index-backed paths stay bit-identical to the
-``REPRO_BRUTE_SCAN=1`` oracle.
+brute-force oracle.
 """
 
 
@@ -156,11 +156,12 @@ class EidIndex:
         """Diff the index against a full sweep of ``cache``'s lines.
 
         Returns a list of mismatch descriptions (empty = coherent). The
-        batched miss-chain test suite runs this after draining windows
-        that interleave deferred undo appends with inline index updates —
-        the one ordering the engine must *not* batch (a deferred discard
-        could pop a same-addr successor's bucket entry), so divergence
-        here is the canary for that class of bug.
+        engine-identity harness runs this after every fast-engine run,
+        whose drained windows interleave deferred undo appends with
+        inline index updates — the one ordering the engine must *not*
+        batch (a deferred discard could pop a same-addr successor's
+        bucket entry), so divergence here is the canary for that class
+        of bug.
         """
         problems = []
         indexed = 0

@@ -142,7 +142,7 @@ class CacheHierarchy:
             l1._vec = TagMirror(l1.n_sets, l1.assoc, l1._line_shift, l1._set_mask)
         self.sink = EvictionSink(controller)
         #: Mirrors SetAssocCache._brute_scan: run the original full-sweep
-        #: sync paths as a differential oracle (REPRO_BRUTE_SCAN=1).
+        #: sync paths as a differential oracle.
         self._brute_scan = self.llc._brute_scan
         #: Armed crash plan (None outside fault injection — see repro.fault).
         self.fault_plan = None
@@ -494,7 +494,7 @@ class CacheHierarchy:
         and every path that diverges an LLC line from its private copies
         (stores, merges, syncs) either dirties a private copy or refreshes
         them all (see sync_private_line), so _refresh_copy would be a
-        no-op there. REPRO_BRUTE_SCAN=1 runs the original full sweep.
+        no-op there. The brute-force oracle runs the original full sweep.
         """
         if self._brute_scan:
             for core in range(self.n_cores):

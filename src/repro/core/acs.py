@@ -18,7 +18,7 @@ from the incrementally maintained :class:`repro.cache.eid_index.EidIndex`
 (the EID-array analogue), so a pass costs O(lines that might match), not
 O(cache capacity). The candidates are regrouped into the brute-force
 sweep's exact visit order and re-filtered by the same predicates, so the
-scan stays bit-identical to the ``REPRO_BRUTE_SCAN=1`` full-sweep oracle
+scan stays bit-identical to the brute-force full-sweep oracle
 — including the order in which writebacks hit the NVM channels and crash
 windows fire.
 
@@ -112,7 +112,7 @@ class AcsEngine:
 
         The hardware answers this from the EID array alone; the epoch-close
         path records it per pass. The brute oracle recounts by sweeping so
-        the stat stays bit-identical under REPRO_BRUTE_SCAN=1.
+        the stat stays bit-identical under the oracle.
         """
         llc = self.hierarchy.llc
         if self._brute_scan:

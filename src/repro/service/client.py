@@ -167,9 +167,9 @@ class ServiceClient:
 
         ``env`` overrides the engine-flag capture shipped with the batch;
         by default the *client's* live environment is captured
-        (:func:`repro.sim.parallel.engine_env`), so ``REPRO_VECTOR`` /
-        ``REPRO_BRUTE_SCAN`` pinned at the client govern the daemon's
-        workers for exactly this batch.
+        (:func:`repro.sim.parallel.engine_env`), so ``REPRO_VECTOR``
+        pinned at the client governs the daemon's workers for exactly
+        this batch.
         """
         points = list(points)
         batch_id = batch_id or os.urandom(8).hex()

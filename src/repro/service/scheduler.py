@@ -96,7 +96,6 @@ class Scheduler:
         self._runner = runner
         self._inflight = {}  # digest -> asyncio.Future (unresolved only)
         self._queues = collections.OrderedDict()  # client -> deque[_Unit]
-        self._rotation = 0
         self._running = 0
         self._wakeup = None  # asyncio.Event, created in start()
         self._dispatcher = None
@@ -215,25 +214,21 @@ class Scheduler:
     # ------------------------------------------------------------------
 
     def _next_unit(self):
-        """Pop the next unit, rotating across clients for fairness."""
-        clients = list(self._queues)
-        if not clients:
+        """Pop the next unit, rotating across clients for fairness.
+
+        The first client in ``_queues`` is served; it then moves to the
+        back, or leaves once its queue is empty, so the next pop serves
+        the client after it whatever happened to this one's queue.
+        """
+        if not self._queues:
             return None
-        n = len(clients)
-        for step in range(n):
-            client = clients[(self._rotation + step) % n]
-            queue = self._queues[client]
-            if queue:
-                unit = queue.popleft()
-                if not queue:
-                    del self._queues[client]
-                # Resume *after* the client we just served.
-                self._rotation = (self._rotation + step + 1) % max(
-                    1, len(self._queues)
-                )
-                return unit
+        client, queue = next(iter(self._queues.items()))
+        unit = queue.popleft()
+        if queue:
+            self._queues.move_to_end(client)
+        else:
             del self._queues[client]
-        return None
+        return unit
 
     async def _dispatch_loop(self):
         while True:

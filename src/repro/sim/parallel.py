@@ -85,17 +85,16 @@ MAX_BACKOFF = 30.0
 #: disables deadlines everywhere, safety net included.
 ISOLATED_FALLBACK_TIMEOUT = 3600.0
 
-#: Engine escape hatches. These select *how* a point executes — the fast
-#: engine or the reference path (``REPRO_VECTOR=0``), EID-indexed or
-#: brute-force scans (``REPRO_BRUTE_SCAN=1``) — never what it computes:
-#: every mode is bit-identical by construction (the differential suites
-#: in tests/sim enforce it). They are read from the process environment
-#: when a Simulation builds its hierarchy, so a worker process must see
+#: The engine switch. ``REPRO_VECTOR=0`` selects *how* a point executes —
+#: the fast engine or the reference path — never what it computes: both
+#: are bit-identical by construction (tests/sim/test_engine_identity.py
+#: enforces it). It is read from the process environment when a
+#: Simulation builds its hierarchy, so a worker process must see
 #: the *submitting* client's values, not whatever environment the
 #: executing daemon happened to start with — otherwise pinning
 #: ``REPRO_VECTOR=0`` to bisect a suspected engine bug would silently
 #: stop meaning anything the moment the sweep runs on the service.
-ENGINE_FLAGS = ("REPRO_VECTOR", "REPRO_BRUTE_SCAN")
+ENGINE_FLAGS = ("REPRO_VECTOR",)
 
 def engine_env(environ=None):
     """The engine-flag bindings present in ``environ`` (default: live env).

@@ -347,9 +347,8 @@ class Simulation:
         workloads pay near-zero classification overhead.
 
         Bit-identical to the reference loop (:meth:`_run_reference`) —
-        same counters, tokens, cycles, recovery images — asserted by
-        tests/sim/test_vectorized.py, test_batched_miss.py and
-        test_batching.py.
+        same counters, tokens, cycles, NVM image, undo log, recovery
+        images — asserted by tests/sim/test_engine_identity.py.
         """
         system = self.system
         scheme = self.scheme
@@ -844,8 +843,8 @@ class Simulation:
         loading — lives in this loop, in the reference order.
 
         Bit-identical to :meth:`_run_reference` — same tokens, cycles,
-        counters, recovery images — asserted by
-        tests/sim/test_multicore_vectorized.py and the fig10/fig12 CI
+        counters, NVM image, undo log, recovery images — asserted by
+        tests/sim/test_engine_identity.py and the fig10/fig12 CI
         byte-diff gates.
         """
         system = self.system

@@ -9,16 +9,16 @@ Three layers of assurance:
   scanned twice (once per matching tag) nor missed once a partial persist
   leaves only some sub-EIDs interesting;
 * differential property tests driving two identical systems — one on the
-  indexed paths, one forced onto the original full-sweep oracle (the
-  ``REPRO_BRUTE_SCAN=1`` escape hatch) — through random store/load/epoch
-  sequences and asserting bit-identical stats, stall charges, cache
-  contents, and flush ordering.
+  indexed paths, one forced onto the original full-sweep oracle
+  (``force_brute``, which the engine-identity harness also uses) —
+  through random store/load/epoch sequences and asserting bit-identical
+  stats, stall charges, cache contents, and flush ordering.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import SchemeHarness, line, tiny_config
+from helpers import SchemeHarness, force_brute, line, tiny_config
 from repro.cache.cache import SetAssocCache
 from repro.cache.eid_index import EidIndex
 from repro.cache.line import CacheLine
@@ -221,22 +221,6 @@ class TestSubBlockScanHole:
 # ---------------------------------------------------------------------------
 
 
-def force_brute(harness):
-    """Flip a built system onto the full-sweep oracle paths.
-
-    Equivalent to constructing under REPRO_BRUTE_SCAN=1 (the flags are
-    read per instance at construction; see test_env_escape_hatch).
-    """
-    hierarchy = harness.hierarchy
-    hierarchy._brute_scan = True
-    hierarchy.llc._brute_scan = True
-    for core in range(hierarchy.n_cores):
-        hierarchy.l1(core)._brute_scan = True
-        hierarchy.l2(core)._brute_scan = True
-    if hasattr(harness.scheme, "acs"):
-        harness.scheme.acs._brute_scan = True
-
-
 def run_ops(harness, ops, n_cores=1):
     for n, op in ops:
         core = n % n_cores
@@ -341,15 +325,3 @@ class TestCrashRecoveryDifferential:
         image_b, commit_b, _ref = brute.crash_and_recover()
         assert commit_i == commit_b
         assert image_i == image_b
-
-
-def test_env_escape_hatch(monkeypatch):
-    monkeypatch.setenv("REPRO_BRUTE_SCAN", "1")
-    harness = SchemeHarness("picl")
-    assert harness.hierarchy._brute_scan
-    assert harness.hierarchy.llc._brute_scan
-    assert harness.scheme.acs._brute_scan
-    monkeypatch.setenv("REPRO_BRUTE_SCAN", "")
-    harness = SchemeHarness("picl")
-    assert not harness.hierarchy._brute_scan
-    assert not harness.scheme.acs._brute_scan

@@ -6,25 +6,22 @@ overflow — which lets unit tests express scenarios like the paper's Fig 6
 multi-undo example directly: store these lines, commit, store again,
 crash, recover, compare.
 
-``run_mode`` and the ``assert_identical*`` checks are shared by the
-single-core engine identity suites: each runs one point on the fast
-engine and on the reference loop (``REPRO_VECTOR=0``) and compares every
-observable. ``two_channels`` is an NVM config the miss-chain drain
-declines, so it runs the reference loop on both sides, and
-``fuzz_profiles`` spans the workload-profile space for the hypothesis
-fuzzes.
+``run_mode`` runs one simulation of 1..N cores on a named engine, and
+``fingerprint`` is every observable of a run as one comparable value:
+tests/sim/test_engine_identity.py compares the fast engine with the
+reference side (``REPRO_VECTOR=0`` on the ``force_brute`` scan oracle)
+through them.
 """
 
 import dataclasses
 import os
 
-from hypothesis import strategies as st
-
-from repro.common.units import MB
 from repro.sim.config import SystemConfig
 from repro.sim.interactive import InteractiveSystem
 from repro.sim.simulator import Simulation
-from repro.trace.profiles import WorkloadProfile
+
+#: The engine ``REPRO_VECTOR=0`` selects, for any config and core count.
+REFERENCE = "reference: REPRO_VECTOR=0"
 
 
 def tiny_config(**overrides):
@@ -50,6 +47,27 @@ def tiny_config(**overrides):
     return SystemConfig(**defaults)
 
 
+def small_config(n_cores=1, scale=256, l1_ways=4, granularity=64,
+                 log_cap=None, channels=1, **overrides):
+    """A scaled system for whole-trace runs, with reference tracking on.
+
+    The L1 has 16 sets of ``l1_ways`` ways (four, the scale-256 default);
+    ``granularity`` and ``log_cap`` set PiCL's tracking granularity and
+    log cap, ``channels`` the NVM channel count.
+    """
+    settings = dict(n_cores=n_cores, track_reference=True, reference_depth=32,
+                    l1_assoc=l1_ways, l1_size=l1_ways * 16 * 64)
+    settings.update(overrides)
+    config = SystemConfig().scaled(scale, **settings)
+    return dataclasses.replace(
+        config,
+        picl=dataclasses.replace(
+            config.picl, tracking_granularity=granularity, log_max_bytes=log_cap
+        ),
+        nvm=dataclasses.replace(config.nvm, n_channels=channels),
+    )
+
+
 class SchemeHarness(InteractiveSystem):
     """InteractiveSystem defaulting to the tiny test configuration."""
 
@@ -72,101 +90,67 @@ def line(n):
     return n * 64
 
 
-def run_mode(
-    vector,
-    config,
-    scheme,
-    bench,
-    n,
-    seed,
-    crash_at=None,
-    crash_plan=None,
-    trace=None,
-    prepare=None,
-    engine="columnar+drain",
-):
-    """Run one single-core simulation on the fast engine or the reference loop.
+def force_brute(system):
+    """Put a built system (a Simulation or a SchemeHarness) on the
+    brute-force oracle: every cache and the ACS engine sweep all lines
+    instead of reading the dirty dicts and the EID index."""
+    hierarchy = system.hierarchy
+    hierarchy._brute_scan = True
+    hierarchy.llc._brute_scan = True
+    for core in range(hierarchy.n_cores):
+        hierarchy.l1(core)._brute_scan = True
+        hierarchy.l2(core)._brute_scan = True
+    if hasattr(system.scheme, "acs"):
+        system.scheme.acs._brute_scan = True
 
-    ``REPRO_VECTOR`` is read when the hierarchy is built, so the
-    environment must be set before ``Simulation`` is constructed — and
-    restored afterwards so the two modes cannot leak into each other.
-    ``trace`` (a zero-argument factory) replaces the generated trace;
-    ``prepare`` edits the built simulation before it runs. With
-    ``vector`` set, the loop that ran must be ``engine``.
+
+def run_mode(engine, config, scheme, benches, n, seed, brute=False,
+             shared_memory=False, crash_at=None, crash_plan=None, trace=None,
+             prepare=None):
+    """Run one simulation, which must run on ``engine``.
+
+    ``engine`` is the string ``Simulation.engine`` must report: the
+    reference one sets ``REPRO_VECTOR=0``, any other leaves the fast
+    engine on. The switch is read when the hierarchy is built, so it is
+    pinned around construction only. ``brute`` puts the run on the scan
+    oracle; ``trace`` (a zero-argument factory) replaces core 0's trace;
+    ``prepare`` edits the built simulation before it runs.
     """
     previous = os.environ.get("REPRO_VECTOR")
-    os.environ["REPRO_VECTOR"] = "1" if vector else "0"
+    os.environ["REPRO_VECTOR"] = "0" if engine == REFERENCE else "1"
     try:
-        sim = Simulation(config, scheme, [bench], n, seed=seed)
+        sim = Simulation(config, scheme, benches, n, seed=seed,
+                         shared_memory=shared_memory)
     finally:
         if previous is None:
             del os.environ["REPRO_VECTOR"]
         else:
             os.environ["REPRO_VECTOR"] = previous
+    if brute:
+        force_brute(sim)
     if trace is not None:
         sim.traces[0] = trace()
     if prepare is not None:
         prepare(sim)
     sim.run(crash_at_instructions=crash_at, crash_plan=crash_plan)
-    # The gate must actually have taken effect, or the test compares the
-    # reference loop (or the wrong fast engine) against itself.
-    assert sim.engine == (engine if vector else "reference: REPRO_VECTOR=0")
+    # Otherwise a test could compare the reference loop with itself.
+    assert sim.engine == engine
     return sim
 
 
-def assert_identical(reference, fast):
-    """Every observable of the two simulations must match exactly."""
-    a, b = reference.result(), fast.result()
-    assert a.cycles == b.cycles
-    assert a.instructions == b.instructions
-    assert a.per_core_cycles == b.per_core_cycles
-    core_a, core_b = reference.cores[0], fast.cores[0]
-    assert core_a.instructions == core_b.instructions
-    assert core_a.mem_stall_cycles == core_b.mem_stall_cycles
-    assert reference.system._next_token == fast.system._next_token
-    assert reference.system.arch_image == fast.system.arch_image
-    assert reference.stats.snapshot() == fast.stats.snapshot()
-
-
-def assert_identical_recovery(reference, fast):
-    """Both simulations power-fail now and recover the same image."""
-    image_a, commit_a, ref_a = reference.crash_and_recover()
-    image_b, commit_b, ref_b = fast.crash_and_recover()
-    assert commit_a == commit_b
-    assert image_a == image_b
-    assert ref_a == ref_b
-
-
-def two_channels(config):
-    """``config`` with a two-channel NVM."""
-    return dataclasses.replace(
-        config, nvm=dataclasses.replace(config.nvm, n_channels=2)
+def fingerprint(sim):
+    """Every observable of a finished or crashed simulation."""
+    log = getattr(sim.scheme, "log", None)
+    return dict(
+        cores=[(c.cycle, c.mem_stall_cycles, c.instructions) for c in sim.cores],
+        total_instructions=sim.system.total_instructions,
+        next_token=sim.system._next_token,
+        arch_image=sim.system.arch_image,
+        stats=sim.stats.snapshot(),
+        nvm_image=sim.controller.image.snapshot(),
+        undo_log=None if log is None else [
+            (e.addr, e.token, e.valid_from, e.valid_till)
+            for e in log.iter_entries_backward()
+        ],
+        crash=(sim.crashed, sim.crash_site),
     )
-
-
-# Workload space for the fuzzes: every axis the trace generator exposes,
-# constrained exactly as WorkloadProfile.__post_init__ demands.
-fuzz_profiles = st.builds(
-    lambda mem, wf, seq, chase_scale, ws, alpha, run, sb, zb_scale: WorkloadProfile(
-        "_fuzz",
-        mem_ratio=mem,
-        write_frac=wf,
-        working_set_bytes=ws * MB,
-        seq_frac=seq,
-        chase_frac=min((1.0 - seq) * chase_scale, 1.0 - seq),
-        zipf_alpha=alpha,
-        category="fuzz",
-        seq_run=run,
-        write_seq_bias=sb,
-        write_zipf_bias=min((1.0 - sb) * zb_scale, 1.0 - sb),
-    ),
-    mem=st.floats(0.05, 1.0),
-    wf=st.floats(0.0, 1.0),
-    seq=st.floats(0.0, 1.0),
-    chase_scale=st.floats(0.0, 1.0),
-    ws=st.integers(1, 64),
-    alpha=st.floats(0.05, 1.5),
-    run=st.integers(1, 16),
-    sb=st.floats(0.0, 1.0),
-    zb_scale=st.floats(0.0, 1.0),
-)

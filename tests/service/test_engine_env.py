@@ -1,7 +1,7 @@
 """Engine-flag propagation: client environment governs worker processes.
 
-``REPRO_VECTOR`` / ``REPRO_BRUTE_SCAN`` select *how* a simulation
-executes (all modes are bit-identical), and they are read when the hierarchy is built — in the
+``REPRO_VECTOR`` selects *how* a simulation executes (both modes are
+bit-identical), and it is read when the hierarchy is built — in the
 worker process. These tests pin the contract that a submitting client's
 flags travel with its batch: captured by :func:`engine_env`, shipped
 through the protocol, spooled for restart recovery, carried on scheduler
@@ -61,27 +61,27 @@ class TestCaptureAndApply:
         assert os.environ["REPRO_VECTOR"] == "0"
 
     def test_apply_dict_is_authoritative_for_every_flag(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BRUTE_SCAN", "1")
         # Register with monkeypatch before apply_engine_env mutates it,
         # so the flag is restored (not leaked) after this test.
         monkeypatch.setenv("REPRO_VECTOR", "sentinel")
         apply_engine_env({"REPRO_VECTOR": "0"})
         assert os.environ.get("REPRO_VECTOR") == "0"
-        # Flags absent from the capture are scrubbed, not inherited.
-        assert "REPRO_BRUTE_SCAN" not in os.environ
+        # A flag absent from the capture is scrubbed, not inherited.
+        apply_engine_env({})
+        assert "REPRO_VECTOR" not in os.environ
 
 
 class TestIsolatedChild:
     def test_child_runs_under_the_submitted_env(self, monkeypatch):
-        # The daemon's own environment turns on the brute-force scans...
-        monkeypatch.setenv("REPRO_BRUTE_SCAN", "1")
-        monkeypatch.delenv("REPRO_VECTOR", raising=False)
-        # ...but the client pinned only REPRO_VECTOR=0.
-        (seen,) = execute_batch_with_retry(
-            [probe(1)], env={"REPRO_VECTOR": "0"}
+        # The daemon's own environment selects the reference path...
+        monkeypatch.setenv("REPRO_VECTOR", "0")
+        # ...but one client pinned the fast engine and one left it unset.
+        (pinned,) = execute_batch_with_retry(
+            [probe(1)], env={"REPRO_VECTOR": "1"}
         )
-        assert seen["REPRO_VECTOR"] == "0"
-        assert seen["REPRO_BRUTE_SCAN"] is None  # daemon setting scrubbed
+        (unset,) = execute_batch_with_retry([probe(8)], env={})
+        assert pinned["REPRO_VECTOR"] == "1"
+        assert unset["REPRO_VECTOR"] is None  # daemon setting scrubbed
 
     def test_no_env_means_the_child_inherits(self, monkeypatch):
         monkeypatch.setenv("REPRO_VECTOR", "0")

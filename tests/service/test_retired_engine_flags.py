@@ -1,8 +1,10 @@
 """Retired engine switches decode and are ignored.
 
 ``REPRO_VECTOR_MC=0`` once pinned multi-core simulations to the scalar
-heap loop, ``REPRO_BATCH_MISS=0`` turned the miss-chain drain off, and
-``REPRO_MISS_PROFILE=1`` attached profiling mirrors to the L2 and LLC.
+heap loop, ``REPRO_BATCH_MISS=0`` turned the miss-chain drain off,
+``REPRO_MISS_PROFILE=1`` attached profiling mirrors to the L2 and LLC,
+and ``REPRO_BRUTE_SCAN=1`` swapped the EID index for full cache sweeps
+(the sweeps remain as a test oracle, set by attribute only).
 ``REPRO_VECTOR=0`` is now the one engine switch, so none of them is an
 engine flag: it is not captured from a submitting client, not pinned or
 scrubbed in worker processes, and a simulation ignores it. Work that
@@ -36,6 +38,7 @@ RETIRED = [
     ("REPRO_VECTOR_MC", "0"),
     ("REPRO_BATCH_MISS", "0"),
     ("REPRO_MISS_PROFILE", "1"),
+    ("REPRO_BRUTE_SCAN", "1"),
 ]
 
 pytestmark = pytest.mark.parametrize("flag,value", RETIRED)
@@ -58,7 +61,7 @@ class EnginePoint(RunPoint):
 
 def test_retired_flag_is_not_an_engine_flag(flag, value):
     assert flag not in ENGINE_FLAGS
-    assert ENGINE_FLAGS == ("REPRO_VECTOR", "REPRO_BRUTE_SCAN")
+    assert ENGINE_FLAGS == ("REPRO_VECTOR",)
 
 
 def test_capture_ignores_the_retired_flag(monkeypatch, flag, value):
@@ -121,5 +124,8 @@ def test_child_ignores_the_retired_flag(monkeypatch, flag, value):
     point = EnginePoint(CONFIG, "picl", ("gcc",), N, 12)
     (engines,) = execute_batch_with_retry([point], env={flag: value})
     assert engines == ["columnar+drain", "drain"]
-    hierarchy = Simulation(CONFIG, "picl", ["gcc"], 500).hierarchy
+    sim = Simulation(CONFIG, "picl", ["gcc"], 500)
+    hierarchy = sim.hierarchy
     assert hierarchy._l2[0]._vec is None and hierarchy.llc._vec is None
+    assert not (hierarchy._brute_scan or hierarchy.llc._brute_scan
+                or sim.scheme.acs._brute_scan)

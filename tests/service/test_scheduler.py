@@ -213,6 +213,31 @@ class TestFairness:
         # rest of Alice's batch.
         assert order == ["alice", "bob", "alice", "alice"]
 
+    def test_round_robin_survives_an_emptied_queue(self):
+        # Alice's queue empties on her first turn; the rotation must go
+        # on to Bob, the client after her, not skip him for Carol.
+        events = EventLog()
+
+        async def scenario():
+            scheduler = Scheduler(jobs=1, events=events, runner=RecordingRunner())
+            futures = [
+                future
+                for client, seeds in (("alice", (61,)), ("bob", (62, 63)),
+                                      ("carol", (64, 65)))
+                for future, _source in scheduler.submit(client, make_points(*seeds))
+            ]
+            scheduler.start()
+            await asyncio.wait_for(asyncio.gather(*futures), timeout=30)
+            await scheduler.close()
+
+        run_async(scenario())
+        order = [
+            record["client"]
+            for record in events.tail(100)
+            if record["event"] == "dispatch"
+        ]
+        assert order == ["alice", "bob", "carol", "bob", "carol"]
+
 
 class TestStatus:
     def test_status_is_json_safe(self, tmp_path):

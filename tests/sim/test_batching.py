@@ -1,28 +1,14 @@
-"""Bit-identity of the single-core driver against the reference loop.
+"""The trace-side machinery the single-core driver depends on.
 
-:meth:`Simulation._run_single_core` segments each chunk at epoch and
-crash boundaries, coalesces same-line runs, and by default classifies
-windows against the L1 mirror and drains residual spans through the
-fused miss chain. All of that is optimization, not a model change: every
-counter, every cycle, and every recovered byte must match what the
-reference loop (``REPRO_VECTOR=0``: one ``hierarchy.access`` per
-reference) produces. This file drives both over the same (scheme,
-benchmark) points — including crash injection by instruction count and
-at every semantic site, and the sub-block granularity fallback —
-asserting exact equality of the results.
-
-It also pins down the trace-side machinery the batched loop depends on:
-the lazily computed run/cumsum metadata and the cross-scheme memo
-(``REPRO_NO_TRACE_MEMO`` must yield the identical stream).
+:meth:`Simulation._run_single_core` segments chunks and coalesces
+same-line runs using each chunk's lazily computed run/cumsum metadata,
+and every scheme of a sweep reads the same trace through the
+cross-scheme memo (``REPRO_NO_TRACE_MEMO`` must yield the identical
+stream). The driver's identity with the reference loop is
+tests/sim/test_engine_identity.py's job.
 """
 
-import dataclasses
-
-import pytest
-
-from helpers import assert_identical, assert_identical_recovery, run_mode
-from repro.fault.plan import SEMANTIC_SITES, CrashPlan
-from repro.sim.config import SystemConfig
+from helpers import fingerprint, run_mode, small_config
 from repro.trace.profiles import get_profile
 from repro.trace.synthetic import (
     MaterializedTrace,
@@ -30,110 +16,6 @@ from repro.trace.synthetic import (
     clear_trace_memo,
     make_trace,
 )
-
-
-def small_config(**overrides):
-    defaults = dict(track_reference=True, reference_depth=32)
-    defaults.update(overrides)
-    return SystemConfig().scaled(256, **defaults)
-
-
-N = 60_000  # a few scheduled epochs at scale 256
-
-
-def run_pair(config, scheme, bench, seed, **kwargs):
-    """The same point on the reference loop and on the default engine."""
-    return (
-        run_mode(False, config, scheme, bench, N, seed, **kwargs),
-        run_mode(True, config, scheme, bench, N, seed, **kwargs),
-    )
-
-
-def retired_prefix(sim):
-    """``(instructions, references, next gap)`` of the longest prefix of
-    the trace that fits in the system's instruction total."""
-    total = sim.system.total_instructions
-    done = refs = 0
-    for chunk in sim.traces[0].chunks():
-        for gap in chunk.gaps:
-            if done + gap + 1 > total:
-                return done, refs, gap
-            done += gap + 1
-            refs += 1
-    return done, refs, 0
-
-
-PAIRS = [
-    ("ideal", "gcc"),
-    ("picl", "lbm"),
-    ("journaling", "mcf"),
-    ("thynvm", "astar"),
-    ("shadow", "mcf"),
-    ("frm", "lbm"),
-]
-
-
-class TestBitIdentity:
-    @pytest.mark.parametrize("scheme,bench", PAIRS)
-    def test_full_run_identical(self, scheme, bench):
-        reference, fast = run_pair(small_config(), scheme, bench, 77)
-        assert_identical(reference, fast)
-
-    def test_crash_run_identical(self):
-        crash_at = N // 2 + 137  # mid-epoch, not on a boundary
-        reference, fast = run_pair(
-            small_config(), "picl", "gcc", 9, crash_at=crash_at
-        )
-        assert reference.crashed and fast.crashed
-        assert_identical(reference, fast)
-        assert_identical_recovery(reference, fast)
-
-    def test_sub_block_granularity_falls_back_identically(self):
-        # 16 B tracking rotates the store sequence across sub-blocks, so
-        # the coalescing fast path must refuse picl stores — and still
-        # match the reference loop exactly.
-        config = small_config()
-        config = dataclasses.replace(
-            config, picl=dataclasses.replace(config.picl, tracking_granularity=16)
-        )
-        reference, fast = run_pair(config, "picl", "lbm", 21)
-        assert_identical(reference, fast)
-
-    def test_capped_log_falls_back_identically(self):
-        # A hard log cap makes every store check log pressure, which the
-        # fast path cannot batch; picl must decline coalescing.
-        config = small_config()
-        config = dataclasses.replace(
-            config,
-            picl=dataclasses.replace(config.picl, log_max_bytes=64 * 1024 * 1024),
-        )
-        reference, fast = run_pair(config, "picl", "lbm", 33)
-        assert_identical(reference, fast)
-
-    @pytest.mark.parametrize("scheme", ("picl", "frm", "journaling"))
-    @pytest.mark.parametrize("site", SEMANTIC_SITES)
-    def test_site_crash_leaves_reference_state(self, site, scheme):
-        # The reference loop retires a reference's gap before its access
-        # chain and adds it to the system total after the access. So a
-        # crash escaping mid-chain leaves the gap on the core's clock and
-        # instruction count but not on the total, which counts exactly
-        # the retired references. The fast engine must leave the same.
-        plans = [CrashPlan.on_event(site, occurrence=3) for _ in "ab"]
-        reference = run_mode(
-            False, small_config(), scheme, "gcc", N, 5, crash_plan=plans[0]
-        )
-        fast = run_mode(True, small_config(), scheme, "gcc", N, 5, crash_plan=plans[1])
-        assert plans[0].fired == plans[1].fired
-        assert reference.crashed == fast.crashed
-        assert reference.crash_site == fast.crash_site
-        for sim in (reference, fast):
-            done, refs, gap = retired_prefix(sim)
-            assert done == sim.system.total_instructions
-            assert refs == sim.stats.get("loads") + sim.stats.get("stores")
-            assert sim.cores[0].instructions - done in (0, gap)
-        assert_identical(reference, fast)
-        if reference.crashed:
-            assert_identical_recovery(reference, fast)
 
 
 class TestTraceMetadata:
@@ -201,10 +83,10 @@ class TestTraceMemo:
         clear_trace_memo()
 
     def test_simulation_identical_with_and_without_memo(self, monkeypatch):
-        config = small_config()
         clear_trace_memo()
-        with_memo = run_mode(True, config, "picl", "gcc", N, seed=13)
+        args = ("columnar+drain", small_config(), "picl", ["gcc"], 60_000, 13)
+        with_memo = run_mode(*args)
         monkeypatch.setenv("REPRO_NO_TRACE_MEMO", "1")
-        without_memo = run_mode(True, config, "picl", "gcc", N, seed=13)
-        assert_identical(with_memo, without_memo)
+        without_memo = run_mode(*args)
+        assert fingerprint(with_memo) == fingerprint(without_memo)
         clear_trace_memo()

@@ -8,17 +8,10 @@ architectural snapshot of the scheme's last commit.
 
 import pytest
 
-from helpers import images_equal
-from repro.sim.config import SystemConfig
+from helpers import images_equal, small_config
 from repro.sim.simulator import Simulation
 
 RECOVERABLE_SCHEMES = ("picl", "frm", "journaling", "shadow", "thynvm")
-
-
-def small_config(**overrides):
-    defaults = dict(track_reference=True, reference_depth=64)
-    defaults.update(overrides)
-    return SystemConfig().scaled(256, **defaults)
 
 
 N = 80_000
@@ -27,7 +20,7 @@ N = 80_000
 @pytest.mark.parametrize("scheme", RECOVERABLE_SCHEMES)
 @pytest.mark.parametrize("crash_fraction", [0.15, 0.5, 0.9])
 def test_crash_recovery_end_to_end(scheme, crash_fraction):
-    sim = Simulation(small_config(), scheme, ["gcc"], N, seed=42)
+    sim = Simulation(small_config(reference_depth=64), scheme, ["gcc"], N, seed=42)
     sim.run(crash_at_instructions=int(N * crash_fraction))
     image, commit_id, reference = sim.crash_and_recover()
     assert reference is not None, "no snapshot for commit %r" % (commit_id,)
@@ -36,7 +29,7 @@ def test_crash_recovery_end_to_end(scheme, crash_fraction):
 
 @pytest.mark.parametrize("scheme", RECOVERABLE_SCHEMES)
 def test_crash_recovery_multicore(scheme):
-    config = small_config(n_cores=4)
+    config = small_config(4, reference_depth=64)
     benchmarks = ["gcc", "lbm", "gamess", "astar"]
     sim = Simulation(config, scheme, benchmarks, 30_000, seed=9)
     sim.run(crash_at_instructions=4 * 30_000 // 2)
@@ -47,7 +40,7 @@ def test_crash_recovery_multicore(scheme):
 
 @pytest.mark.parametrize("bench_name", ["lbm", "astar", "gamess", "mcf"])
 def test_picl_recovery_across_workload_characters(bench_name):
-    sim = Simulation(small_config(), "picl", [bench_name], N, seed=7)
+    sim = Simulation(small_config(reference_depth=64), "picl", [bench_name], N, seed=7)
     sim.run(crash_at_instructions=int(N * 0.7))
     image, _commit_id, reference = sim.crash_and_recover()
     assert reference is not None
@@ -55,7 +48,7 @@ def test_picl_recovery_across_workload_characters(bench_name):
 
 
 def test_picl_recovery_with_tiny_acs_gap():
-    config = small_config()
+    config = small_config(reference_depth=64)
     import dataclasses
 
     config.picl = dataclasses.replace(config.picl, acs_gap=0)
@@ -67,7 +60,7 @@ def test_picl_recovery_with_tiny_acs_gap():
 
 
 def test_picl_recovery_with_max_acs_gap():
-    config = small_config()
+    config = small_config(reference_depth=64)
     import dataclasses
 
     config.picl = dataclasses.replace(config.picl, acs_gap=8)
@@ -79,7 +72,7 @@ def test_picl_recovery_with_max_acs_gap():
 
 
 def test_crash_before_first_commit_recovers_initial_state():
-    sim = Simulation(small_config(), "picl", ["gcc"], N, seed=1)
+    sim = Simulation(small_config(reference_depth=64), "picl", ["gcc"], N, seed=1)
     sim.run(crash_at_instructions=1000)
     image, commit_id, reference = sim.crash_and_recover()
     assert commit_id == -1

@@ -1,0 +1,379 @@
+"""Engine identity: the fast engine against the reference side, 1..N cores.
+
+The fast engine is an optimization, not a model change. One core
+classifies trace windows against the L1 tag mirror, bulk-applies
+all-hit stretches and drains the rest through the fused miss chain
+(``columnar+drain``; ``drain`` when the L1 is too wide for a mirror
+row). Several cores take turns through the same drain (``drain``).
+Configs the drain declines run the reference loop and say why
+(``reference: <reason>``).
+
+Every case runs one point twice. The first run must report the engine
+the case names. The second is the reference side: ``REPRO_VECTOR=0``
+(``Simulation._run_reference``, one ``hierarchy.access`` per reference)
+with every cache and the ACS engine on the brute-force sweep oracle
+(``force_brute``). Their ``fingerprint``s must be equal: per-core
+clocks, stalls and instructions, the system total, the next token, the
+arch image, every stat, the NVM image, the undo log and the crash
+outcome. So one comparison covers the columnar walk, the drain and the
+EID index, and the fast side's index must also match a sweep of its LLC.
+Both sides then power-fail and must recover the same image. A crashed
+run must also leave the reference loop's in-flight convention: the
+system total counts exactly the retired references, and at most one
+core (the one whose access chain the crash escaped) carries its next
+reference's gap on its clock and instruction count.
+
+``ROWS`` is the curated matrix. ``test_fuzz`` draws the whole config
+space, one ``SHAPES`` share per fast-engine path, and asserts the
+engine each draw must run.
+"""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from helpers import REFERENCE, fingerprint, run_mode, small_config
+from repro.cache.hierarchy import EvictionSink
+from repro.common.units import KB, MB
+from repro.core.recovery import check_recovered
+from repro.fault.plan import SEMANTIC_SITES, SITE_UNDO_FLUSH, CrashPlan
+from repro.mem.dram_cache import DramCache, DramCacheMode
+from repro.sim.simulator import Simulation
+from repro.trace import profiles
+from repro.trace.mixes import MULTIPROGRAM_MIXES
+from repro.trace.profiles import WorkloadProfile
+from repro.trace.synthetic import MaterializedTrace, SyntheticTrace
+from repro.trace.tracefile import RecordedTrace, load_trace, save_trace
+
+SCHEMES = ("ideal", "journaling", "shadow", "frm", "thynvm", "picl")
+
+N = 60_000  # one core: a few scheduled epochs at scale 256
+N_MC = 30_000  # per core of a multi-core point
+
+#: Per-core benchmarks, rotated and sliced to the core count: miss-heavy
+#: (gcc, mcf, astar), hit-dominated (hmmer) and run-structured (lbm,
+#: h264ref), so neighbouring cores drift apart and the turn order keeps
+#: changing.
+BENCHES = ("gcc", "mcf", "hmmer", "lbm", "astar", "h264ref", "gcc", "mcf")
+
+
+def benchlist(n_cores, rotate=0):
+    ring = BENCHES[rotate:] + BENCHES[:rotate]
+    return list(ring[:n_cores])
+
+
+def attach_dram_cache(sim):
+    dram = DramCache(64 * KB, assoc=2, mode=DramCacheMode.WRITE_THROUGH)
+    sim.controller.dram_cache = dram
+    dram.attach(sim.controller)
+
+
+def attach_plain_sink(sim):
+    sim.hierarchy.sink = EvictionSink(sim.controller)
+
+
+def retired(trace, instructions):
+    """``(instructions, references)`` of the longest prefix of ``trace``
+    that fits in ``instructions``, and the next reference's gap."""
+    done = refs = 0
+    for chunk in trace.chunks():
+        for gap in chunk.gaps:
+            if done + gap + 1 > instructions:
+                return done, refs, gap
+            done += gap + 1
+            refs += 1
+    return done, refs, 0
+
+
+def gap_carriers(sim):
+    """Check the in-flight convention of a crashed run (see the module
+    docstring); return the cores that carry their next gap."""
+    total = refs = 0
+    carriers = []
+    for cid, core in enumerate(sim.cores):
+        done, n_refs, gap = retired(sim.traces[cid], core.instructions)
+        total += done
+        refs += n_refs
+        if core.instructions != done:
+            assert core.instructions == done + gap
+            carriers.append(cid)
+    assert total == sim.system.total_instructions
+    assert refs == sim.stats.get("loads") + sim.stats.get("stores")
+    assert len(carriers) <= 1
+    return carriers
+
+
+def run_pair(engine, scheme, benches, seed, n=N, shared=False, crash_at=None,
+             site=None, occurrence=3, tear=None, prepare=None, trace=None,
+             must_crash=False, expect=(), **config):
+    """Run one point on ``engine`` and on the reference side; compare.
+
+    ``must_crash`` (True, or ``"mid-chain"`` for a crash that leaves a
+    gap in flight) and ``expect`` (``(stat, minimum)`` pairs) check that
+    the point exercises what it was chosen for.
+    """
+    config = small_config(len(benches), **config)
+    sims, plans = [], []
+    for side, brute in ((engine, False), (REFERENCE, True)):
+        plan = None if site is None else CrashPlan.on_event(
+            site, occurrence=occurrence, tear_entries=tear
+        )
+        plans.append(plan)
+        sims.append(run_mode(
+            side, config, scheme, benches, n, seed, brute=brute,
+            shared_memory=shared, crash_at=crash_at, crash_plan=plan,
+            trace=trace, prepare=prepare,
+        ))
+    fast, reference = sims
+    if site is not None:
+        assert plans[0].fired == plans[1].fired
+    assert fast.crashed or not must_crash
+    for stat, minimum in expect:
+        assert fast.stats.get(stat) >= minimum, stat
+    llc = fast.hierarchy.llc
+    assert llc.eid_index.verify_against(llc) == []
+    assert fingerprint(fast) == fingerprint(reference)
+    if fast.crashed:
+        carriers = gap_carriers(fast)
+        assert carriers or must_crash != "mid-chain"
+    recovered = fast.crash_and_recover()
+    assert recovered == reference.crash_and_recover()
+    image, _commit, snapshot = recovered
+    if snapshot is not None:
+        check_recovered(image, snapshot)
+    return fast
+
+
+def row(id, engine, scheme, benches, seed, **kwargs):
+    if isinstance(benches, str):
+        benches = [benches]
+    return pytest.param(engine, scheme, benches, seed, kwargs, id=id)
+
+
+CD, DRAIN = "columnar+drain", "drain"
+WIDE = dict(l1_ways=16)  # wider than a mirror row: the "drain" engine
+CRASH_AT = N // 2 + 137  # mid-epoch, not on a boundary
+W2 = MULTIPROGRAM_MIXES["W2"]
+
+ROWS = [
+    # One core. hmmer is hit-dominated (the bulk path carries nearly
+    # every window), lbm/h264ref run-structured, gcc/mcf/astar
+    # miss-heavy; every scheme runs a miss-heavy trace, covering the
+    # drain's three store-dispatch modes.
+    *[row("full-%s-%s" % pair, CD, *pair, 77) for pair in (
+        ("ideal", "hmmer"), ("journaling", "mcf"), ("shadow", "gcc"),
+        ("frm", "lbm"), ("thynvm", "astar"), ("picl", "hmmer"),
+        ("picl", "gcc"), ("picl", "h264ref"), ("ideal", "gcc"),
+        ("frm", "astar"), ("thynvm", "mcf"), ("picl", "astar"),
+        ("picl", "lbm"), ("shadow", "mcf"))],
+    *[row("crash-at-" + s, CD, s, "gcc", 9, crash_at=CRASH_AT, must_crash=True)
+      for s in SCHEMES],
+    # Site crashes inside drained windows, deep enough to fire from a
+    # miss-heavy phase: deferred counters, tokens and the pending undo
+    # run must all land before the signal escapes.
+    row("site-llc_eviction-picl-300", CD, "picl", "gcc", 5,
+        site="llc_eviction", occurrence=300, must_crash=True),
+    row("site-llc_eviction-journaling-15", CD, "journaling", "gcc", 5,
+        site="llc_eviction", occurrence=15, must_crash=True),
+    row("site-undo_flush-picl-torn", CD, "picl", "gcc", 5,
+        site="undo_flush", tear=7, must_crash=True),
+    row("site-pre_inplace-picl-200", CD, "picl", "gcc", 5,
+        site="pre_inplace", occurrence=200, must_crash=True),
+    *[row("site-%s-%s-3" % (site, s), CD, s, "gcc", 5, site=site)
+      for site in SEMANTIC_SITES for s in ("picl", "frm", "journaling")],
+    # 16 B tracking and a hard log cap turn picl's store filter off:
+    # every store takes the drain's out-of-line on_store call.
+    *[row("sub-block-" + b, CD, "picl", b, 21, granularity=16)
+      for b in ("lbm", "gcc")],
+    *[row("log-cap-" + b, CD, "picl", b, 33, log_cap=64 * MB)
+      for b in ("lbm", "gcc")],
+    # The mirror pads every row to eight ways.
+    *[row("l1-%d-way-%s-%s" % (w, s, b), CD, s, b, 61, l1_ways=w)
+      for w in (2, 3, 8) for s, b in (("picl", "hmmer"), ("frm", "gcc"))],
+    # On hmmer most of the chunk is still frozen when the crash lands;
+    # the third undo flush tears after one entry, ~60% of the way in.
+    row("lazy-crash-at-hmmer", CD, "picl", "hmmer", 83, crash_at=CRASH_AT,
+        must_crash=True),
+    row("lazy-site-undo_flush-hmmer", CD, "picl", "hmmer", 89, n=400_000,
+        site="undo_flush", tear=1, must_crash=True),
+    # One core, every engine string.
+    row("4-way-l1", CD, "picl", "gcc", 19),
+    row("16-way-l1-undo-flush-crash", DRAIN, "picl", "gcc", 19, **WIDE,
+        site="undo_flush", tear=7, must_crash=True),
+    row("2-channel-nvm", "reference: nvm has 2 channels", "picl", "gcc", 19,
+        channels=2),
+    row("dram-cache", "reference: dram cache in front of nvm", "picl", "gcc",
+        19, prepare=attach_dram_cache),
+    row("plain-sink", "reference: eviction sink is not the scheme", "ideal",
+        "gcc", 19, prepare=attach_plain_sink),
+    row("reference", REFERENCE, "picl", "gcc", 19),
+    # One core, an L1 too wide for a mirror row: the drain runs every
+    # reference, hits included, so its run-coalescing tail carries every
+    # same-line run (lbm's are long), with picl's store filter on, off
+    # (16 B tracking, a log cap) and through a crash.
+    *[row("wide-full-%s-%s" % pair, DRAIN, *pair, 77, **WIDE) for pair in (
+        ("journaling", "mcf"), ("shadow", "gcc"), ("picl", "hmmer"),
+        ("picl", "gcc"), ("frm", "lbm"), ("picl", "lbm"),
+        ("journaling", "lbm"))],
+    *[row("wide-crash-at-" + s, DRAIN, s, "gcc", 9, **WIDE, crash_at=CRASH_AT,
+          must_crash=True) for s in SCHEMES],
+    row("wide-crash-at-picl-lbm", DRAIN, "picl", "lbm", 9, **WIDE,
+        crash_at=CRASH_AT, must_crash=True),
+    row("wide-sub-block-lbm", DRAIN, "picl", "lbm", 21, **WIDE, granularity=16),
+    row("wide-log-cap-lbm", DRAIN, "picl", "lbm", 33, **WIDE, log_cap=64 * MB),
+    *[row("wide-%d-channel-nvm" % c, "reference: nvm has %d channels" % c,
+          "picl", "gcc", 3, n=20_000, **WIDE, channels=c) for c in (4, 2)],
+    # Several cores: turn lengths shrink as the heap fills; shared
+    # memory adds cross-core snoops and back-invalidations.
+    *[row("mc%d-%s" % (c, "shared" if sh else "private"), DRAIN, "picl",
+          benchlist(c), 11, n=N_MC, shared=sh)
+      for c in (2, 4, 8) for sh in (False, True)],
+    *[row("mc4-" + s, DRAIN, s, benchlist(4, 1), 23, n=N_MC) for s in SCHEMES],
+    row("mc2-sub-block", DRAIN, "picl", benchlist(2), 31, n=N_MC,
+        granularity=16),
+    # The benchmark's ACS-heavy point: W2 at scale 16, 4 MB of LLC per
+    # core, an epoch every 4096 system instructions, mostly mid-turn.
+    row("mc8-w2-short-epochs", DRAIN, "picl", W2, 61, n=8192, scale=16,
+        llc_size_per_core=4 * MB, epoch_instructions=512,
+        expect=(("commits", 11), ("acs.scans", 1))),
+    row("mc2-2-channel-nvm", "reference: nvm has 2 channels", "picl",
+        benchlist(2), 71, n=N_MC, channels=2),
+    row("mc2-dram-cache", "reference: dram cache in front of nvm", "frm",
+        benchlist(2, 1), 73, n=N_MC, prepare=attach_dram_cache,
+        expect=(("dram.hits", 1),)),
+    # crash_at counts all cores' instructions, so the stop lands mid-turn.
+    *[row("mc4-crash-at-" + s, DRAIN, s, benchlist(4), 43, n=N_MC,
+          crash_at=N_MC * 2 + 137, must_crash=True) for s in SCHEMES],
+    *[row("mc2-site-" + site, DRAIN, "picl", benchlist(2, 2), 53, n=N_MC,
+          site=site, occurrence=5, tear=1 if site == SITE_UNDO_FLUSH else None)
+      for site in SEMANTIC_SITES],
+    # A late LLC-eviction crash escapes mid-chain with a nonzero gap in
+    # flight, after commits exist to recover to.
+    row("mc2-mid-chain-gap", DRAIN, "picl", ["gcc", "mcf"], 83, n=N_MC,
+        epoch_instructions=1024, site="llc_eviction", occurrence=300,
+        must_crash="mid-chain", expect=(("commits", 1),)),
+]
+
+
+@pytest.mark.parametrize("engine,scheme,benches,seed,kwargs", ROWS)
+def test_row(engine, scheme, benches, seed, kwargs):
+    run_pair(engine, scheme, benches, seed, **kwargs)
+
+
+@pytest.mark.parametrize("source", ("memo", "fresh", "file"))
+def test_trace_source(source, monkeypatch, tmp_path):
+    # Every source builds its chunks through the same frozen-chunk
+    # constructor; the columnar walk must not care which one it got.
+    factory = None
+    if source == "fresh":
+        monkeypatch.setenv("REPRO_NO_TRACE_MEMO", "1")
+    elif source == "file":
+        path = tmp_path / "hmmer.npz"
+        recorder = Simulation(small_config(), "picl", ["hmmer"], N, seed=71)
+        save_trace(path, recorder.traces[0])
+
+        def factory():
+            return load_trace(path)
+
+    fast = run_pair(CD, "picl", ["hmmer"], 71, trace=factory)
+    cls = {"memo": MaterializedTrace, "fresh": SyntheticTrace,
+           "file": RecordedTrace}[source]
+    assert isinstance(fast.traces[0], cls)
+
+
+def expected_engine(n_cores, l1_ways, channels, dram_cache):
+    """The engine a config must run: ``decline_reason``'s checks in
+    order, then the mirror rule (one core, at most eight L1 ways)."""
+    if dram_cache:
+        return "reference: dram cache in front of nvm"
+    if channels > 1:
+        return "reference: nvm has %d channels" % channels
+    return CD if n_cores == 1 and l1_ways <= 8 else DRAIN
+
+
+# Every axis the trace generator exposes, constrained exactly as
+# WorkloadProfile.__post_init__ demands.
+fuzz_profiles = st.builds(
+    lambda mem, wf, seq, chase_scale, ws, alpha, run, sb, zb_scale: WorkloadProfile(
+        "_fuzz",
+        mem_ratio=mem,
+        write_frac=wf,
+        working_set_bytes=ws * MB,
+        seq_frac=seq,
+        chase_frac=min((1.0 - seq) * chase_scale, 1.0 - seq),
+        zipf_alpha=alpha,
+        category="fuzz",
+        seq_run=run,
+        write_seq_bias=sb,
+        write_zipf_bias=min((1.0 - sb) * zb_scale, 1.0 - sb),
+    ),
+    mem=st.floats(0.05, 1.0),
+    wf=st.floats(0.0, 1.0),
+    seq=st.floats(0.0, 1.0),
+    chase_scale=st.floats(0.0, 1.0),
+    ws=st.integers(1, 64),
+    alpha=st.floats(0.05, 1.5),
+    run=st.integers(1, 16),
+    sb=st.floats(0.0, 1.0),
+    zb_scale=st.floats(0.0, 1.0),
+)
+
+
+#: The fuzz's shapes, one per fast-engine path: one core with a mirrored
+#: L1 (``columnar+drain``), one core with an L1 too wide for a mirror row
+#: and several cores (both ``drain``). Each shape gets its own share of
+#: the examples and draws every other axis; together they cover cores
+#: {1, 2, 4, 8} x L1 ways {2, 4, 8, 16}.
+SHAPES = {
+    "mirror-l1": ((1,), (2, 4, 8)),
+    "wide-l1": ((1,), (16,)),
+    "multi-core": ((2, 4, 8), (2, 4, 8, 16)),
+}
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@settings(max_examples=9, deadline=None)
+@given(
+    data=st.data(),
+    profile=fuzz_profiles,
+    rotate=st.integers(0, len(BENCHES) - 1),
+    scheme=st.sampled_from(SCHEMES),
+    shared=st.booleans(),
+    granularity=st.sampled_from((64, 16)),
+    log_cap=st.sampled_from((None, 64 * MB)),
+    # One draw in eight runs a config the drain declines (the reference
+    # loop on both sides); the curated rows pin every declined engine.
+    declined=st.sampled_from((None,) * 14 + ("channels", "dram-cache")),
+    crash=st.one_of(
+        st.none(),
+        st.floats(0.2, 0.9),  # crash at this fraction of the run
+        st.sampled_from(SEMANTIC_SITES),
+    ),
+    seed=st.integers(0, 2**20),
+)
+def test_fuzz(shape, data, profile, rotate, scheme, shared, granularity,
+              log_cap, declined, crash, seed):
+    cores, ways = SHAPES[shape]
+    n_cores = data.draw(st.sampled_from(cores), "n_cores")
+    l1_ways = data.draw(st.sampled_from(ways), "l1_ways")
+    # Core 0 runs the drawn profile, the others named benchmarks.
+    # Simulation resolves benchmarks by name, so the profile is parked
+    # in the registry for the two runs; the trace memo keys on the
+    # profile's value, so same-name profiles never collide.
+    n = 20_000 if n_cores == 1 else 12_000
+    channels = 2 if declined == "channels" else 1
+    dram_cache = declined == "dram-cache"
+    kwargs = dict(n=n, shared=shared, granularity=granularity,
+                  log_cap=log_cap, l1_ways=l1_ways, channels=channels)
+    if dram_cache:
+        kwargs["prepare"] = attach_dram_cache
+    if isinstance(crash, float):
+        kwargs.update(crash_at=int(n * n_cores * crash), must_crash=True)
+    elif crash is not None:
+        kwargs.update(site=crash, tear=1 if crash == SITE_UNDO_FLUSH else None)
+    engine = expected_engine(n_cores, l1_ways, channels, dram_cache)
+    benches = ["_fuzz"] + benchlist(n_cores - 1, rotate)
+    profiles._BY_NAME["_fuzz"] = profile
+    try:
+        run_pair(engine, scheme, benches, seed, **kwargs)
+    finally:
+        del profiles._BY_NAME["_fuzz"]

@@ -2,15 +2,9 @@
 
 import pytest
 
+from helpers import small_config
 from repro.common.errors import ConfigurationError
-from repro.sim.config import SystemConfig
 from repro.sim.simulator import SCHEME_NAMES, Simulation, build_scheme
-
-
-def small_config(**overrides):
-    defaults = dict(track_reference=True, reference_depth=32)
-    defaults.update(overrides)
-    return SystemConfig().scaled(256, **defaults)
 
 
 N = 60_000  # a few scheduled epochs at scale 256
