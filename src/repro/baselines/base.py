@@ -80,20 +80,33 @@ class CrashConsistencyScheme:
 
         The single-core driver (Simulation._run_single_core, when the
         L1 carries a mirror) classifies windows of an epoch segment at
-        once and wants to apply store hits in bulk — but only stores whose
-        ``on_store`` call would provably be a no-op (return 0, change no
-        scheme state beyond what :meth:`on_store_bulk` accounts for).
+        once and applies store hits in bulk.
 
         Returns ``True`` (every store hit is scheme-silent), ``False``
         (no store hit may be bulk-applied; all stores go through the
-        exact path), or an int EID (a store hit is silent exactly when
-        the line's EID equals that value — PiCL's cheap same-epoch
-        branch). Re-evaluated at the start of every epoch segment, never
-        cached across boundaries. The default mirrors
-        :meth:`on_store_repeat`: silent iff ``on_store`` is the
-        inherited no-op.
+        exact path), or an int EID. Under an EID every store hit is
+        bulk-applied: a store to a line tagged with that EID must be
+        silent (PiCL's cheap same-epoch branch). For every other stored
+        line — a cross-epoch store — the stretch calls ``on_store`` once,
+        in first-store order, before it writes the line's token; the
+        line must then carry the filter EID, so its later stores are
+        silent. Such a call may buffer state but must not stall, and the
+        stretch makes at most :meth:`vector_store_room` of them.
+        Re-evaluated at the start of every epoch segment, never cached
+        across boundaries. The default mirrors :meth:`on_store_repeat`:
+        silent iff ``on_store`` is the inherited no-op.
         """
         return type(self).on_store is CrashConsistencyScheme.on_store
+
+    def vector_store_room(self):
+        """How many cross-epoch stores a bulk stretch may apply now.
+
+        Read under an EID :meth:`vector_store_filter` only, before every
+        bulk stretch: the columnar walk ends a stretch just before the
+        cross-epoch store past this room and replays that store exactly.
+        Default 0: every cross-epoch store replays exactly.
+        """
+        return 0
 
     def on_store_bulk(self, count):
         """Aggregate bookkeeping for ``count`` bulk-applied store hits.

@@ -60,32 +60,6 @@ class BloomFilter:
                 words[pos >> 6] |= 1 << (pos & 63)
         self._population += 1
 
-    def add_batch(self, addrs):
-        """Set the bits of every address in ``addrs`` (one call, not N).
-
-        Bit-identical to ``add`` per address — the batched miss-chain
-        engine defers per-store bloom updates and applies them per window
-        through this, so the filter contents at any flush boundary match
-        the scalar chain's exactly.
-        """
-        mask = self._mask
-        words = self._words
-        if self.n_hashes == 2:
-            for addr in addrs:
-                h1 = (addr * 2654435761) & 0xFFFFFFFF
-                pos = h1 & mask
-                words[pos >> 6] |= 1 << (pos & 63)
-                pos = (h1 + (((addr >> 6) * 40503 + 0x9E3779B9) & 0xFFFFFFFF)) & mask
-                words[pos >> 6] |= 1 << (pos & 63)
-        else:
-            for addr in addrs:
-                h1 = (addr * 2654435761) & 0xFFFFFFFF
-                h2 = ((addr >> 6) * 40503 + 0x9E3779B9) & 0xFFFFFFFF
-                for i in range(self.n_hashes):
-                    pos = (h1 + i * h2) & mask
-                    words[pos >> 6] |= 1 << (pos & 63)
-        self._population += len(addrs)
-
     def might_contain(self, addr):
         """True when ``addr`` may have been added since the last clear."""
         h1 = (addr * 2654435761) & 0xFFFFFFFF

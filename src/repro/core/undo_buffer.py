@@ -68,36 +68,6 @@ class UndoBuffer:
             return self.flush(now)
         return 0
 
-    def append_batch(self, entries, now):
-        """Buffer a run of undo entries with one capacity check per chunk.
-
-        Bit-identical to calling :meth:`add` once per entry at the same
-        ``now``: the entries land in FIFO order, the pending set and bloom
-        filter absorb the whole run through one batched update each, and a
-        capacity crossing flushes at exactly the entry that would have
-        triggered it scalar-wise (the remainder then refills the emptied
-        buffer). Returns the total stall.
-
-        The batched miss-chain engine only ever hands over runs it kept
-        strictly below capacity (it routes the capacity-reaching entry
-        through ``add`` so the flush sees the precise issue cycle), but
-        the boundary splitting keeps this safe for any caller.
-        """
-        stall = 0
-        start = 0
-        n = len(entries)
-        while start < n:
-            room = self.capacity - len(self._entries)
-            chunk = entries[start:start + room] if start or room < n else entries
-            self._entries.extend(chunk)
-            self._pending_addrs.update(entry.addr for entry in chunk)
-            self.bloom.add_batch([entry.addr for entry in chunk])
-            self._entries_created.value += len(chunk)
-            if len(self._entries) >= self.capacity:
-                stall += self.flush(now + stall)
-            start += len(chunk)
-        return stall
-
     # ------------------------------------------------------------------
     # hazard check (LLC eviction path)
     # ------------------------------------------------------------------

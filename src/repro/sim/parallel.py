@@ -310,8 +310,14 @@ def retry_delay(attempt, backoff=DEFAULT_BACKOFF, key=None):
 def fault_env():
     """The (timeout, retries) pair configured via the environment."""
     timeout = _env_float("REPRO_POINT_TIMEOUT")
-    retries = int(os.environ.get("REPRO_RETRIES", DEFAULT_RETRIES))
-    return timeout, retries
+    raw = os.environ.get("REPRO_RETRIES", "").strip()
+    if not raw:
+        return timeout, DEFAULT_RETRIES
+    if not raw.isdecimal():
+        raise ConfigurationError(
+            "REPRO_RETRIES must be a non-negative integer, got %r" % raw
+        )
+    return timeout, int(raw)
 
 
 def resolve_jobs(jobs=None):
@@ -677,7 +683,7 @@ def execute_batch_with_retry(
     (:func:`engine_env`) pinned inside every child attempt.
     """
     if retries is None:
-        retries = int(os.environ.get("REPRO_RETRIES", DEFAULT_RETRIES))
+        retries = fault_env()[1]
     budget = batch_budget(timeout, len(batch))
     key = "; ".join(point.describe() for point in batch)
     attempt = 0

@@ -28,7 +28,7 @@ from repro.baselines import Frm, IdealNvm, Journaling, ShadowPaging, ThyNvm
 from repro.cache.hierarchy import CacheHierarchy
 from repro.cache.line import LineState
 from repro.cache.miss_engine import CoreTurns, MissChainEngine, decline_reason
-from repro.common.errors import ConfigurationError
+from repro.common.errors import ConfigurationError, SimulationError
 from repro.common.stats import StatCounters
 from repro.core.picl import PiclScheme
 from repro.cpu.core import CoreState
@@ -297,10 +297,14 @@ class Simulation:
            next ``window`` references in numpy against the L1's live tag
            mirror (:class:`repro.cache.vector_mirror.TagMirror`). A
            reference is *fast* when it is a classified L1 hit the scheme
-           cannot observe: every load hit, plus store hits the scheme's
-           ``vector_store_filter`` declares silent (all of them, none, or
-           only lines tagged with a given EID — PiCL's same-epoch branch).
-           Everything else is *residual*. The probe has no row reduction:
+           lets the walk apply: every load hit, plus the store hits the
+           scheme's ``vector_store_filter`` admits — all of them, none,
+           or, under an EID filter (PiCL), all of them again, those to
+           lines tagged otherwise being cross-epoch stores. For an EID
+           filter the same pass lists the window's *cross positions*:
+           each mirror slot's first store hit, where the slot's EID is
+           not the filter's. Everything else is *residual*. The probe has
+           no row reduction:
            the mirror's rows are padded to eight ways, so each reference's
            row of matches is one 64-bit word, nonzero on a hit, whose one
            set byte names the way — and with it the reference's mirror
@@ -317,8 +321,16 @@ class Simulation:
            classified, it holds each resident line in exactly one slot,
            and a line evicted mid-window has its remaining fast
            references demoted (step 3) before any stretch reaches them.
-           Applying a fast stretch cannot change residency or EIDs, so it
-           can never invalidate its own classification.
+           A cross-epoch store hit takes the scheme's own ``on_store``,
+           once per line, in first-store order, before the line's token
+           is written: that is its undo entry's FIFO position and its
+           LLC retag's EID-index order. A stretch holds at most the scheme's
+           ``vector_store_room`` of them and ends just before the one
+           past it, which replays exactly, so an undo-buffer flush never
+           runs inside a stretch and keeps its exact issue cycle.
+           Applying a fast stretch cannot change residency, and it
+           retags lines only to the filter's EID, so it can never
+           invalidate its own classification.
         3. **Replays residuals exactly** through the drain, so misses,
            evictions, undo logging, and crash-plan sites behave
            identically. A residual's evictions CAN invalidate the rest of
@@ -327,8 +339,8 @@ class Simulation:
            mirror logs removals and the loop demotes the victims'
            remaining fast positions to residual after every replay.
            Residual side effects can also flip references the *other* way
-           (a cross-epoch store retags its line silent); those stay
-           residual and replay exactly, which is merely conservative.
+           (a residual fill makes a later classified miss a hit); those
+           stay residual and replay exactly, which is merely conservative.
 
         Only exact replays read the chunk one reference at a time, so only
         they box it: the chunk's Python lists start unthawed, and every
@@ -371,6 +383,8 @@ class Simulation:
             ways = vec.ways
             n_slots = len(eids)
             removed = vec.removed
+            eidq = vec.eidq
+        undo = getattr(scheme, "buffer", None)  # PiCL's, for bulk_span
         # Stretch and store ordinals for bulk_span's scatter reductions.
         positions = np.arange(_WINDOW_MAX, dtype=np.int64)
         core = self.cores[0]
@@ -419,6 +433,7 @@ class Simulation:
                     r,
                     nruns,
                     slots,
+                    cross_eid,
                     # Default-arg binding: the group loops below run once
                     # per coalescing group, and locals are materially
                     # faster than closure derefs there.
@@ -453,6 +468,12 @@ class Simulation:
                     keyed on ``slots`` — the stretch's mirror slots, which
                     within one all-fast stretch map one to one onto its
                     addresses.
+
+                    Under an EID filter (``cross_eid``) a stored line
+                    tagged otherwise takes one ``on_store`` call before its
+                    token is written. None may fill the undo buffer: that
+                    flush would issue at the wrong cycle, and a flush can
+                    stall 0 cycles, so the buffer is checked first.
                     """
                     k = r - s
                     prev_cum = int(np_cum[s - 1]) if s else 0
@@ -462,6 +483,9 @@ class Simulation:
                     core.mem_stall_cycles += k * l1_latency
                     l1_hits.bump(k)
                     loads.bump(k - nw)
+                    if nw:
+                        nt = system._next_token
+                        system._next_token = nt + nw
                     if nruns < _NUMPY_BULK_MIN:
                         thaw(s, r)
                         # MRU: one move-to-front per distinct line,
@@ -482,57 +506,45 @@ class Simulation:
                             if cache_set[0] is not line:
                                 cache_set.remove(line)
                                 cache_set.insert(0, line)
-                        if nw:
-                            nt = system._next_token
-                            system._next_token = nt + nw
-                            # A line's surviving token is its last store in
-                            # the stretch: the last write of the last run
-                            # that stores to it, whose ordinal is the
-                            # cumulative write count at that run's end
-                            # (intermediates are unobservable — the same
-                            # argument as the drain's run-coalescing tail).
-                            # Dict insertion order = first-store order,
-                            # matching the dirty dict's scalar order.
-                            last = {}
-                            j = s
-                            prev_w = base_w
-                            while j < r:
-                                e = run_ends[j]
-                                if e > r:
-                                    e = r
-                                wend = wcum[e - 1]
-                                if wend != prev_w:
-                                    last[addrs[j]] = nt + (wend - base_w) - 1
-                                    prev_w = wend
-                                j = e
-                            for addr, tok in last.items():
-                                line = l1_tags[addr]
-                                line.token = tok
-                                if not line._dirty:
-                                    line._dirty = True
-                                    l1_dirty[addr] = line
-                                line.state = modified
-                                if track:
-                                    arch_image[addr] = tok
-                            stores.bump(nw)
-                            scheme.on_store_bulk(nw)
-                        return
-                    # Per-slot last touch by scatter-max; the positions
-                    # that are their slot's last touch, ascending, give the
-                    # MRU order — no sort.
-                    a_seg = np_addrs[s:r]
-                    pos = positions[:k]
-                    last = np.zeros(n_slots, dtype=np.int64)
-                    np.maximum.at(last, slots, pos)
-                    for addr in a_seg[last[slots] == pos].tolist():
-                        line = l1_tags[addr]
-                        cache_set = l1_sets[(addr >> l1_shift) & l1_mask]
-                        if cache_set[0] is not line:
-                            cache_set.remove(line)
-                            cache_set.insert(0, line)
-                    if nw:
-                        nt = system._next_token
-                        system._next_token = nt + nw
+                        if not nw:
+                            return
+                        # A line's surviving token is its last store in
+                        # the stretch: the last write of the last run that
+                        # stores to it, whose ordinal is the cumulative
+                        # write count at that run's end (intermediates are
+                        # unobservable — the same argument as the drain's
+                        # run-coalescing tail). Dict insertion order =
+                        # first-store order, matching the dirty dict's
+                        # scalar order.
+                        last = {}
+                        j = s
+                        prev_w = base_w
+                        while j < r:
+                            e = run_ends[j]
+                            if e > r:
+                                e = r
+                            wend = wcum[e - 1]
+                            if wend != prev_w:
+                                last[addrs[j]] = nt + (wend - base_w) - 1
+                                prev_w = wend
+                            j = e
+                        stored = last.items()
+                    else:
+                        # Per-slot last touch by scatter-max; the positions
+                        # that are their slot's last touch, ascending, give
+                        # the MRU order — no sort.
+                        a_seg = np_addrs[s:r]
+                        pos = positions[:k]
+                        last = np.zeros(n_slots, dtype=np.int64)
+                        np.maximum.at(last, slots, pos)
+                        for addr in a_seg[last[slots] == pos].tolist():
+                            line = l1_tags[addr]
+                            cache_set = l1_sets[(addr >> l1_shift) & l1_mask]
+                            if cache_set[0] is not line:
+                                cache_set.remove(line)
+                                cache_set.insert(0, line)
+                        if not nw:
+                            return
                         # Same argument as the Python path, by store
                         # ordinal: a line keeps the token of its last
                         # store, and lines dirty in first-store order.
@@ -544,18 +556,31 @@ class Simulation:
                         final = np.zeros(n_slots, dtype=np.int64)
                         np.maximum.at(final, wslots, ords)
                         firsts = first[wslots] == ords
-                        toks = (final[wslots[firsts]] + nt).tolist()
-                        for addr, tok in zip(a_seg[wpos[firsts]].tolist(), toks):
-                            line = l1_tags[addr]
-                            line.token = tok
-                            if not line._dirty:
-                                line._dirty = True
-                                l1_dirty[addr] = line
-                            line.state = modified
-                            if track:
-                                arch_image[addr] = tok
-                        stores.bump(nw)
-                        scheme.on_store_bulk(nw)
+                        stored = zip(
+                            a_seg[wpos[firsts]].tolist(),
+                            (final[wslots[firsts]] + nt).tolist(),
+                        )
+                    calls = 0
+                    for addr, tok in stored:
+                        line = l1_tags[addr]
+                        if cross_eid is not None and line.eid != cross_eid:
+                            if undo is not None and len(undo) + 1 >= undo.capacity:
+                                raise SimulationError(
+                                    "cross-epoch store to %#x would fill the "
+                                    "undo buffer inside a bulk stretch" % addr
+                                )
+                            scheme.on_store(0, line, core.cycle)
+                            eidq.append(line)
+                            calls += 1
+                        line.token = tok
+                        if not line._dirty:
+                            line._dirty = True
+                            l1_dirty[addr] = line
+                        line.state = modified
+                        if track:
+                            arch_image[addr] = tok
+                    stores.bump(nw)
+                    scheme.on_store_bulk(nw - calls)
 
                 drain = engine.make_drain(gaps, addrs, writes, cum, run_ends, wcum)
 
@@ -573,6 +598,7 @@ class Simulation:
                     # moves at boundaries, which are segment ends by
                     # construction).
                     sfilter = scheme.vector_store_filter()
+                    cross_eid = None if sfilter is True or sfilter is False else sfilter
                     i = index
                     if vec is None:
                         # No mirror to classify against: the whole segment
@@ -616,14 +642,21 @@ class Simulation:
                         row = (tags2d[sidx] == a_win[:, None]).view(_ROW_WORD).ravel()
                         hit = row != 0
                         slot = sidx * ways + ((row * _WAY_OF_BYTE) >> 56).view(np.int64)
-                        if sfilter is True:
-                            fast = hit
-                        elif sfilter is False:
+                        cross = ()
+                        if sfilter is False:
                             fast = hit & ~np_writes[wb:we]
                         else:
-                            fast = np.where(
-                                np_writes[wb:we], hit & (eids[slot] == sfilter), hit
-                            )
+                            fast = hit
+                            if cross_eid is not None:
+                                # Cross positions: each stale slot's
+                                # first store hit (scatter-min).
+                                cw = np.flatnonzero(hit & np_writes[wb:we])
+                                cw = cw[eids[slot[cw]] != cross_eid]
+                                if len(cw):
+                                    cs = slot[cw]
+                                    first = np.full(n_slots, window, dtype=np.int64)
+                                    np.minimum.at(first, cs, cw)
+                                    cross = (cw[first[cs] == cw] + wb).tolist()
                         bad = (np.flatnonzero(~fast) + wb).tolist()
                         n_bad = len(bad)
                         if n_bad * 4 >= we - wb:
@@ -652,11 +685,23 @@ class Simulation:
                             #    replay residuals, revalidate after each
                             #    residual
                             bptr = 0
+                            cptr = 0
+                            n_cross = len(cross)
                             bulked_runs = 0
                             while i < we:
                                 while bptr < n_bad and bad[bptr] < i:
                                     bptr += 1
                                 nxt = bad[bptr] if bptr < n_bad else we
+                                if n_cross:
+                                    # End the stretch at the cross-epoch
+                                    # store past the room (drains and
+                                    # flushes change it): the drain replays
+                                    # it, so its flush keeps its cycle.
+                                    while cptr < n_cross and cross[cptr] < i:
+                                        cptr += 1
+                                    cut = cptr + scheme.vector_store_room()
+                                    if cut < n_cross and cross[cut] < nxt:
+                                        nxt = cross[cut]
                                 if nxt - i >= bulk_min:
                                     # Size the stretch in coalescing groups,
                                     # not references: the drain replays a
@@ -666,7 +711,9 @@ class Simulation:
                                         int(np_rcum[i - 1]) if i else 0
                                     )
                                     if nruns >= bulk_min:
-                                        bulk_span(i, nxt, nruns, slot[i - wb:nxt - wb])
+                                        bulk_span(
+                                            i, nxt, nruns, slot[i - wb:nxt - wb], cross_eid
+                                        )
                                         bulked_runs += nruns
                                         i = nxt
                                         if i >= we:

@@ -195,6 +195,21 @@ ROWS = [
         must_crash=True),
     row("lazy-site-undo_flush-hmmer", CD, "picl", "hmmer", 89, n=400_000,
         site="undo_flush", tear=1, must_crash=True),
+    # PiCL's cross-epoch store hits, bulk-applied through on_store. At
+    # scale 128 the write-hot sc-hit traces store to more lines in one
+    # window of a short epoch than the undo buffer has room for, so
+    # stretches are cut just before the store that fills it. On the
+    # 2-way L1 a residual's eviction demotes a position after the bulk
+    # retag of its line. The crash row's third flush is issued by a cut
+    # position's replay.
+    *[row("cross-epoch-cut-" + b, CD, "picl", b, 77, scale=128,
+          epoch_instructions=ep)
+      for b, ep in (("povray", 15_000), ("namd", 8_000))],
+    row("cross-epoch-l1-2-way-gobmk", CD, "picl", "gobmk", 5, n=200_000,
+        scale=256, l1_ways=2, epoch_instructions=2_500),
+    row("cross-epoch-cut-site-undo_flush-namd", CD, "picl", "namd", 77,
+        scale=128, epoch_instructions=8_000, site="undo_flush", occurrence=3,
+        tear=1, must_crash=True),
     # One core, every engine string.
     row("4-way-l1", CD, "picl", "gcc", 19),
     row("16-way-l1-undo-flush-crash", DRAIN, "picl", "gcc", 19, **WIDE,

@@ -16,6 +16,7 @@ import time
 
 import pytest
 
+from repro.common.errors import ConfigurationError
 from repro.sim.config import SystemConfig
 from repro.sim.parallel import (
     ISOLATED_FALLBACK_TIMEOUT,
@@ -265,6 +266,14 @@ class TestTimeoutSemantics:
         monkeypatch.delenv("REPRO_POINT_TIMEOUT", raising=False)
         timeout, _retries = fault_env()
         assert timeout is None
+
+    @pytest.mark.parametrize("raw", ("two", "1.5", "-3"))
+    def test_bad_retries_is_a_configuration_error(self, monkeypatch, raw):
+        monkeypatch.setenv("REPRO_RETRIES", raw)
+        with pytest.raises(ConfigurationError, match="REPRO_RETRIES"):
+            fault_env()
+        with pytest.raises(ConfigurationError, match="REPRO_RETRIES"):
+            execute_batch_with_retry([point(RunPoint, 93)])
 
     def test_run_points_completes_with_zero_timeout(self):
         points = [point(RunPoint, 91), point(RunPoint, 92, "gamess")]
