@@ -15,7 +15,9 @@ mis-recover.
 The sweep is gating: ``main`` raises on any failing cell, so CI fails if
 a change breaks crash consistency. Cells need the live post-crash
 ``Simulation`` object, so they run serially in-process (``--jobs`` is
-accepted for CLI uniformity but unused).
+accepted for CLI uniformity but unused); cells that crash the same run
+share one simulation, each validating on a restored copy of its durable
+state, and the summary line counts the simulations behind the cells.
 """
 
 import sys
@@ -83,9 +85,11 @@ def main(argv=None):
     untriggered = [o for o in outcomes if not o.triggered]
     print()
     print(
-        "%d cells: %d ok, %d corruption detected, %d failed, %d untriggered"
+        "%d cells from %d simulations: %d ok, %d corruption detected, "
+        "%d failed, %d untriggered"
         % (
             len(outcomes),
+            len({o.simulation for o in outcomes}),
             sum(1 for o in outcomes if o.status == "ok"),
             sum(1 for o in outcomes if o.status == "detected"),
             len(failures),

@@ -161,6 +161,14 @@ class CrashPlan:
         if acs is not None:
             acs.fault_plan = self
 
+    def key(self):
+        """What decides where the run crashes: equal keys, same crash.
+
+        Trigger state (``fired`` and the occurrence count) is left out,
+        so a fresh plan and a spent one with the same crash point match.
+        """
+        return (self.site, self.occurrence, self.tear_entries, self.at_instructions)
+
     def describe(self):
         """Short human-readable crash-point label."""
         if self.site is None:

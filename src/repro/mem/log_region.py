@@ -209,6 +209,45 @@ class LogRegion:
         return reclaimed
 
     # ------------------------------------------------------------------
+    # snapshots (crash-matrix runs shared between validations)
+    # ------------------------------------------------------------------
+
+    def snapshot(self):
+        """Capture the region's durable contents for :meth:`restore`.
+
+        Covers everything in-place corruption can reach (see
+        :mod:`repro.fault.nvm_faults`): the block list, each block's
+        entry list, header and checksum, and every entry's fields.
+        """
+        blocks = [
+            (block, list(block.entries), block.max_valid_till, block.checksum)
+            for block in self._superblocks
+        ]
+        entries = [
+            (entry, entry.addr, entry.token, entry.valid_from, entry.valid_till)
+            for block in self._superblocks
+            for entry in block.entries
+        ]
+        return self._open_block, self.used_bytes, self.capacity_bytes, blocks, entries
+
+    def restore(self, snapshot):
+        """Return the region to ``snapshot``, in place: the scheme and
+        its undo buffer keep holding this object and its blocks."""
+        self._open_block, self.used_bytes, self.capacity_bytes, blocks, entries = (
+            snapshot
+        )
+        self._superblocks[:] = [block for block, _, _, _ in blocks]
+        for block, block_entries, max_valid_till, checksum in blocks:
+            block.entries[:] = block_entries
+            block.max_valid_till = max_valid_till
+            block.checksum = checksum
+        for entry, addr, token, valid_from, valid_till in entries:
+            entry.addr = addr
+            entry.token = token
+            entry.valid_from = valid_from
+            entry.valid_till = valid_till
+
+    # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
 

@@ -6,9 +6,12 @@ expect detection. The CLI's ``fault-sweep`` runs the same harness at
 preset scales.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.common.errors import RecoveryError
+from repro.fault import harness
 from repro.fault.harness import (
     LOGGED_SCHEMES,
     RECOVERABLE_SCHEMES,
@@ -19,7 +22,8 @@ from repro.fault.harness import (
     validate_fault_detection,
     validate_recovery,
 )
-from repro.fault.plan import CrashPlan
+from repro.fault.nvm_faults import INJECTORS
+from repro.fault.plan import CrashPlan, CrashSignal
 from repro.sim.config import SystemConfig
 from repro.sim.simulator import Simulation
 
@@ -133,3 +137,142 @@ class TestHarnessPlumbing:
         quick = {e.name for e in matrix_events()}
         full = {e.name for e in matrix_events(full=True)}
         assert quick < full
+
+
+#: Epochs per run of the shared-run tests: every quick column triggers.
+SHARED_EPOCHS = 3
+
+#: The quick columns that crash the same run (``_late_crash`` on mcf).
+LATE_CRASH_EVENTS = ("nested-recovery", "nvm-torn_superblock", "nvm-bitflip_token")
+
+
+def outcome_fields(outcome):
+    """Everything a cell reports except which matrix run served it."""
+    fields = dataclasses.asdict(outcome)
+    del fields["simulation"]
+    return fields
+
+
+@pytest.fixture(scope="module")
+def quick_matrix():
+    """The quick matrix once, counting simulations run and cells served."""
+    calls = {"run": 0, "cell": 0}
+    sim_run, cell_fn = Simulation.run, harness.run_cell
+
+    def counted_run(self, *args, **kwargs):
+        calls["run"] += 1
+        return sim_run(self, *args, **kwargs)
+
+    def counted_cell(*args, **kwargs):
+        calls["cell"] += 1
+        return cell_fn(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Simulation, "run", counted_run)
+        patch.setattr(harness, "run_cell", counted_cell)
+        outcomes = run_crash_matrix(CONFIG, epochs=SHARED_EPOCHS)
+    return outcomes, calls
+
+
+class TestSharedRuns:
+    def test_one_simulation_per_distinct_run(self, quick_matrix):
+        outcomes, calls = quick_matrix
+        assert len(outcomes) == 29
+        assert calls["run"] == 25
+        assert len({o.simulation for o in outcomes}) == 25
+
+    def test_run_cell_once_per_cell(self, quick_matrix):
+        outcomes, calls = quick_matrix
+        assert calls["cell"] == len(outcomes)
+
+    def test_event_major_order_and_all_pass(self, quick_matrix):
+        outcomes, _calls = quick_matrix
+        expected = [
+            (event.name, scheme)
+            for event in matrix_events()
+            for scheme in RECOVERABLE_SCHEMES
+            if scheme in event.schemes
+        ]
+        assert [(o.event, o.scheme) for o in outcomes] == expected
+        assert all(o.passed and o.triggered for o in outcomes), [
+            (o.event, o.scheme, o.detail) for o in outcomes if not o.passed
+        ]
+
+    def test_late_crash_columns_share_one_run_per_scheme(self, quick_matrix):
+        outcomes, _calls = quick_matrix
+        for scheme in LOGGED_SCHEMES:
+            served = {
+                o.simulation
+                for o in outcomes
+                if o.scheme == scheme and o.event in LATE_CRASH_EVENTS
+            }
+            assert len(served) == 1
+
+    @pytest.mark.parametrize(
+        "event_name", LATE_CRASH_EVENTS + ("epoch1-7", "undo-flush-torn")
+    )
+    def test_outcomes_equal_solo_cells(self, quick_matrix, event_name):
+        outcomes, _calls = quick_matrix
+        event = {e.name: e for e in matrix_events()}[event_name]
+        shared = [o for o in outcomes if o.event == event_name]
+        assert shared
+        for outcome in shared:
+            solo = run_cell(
+                CONFIG, outcome.scheme, event, "gcc", SHARED_EPOCHS, seed=20180101
+            )
+            assert outcome_fields(outcome) == outcome_fields(solo)
+
+    def test_second_fault_column_sees_pristine_log(self, monkeypatch):
+        seen = []
+
+        def recording(name):
+            inject = INJECTORS[name]
+
+            def record(log):
+                log.verify()
+                seen.append(
+                    (
+                        name,
+                        log.entry_count,
+                        [block.checksum for block in log.iter_superblocks_backward()],
+                    )
+                )
+                return inject(log)
+
+            return record
+
+        for name in ("torn_superblock", "bitflip_token"):
+            monkeypatch.setitem(INJECTORS, name, recording(name))
+        events = [e for e in matrix_events() if e.name.startswith("nvm-")]
+        outcomes = run_crash_matrix(
+            CONFIG, epochs=SHARED_EPOCHS, schemes=("picl",), events=events
+        )
+        assert [o.status for o in outcomes] == ["detected", "detected"]
+        assert len({o.simulation for o in outcomes}) == 1
+        shared_second = seen[1]
+        run_cell(CONFIG, "picl", events[1], "gcc", SHARED_EPOCHS, seed=20180101)
+        assert seen[2] == shared_second
+        assert seen[0][1] == shared_second[1]  # the tear was undone
+
+    def test_plan_keys_match_only_for_shared_crashes(self):
+        keys = {}
+        for event in matrix_events():
+            config, _benchmark, n_instructions, plan = harness._cell_run(
+                CONFIG, event, "gcc", SHARED_EPOCHS
+            )
+            keys[event.name] = plan.key()
+        late = {keys[name] for name in LATE_CRASH_EVENTS}
+        assert len(late) == 1
+        others = [key for name, key in keys.items() if name not in LATE_CRASH_EVENTS]
+        assert len(set(others)) == len(others)
+        assert late.isdisjoint(others)
+
+    def test_plan_key_ignores_trigger_state(self):
+        fresh = CrashPlan.on_event("undo_flush", 1)
+        spent = CrashPlan.on_event("undo_flush", 1)
+        with pytest.raises(CrashSignal):
+            spent.notify("undo_flush")
+        assert spent.fired
+        assert spent.key() == fresh.key()
+        assert CrashPlan.on_event("undo_flush", 1, tear_entries=0).key() != fresh.key()
+

@@ -100,3 +100,27 @@ class TestInjectors:
         flip_entry_bit(log, "token", bit=3, entry_index=0)
         image, _report = recover_image({}, log, persisted_eid=0, verify=False)
         assert image  # silently mis-recovered, as expected without checks
+
+
+class TestSnapshotRestore:
+    @pytest.mark.parametrize("name", sorted(INJECTORS))
+    def test_restore_undoes_injection(self, name):
+        log = make_log()
+        clean, _report = recover_image({}, log, persisted_eid=0)
+        blocks = list(log.iter_superblocks_backward())
+        snapshot = log.snapshot()
+        INJECTORS[name](log)
+        log.restore(snapshot)
+        log.verify()
+        assert list(log.iter_superblocks_backward()) == blocks  # same objects
+        assert recover_image({}, log, persisted_eid=0)[0] == clean
+
+    def test_snapshot_survives_repeated_restores(self):
+        log = make_log()
+        snapshot = log.snapshot()
+        for name in sorted(INJECTORS):
+            INJECTORS[name](log)
+            log.restore(snapshot)
+            log.verify()
+        assert log.entry_count == 8
+

@@ -97,6 +97,21 @@ class TestGarbageCollection:
         assert len(log) == 0
 
 
+class TestSnapshot:
+    def test_restore_undoes_appends_and_gc_in_place(self):
+        log = LogRegion(entry_bytes=72, superblock_bytes=144)
+        log.append_many([entry(i * 64, i, 0, i + 1) for i in range(4)])
+        snapshot = log.snapshot()
+        log.collect_garbage(persisted_eid=2)
+        log.append(entry(0, 9, 5, 6))
+        log.restore(snapshot)
+        assert log.entry_count == 4
+        assert log.used_bytes == 4 * 72
+        assert [e.token for e in log.iter_entries_backward()] == [3, 2, 1, 0]
+        log.append(entry(0, 9, 5, 6))  # the open block is the restored one
+        assert log.superblock_count == 3
+
+
 class TestExhaustion:
     def test_default_grows_unbounded(self):
         log = LogRegion(capacity_bytes=144, entry_bytes=72)
