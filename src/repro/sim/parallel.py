@@ -45,6 +45,7 @@ sweep service (:mod:`repro.service`) drives :func:`trace_batches`,
 going through :func:`run_points`.
 """
 
+import collections
 import dataclasses
 import hashlib
 import json
@@ -159,8 +160,15 @@ class RunPoint:
             )
         )
 
-    def execute(self):
-        """Run the simulation described by this point."""
+    def execute(self, trajectories=None):
+        """Run the simulation described by this point.
+
+        ``trajectories`` (a dict keyed by :func:`trajectory_key`) lends
+        the point a scheme-free cache trajectory shared with other points:
+        the first point of a key runs the tag pass and stores the result
+        (None when it cannot replay one), later points replay it (see
+        :meth:`repro.sim.simulator.Simulation.run`).
+        """
         sim = Simulation(
             self.config,
             self.scheme_name,
@@ -169,7 +177,14 @@ class RunPoint:
             seed=self.seed,
             shared_memory=self.shared_memory,
         )
-        return sim.run()
+        trajectory = None
+        if trajectories is not None:
+            key = trajectory_key(self)
+            if key in trajectories:
+                trajectory = trajectories[key]
+            else:
+                trajectory = trajectories[key] = sim.trajectory()
+        return sim.run(trajectory=trajectory)
 
 
 # ----------------------------------------------------------------------
@@ -205,10 +220,12 @@ class PointTimeoutError(PointExecutionError):
     """A batch exceeded its time budget and its process was killed."""
 
 
-def _attributed(point):
+def _attributed(point, trajectories=None):
     """Execute ``point``, wrapping any failure with the point's identity."""
     try:
-        return point.execute()
+        if trajectories is None:
+            return point.execute()
+        return point.execute(trajectories)
     except PointExecutionError:
         raise
     except Exception as exc:
@@ -220,15 +237,45 @@ def _attributed(point):
 
 
 def _execute_batch(batch):
-    # One task per *trace group*: every point in the batch drives the same
-    # reference stream, so the worker's per-process trace memo (see
-    # repro.trace.synthetic.make_trace) hits for all but the first point.
-    return [_attributed(point) for point in batch]
+    """Run a batch's points in order; returns their results (see
+    :func:`_iter_batch`)."""
+    return list(_iter_batch(batch))
 
 
-#: Largest trace-affinity batch shipped to one worker as a single task.
-#: Caps load imbalance when a figure has few distinct traces but many
-#: schemes/configs per trace.
+def _iter_batch(batch):
+    """Run a batch's points in order, yielding each result as it lands.
+
+    Points sharing a :func:`trajectory_key` replay one cache trajectory:
+    the key's first point builds it and its last point drops it, so no
+    trajectory outlives the call. A key only one point of the batch holds
+    builds none — a lone point runs faster on the columnar walk and
+    drain than a tag pass plus a replay. Every point still replays the
+    same reference stream as the others of its trace, so the worker's
+    trace memo (see repro.trace.synthetic.make_trace) hits for all but the
+    first generation.
+    """
+    # A point class with its own execute() runs its own way.
+    keys = [
+        trajectory_key(point) if type(point).execute is RunPoint.execute else None
+        for point in batch
+    ]
+    shared = {
+        key
+        for key, count in collections.Counter(keys).items()
+        if count > 1 and key is not None
+    }
+    last = {key: index for index, key in enumerate(keys)}
+    trajectories = {}
+    for index, (point, key) in enumerate(zip(batch, keys)):
+        result = _attributed(point, trajectories if key in shared else None)
+        if last[key] == index:
+            trajectories.pop(key, None)
+        yield result
+
+
+#: Largest batch of whole trajectory groups shipped to one worker as a
+#: single task. Caps load imbalance when a figure has many groups per
+#: trace; a single group larger than this still ships whole.
 _BATCH_CAP = 8
 
 
@@ -238,9 +285,8 @@ def trace_key(point):
     Exactly the fields that determine the generated reference stream:
     benchmarks, instruction budget, seed, sharing mode, and the config
     scale (``scale_profile`` shrinks working sets, changing addresses).
-    :func:`trace_batches` groups on it: two points with equal keys
-    replay the same stream, so running them in the same worker process
-    turns the second generation into a memo hit.
+    Two points with equal keys replay the same stream, so running them in
+    the same worker process turns the second generation into a memo hit.
     """
     return (
         point.benchmarks,
@@ -251,20 +297,47 @@ def trace_key(point):
     )
 
 
-def trace_batches(points, indices):
-    """Group pending point indices into same-trace batches (input order).
+def trajectory_key(point):
+    """:func:`trace_key` plus the cache geometry that decides residency:
+    cache sizes, ways and line size — not latencies or epoch length.
+    Single-core points with equal keys have the same cache trajectory
+    (see :mod:`repro.cache.trajectory`), whatever their scheme."""
+    config = point.config
+    return trace_key(point) + (
+        config.l1_size,
+        config.l1_assoc,
+        config.l2_size,
+        config.l2_assoc,
+        config.llc_size_per_core,
+        config.llc_assoc,
+        config.line_size,
+    )
 
-    Scheduling a group onto one worker turns the figure-sweep pattern —
-    six schemes over one stream — into one generation plus five memo hits
-    instead of six generations scattered across workers.
+
+def trace_batches(points, indices):
+    """Group pending point indices into batches of whole trajectory groups.
+
+    A *group* is the points of one :func:`trajectory_key`; each batch
+    holds whole groups of one trace, packed in input order up to
+    ``_BATCH_CAP`` points, so a batch boundary never splits a group and
+    its one tag pass serves every point of it. Scheduling a trace's
+    groups together also keeps the figure-sweep pattern — six schemes
+    over one stream — to one trace generation per worker.
     """
-    groups = {}
+    traces = {}
     for index in indices:
-        groups.setdefault(trace_key(points[index]), []).append(index)
+        point = points[index]
+        groups = traces.setdefault(trace_key(point), {})
+        groups.setdefault(trajectory_key(point), []).append(index)
     batches = []
-    for group in groups.values():
-        for start in range(0, len(group), _BATCH_CAP):
-            batches.append(group[start : start + _BATCH_CAP])
+    for groups in traces.values():
+        batch = []
+        for group in groups.values():
+            if batch and len(batch) + len(group) > _BATCH_CAP:
+                batches.append(batch)
+                batch = []
+            batch = batch + group
+        batches.append(batch)
     return batches
 
 
@@ -807,14 +880,21 @@ def run_points(
         if checkpoint is not None:
             checkpoint.record(points[index], result)
 
+    # Same-trace points run as one batch — in this process or on one
+    # worker — so the trace memo hits and points sharing a trajectory key
+    # share one tag pass; results land back by index, preserving input
+    # order.
+    batches = trace_batches(points, pending)
+
+    def run_serially():
+        for batch in batches:
+            for index, result in zip(batch, _iter_batch([points[i] for i in batch])):
+                finish(index, result)
+        return results
+
     jobs = resolve_jobs(jobs)
     if jobs <= 1 or len(pending) == 1:
-        for index in pending:
-            finish(index, _attributed(points[index]))
-        return results
-    # Ship same-trace points to one worker as a batch so the worker-local
-    # trace memo hits; results land back by index, preserving input order.
-    batches = trace_batches(points, pending)
+        return run_serially()
     workers = min(jobs, len(batches))
     try:
         pool = ProcessPoolExecutor(max_workers=workers)
@@ -826,9 +906,7 @@ def run_points(
             % (workers, exc),
             file=sys.stderr,
         )
-        for index in pending:
-            finish(index, _attributed(points[index]))
-        return results
+        return run_serially()
 
     unfinished = list(batches)
     pool_broken = False

@@ -16,6 +16,11 @@ from repro.mem.nvm import AccessCategory
 class SimulationResult:
     """Counters and metadata from one simulation run."""
 
+    #: The interpreter that produced the result (``Simulation.engine``).
+    #: Kept out of :meth:`stats_dict`; results pickled before the field
+    #: existed read this class default.
+    engine = None
+
     def __init__(
         self,
         scheme_name,
@@ -25,6 +30,7 @@ class SimulationResult:
         instructions,
         stats,
         per_core_cycles=None,
+        engine=None,
     ):
         self.scheme_name = scheme_name
         self.benchmarks = list(benchmarks)
@@ -33,6 +39,7 @@ class SimulationResult:
         self.instructions = instructions
         self.stats = stats
         self.per_core_cycles = per_core_cycles or []
+        self.engine = engine
 
     # ------------------------------------------------------------------
     # headline metrics

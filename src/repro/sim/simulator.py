@@ -25,9 +25,11 @@ import heapq
 import numpy as np
 
 from repro.baselines import Frm, IdealNvm, Journaling, ShadowPaging, ThyNvm
+from repro.baselines.base import CrashConsistencyScheme
 from repro.cache.hierarchy import CacheHierarchy
-from repro.cache.line import LineState
+from repro.cache.line import CacheLine, LineState
 from repro.cache.miss_engine import CoreTurns, MissChainEngine, decline_reason
+from repro.cache.trajectory import PrivateCopies, Trajectory, geometry
 from repro.common.errors import ConfigurationError, SimulationError
 from repro.common.stats import StatCounters
 from repro.core.picl import PiclScheme
@@ -35,6 +37,7 @@ from repro.cpu.core import CoreState
 from repro.fault.plan import CrashSignal
 from repro.cpu.system import System
 from repro.mem.controller import MemoryController
+from repro.mem.nvm import AccessCategory
 from repro.sim.results import SimulationResult
 from repro.trace.profiles import get_profile
 from repro.trace.synthetic import make_trace
@@ -193,33 +196,49 @@ class Simulation:
             reference_depth=config.reference_depth,
         )
         self.scheme = build_scheme(scheme_name, self.system, config)
-        self.traces = []
-        for core_id, name in enumerate(self.benchmarks):
-            profile = config.scale_profile(get_profile(name))
-            addr_base = 0 if shared_memory else core_id * _CORE_ADDR_STRIDE
-            self.traces.append(
-                make_trace(
-                    profile,
-                    n_instructions,
-                    seed=seed + core_id * 101,
-                    addr_base=addr_base,
-                )
-            )
+        self.seed = seed
+        self.traces = [self._make_trace(core_id) for core_id in range(config.n_cores)]
         self.crashed = False
         #: The semantic crash site that fired (None for clean runs and
         #: instruction-count crashes).
         self.crash_site = None
-        #: Which interpreter ran, set by run(): ``"columnar+drain"`` or
-        #: ``"drain"`` for the fast engine, or ``"reference: <reason>"``
-        #: when it declined — e.g. ``"reference: nvm has 2 channels"``.
+        #: Which interpreter ran, set by run(): ``"trajectory"`` for a
+        #: replayed trajectory, ``"columnar+drain"`` or ``"drain"`` for
+        #: the fast engine, or ``"reference: <reason>"`` when it declined
+        #: — e.g. ``"reference: nvm has 2 channels"``.
         self.engine = None
         self._ran = False
+
+    def _make_trace(self, core_id):
+        """A fresh reference stream for ``core_id`` (memo hits share the
+        generated chunks; see :func:`repro.trace.synthetic.make_trace`)."""
+        profile = self.config.scale_profile(get_profile(self.benchmarks[core_id]))
+        return make_trace(
+            profile,
+            self.n_instructions,
+            seed=self.seed + core_id * 101,
+            addr_base=0 if self.shared_memory else core_id * _CORE_ADDR_STRIDE,
+        )
+
+    def trajectory(self):
+        """The scheme-free cache trajectory of this single-core point: a
+        tag pass over a fresh copy of its trace on its cache geometry,
+        which every point with the same trace and geometry can replay
+        (see :meth:`run`). None when the point would not replay one:
+        several cores, or a config the fast engine declines."""
+        if (
+            len(self.cores) != 1
+            or not self.hierarchy.vector
+            or decline_reason(self) is not None
+        ):
+            return None
+        return Trajectory(self._make_trace(0), geometry(self.hierarchy))
 
     # ------------------------------------------------------------------
     # the main loop
     # ------------------------------------------------------------------
 
-    def run(self, crash_at_instructions=None, crash_plan=None):
+    def run(self, crash_at_instructions=None, crash_plan=None, trajectory=None):
         """Drive the traces to completion (or to the crash point).
 
         ``crash_plan`` injects a semantic-event crash (see
@@ -228,6 +247,20 @@ class Simulation:
         hierarchy/scheme and power-fail by raising ``CrashSignal`` from
         inside the crash window. A plan whose site is never reached lets
         the run complete (check ``crash_plan.fired``).
+
+        ``trajectory`` (from :meth:`trajectory` on a point with the same
+        trace and cache geometry) splits a single-core run in two. On one
+        core the cache outcome does not depend on the scheme: LRU
+        replacement follows the reference order alone, and no scheme
+        moves a line in or out of a cache — flushes and ACS scans clean
+        lines in place. So a scheme-free *tag pass* records once which
+        level served each reference and which line each L1/L2 fill
+        evicted, and this run only *replays* it (:meth:`_run_replay`,
+        engine ``"trajectory"``): misses, stores, victims and epoch
+        boundaries under this scheme, with the runs of L1 load hits
+        between them retired in bulk. A batch of points sharing the
+        trace and geometry (``repro.sim.parallel``) pays for one tag pass.
+        Configs the fast engine declines ignore the trajectory.
         """
         if self._ran:
             raise ConfigurationError("a Simulation object runs exactly once")
@@ -256,6 +289,15 @@ class Simulation:
                 # it so the cache paths stop queueing updates for it.
                 self.hierarchy._l1[0]._vec = None
                 self._run_reference(crash_at_instructions)
+            elif trajectory is not None:
+                if len(self.cores) != 1 or trajectory.geometry != geometry(
+                    self.hierarchy
+                ):
+                    raise ConfigurationError(
+                        "trajectory geometry does not match this simulation"
+                    )
+                self.engine = "trajectory"
+                self._run_replay(crash_at_instructions, trajectory)
             elif len(self.cores) == 1:
                 columnar = self.hierarchy._l1[0]._vec is not None
                 self.engine = "columnar+drain" if columnar else "drain"
@@ -813,6 +855,279 @@ class Simulation:
             raise
         core.finished = True
 
+    def _run_replay(self, crash_at_instructions, trajectory):
+        """Replay a scheme-free cache trajectory under this scheme.
+
+        The trajectory (:class:`repro.cache.trajectory.Trajectory`) says
+        which level served every reference and which line each L1/L2 fill
+        evicted, so nothing here probes a private cache or keeps its LRU
+        order. The loop visits only *events* — references that miss L1
+        or store — and retires each run of L1 load hits between two
+        events in O(1) off the chunk's cumulative instruction counts.
+        An event runs the hierarchy's chain on the state a scheme can
+        observe: the LLC (tags, MRU lists, dirty lines, EID index; a fill
+        goes through ``CacheHierarchy._insert_llc``, whose LRU pop is the
+        victim), one private record per line resident in L2
+        (:class:`repro.cache.trajectory.PrivateCopies`, which also
+        answers the hierarchy's back-invalidations and syncs) and the NVM
+        channel (a demand fill is the controller's arithmetic, inline).
+        The scheme's own ``on_store``, ``write_back`` and ``fill_token``
+        run at the scalar call sites, so undo flushes, forced commits and
+        every crash-plan site fire at the reference loop's exact state.
+        Epoch and crash boundaries cut the chunks into segments exactly
+        as in :meth:`_run_single_core`.
+
+        Bit-identical to the reference loop (:meth:`_run_reference`),
+        asserted by tests/sim/test_engine_identity.py.
+        """
+        system = self.system
+        scheme = self.scheme
+        hierarchy = self.hierarchy
+        controller = self.controller
+        core = self.cores[0]
+        llc = hierarchy.llc
+        copies = PrivateCopies(hierarchy)
+        copies.install()
+        priv = copies.lines
+        pdirty = copies.dirty
+        llc_tags = llc._tags
+        llc_sets = llc._sets
+        llc_shift = llc._line_shift
+        llc_mask = llc._set_mask
+        l1_lat = hierarchy._l1[0].hit_latency
+        l2_lat = hierarchy._l2[0].hit_latency
+        llc_lat = llc.hit_latency
+        smf = hierarchy.store_miss_factor
+        evict = copies.evict
+        device = controller.device
+        channel = device._only_channel
+        read_occ = device._line_read_occupancy
+        icap = device._interference_cap
+        img_lines = controller.image._lines
+        insert_llc = hierarchy._insert_llc
+        stats_add = hierarchy.stats.add
+        sink = hierarchy.sink
+        fill_token = (
+            sink.fill_token
+            if type(sink).fill_token is not CrashConsistencyScheme.fill_token
+            else None
+        )
+        on_store = (
+            sink.on_store
+            if type(sink).on_store is not CrashConsistencyScheme.on_store
+            else None
+        )
+        track = system.track_reference
+        arch_image = system.arch_image
+        epoch_span = self.config.epoch_instructions
+        next_epoch = epoch_span
+        crash = crash_at_instructions
+        total = system.total_instructions
+        cycle = core.cycle
+        mstall = core.mem_stall_cycles
+        ntok = system._next_token
+        d_l1_hits = d_loads = d_stores = d_l1_miss = d_l2_hits = d_l2_miss = 0
+        d_llc_hits = d_llc_miss = d_l1_ev = d_l2_ev = d_fills = 0
+        # The reference in flight (chunk index) while an event runs; a
+        # CrashSignal escaping it leaves its gap on the core's clock.
+        inflight = None
+        try:
+            for chunk_index, chunk in enumerate(self.traces[0].chunks()):
+                codes, victims = trajectory.chunk_codes(chunk_index, chunk)
+                frozen = chunk.frozen
+                np_cum = frozen.cum
+                cum0 = np.concatenate(([0], np_cum))
+                events = np.flatnonzero(codes | frozen.writes)
+                victims = victims.tolist()
+                vi = 0
+                n = len(frozen)
+                base = total
+                seg_start = 0
+                while seg_start < n:
+                    limit = next_epoch - base
+                    if crash is not None and crash - base < limit:
+                        limit = crash - base
+                    seg_end = seg_start + 1 + int(
+                        np_cum[seg_start:].searchsorted(limit)
+                    )
+                    if seg_end > n:
+                        seg_end = n
+                    lo, hi = events.searchsorted((seg_start, seg_end))
+                    ev = events[lo:hi]
+                    # Per event: the clock advance from the previous event
+                    # (or the segment start) to this reference's access —
+                    # the load hits between at one L1 latency each, plus
+                    # every gap including its own — and those hits' count.
+                    prev = np.empty_like(ev)
+                    if len(ev):
+                        prev[0] = seg_start - 1
+                        prev[1:] = ev[:-1]
+                    k = ev - prev - 1
+                    adv = cum0[ev + 1] - cum0[prev + 1] - 1 + k * (l1_lat - 1)
+                    for p, step, hits, code, addr, w in zip(
+                        ev.tolist(),
+                        adv.tolist(),
+                        k.tolist(),
+                        codes[ev].tolist(),
+                        frozen.addrs[ev].tolist(),
+                        frozen.writes[ev].tolist(),
+                    ):
+                        inflight = p
+                        cycle += step
+                        if hits:
+                            d_l1_hits += hits
+                            d_loads += hits
+                            mstall += hits * l1_lat
+                        if w:
+                            token = ntok
+                            ntok += 1
+                        # The trajectory byte (repro.cache.trajectory):
+                        # bits 0-1 the level, 4 an L1 and 8 an L2 eviction.
+                        level = code & 3
+                        if not level:
+                            d_l1_hits += 1
+                            wait = l1_lat
+                        else:
+                            d_l1_miss += 1
+                            fstall = 0
+                            if level == 1:
+                                d_l2_hits += 1
+                                lat = l2_lat
+                            else:
+                                d_l2_miss += 1
+                                if level == 2:
+                                    d_llc_hits += 1
+                                    llc_line = llc_tags[addr]
+                                    row = llc_sets[(addr >> llc_shift) & llc_mask]
+                                    if row[0] is not llc_line:
+                                        row.remove(llc_line)
+                                        row.insert(0, llc_line)
+                                    lat = llc_lat + l2_lat
+                                else:
+                                    d_llc_miss += 1
+                                    override = (
+                                        fill_token(addr) if fill_token is not None
+                                        else None
+                                    )
+                                    # MemoryController.demand_fill on the
+                                    # one NVM channel, inline.
+                                    bua = channel.backlog_updated_at
+                                    wbk = channel.write_backlog
+                                    if cycle > bua:
+                                        wbk -= cycle - bua
+                                        if wbk < 0:
+                                            wbk = 0
+                                        channel.write_backlog = wbk
+                                        channel.backlog_updated_at = cycle
+                                    start = channel.read_busy_until
+                                    if start < cycle:
+                                        start = cycle
+                                    start += wbk if wbk < icap else icap
+                                    channel.read_busy_until = start + read_occ
+                                    mem_lat = start + read_occ - cycle
+                                    d_fills += 1
+                                    if override is not None:
+                                        token_f = override
+                                        stats_add("llc.fills_from_log")
+                                    else:
+                                        token_f = img_lines.get(addr, 0)
+                                    # The LLC's own insert: its LRU pop is
+                                    # the victim, and the back-invalidation
+                                    # folds the victim's private record in.
+                                    llc_line = CacheLine(addr, token=token_f)
+                                    fstall = insert_llc(llc_line, cycle)
+                                    lat = llc_lat + mem_lat + l2_lat
+                                llc_line.owner = 0
+                                # The L2 fill: a fresh record of the LLC data.
+                                priv[addr] = llc_line.copy_fill(addr)
+                                if code & 8:
+                                    d_l2_ev += 1
+                                    evict(victims[vi])
+                                    vi += 1
+                            if code & 4:
+                                d_l1_ev += 1
+                            if w:
+                                wait = int((lat + l1_lat) * smf) + fstall
+                            else:
+                                wait = lat + l1_lat + fstall
+                        if w:
+                            line = priv[addr]
+                            if on_store is not None:
+                                wait += on_store(0, line, cycle)
+                            line.token = token
+                            if not line._dirty:
+                                line._dirty = True
+                                pdirty[addr] = line
+                            d_stores += 1
+                            if track:
+                                arch_image[addr] = token
+                        else:
+                            d_loads += 1
+                        cycle += wait
+                        mstall += wait
+                    inflight = None
+                    # The load hits after the segment's last event.
+                    last = int(ev[-1]) if len(ev) else seg_start - 1
+                    hits = seg_end - 1 - last
+                    if hits:
+                        cycle += int(cum0[seg_end] - cum0[last + 1])
+                        cycle += hits * (l1_lat - 1)
+                        d_l1_hits += hits
+                        d_loads += hits
+                        mstall += hits * l1_lat
+                    seg_start = seg_end
+                    total = base + int(np_cum[seg_end - 1])
+                    if total >= next_epoch or (crash is not None and total >= crash):
+                        system.total_instructions = total
+                        core.instructions = total
+                        core.cycle = cycle
+                        core.mem_stall_cycles = mstall
+                        system._next_token = ntok
+                        if total >= next_epoch:
+                            stall = scheme.on_epoch_boundary(cycle)
+                            system.broadcast_stall(stall)
+                            next_epoch += epoch_span
+                            cycle = core.cycle
+                            mstall = core.mem_stall_cycles
+                        if crash is not None and total >= crash:
+                            self.crashed = True
+                            return
+                system.total_instructions = total
+                core.instructions = total
+        except CrashSignal:
+            if inflight is not None:
+                # Mid-chain: as in the reference loop, the in-flight
+                # reference's gap is on the core's clock and instruction
+                # count, never on the system total.
+                total = base + int(cum0[inflight])
+                system.total_instructions = total
+                core.instructions = total + int(frozen.gaps[inflight])
+                core.cycle = cycle
+                core.mem_stall_cycles = mstall
+                system._next_token = ntok
+            raise
+        finally:
+            for slot, delta in (
+                (hierarchy._l1_hits, d_l1_hits),
+                (hierarchy._loads, d_loads),
+                (hierarchy._stores, d_stores),
+                (hierarchy._l1_misses, d_l1_miss),
+                (hierarchy._l2_hits, d_l2_hits),
+                (hierarchy._l2_misses, d_l2_miss),
+                (hierarchy._llc_hits, d_llc_hits),
+                (hierarchy._llc_misses, d_llc_miss),
+                (hierarchy._l1[0]._evictions, d_l1_ev),
+                (hierarchy._l2[0]._evictions, d_l2_ev),
+                (controller._demand_fills, d_fills),
+                (device._iops_slots[AccessCategory.DEMAND_READ], d_fills),
+                (device._bytes_read, 64 * d_fills),
+            ):
+                slot.value += delta
+        core.cycle = cycle
+        core.mem_stall_cycles = mstall
+        system._next_token = ntok
+        core.finished = True
+
     def _run_reference(self, crash_at_instructions):
         """The reference interpreter, for one core or many.
 
@@ -981,6 +1296,7 @@ class Simulation:
             instructions=self.system.total_instructions,
             stats=self.stats,
             per_core_cycles=[core.cycle for core in self.cores],
+            engine=self.engine,
         )
 
     # ------------------------------------------------------------------

@@ -15,9 +15,11 @@ through them.
 
 import dataclasses
 import os
+import time
 
 from repro.sim.config import SystemConfig
 from repro.sim.interactive import InteractiveSystem
+from repro.sim.parallel import RunPoint
 from repro.sim.simulator import Simulation
 
 #: The engine ``REPRO_VECTOR=0`` selects, for any config and core count.
@@ -68,6 +70,23 @@ def small_config(n_cores=1, scale=256, l1_ways=4, granularity=64,
     )
 
 
+@dataclasses.dataclass(frozen=True)
+class GatedPoint(RunPoint):
+    """A point that waits for its ``gate`` file to exist before it runs.
+
+    Its digest is the plain point's (``point_digest`` hashes the run
+    description only), so a test can hold a worker mid-batch for as long
+    as it likes and release it by creating the file.
+    """
+
+    gate: str = ""
+
+    def execute(self):
+        while not os.path.exists(self.gate):
+            time.sleep(0.01)
+        return super().execute()
+
+
 class SchemeHarness(InteractiveSystem):
     """InteractiveSystem defaulting to the tiny test configuration."""
 
@@ -106,7 +125,7 @@ def force_brute(system):
 
 def run_mode(engine, config, scheme, benches, n, seed, brute=False,
              shared_memory=False, crash_at=None, crash_plan=None, trace=None,
-             prepare=None):
+             prepare=None, trajectory=None):
     """Run one simulation, which must run on ``engine``.
 
     ``engine`` is the string ``Simulation.engine`` must report: the
@@ -114,7 +133,8 @@ def run_mode(engine, config, scheme, benches, n, seed, brute=False,
     engine on. The switch is read when the hierarchy is built, so it is
     pinned around construction only. ``brute`` puts the run on the scan
     oracle; ``trace`` (a zero-argument factory) replaces core 0's trace;
-    ``prepare`` edits the built simulation before it runs.
+    ``prepare`` edits the built simulation before it runs;
+    ``trajectory`` is handed to ``Simulation.run``.
     """
     previous = os.environ.get("REPRO_VECTOR")
     os.environ["REPRO_VECTOR"] = "0" if engine == REFERENCE else "1"
@@ -132,7 +152,8 @@ def run_mode(engine, config, scheme, benches, n, seed, brute=False,
         sim.traces[0] = trace()
     if prepare is not None:
         prepare(sim)
-    sim.run(crash_at_instructions=crash_at, crash_plan=crash_plan)
+    sim.run(crash_at_instructions=crash_at, crash_plan=crash_plan,
+            trajectory=trajectory)
     # Otherwise a test could compare the reference loop with itself.
     assert sim.engine == engine
     return sim

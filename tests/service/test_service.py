@@ -31,12 +31,15 @@ import time
 import pytest
 
 import repro
+from helpers import GatedPoint
 from repro.service.client import ServiceClient, wait_until_ready
 from repro.service.events import executions_per_digest, read_events
 from repro.sim.config import SystemConfig
 from repro.sim.parallel import RunPoint, point_digest, run_points
 
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+#: The tests directory, where the daemon unpickles GatedPoint from.
+TESTS_DIR = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 CONFIG = SystemConfig().scaled(512)
 N = CONFIG.epoch_instructions
@@ -77,7 +80,9 @@ class Daemon:
 
     def start(self):
         env = dict(os.environ)
-        env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
+        env["PYTHONPATH"] = os.pathsep.join(
+            (SRC_DIR, TESTS_DIR, env.get("PYTHONPATH", ""))
+        )
         env["REPRO_NO_CACHE"] = ""  # conftest disables caching; re-enable
         env["REPRO_CACHE_DIR"] = self.cache_dir
         self.proc = subprocess.Popen(
@@ -210,11 +215,17 @@ class TestConcurrentClients:
 
 class TestCrashRecovery:
     def test_daemon_sigkill_mid_batch_loses_nothing(self, daemon_factory):
-        # ~1.2 s per point at 40 epochs of instructions, jobs=1: the
-        # daemon is guaranteed to be mid-batch when the SIGKILL lands.
-        points = make_points(1, 2, 3, 4, n_instructions=N * 40)
-        serial = [fingerprint(r) for r in run_points(points)]
+        # Every point after the first waits for a gate file that appears
+        # only once the daemon is dead, so with jobs=1 the daemon is
+        # provably mid-batch — the first point done, the rest not — when
+        # the SIGKILL lands.
+        plain = make_points(1, 2, 3, 4)
+        serial = [fingerprint(r) for r in run_points(plain)]
         daemon = daemon_factory(jobs=1)
+        gate = os.path.join(daemon.home, "gate")
+        points = plain[:1] + [
+            GatedPoint(**vars(p), gate=gate) for p in plain[1:]
+        ]
 
         failure = []
 
@@ -227,18 +238,22 @@ class TestCrashRecovery:
 
         thread = threading.Thread(target=doomed_submit)
         thread.start()
-
-        # Wait for proof of partial progress, then SIGKILL the daemon.
-        deadline = time.monotonic() + 60
-        while time.monotonic() < deadline:
-            done = executions_per_digest(read_events(daemon.events_path))
-            if done:
-                break
-            time.sleep(0.05)
-        else:
-            pytest.fail("daemon made no progress before kill")
-        assert sum(done.values()) < len(points), "batch finished too fast"
-        daemon.kill()
+        try:
+            # Wait for proof of partial progress, then SIGKILL the daemon.
+            deadline = time.monotonic() + 60
+            while time.monotonic() < deadline:
+                done = executions_per_digest(read_events(daemon.events_path))
+                if done:
+                    break
+                time.sleep(0.05)
+            else:
+                pytest.fail("daemon made no progress before kill")
+            assert sum(done.values()) < len(points), "batch finished too fast"
+            daemon.kill()
+        finally:
+            # Release the gated worker the kill orphaned (and, on a
+            # failure above, the live one), so it runs out and exits.
+            open(gate, "w").close()
         thread.join(timeout=30)
         assert not thread.is_alive()
         assert failure, "client should see the connection die"

@@ -4,9 +4,10 @@ The fast engine is an optimization, not a model change. One core
 classifies trace windows against the L1 tag mirror, bulk-applies
 all-hit stretches and drains the rest through the fused miss chain
 (``columnar+drain``; ``drain`` when the L1 is too wide for a mirror
-row). Several cores take turns through the same drain (``drain``).
-Configs the drain declines run the reference loop and say why
-(``reference: <reason>``).
+row), or replays a scheme-free cache trajectory shared by every scheme
+of a batch (``trajectory``). Several cores take turns through the same
+drain (``drain``). Configs the drain declines run the reference loop
+and say why (``reference: <reason>``).
 
 Every case runs one point twice. The first run must report the engine
 the case names. The second is the reference side: ``REPRO_VECTOR=0``
@@ -25,14 +26,20 @@ reference's gap on its clock and instruction count.
 
 ``ROWS`` is the curated matrix. ``test_fuzz`` draws the whole config
 space, one ``SHAPES`` share per fast-engine path, and asserts the
-engine each draw must run.
+engine each draw must run. ``SHARED_ROWS`` and the fuzz's
+``shared-batch`` shape replay one trajectory under all six schemes,
+each against its own reference run. ``COUNT_ROWS`` pin the invariant
+the trajectory rests on: its level counts are every scheme's
+``l1.hits``, ``l2.misses`` and ``llc.misses``.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import REFERENCE, fingerprint, run_mode, small_config
 from repro.cache.hierarchy import EvictionSink
+from repro.cache.trajectory import L1_HIT, LEVEL, LLC_HIT, LLC_MISS
 from repro.common.units import KB, MB
 from repro.core.recovery import check_recovered
 from repro.fault.plan import SEMANTIC_SITES, SITE_UNDO_FLUSH, CrashPlan
@@ -104,12 +111,13 @@ def gap_carriers(sim):
 
 def run_pair(engine, scheme, benches, seed, n=N, shared=False, crash_at=None,
              site=None, occurrence=3, tear=None, prepare=None, trace=None,
-             must_crash=False, expect=(), **config):
+             must_crash=False, expect=(), trajectory=None, **config):
     """Run one point on ``engine`` and on the reference side; compare.
 
     ``must_crash`` (True, or ``"mid-chain"`` for a crash that leaves a
     gap in flight) and ``expect`` (``(stat, minimum)`` pairs) check that
-    the point exercises what it was chosen for.
+    the point exercises what it was chosen for. ``trajectory`` is handed
+    to the engine side's ``Simulation.run``.
     """
     config = small_config(len(benches), **config)
     sims, plans = [], []
@@ -122,6 +130,7 @@ def run_pair(engine, scheme, benches, seed, n=N, shared=False, crash_at=None,
             side, config, scheme, benches, n, seed, brute=brute,
             shared_memory=shared, crash_at=crash_at, crash_plan=plan,
             trace=trace, prepare=prepare,
+            trajectory=trajectory if side == engine else None,
         ))
     fast, reference = sims
     if site is not None:
@@ -141,6 +150,33 @@ def run_pair(engine, scheme, benches, seed, n=N, shared=False, crash_at=None,
     if snapshot is not None:
         check_recovered(image, snapshot)
     return fast
+
+
+def probe_trajectory(benches, seed, n=N, **config):
+    """The trajectory of a point: what a batch's first point builds."""
+    config = {k: v for k, v in config.items() if k in SHAPE_KEYS}
+    probe = Simulation(small_config(len(benches), **config), "ideal", benches,
+                       n, seed=seed)
+    return probe.trajectory()
+
+
+#: run_pair's keywords that shape the system (small_config's), as
+#: opposed to the run's (crashes, expectations, hooks).
+SHAPE_KEYS = {
+    "scale", "l1_ways", "granularity", "log_cap", "channels",
+    "llc_size_per_core", "epoch_instructions",
+}
+
+
+def run_shared_batch(engine, benches, seed, n=N, **kwargs):
+    """Replay one trajectory under all six schemes, each compared with
+    its own reference run; returns the fast runs."""
+    trajectory = probe_trajectory(benches, seed, n, **kwargs)
+    return [
+        run_pair(engine, scheme, benches, seed, n=n, trajectory=trajectory,
+                 **kwargs)
+        for scheme in SCHEMES
+    ]
 
 
 def row(id, engine, scheme, benches, seed, **kwargs):
@@ -274,6 +310,104 @@ def test_row(engine, scheme, benches, seed, kwargs):
     run_pair(engine, scheme, benches, seed, **kwargs)
 
 
+TRAJ = "trajectory"
+
+#: One trajectory, six schemes: miss-heavy and hit-dominated traces,
+#: picl's store filter off (16 B tracking, a log cap), the L1 at both
+#: ends of its width, an ACS-heavy point, and crashes by instruction
+#: count and at every semantic site.
+SHARED_ROWS = [
+    pytest.param(["gcc"], 77, {}, id="gcc"),
+    pytest.param(["hmmer"], 77, dict(n=N // 2), id="hmmer"),
+    pytest.param(["lbm"], 21, dict(n=N // 2, granularity=16),
+                 id="sub-block-lbm"),
+    pytest.param(["mcf"], 33, dict(n=N // 2, log_cap=64 * MB),
+                 id="log-cap-mcf"),
+    *[pytest.param(["astar"], 61, dict(n=N // 2, l1_ways=w),
+                   id="l1-%d-way-astar" % w) for w in (2, 16)],
+    pytest.param(["gcc"], 61, dict(
+        n=2048 * 32, scale=16, llc_size_per_core=4 * MB,
+        epoch_instructions=2048), id="acs-heavy-gcc"),
+    pytest.param(["gcc"], 9, dict(crash_at=CRASH_AT, must_crash=True),
+                 id="crash-at"),
+    *[pytest.param(["gcc"], 5, dict(
+        site=site, tear=1 if site == SITE_UNDO_FLUSH else None),
+        id="site-" + site) for site in SEMANTIC_SITES],
+    pytest.param(["gcc"], 5, dict(site="llc_eviction", occurrence=300),
+                 id="site-llc_eviction-300"),
+]
+
+
+@pytest.mark.parametrize("benches,seed,kwargs", SHARED_ROWS)
+def test_shared_batch(benches, seed, kwargs):
+    run_shared_batch(TRAJ, benches, seed, **kwargs)
+
+
+LEVELS = ("l1.hits", "l2.misses", "llc.misses")
+
+
+def level_counts(trajectory, n_refs):
+    """The ``LEVELS`` counters as the trajectory records them for its
+    first ``n_refs`` references."""
+    codes = np.concatenate([chunk[0] for chunk in trajectory.chunks])[:n_refs]
+    levels = np.bincount(codes & LEVEL, minlength=4)
+    return {
+        "l1.hits": int(levels[L1_HIT]),
+        "l2.misses": int(levels[LLC_HIT] + levels[LLC_MISS]),
+        "llc.misses": int(levels[LLC_MISS]),
+    }
+
+
+def check_level_counts(schemes, benches, seed, n=N, crash_at=None, site=None,
+                       occurrence=3, tear=None, must_crash=False, expect=(),
+                       **config):
+    """Every scheme's level counters, on its own fast engine run (no
+    trajectory), equal the trajectory's level counts; ``expect`` is
+    checked on the first scheme. A crash may leave one reference in
+    flight: its level is counted but it never retired."""
+    trajectory = probe_trajectory(benches, seed, n, **config)
+    config = small_config(len(benches), **config)
+    for scheme in schemes:
+        plan = None if site is None else CrashPlan.on_event(
+            site, occurrence=occurrence, tear_entries=tear
+        )
+        sim = run_mode(CD, config, scheme, benches, n, seed, crash_at=crash_at,
+                       crash_plan=plan)
+        assert sim.crashed or not must_crash
+        if scheme == schemes[0]:
+            for stat, minimum in expect:
+                assert sim.stats.get(stat) >= minimum, stat
+        counts = {stat: sim.stats.get(stat) for stat in LEVELS}
+        refs = sim.stats.get("loads") + sim.stats.get("stores")
+        assert counts in (level_counts(trajectory, refs),
+                          level_counts(trajectory, refs + 1)), scheme
+
+
+def led_by(scheme):
+    """All six schemes, ``scheme`` (the one ``expect`` checks) first."""
+    return (scheme,) + tuple(s for s in SCHEMES if s != scheme)
+
+
+#: The journaling point overflows its translation table into forced
+#: commits, the picl one runs ACS every few thousand instructions, and
+#: every site-* row of ROWS crashes mid-run.
+COUNT_ROWS = [
+    pytest.param(led_by("journaling"), ["mcf"], 77, dict(
+        expect=(("commits.forced", 1),)), id="journaling-overflow-commit"),
+    pytest.param(led_by("picl"), ["gcc"], 61, dict(
+        n=2048 * 32, scale=16, llc_size_per_core=4 * MB,
+        epoch_instructions=2048, expect=(("acs.scans", 2),)),
+        id="picl-acs-heavy"),
+    *[pytest.param((p.values[1],), p.values[2], p.values[3], p.values[4],
+                   id=p.id) for p in ROWS if p.id.startswith("site-")],
+]
+
+
+@pytest.mark.parametrize("schemes,benches,seed,kwargs", COUNT_ROWS)
+def test_level_counts(schemes, benches, seed, kwargs):
+    check_level_counts(schemes, benches, seed, **kwargs)
+
+
 @pytest.mark.parametrize("source", ("memo", "fresh", "file"))
 def test_trace_source(source, monkeypatch, tmp_path):
     # Every source builds its chunks through the same frozen-chunk
@@ -335,13 +469,16 @@ fuzz_profiles = st.builds(
 
 #: The fuzz's shapes, one per fast-engine path: one core with a mirrored
 #: L1 (``columnar+drain``), one core with an L1 too wide for a mirror row
-#: and several cores (both ``drain``). Each shape gets its own share of
-#: the examples and draws every other axis; together they cover cores
-#: {1, 2, 4, 8} x L1 ways {2, 4, 8, 16}.
+#: and several cores (both ``drain``), and one core replaying a shared
+#: trajectory under all six schemes (``trajectory``; the drawn scheme is
+#: unused). Each shape gets its own share of the examples and draws every
+#: other axis; together they cover cores {1, 2, 4, 8} x L1 ways
+#: {2, 4, 8, 16}.
 SHAPES = {
     "mirror-l1": ((1,), (2, 4, 8)),
     "wide-l1": ((1,), (16,)),
     "multi-core": ((2, 4, 8), (2, 4, 8, 16)),
+    "shared-batch": ((1,), (2, 4, 8, 16)),
 }
 
 
@@ -389,6 +526,11 @@ def test_fuzz(shape, data, profile, rotate, scheme, shared, granularity,
     benches = ["_fuzz"] + benchlist(n_cores - 1, rotate)
     profiles._BY_NAME["_fuzz"] = profile
     try:
-        run_pair(engine, scheme, benches, seed, **kwargs)
+        if shape == "shared-batch":
+            if not engine.startswith("reference"):
+                engine = TRAJ
+            run_shared_batch(engine, benches, seed, **kwargs)
+        else:
+            run_pair(engine, scheme, benches, seed, **kwargs)
     finally:
         del profiles._BY_NAME["_fuzz"]
