@@ -62,7 +62,10 @@ class CrashConsistencyScheme:
         """Batch ``count`` repeated stores when each is a provable no-op.
 
         The miss-chain drain's run-coalescing tail calls this for the
-        tail of a same-line store run. Returning 0 asserts that
+        tail of a same-line store run, on one core and on many, when
+        :meth:`vector_store_filter` is False; under True or an EID the
+        drain applies that contract instead (an EID-tagged tail is
+        counted for :meth:`on_store_bulk`). Returning 0 asserts that
         ``count`` consecutive ``on_store`` calls on this line would each
         have returned 0 without any observable state change (beyond the
         idempotent bookkeeping this method applies itself); returning None
@@ -80,7 +83,10 @@ class CrashConsistencyScheme:
 
         The single-core driver (Simulation._run_single_core, when the
         L1 carries a mirror) classifies windows of an epoch segment at
-        once and applies store hits in bulk.
+        once and applies store hits in bulk. The miss-chain drain reads
+        the same contract for every store it replays, on one core and on
+        many: a silent store is only counted (see :meth:`on_store_bulk`),
+        and every other store calls :meth:`on_store`.
 
         Returns ``True`` (every store hit is scheme-silent), ``False``
         (no store hit may be bulk-applied; all stores go through the
@@ -112,33 +118,13 @@ class CrashConsistencyScheme:
         """Aggregate bookkeeping for ``count`` bulk-applied store hits.
 
         Called once per bulk stretch with the number of stores the
-        columnar path applied without invoking :meth:`on_store`. Must
-        reproduce exactly the state ``count`` silent ``on_store`` calls
-        would have left (PiCL advances its store sequence). Default: the
-        inherited no-op ``on_store`` keeps no state, so nothing to do.
+        columnar path applied without invoking :meth:`on_store`, and by
+        the miss-chain drain with the silent stores it counted, before
+        its next :meth:`on_store` call and at drain exit. Must reproduce
+        exactly the state ``count`` silent ``on_store`` calls would have
+        left (PiCL advances its store sequence). Default: the inherited
+        no-op ``on_store`` keeps no state, so nothing to do.
         """
-
-    def miss_engine_profile(self):
-        """Which scheme callbacks the batched miss-chain engine may inline.
-
-        The engine (:mod:`repro.cache.miss_engine`) fuses the scalar
-        L2/LLC/NVM chain into one drain loop; scheme callbacks that are
-        provably the base-class bodies are transcribed inline, everything
-        else stays an attribute call at the exact scalar call site. The
-        booleans report method identity against this base class — a
-        subclass that overrides a hook is automatically reported, so a
-        new scheme degrades to the safe (call) mode without touching the
-        engine.
-        """
-        base = CrashConsistencyScheme
-        cls = type(self)
-        return {
-            "on_store": cls.on_store is not base.on_store,
-            "on_store_repeat": cls.on_store_repeat is not base.on_store_repeat,
-            "write_back": cls.write_back is not base.write_back,
-            "fill_token": cls.fill_token is not base.fill_token,
-            "picl_plain": False,
-        }
 
     # ------------------------------------------------------------------
     # driver protocol

@@ -9,43 +9,38 @@ attributes the previous frame already held. Profiling a gcc row shows the
 per-call overhead of exactly this chain dominating end-to-end time.
 
 This module replaces that chain with a **drain**: a single closure that
-processes a span of residual references with the entire miss chain
-transcribed inline — L1/L2/LLC probes, victim selection in eviction
-order, NVM channel recurrences as local-integer arithmetic, the scheme's
-store/write-back callbacks either transcribed (when provably the known
-bodies) or called at the exact scalar call sites — plus *deferred batch
-bookkeeping*:
+processes a span of residual references with the cache chain transcribed
+inline — L1/L2/LLC probes, LRU order, fills, victim selection in eviction
+order, back-invalidation, the demand read's NVM channel recurrence as
+local-integer arithmetic and the stat deltas. Scheme semantics are not
+transcribed: ``on_store``, ``on_store_repeat``, ``write_back`` and
+``fill_token`` are always calls to the scheme's own methods at the exact
+scalar call sites. The one exception is generic: under an EID
+``vector_store_filter()`` (the contract the columnar walk applies in
+bulk), a store to a line tagged with that EID is scheme-silent, so the
+drain only counts it and hands the count to ``on_store_bulk`` before the
+next out-of-line ``on_store`` and at drain exit.
+
+Deferred bookkeeping:
 
 * stat counters accumulate in locals and land once per drain
   (delta-commutative with anything an out-of-line callee bumps);
-* PiCL undo entries for cross-epoch stores defer only the FIFO append:
-  the bloom filter and pending-address set (the structures the eviction
-  hazard probe reads) update eagerly per entry, while the ``_entries``
-  extend and entries-created counter land in one batch per run — the
-  hazard probe stays live with zero pre-probe work;
 * ``core.cycle`` / ``mem_stall_cycles`` / ``system._next_token`` live in
   locals and are written back on exit.
 
 **Bit-identity argument.** The drain visits references in exactly the
 scalar order and mutates all *shared* structures (tag dicts, LRU lists,
-dirty dicts, EID index, L1 mirror queues, NVM image, undo log) at exactly
-the scalar program points. Deferral is restricted to state nothing reads
-mid-drain, and every deferral is forced down before any point that could
-observe it:
+dirty dicts, EID index, L1 mirror queues) at exactly the scalar program
+points. Deferral is restricted to state nothing reads mid-drain, and
+every deferral is forced down before any point that could observe it:
 
-* pending undo entries are merged into ``buffer._entries`` before any
-  hazard-triggered ``buffer.flush``, before any ``buffer.add`` that
-  could cross capacity (so the flush fires at the scalar trigger entry
-  with the scalar issue cycle; the capacity test counts
-  ``_entries + pend``), before every fault-plan notify, and at drain
-  exit — in particular they are always down before any site can raise
-  ``CrashSignal``, so crash snapshots are token-exact. The bloom filter
-  and pending-address set never lag at all (eager updates), so the
-  hazard probe needs no pre-merge;
+* the silent-store count lands through ``on_store_bulk`` before every
+  out-of-line ``on_store`` (so each call sees the scheme state the
+  scalar loop leaves) and at drain exit;
 * channel timing state is held in locals but synced to the ``_Channel``
-  object around every external call (undo flushes and scheme callbacks
-  issue NVM traffic of their own); a live-flag keeps the exit sync from
-  clobbering updates made by a callee that raised;
+  object around every scheme call (undo flushes, write-backs and store
+  hooks issue NVM traffic of their own); a live-flag keeps the exit sync
+  from clobbering updates made by a callee that raised;
 * counters/cycles/tokens flush in a ``finally``, so even a mid-drain
   ``CrashSignal`` leaves exactly the scalar crash-time values.
 
@@ -68,16 +63,15 @@ other core can move while this one runs. The first reference past the
 horizon still retires; then the loop writes back the core's clock,
 ``heappushpop``s its key, and unpacks the next core's private caches
 and trace columns (:meth:`MissChainEngine.bind`) in place. Everything
-the cores share (token counter, NVM channel, deferred undo entries,
+the cores share (token counter, NVM channel, silent-store count,
 stat deltas) stays in locals across the switch.
 The loop yields to its caller (``Simulation._run_multi_core_drain``)
 only where the running core retires the reference that crosses the next
 epoch or crash boundary, or the last reference of its chunk.
 
-Scheme dispatch is derived from method identity
-(:meth:`repro.baselines.base.CrashConsistencyScheme.miss_engine_profile`):
-unknown overrides degrade to out-of-line calls at the scalar call sites,
-so a new scheme is automatically safe, just not automatically fast.
+A scheme needs nothing to run on the drain: every hook it overrides is
+called where the reference loop calls it, so a new scheme is
+automatically exact.
 
 The EID-index discard on LLC eviction is deliberately **never** deferred:
 with a deferred discard, an old line and a same-address successor with
@@ -94,12 +88,7 @@ from repro.baselines.base import CrashConsistencyScheme
 from repro.cache.line import CacheLine, LineState
 from repro.common.eid import EpochId
 from repro.common.errors import SimulationError
-from repro.core.picl import PiclScheme
-from repro.core.undo import UndoEntry
 from repro.mem.nvm import AccessCategory
-
-#: write-back dispatch: out-of-line call / inline base body / inline PiCL body
-_WB_CALL, _WB_BASE, _WB_PICL = 0, 1, 2
 
 #: The horizon of a turn no other core can end: a single-core drain, or
 #: the last core still running.
@@ -122,9 +111,9 @@ def decline_reason(sim):
 
 def _store_mode(sfilter):
     """The drain's store dispatch for a ``vector_store_filter()`` value:
-    ``(0, None)`` scheme-silent (base on_store, inline no-op), ``(1,
-    None)`` call ``sink.on_store`` per store, ``(2, eid)`` PiCL's plain
-    mode with the full cross-epoch branch transcribed inline."""
+    ``(0, None)`` every store is scheme-silent, ``(1, None)`` every store
+    calls ``sink.on_store``, ``(2, eid)`` a store to a line tagged ``eid``
+    is silent and any other store calls ``sink.on_store``."""
     if sfilter is True:
         return 0, None
     if sfilter is False:
@@ -161,26 +150,12 @@ class MissChainEngine:
         hierarchy = sim.hierarchy
         self.hierarchy = hierarchy
         self.system = sim.system
-        self.scheme = sim.scheme
         self.cores = sim.cores
         controller = hierarchy.controller
         self.controller = controller
         self.device = controller.device
         self.l2 = hierarchy._l2[0]
         self.llc = hierarchy.llc
-
-        sink = hierarchy.sink
-        wb = type(sink).write_back
-        if wb is CrashConsistencyScheme.write_back:
-            self.wb_mode = _WB_BASE
-        elif wb is PiclScheme.write_back:
-            self.wb_mode = _WB_PICL
-        else:
-            self.wb_mode = _WB_CALL
-        profile = sink.miss_engine_profile()
-        self.fill_token_overridden = profile["fill_token"]
-        # PiCL state (None-safe for every other scheme).
-        self.buffer = getattr(sink, "buffer", None)
         #: Where a CrashSignal escaped a single-core drain: the chunk
         #: index of the reference in flight (None until one does).
         #: Multi-core turns leave it in ``CoreTurns.pos`` instead.
@@ -232,14 +207,12 @@ class MissChainEngine:
         """
         hierarchy = self.hierarchy
         system = self.system
-        scheme = self.scheme
         controller = self.controller
         device = self.device
         l1, l2, llc = hierarchy._l1[0], self.l2, self.llc
         vec = l1._vec
-        buffer = self.buffer
-        bloom = buffer.bloom if buffer is not None else None
         channel = device._only_channel
+        sink = hierarchy.sink
 
         def turn_gen(
             i,
@@ -253,7 +226,7 @@ class MissChainEngine:
             bisect=bisect_left,
             heappop=heapq.heappop,
             heappushpop=heapq.heappushpop,
-            store_filter=scheme.vector_store_filter,
+            store_filter=sink.vector_store_filter,
             back_inv=hierarchy._back_invalidate,
             gaps=gaps,
             addrs=addrs,
@@ -263,8 +236,6 @@ class MissChainEngine:
             wcum=wcum,
             n=len(gaps),
             system=system,
-            scheme=scheme,
-            sink=hierarchy.sink,
             track=system.track_reference,
             arch_image=system.arch_image,
             modified=LineState.MODIFIED,
@@ -313,31 +284,22 @@ class MissChainEngine:
             # NVM / controller
             channel=channel,
             read_occ=device._line_read_occupancy,
-            write_occ=device._line_write_occupancy,
             icap=device._interference_cap,
-            qlimit=device._queue_limit,
             img_lines=controller.image._lines,
             smf=hierarchy.store_miss_factor,
-            # dispatch
-            wb_mode=self.wb_mode,
-            ft=(hierarchy.sink.fill_token if self.fill_token_overridden else None),
-            sink_on_store=hierarchy.sink.on_store,
-            sink_repeat=hierarchy.sink.on_store_repeat,
-            sink_wb=hierarchy.sink.write_back,
+            # the scheme's own hooks, called at the scalar call sites
+            ft=(
+                sink.fill_token
+                if type(sink).fill_token is not CrashConsistencyScheme.fill_token
+                else None
+            ),
+            sink_on_store=sink.on_store,
+            sink_repeat=sink.on_store_repeat,
+            sink_bulk=sink.on_store_bulk,
+            sink_wb=sink.write_back,
             snoop=hierarchy._snoop_invalidate,
-            # PiCL inline state
-            buffer=buffer,
-            bloom=bloom,
-            bloom_add=(bloom.add if bloom is not None else None),
-            created=(buffer._entries_created if buffer is not None else None),
-            epochs=getattr(scheme, "epochs", None),
-            bwords=(bloom._words if bloom is not None else None),
-            bmask=(bloom._mask if bloom is not None else None),
-            bloom2=(bloom is not None and bloom.n_hashes == 2),
-            capacity=(buffer.capacity if buffer is not None else 0),
-            # fault plans (installed before run(); bound per chunk)
+            # the hierarchy's fault plan (installed before run())
             h_fault=hierarchy.fault_plan,
-            s_fault=getattr(scheme, "fault_plan", None),
             # stat slots (deferred via local deltas, flushed in finally)
             stats_add=hierarchy.stats.add,
             s_l1_hits=hierarchy._l1_hits,
@@ -357,18 +319,13 @@ class MissChainEngine:
             s_l2_ev=l2._evictions,
             s_llc_ev=llc._evictions,
             s_fills=controller._demand_fills,
-            s_wbs=controller._writebacks,
             s_iops_dr=device._iops_slots[AccessCategory.DEMAND_READ],
-            s_iops_wb=device._iops_slots[AccessCategory.WRITEBACK],
             s_bytes_r=device._bytes_read,
-            s_bytes_w=device._bytes_written,
-            s_cross=getattr(scheme, "_cross_epoch_stores", None),
             CacheLine=CacheLine,
             new_line=CacheLine.__new__,
             EXCLUSIVE=LineState.EXCLUSIVE,
             EID_NONE=EpochId.NONE,
             SimulationError=SimulationError,
-            UndoEntry=UndoEntry,
         ):
             if turns is None:
                 smode, sys_eid = _store_mode(sfilter)
@@ -389,20 +346,12 @@ class MissChainEngine:
             ccycle = core.cycle
             mstall = core.mem_stall_cycles
             ntok = system._next_token
-            seq_delta = 0
+            # Silent stores (smode 2) not yet handed to on_store_bulk.
+            silent = 0
             d_l1_hits = d_loads = d_stores = d_l1_miss = 0
             d_l2_hits = d_l2_miss = d_llc_hits = d_llc_miss = 0
             d_llc_dirty = d_llc_clean = d_l1_ev = d_l2_ev = d_llc_ev = 0
-            d_fills = d_wbs = d_iops_dr = d_iops_wb = 0
-            d_bytes_r = d_bytes_w = d_cross = 0
-            # Deferred undo entries. Only the FIFO extend (and the
-            # entries-created counter) is deferred: the pending set and
-            # bloom filter — the two structures the hazard probe reads —
-            # update eagerly per entry, so ``pend`` merges down only at a
-            # real flush point (hazard flush, capacity crossing, fault
-            # notify, drain exit), not before every probe. ``pend`` is
-            # nonempty only in smode 2, i.e. only when the sink is PiCL.
-            pend = []
+            d_fills = d_iops_dr = d_bytes_r = 0
             # Channel recurrence state as local ints; ch_live flags when
             # the locals (not the object) are authoritative.
             rbu = channel.read_busy_until
@@ -514,9 +463,6 @@ class MissChainEngine:
                                 else:
                                     d_llc_miss += 1
                                     if ft is not None:
-                                        # (pend is provably empty here: ft is
-                                        # non-None only for redo schemes, whose
-                                        # store filter forces smode 1.)
                                         channel.read_busy_until = rbu
                                         channel.write_backlog = wbk
                                         channel.backlog_updated_at = bua
@@ -642,126 +588,19 @@ class MissChainEngine:
                                             victim.owner = None
                                         if victim._dirty:
                                             d_llc_dirty += 1
-                                            vtok = victim.token
                                             if h_fault is not None:
-                                                # Merge pend so a crash here
-                                                # observes the exact scalar
-                                                # buffer contents.
-                                                if pend:
-                                                    buffer._entries.extend(pend)
-                                                    created.value += len(pend)
-                                                    pend = []
                                                 h_fault.notify("llc_eviction")
-                                            if wb_mode == 2:
-                                                # PiclScheme.write_back +
-                                                # eviction_hazard, transcribed.
-                                                # Bloom and pending-set were
-                                                # updated eagerly at pend time,
-                                                # so the probe is live without
-                                                # merging pend first.
-                                                hstall = 0
-                                                if buffer._entries or pend:
-                                                    if bloom2:
-                                                        h1 = (
-                                                            vaddr * 2654435761
-                                                        ) & 0xFFFFFFFF
-                                                        pos = h1 & bmask
-                                                        maybe = (
-                                                            bwords[pos >> 6]
-                                                            >> (pos & 63)
-                                                        ) & 1
-                                                        if maybe:
-                                                            pos = (
-                                                                h1
-                                                                + (
-                                                                    (
-                                                                        (vaddr >> 6)
-                                                                        * 40503
-                                                                        + 0x9E3779B9
-                                                                    )
-                                                                    & 0xFFFFFFFF
-                                                                )
-                                                            ) & bmask
-                                                            maybe = (
-                                                                bwords[pos >> 6]
-                                                                >> (pos & 63)
-                                                            ) & 1
-                                                    else:
-                                                        maybe = buffer.bloom.might_contain(
-                                                            vaddr
-                                                        )
-                                                    if maybe:
-                                                        if (
-                                                            vaddr
-                                                            not in buffer._pending_addrs
-                                                        ):
-                                                            stats_add(
-                                                                "undo.bloom_false_positives"
-                                                            )
-                                                        stats_add("undo.forced_flushes")
-                                                        if pend:
-                                                            buffer._entries.extend(
-                                                                pend
-                                                            )
-                                                            created.value += len(pend)
-                                                            pend = []
-                                                        channel.read_busy_until = rbu
-                                                        channel.write_backlog = wbk
-                                                        channel.backlog_updated_at = bua
-                                                        ch_live = False
-                                                        hstall = buffer.flush(cycle)
-                                                        rbu = channel.read_busy_until
-                                                        wbk = channel.write_backlog
-                                                        bua = channel.backlog_updated_at
-                                                        ch_live = True
-                                                if s_fault is not None:
-                                                    if pend:
-                                                        buffer._entries.extend(pend)
-                                                        created.value += len(pend)
-                                                        pend = []
-                                                    s_fault.notify("pre_inplace")
-                                                wnow = cycle + hstall
-                                            elif wb_mode == 1:
-                                                hstall = 0
-                                                wnow = cycle
-                                            else:
-                                                # (pend is provably empty: pend
-                                                # appends only in smode 2, which
-                                                # implies wb_mode 2.)
-                                                channel.read_busy_until = rbu
-                                                channel.write_backlog = wbk
-                                                channel.backlog_updated_at = bua
-                                                ch_live = False
-                                                fstall += sink_wb(vaddr, vtok, cycle)
-                                                rbu = channel.read_busy_until
-                                                wbk = channel.write_backlog
-                                                bua = channel.backlog_updated_at
-                                                ch_live = True
-                                                wnow = None
-                                            if wnow is not None:
-                                                # controller.writeback /
-                                                # _Channel.post_write on locals.
-                                                if wnow > bua:
-                                                    wbk -= wnow - bua
-                                                    if wbk < 0:
-                                                        wbk = 0
-                                                    bua = wnow
-                                                if wbk > qlimit:
-                                                    st = wbk - qlimit
-                                                    t2 = wnow + st
-                                                    if t2 > bua:
-                                                        wbk -= t2 - bua
-                                                        if wbk < 0:
-                                                            wbk = 0
-                                                        bua = t2
-                                                else:
-                                                    st = 0
-                                                wbk += write_occ
-                                                d_iops_wb += 1
-                                                d_bytes_w += 64
-                                                img_lines[vaddr] = vtok
-                                                d_wbs += 1
-                                                fstall += hstall + st
+                                            channel.read_busy_until = rbu
+                                            channel.write_backlog = wbk
+                                            channel.backlog_updated_at = bua
+                                            ch_live = False
+                                            fstall += sink_wb(
+                                                vaddr, victim.token, cycle
+                                            )
+                                            rbu = channel.read_busy_until
+                                            wbk = channel.write_backlog
+                                            bua = channel.backlog_updated_at
+                                            ch_live = True
                                         else:
                                             d_llc_clean += 1
                                     lat2 = llc_latency + mem_lat
@@ -902,91 +741,12 @@ class MissChainEngine:
                                 wait = fill_lat + fstall
                         # ==== the store continuation of access() ====
                         if w:
-                            if smode == 2:
-                                # PiclScheme.on_store, plain mode, transcribed:
-                                # cheap same-epoch branch, else the full branch
-                                # with the undo append deferred into ``pend``.
-                                seq_delta += 1
-                                if line.eid != sys_eid:
-                                    vf = line.eid
-                                    if vf < 0:
-                                        vf = epochs.persisted_eid
-                                    entry = UndoEntry(addr, line.token, vf, sys_eid)
-                                    if (
-                                        len(buffer._entries) + len(pend) + 1
-                                        >= capacity
-                                    ):
-                                        # The capacity-reaching entry goes
-                                        # through add() so the flush fires at
-                                        # the scalar trigger with the scalar
-                                        # issue cycle (add() itself does the
-                                        # bloom/pending/created work for it).
-                                        if pend:
-                                            buffer._entries.extend(pend)
-                                            created.value += len(pend)
-                                            pend = []
-                                        channel.read_busy_until = rbu
-                                        channel.write_backlog = wbk
-                                        channel.backlog_updated_at = bua
-                                        ch_live = False
-                                        wait += buffer.add(entry, cycle)
-                                        rbu = channel.read_busy_until
-                                        wbk = channel.write_backlog
-                                        bua = channel.backlog_updated_at
-                                        ch_live = True
-                                    else:
-                                        # Defer the FIFO append, but update the
-                                        # hazard-probe structures eagerly —
-                                        # BloomFilter.add (2-hash, unrolled)
-                                        # and the pending-address set.
-                                        pend.append(entry)
-                                        buffer._pending_addrs.add(addr)
-                                        if bloom2:
-                                            h1 = (addr * 2654435761) & 0xFFFFFFFF
-                                            pos = h1 & bmask
-                                            bwords[pos >> 6] |= 1 << (pos & 63)
-                                            pos = (
-                                                h1
-                                                + (
-                                                    ((addr >> 6) * 40503 + 0x9E3779B9)
-                                                    & 0xFFFFFFFF
-                                                )
-                                            ) & bmask
-                                            bwords[pos >> 6] |= 1 << (pos & 63)
-                                            bloom._population += 1
-                                        else:
-                                            bloom_add(addr)
-                                    # apply_store on the L1 line (64 B, no
-                                    # EID index on private caches).
-                                    line.eid = sys_eid
-                                    d_cross += 1
-                                    # Undo forwarding: retag the LLC copy,
-                                    # EID-index exact (apply_store inline).
-                                    llc_fwd = llc_tags.get(addr)
-                                    if llc_fwd is None:
-                                        raise SimulationError(
-                                            "inclusion violated: stored line "
-                                            "%#x absent from LLC" % addr
-                                        )
-                                    if llc_fwd is not line:
-                                        # apply_store on the LLC copy:
-                                        # EidIndex.retag transcribed (strict
-                                        # KeyError on drift, like the index).
-                                        old = llc_fwd.eid
-                                        if old != sys_eid:
-                                            llc_fwd.eid = sys_eid
-                                            if llc_fwd.sub_eids is None:
-                                                if old >= 0:
-                                                    bucket = buckets[old]
-                                                    del bucket[addr]
-                                                    if not bucket:
-                                                        del buckets[old]
-                                                bucket = buckets.get(sys_eid)
-                                                if bucket is None:
-                                                    bucket = buckets[sys_eid] = {}
-                                                bucket[addr] = llc_fwd
-                            elif smode == 1:
-                                # (pend is provably empty in smode 1.)
+                            if smode == 2 and line.eid == sys_eid:
+                                silent += 1
+                            elif smode:
+                                if silent:
+                                    sink_bulk(silent)
+                                    silent = 0
                                 channel.read_busy_until = rbu
                                 channel.write_backlog = wbk
                                 channel.backlog_updated_at = bua
@@ -996,7 +756,7 @@ class MissChainEngine:
                                 wbk = channel.write_backlog
                                 bua = channel.backlog_updated_at
                                 ch_live = True
-                            # smode 0: base on_store is a no-op.
+                            # smode 0: every store is silent.
                             line.token = token
                             if not line._dirty:
                                 line._dirty = True
@@ -1022,8 +782,8 @@ class MissChainEngine:
                         # a reference when every repeat is provably an L1
                         # hit that changes nothing step by step: repeated
                         # stores also need a dirty, MODIFIED line and a
-                        # scheme that batches them as no-ops (inline for
-                        # PiCL's same-epoch stores, else
+                        # scheme that batches them as no-ops (counted as
+                        # silent when the line carries the filter EID, else
                         # ``sink.on_store_repeat``). Only the run's last
                         # token lands: nothing runs between the coalesced
                         # stores. Otherwise the tail replays one by one.
@@ -1061,10 +821,9 @@ class MissChainEngine:
                                         ok = True
                                     elif smode == 2:
                                         if line.eid == sys_eid:
-                                            seq_delta += kw
+                                            silent += kw
                                             ok = True
                                     else:
-                                        # (pend is provably empty in smode 1.)
                                         channel.read_busy_until = rbu
                                         channel.write_backlog = wbk
                                         channel.backlog_updated_at = bua
@@ -1103,10 +862,9 @@ class MissChainEngine:
                     # The span is done, or the running core just retired
                     # the reference that crosses the boundary or ends its
                     # chunk: write back everything the caller may read.
-                    if pend:
-                        buffer._entries.extend(pend)
-                        created.value += len(pend)
-                        pend = []
+                    if silent:
+                        sink_bulk(silent)
+                        silent = 0
                     channel.read_busy_until = rbu
                     channel.write_backlog = wbk
                     channel.backlog_updated_at = bua
@@ -1142,9 +900,6 @@ class MissChainEngine:
                     # A CrashSignal escaped mid-reference (or the caller
                     # closed a single-core drain early): leave the exact
                     # scalar crash-time state.
-                    if pend:
-                        buffer._entries.extend(pend)
-                        created.value += len(pend)
                     if ch_live:
                         channel.read_busy_until = rbu
                         channel.write_backlog = wbk
@@ -1160,10 +915,10 @@ class MissChainEngine:
                         )
                     else:
                         self.inflight = i
+                if silent:
+                    sink_bulk(silent)
                 # The stat deltas have no mid-run readers: they flush
                 # exactly once — here — however the generator ends.
-                if seq_delta:
-                    scheme._store_seq += seq_delta
                 if d_l1_hits:
                     s_l1_hits.value += d_l1_hits
                 if d_loads:
@@ -1192,18 +947,10 @@ class MissChainEngine:
                     s_llc_ev.value += d_llc_ev
                 if d_fills:
                     s_fills.value += d_fills
-                if d_wbs:
-                    s_wbs.value += d_wbs
                 if d_iops_dr:
                     s_iops_dr.value += d_iops_dr
-                if d_iops_wb:
-                    s_iops_wb.value += d_iops_wb
                 if d_bytes_r:
                     s_bytes_r.value += d_bytes_r
-                if d_bytes_w:
-                    s_bytes_w.value += d_bytes_w
-                if d_cross:
-                    s_cross.value += d_cross
 
         def drain(i, stop, seg_end, sfilter):
             # One-shot: a single advance covers the whole span, and

@@ -156,24 +156,6 @@ class PiclScheme(CrashConsistencyScheme):
             self.granularity.apply_store(llc_line, system_eid, self._store_seq)
         return stall
 
-    def on_store_repeat(self, core, line, count, now):
-        """Batch repeated same-epoch stores (coalescing fast path).
-
-        Safe only when every one of the ``count`` stores is provably the
-        cheap branch of :meth:`on_store`: no hard log cap (so no pressure
-        relief can fire), line-granularity tracking (sub-block tracking
-        rotates the store sequence across sub-blocks, so repeats are not
-        uniform no-ops), and the line already tagged with the executing
-        epoch (``needs_undo`` returns None). Only the store sequence
-        advances, exactly as ``count`` individual calls would.
-        """
-        if not self._plain_stores:
-            return None
-        if line.eid != self.epochs.system_eid:
-            return None
-        self._store_seq += count
-        return 0
-
     def vector_store_filter(self):
         """Columnar store filter: the executing epoch's EID.
 
@@ -199,22 +181,6 @@ class PiclScheme(CrashConsistencyScheme):
 
     def on_store_bulk(self, count):
         self._store_seq += count
-
-    def miss_engine_profile(self):
-        """PiCL opts the miss-chain engine into its inline fast paths.
-
-        ``picl_plain`` asserts the exact preconditions of the cheap
-        :meth:`on_store` branch the engine transcribes (no hard log cap,
-        64 B tracking): under it, a residual store's full branch is an
-        UndoEntry append + ``apply_store`` retags + the undo-forwarding
-        inclusion check — all inlinable with deferred bloom/buffer
-        batching. ``write_back`` stays flagged as overridden so the
-        engine uses its dedicated PiCL transcription (bloom hazard +
-        ``pre_inplace`` fault notify) rather than the base one.
-        """
-        prof = super().miss_engine_profile()
-        prof["picl_plain"] = self._plain_stores
-        return prof
 
     def _relieve_log_pressure(self, now):
         """Force a persist when a hard-capped log is nearly full.

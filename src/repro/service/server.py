@@ -37,6 +37,7 @@ from repro.sim.parallel import (
     ENGINE_FLAGS,
     ResultCache,
     SweepCheckpoint,
+    point_digest,
 )
 
 DEFAULT_SPOOL_DIR = ".repro_service"
@@ -226,19 +227,23 @@ class SweepService:
             try:
                 with open(os.path.join(self.batch_dir, name), "rb") as handle:
                     record = pickle.load(handle)
+                if isinstance(record, dict):
+                    points = record["points"]
+                    env = record.get("env")
+                else:
+                    # Pre-env spool format: a bare point list.
+                    points = record
+                    env = None
+                # A point the scheduler cannot digest would kill the
+                # daemon below; such a batch is as unusable as a torn one.
+                for point in points:
+                    point_digest(point)
             except Exception as exc:
                 self.events.append(
                     "spool_corrupt", batch=batch_id, error=str(exc)
                 )
                 self._unspool(batch_id)
                 continue
-            if isinstance(record, dict):
-                points = record["points"]
-                env = record.get("env")
-            else:
-                # Pre-env spool format: a bare point list.
-                points = record
-                env = None
             entries = self.scheduler.submit(
                 RECOVERY_CLIENT, points, batch_id=batch_id, env=env
             )
@@ -399,6 +404,16 @@ class SweepService:
             await self._send(
                 writer,
                 {"event": "error", "error": "submit needs points or figure"},
+            )
+            return
+        try:
+            # Validate before spooling: the scheduler digests every point,
+            # and a spooled batch it cannot digest would fail every restart.
+            for point in points:
+                point_digest(point)
+        except Exception as exc:
+            await self._send(
+                writer, {"event": "error", "error": "bad point: %s" % exc}
             )
             return
         self._spool(batch_id, points, env=env)

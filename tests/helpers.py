@@ -174,4 +174,5 @@ def fingerprint(sim):
             for e in log.iter_entries_backward()
         ],
         crash=(sim.crashed, sim.crash_site),
+        store_seq=getattr(sim.scheme, "_store_seq", None),
     )

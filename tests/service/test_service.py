@@ -16,10 +16,14 @@ The acceptance properties of the sweep service are asserted here:
   new executions;
 * SIGKILL of the whole daemon mid-batch loses nothing: a restarted
   daemon on the same spool recovers the batch, finishes the remaining
-  points, and never re-executes a completed digest.
+  points, and never re-executes a completed digest;
+* a point the scheduler cannot digest is refused with an ``error`` and
+  never spooled, and a spooled one is dropped as ``spool_corrupt`` on
+  restart.
 """
 
 import os
+import pickle
 import shutil
 import signal
 import subprocess
@@ -35,7 +39,12 @@ from helpers import GatedPoint
 from repro.service.client import ServiceClient, wait_until_ready
 from repro.service.events import executions_per_digest, read_events
 from repro.sim.config import SystemConfig
-from repro.sim.parallel import RunPoint, point_digest, run_points
+from repro.sim.parallel import (
+    PointExecutionError,
+    RunPoint,
+    point_digest,
+    run_points,
+)
 
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 #: The tests directory, where the daemon unpickles GatedPoint from.
@@ -276,3 +285,39 @@ class TestCrashRecovery:
         counts = executions_per_digest(read_events(daemon.events_path))
         assert set(counts) <= {point_digest(p) for p in points}
         assert all(count <= 1 for count in counts.values()), counts
+
+
+class TestBadPoints:
+    def test_undigestable_point_is_refused_and_never_spooled(
+        self, daemon_factory
+    ):
+        daemon = daemon_factory(jobs=1)
+        good = make_points(1)[0]
+        # Decodes fine, but point_digest cannot serialize a dict config.
+        bad = RunPoint(dict(vars(good.config)), "picl", ("gcc",), N, 1)
+        with pytest.raises(PointExecutionError, match="bad point"):
+            with daemon.client() as client:
+                client.submit_points([bad], batch_id="bad")
+        batches = os.path.join(daemon.spool, "batches")
+        assert os.listdir(batches) == []
+        with daemon.client() as client:
+            assert client.ping()
+            results = client.submit_points([good])
+        assert [fingerprint(r) for r in results] == [
+            fingerprint(r) for r in run_points([good])
+        ]
+
+        # A spool left by a daemon that did not check: the restart drops
+        # it as corrupt and comes up serving.
+        daemon.stop()
+        with open(os.path.join(batches, "bad.pkl"), "wb") as handle:
+            pickle.dump({"points": [bad], "env": None}, handle)
+        daemon.start()
+        records = read_events(daemon.events_path)
+        assert any(
+            r["event"] == "spool_corrupt" and r["batch"] == "bad"
+            for r in records
+        )
+        assert os.listdir(batches) == []
+        with daemon.client() as client:
+            assert client.ping()

@@ -15,8 +15,8 @@ the case names. The second is the reference side: ``REPRO_VECTOR=0``
 with every cache and the ACS engine on the brute-force sweep oracle
 (``force_brute``). Their ``fingerprint``s must be equal: per-core
 clocks, stalls and instructions, the system total, the next token, the
-arch image, every stat, the NVM image, the undo log and the crash
-outcome. So one comparison covers the columnar walk, the drain and the
+arch image, every stat, the NVM image, the undo log, the crash
+outcome and the scheme's store sequence. So one comparison covers the columnar walk, the drain and the
 EID index, and the fast side's index must also match a sweep of its LLC.
 Both sides then power-fail and must recover the same image. A crashed
 run must also leave the reference loop's in-flight convention: the
@@ -30,7 +30,9 @@ engine each draw must run. ``SHARED_ROWS`` and the fuzz's
 ``shared-batch`` shape replay one trajectory under all six schemes,
 each against its own reference run. ``COUNT_ROWS`` pin the invariant
 the trajectory rests on: its level counts are every scheme's
-``l1.hits``, ``l2.misses`` and ``llc.misses``.
+``l1.hits``, ``l2.misses`` and ``llc.misses``. ``test_one_definition``
+runs both sides on one mutant of PiCL's hazard flush: every engine calls
+the scheme's own rules, so the mutant changes them alike.
 """
 
 import numpy as np
@@ -42,6 +44,7 @@ from repro.cache.hierarchy import EvictionSink
 from repro.cache.trajectory import L1_HIT, LEVEL, LLC_HIT, LLC_MISS
 from repro.common.units import KB, MB
 from repro.core.recovery import check_recovered
+from repro.core.undo_buffer import UndoBuffer
 from repro.fault.plan import SEMANTIC_SITES, SITE_UNDO_FLUSH, CrashPlan
 from repro.mem.dram_cache import DramCache, DramCacheMode
 from repro.sim.simulator import Simulation
@@ -308,6 +311,15 @@ ROWS = [
 @pytest.mark.parametrize("engine,scheme,benches,seed,kwargs", ROWS)
 def test_row(engine, scheme, benches, seed, kwargs):
     run_pair(engine, scheme, benches, seed, **kwargs)
+
+
+@pytest.mark.parametrize("bench", ["mcf", "gcc"])
+def test_one_definition(bench, monkeypatch):
+    """Each scheme rule is defined once: a mutant of PiCL's hazard flush
+    (the undo-before-in-place ordering) reaches both engines alike."""
+    monkeypatch.setattr(UndoBuffer, "eviction_hazard", lambda *args: 0)
+    fast = run_pair(CD, "picl", [bench], 7)
+    assert fast.stats.get("undo.forced_flushes") == 0
 
 
 TRAJ = "trajectory"
