@@ -61,8 +61,8 @@ class CrashConsistencyScheme:
     def on_store_repeat(self, core, line, count, now):
         """Batch ``count`` repeated stores when each is a provable no-op.
 
-        The miss-chain drain's run-coalescing tail calls this for the
-        tail of a same-line store run, on one core and on many, when
+        The multi-core miss-chain drain's run-coalescing tail calls this
+        for the tail of a same-line store run when
         :meth:`vector_store_filter` is False; under True or an EID the
         drain applies that contract instead (an EID-tagged tail is
         counted for :meth:`on_store_bulk`). Returning 0 asserts that
@@ -79,48 +79,37 @@ class CrashConsistencyScheme:
         return None
 
     def vector_store_filter(self):
-        """Which L1 store hits the columnar interpreter may bulk-apply.
+        """Which stores may skip :meth:`on_store`.
 
-        The single-core driver (Simulation._run_single_core, when the
-        L1 carries a mirror) classifies windows of an epoch segment at
-        once and applies store hits in bulk. The miss-chain drain reads
-        the same contract for every store it replays, on one core and on
-        many: a silent store is only counted (see :meth:`on_store_bulk`),
-        and every other store calls :meth:`on_store`.
+        Two interpreters read this contract, once per epoch segment (it
+        is never cached across a boundary): the single-core trajectory
+        replay (``Simulation._run_replay``), for every store, and the
+        multi-core drain (:mod:`repro.cache.miss_engine`), for every
+        store it runs. A *silent* store only writes its token; the
+        interpreter counts it and hands the count to
+        :meth:`on_store_bulk` before its next :meth:`on_store` call and at
+        every boundary. Every other store calls :meth:`on_store` at its
+        own cycle.
 
-        Returns ``True`` (every store hit is scheme-silent), ``False``
-        (no store hit may be bulk-applied; all stores go through the
-        exact path), or an int EID. Under an EID every store hit is
-        bulk-applied: a store to a line tagged with that EID must be
-        silent (PiCL's cheap same-epoch branch). For every other stored
-        line — a cross-epoch store — the stretch calls ``on_store`` once,
-        in first-store order, before it writes the line's token; the
-        line must then carry the filter EID, so its later stores are
-        silent. Such a call may buffer state but must not stall, and the
-        stretch makes at most :meth:`vector_store_room` of them.
-        Re-evaluated at the start of every epoch segment, never cached
-        across boundaries. The default mirrors :meth:`on_store_repeat`:
-        silent iff ``on_store`` is the inherited no-op.
+        Returns ``True`` (every store is silent), ``False`` (none is), or
+        an int EID: a store to a line tagged with that EID must be silent
+        (PiCL's cheap same-epoch branch). Under an EID, ``on_store`` on a
+        line tagged otherwise — a cross-epoch store — must leave it
+        tagged with the EID, so its later stores are silent, and may
+        read or retag no other private line: the replay knows a run of
+        L1 hits' cross-epoch stores up front and writes the silent
+        stores' tokens around them. The default mirrors
+        :meth:`on_store_repeat`: silent iff ``on_store`` is the inherited
+        no-op.
         """
         return type(self).on_store is CrashConsistencyScheme.on_store
 
-    def vector_store_room(self):
-        """How many cross-epoch stores a bulk stretch may apply now.
-
-        Read under an EID :meth:`vector_store_filter` only, before every
-        bulk stretch: the columnar walk ends a stretch just before the
-        cross-epoch store past this room and replays that store exactly.
-        Default 0: every cross-epoch store replays exactly.
-        """
-        return 0
-
     def on_store_bulk(self, count):
-        """Aggregate bookkeeping for ``count`` bulk-applied store hits.
+        """Aggregate bookkeeping for ``count`` silent stores.
 
-        Called once per bulk stretch with the number of stores the
-        columnar path applied without invoking :meth:`on_store`, and by
-        the miss-chain drain with the silent stores it counted, before
-        its next :meth:`on_store` call and at drain exit. Must reproduce
+        Called by the trajectory replay and the multi-core drain with the
+        stores :meth:`vector_store_filter` made silent, before their next
+        :meth:`on_store` call and at every boundary. Must reproduce
         exactly the state ``count`` silent ``on_store`` calls would have
         left (PiCL advances its store sequence). Default: the inherited
         no-op ``on_store`` keeps no state, so nothing to do.

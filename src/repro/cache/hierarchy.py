@@ -30,7 +30,6 @@ from repro.common.stats import StatCounters
 from repro.cache.cache import SetAssocCache
 from repro.cache.eid_index import EidIndex
 from repro.cache.line import CacheLine, LineState
-from repro.cache.vector_mirror import ROW_WAYS, TagMirror
 
 
 class EvictionSink:
@@ -66,22 +65,14 @@ class EvictionSink:
         return 0
 
     def vector_store_filter(self):
-        """Which L1 store hits the columnar interpreter may bulk-apply.
-
-        Returns ``True`` (every store hit is scheme-silent — this sink's
-        ``on_store`` is a pure no-op), ``False`` (no store may leave the
-        exact path), or an EID: a store hit is scheme-silent exactly when
-        the line's mirrored EID equals it (PiCL's same-epoch stores).
-        Re-evaluated per epoch segment, never cached across boundaries.
-        """
+        """Which stores may skip ``on_store`` (see
+        ``CrashConsistencyScheme.vector_store_filter``): every one, as
+        this sink's ``on_store`` is a pure no-op."""
         return True
 
     def on_store_bulk(self, count):
-        """Aggregate bookkeeping for ``count`` stores the columnar path
-        bulk-applied after :meth:`vector_store_filter` classified each of
-        them scheme-silent. Must be exactly what ``count`` consecutive
-        ``on_store`` calls would have done to scheme state (for this sink:
-        nothing)."""
+        """Bookkeeping for ``count`` stores that skipped ``on_store``
+        (for this sink: nothing)."""
 
 
 class CacheHierarchy:
@@ -129,17 +120,9 @@ class CacheHierarchy:
         # private caches only need dirty-line tracking. Attached here, not in
         # SetAssocCache, because only the shared level is ever ACS-scanned.
         self.llc.eid_index = EidIndex()
-        # The single-core driver classifies windows of references against
-        # a numpy mirror of the L1's tags/EIDs (see
-        # repro.cache.vector_mirror). Only a single core's L1 carries one,
-        # and only if it is at most one mirror row (ROW_WAYS) wide; no L2
-        # or LLC ever does. REPRO_VECTOR=0 selects the reference loop and
-        # no mirror (``vector`` records the choice for the engine
-        # selection in Simulation.run).
+        # REPRO_VECTOR=0 selects the reference loop; ``vector`` records
+        # the choice for the engine selection in Simulation.run.
         self.vector = os.environ.get("REPRO_VECTOR", "1") != "0"
-        if self.vector and n_cores == 1 and l1_assoc <= ROW_WAYS:
-            l1 = self._l1[0]
-            l1._vec = TagMirror(l1.n_sets, l1.assoc, l1._line_shift, l1._set_mask)
         self.sink = EvictionSink(controller)
         #: Mirrors SetAssocCache._brute_scan: run the original full-sweep
         #: sync paths as a differential oracle.
@@ -199,11 +182,6 @@ class CacheHierarchy:
             if home is not None:
                 home._dirty_lines[line_addr] = line
         line.state = LineState.MODIFIED
-        vec = l1._vec
-        if vec is not None:
-            # The scheme's on_store may have retagged the line (PiCL's
-            # cross-epoch store); queue the EID refresh for the next sync.
-            vec.eidq.append(line)
         self._stores.value += 1
         return wait
 
@@ -235,18 +213,10 @@ class CacheHierarchy:
         line._home = l1
         if line._dirty:
             l1._dirty_lines[line_addr] = line
-        vec = l1._vec
-        if vec is not None:
-            vec.pending.append(line)
         if len(cache_set) > l1.assoc:
             victim = cache_set.pop()
             del l1._tags[victim.addr]
             victim._home = None
-            if vec is not None:
-                # The eager removed log guards in-flight windows; the slot
-                # queue is drained at the next sync.
-                vec.removed.append(victim.addr)
-                vec.evictq.append(victim)
             l1._evictions.value += 1
             if victim._dirty:
                 del l1._dirty_lines[victim.addr]
@@ -382,11 +352,8 @@ class CacheHierarchy:
             target.sub_eids = list(source.sub_eids)
         if new_eid != old_eid or (target.sub_eids is not None and not old_had_sub):
             home = target._home
-            if home is not None:
-                if home.eid_index is not None:
-                    home.eid_index.refresh(target, old_eid, old_had_sub)
-                if home._vec is not None:
-                    home._vec.eidq.append(target)
+            if home is not None and home.eid_index is not None:
+                home.eid_index.refresh(target, old_eid, old_had_sub)
 
     def _merge_down(self, victim, lower_cache, line_addr_level):
         target = lower_cache.lookup(victim.addr, touch=False)
@@ -413,9 +380,6 @@ class CacheHierarchy:
             l1_copy._home = None
             if l1_copy._dirty:
                 del l1._dirty_lines[addr]
-            if l1._vec is not None:
-                l1._vec.removed.append(addr)
-                l1._vec.evictq.append(l1_copy)
         l2 = self._l2[owner]
         l2_copy = l2._tags.pop(addr, None)
         if l2_copy is not None:
@@ -443,9 +407,6 @@ class CacheHierarchy:
         """
         copy.token = llc_line.token
         copy.eid = llc_line.eid
-        home = copy._home
-        if home is not None and home._vec is not None:
-            home._vec.eidq.append(copy)
         if llc_line.sub_eids is not None:
             copy.sub_eids = list(llc_line.sub_eids)
         copy.dirty = False

@@ -41,7 +41,6 @@ class CacheLine:
         "owner",
         "sub_eids",
         "_home",
-        "_vslot",
     )
 
     def __init__(self, addr, token=0, state=LineState.EXCLUSIVE, owner=None):
@@ -58,9 +57,6 @@ class CacheLine:
         #: maintained by the cache so dirty flips and EID retags can keep
         #: its dirty-line dict and EID index exact without scanning.
         self._home = None
-        #: Claimed way slot in the L1's columnar tag mirror (-1 if none);
-        #: assigned lazily by TagMirror.sync, not at fill time.
-        self._vslot = -1
 
     @property
     def dirty(self):
@@ -94,8 +90,6 @@ class CacheLine:
             home = self._home
             if home is not None and home.eid_index is not None:
                 home.eid_index.retag(self, old)
-                if home._vec is not None:
-                    home._vec.eidq.append(self)
 
     def init_sub_eids(self, n_sub_blocks):
         """Switch the line to sub-block tracking (all sub-EIDs unset).
@@ -129,7 +123,6 @@ class CacheLine:
         sub_eids = self.sub_eids
         line.sub_eids = list(sub_eids) if sub_eids is not None else None
         line._home = None
-        line._vslot = -1
         return line
 
     def __repr__(self):

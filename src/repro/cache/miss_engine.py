@@ -1,42 +1,41 @@
-"""Batched miss-chain engine: the L2/LLC/NVM slow path as one fused loop.
+"""Multi-core miss-chain engine: the whole reference chain as one fused loop.
 
-The columnar interpreter (PR 6) made classified L1 hits nearly free, which
-left miss-heavy rows at parity: every residual reference replays through
-``CacheHierarchy.access`` — a chain of six-plus Python calls per miss
-(``access`` → ``_fill_to_l1`` → ``_fill_to_l2`` → ``_insert_llc`` →
-``demand_fill``/``write_back`` → channel arithmetic), each re-resolving
-attributes the previous frame already held. Profiling a gcc row shows the
-per-call overhead of exactly this chain dominating end-to-end time.
-
-This module replaces that chain with a **drain**: a single closure that
-processes a span of residual references with the cache chain transcribed
-inline — L1/L2/LLC probes, LRU order, fills, victim selection in eviction
-order, back-invalidation, the demand read's NVM channel recurrence as
-local-integer arithmetic and the stat deltas. Scheme semantics are not
-transcribed: ``on_store``, ``on_store_repeat``, ``write_back`` and
-``fill_token`` are always calls to the scheme's own methods at the exact
-scalar call sites. The one exception is generic: under an EID
-``vector_store_filter()`` (the contract the columnar walk applies in
-bulk), a store to a line tagged with that EID is scheme-silent, so the
-drain only counts it and hands the count to ``on_store_bulk`` before the
-next out-of-line ``on_store`` and at drain exit.
+In the reference loop every reference runs ``CacheHierarchy.access`` — a
+chain of six-plus Python calls per miss (``access`` → ``_fill_to_l1`` →
+``_fill_to_l2`` → ``_insert_llc`` → ``demand_fill``/``write_back`` →
+channel arithmetic), each re-resolving attributes the previous frame
+already held, plus one heap operation per reference to pick the next
+core. On several cores the fast engine replaces both with a **drain**: a
+single generator that runs the cores' references with the cache chain
+transcribed inline — L1/L2/LLC probes, LRU order, fills, victim
+selection in eviction order, back-invalidation, the demand read's NVM
+channel recurrence as local-integer arithmetic and the stat deltas.
+Scheme semantics are not transcribed: ``on_store``, ``on_store_repeat``,
+``write_back`` and ``fill_token`` are always calls to the scheme's own
+methods at the exact scalar call sites. The one exception is generic:
+under an EID ``vector_store_filter()``, a store to a line tagged with
+that EID is scheme-silent, so the drain only counts it and hands the
+count to ``on_store_bulk`` before the next out-of-line ``on_store`` and
+at every yield. (One core needs none of this: its cache outcome is
+scheme-free and replayed from a trajectory, see
+:mod:`repro.cache.trajectory`.)
 
 Deferred bookkeeping:
 
-* stat counters accumulate in locals and land once per drain
+* stat counters accumulate in locals and land once per run
   (delta-commutative with anything an out-of-line callee bumps);
 * ``core.cycle`` / ``mem_stall_cycles`` / ``system._next_token`` live in
-  locals and are written back on exit.
+  locals and are written back at every core switch and yield.
 
 **Bit-identity argument.** The drain visits references in exactly the
 scalar order and mutates all *shared* structures (tag dicts, LRU lists,
-dirty dicts, EID index, L1 mirror queues) at exactly the scalar program
-points. Deferral is restricted to state nothing reads mid-drain, and
-every deferral is forced down before any point that could observe it:
+dirty dicts, EID index) at exactly the scalar program points. Deferral
+is restricted to state nothing reads mid-drain, and every deferral is
+forced down before any point that could observe it:
 
 * the silent-store count lands through ``on_store_bulk`` before every
   out-of-line ``on_store`` (so each call sees the scheme state the
-  scalar loop leaves) and at drain exit;
+  scalar loop leaves) and at every yield;
 * channel timing state is held in locals but synced to the ``_Channel``
   object around every scheme call (undo flushes, write-backs and store
   hooks issue NVM traffic of their own); a live-flag keeps the exit sync
@@ -46,25 +45,23 @@ every deferral is forced down before any point that could observe it:
 
 **Safety conditions** (:func:`decline_reason` names the first one that
 fails; the simulation then runs the reference loop,
-``Simulation._run_reference``, as it does under ``REPRO_VECTOR=0``):
+``Simulation._run_reference``, as it does under ``REPRO_VECTOR=0``; the
+single-core trajectory replay makes the same checks):
 
 * the hierarchy's eviction sink is the scheme itself;
 * no DRAM cache in front of NVM;
 * a single NVM channel, whose recurrence the drain transcribes.
 
-**One loop for one core or many.** The same generator drains a span of
-the single core's chunk for ``Simulation._run_single_core`` and runs a whole
-multi-core simulation. With several cores it keeps the order of the
-reference heap loop (``Simulation._run_reference``): it pops the
-earliest ``cycle * n_cores + core`` key (the heap loop's ``(cycle,
-core)`` tuple as one int) and runs that core while
-its clock stays within the *horizon* — the smallest other key, which no
-other core can move while this one runs. The first reference past the
-horizon still retires; then the loop writes back the core's clock,
-``heappushpop``s its key, and unpacks the next core's private caches
-and trace columns (:meth:`MissChainEngine.bind`) in place. Everything
-the cores share (token counter, NVM channel, silent-store count,
-stat deltas) stays in locals across the switch.
+**The turn order.** The drain keeps the order of the reference heap loop
+(``Simulation._run_reference``): it pops the earliest ``cycle * n_cores +
+core`` key (the heap loop's ``(cycle, core)`` tuple as one int) and runs
+that core while its clock stays within the *horizon* — the smallest
+other key, which no other core can move while this one runs. The first
+reference past the horizon still retires; then the loop writes back the
+core's clock, ``heappushpop``s its key, and unpacks the next core's
+private caches and trace columns (:meth:`MissChainEngine.bind`) in
+place. Everything the cores share (token counter, NVM channel,
+silent-store count, stat deltas) stays in locals across the switch.
 The loop yields to its caller (``Simulation._run_multi_core_drain``)
 only where the running core retires the reference that crosses the next
 epoch or crash boundary, or the last reference of its chunk.
@@ -82,6 +79,7 @@ for exactly this class of bug.
 """
 
 import heapq
+import types
 from bisect import bisect_left
 
 from repro.baselines.base import CrashConsistencyScheme
@@ -90,8 +88,8 @@ from repro.common.eid import EpochId
 from repro.common.errors import SimulationError
 from repro.mem.nvm import AccessCategory
 
-#: The horizon of a turn no other core can end: a single-core drain, or
-#: the last core still running.
+#: The horizon of a turn no other core can end: the last core still
+#: running.
 _NO_HORIZON = 1 << 62
 
 
@@ -156,10 +154,6 @@ class MissChainEngine:
         self.device = controller.device
         self.l2 = hierarchy._l2[0]
         self.llc = hierarchy.llc
-        #: Where a CrashSignal escaped a single-core drain: the chunk
-        #: index of the reference in flight (None until one does).
-        #: Multi-core turns leave it in ``CoreTurns.pos`` instead.
-        self.inflight = None
 
     def bind(self, core_id, chunk):
         """One core's switch-in tuple: its clock, private L1/L2 and the
@@ -167,7 +161,7 @@ class MissChainEngine:
         loop unpacks them."""
         l1 = self.hierarchy._l1[core_id]
         l2 = self.hierarchy._l2[core_id]
-        gaps, addrs, writes, cum, run_ends, wcum = chunk.ensure_metadata().lists
+        gaps, addrs, writes, cum, run_ends, wcum = chunk.lists
         return (
             self.cores[core_id],
             l1, l1._tags, l1._sets, l1._dirty_lines,
@@ -179,48 +173,36 @@ class MissChainEngine:
     # the drain
     # ------------------------------------------------------------------
 
-    def make_drain(self, gaps=(), addrs=(), writes=(), cum=(), run_ends=(), wcum=()):
-        """Build the fused drain for one trace chunk of the single core.
+    def make_drain(self):
+        """Build the fused multi-core drain loop.
 
-        Returns ``drain(i, stop, seg_end, sfilter) -> new i``: processes
-        references in ``[i, stop)`` exactly, and may advance past ``stop``
-        (never ``seg_end``) through run-coalescing tails. ``sfilter`` is
-        the segment's ``vector_store_filter()`` value and fixes the store
-        dispatch for the whole call (the SystemEID only moves at segment
-        boundaries).
-
-        ``drain.turn_gen`` is the generator behind it. ``drain`` runs it
-        once to the end of its span; ``turn_gen(0, 0, 0, None, turns,
-        boundary)`` runs it as the multi-core loop over a
-        :class:`CoreTurns` (the chunk arguments are then unused: every
-        turn binds its core's own). That generator yields the number of
-        references run so far each time the running core retires the
+        Returns an object whose ``turn_gen(i, turns, boundary)`` is the
+        generator that runs the whole simulation over a
+        :class:`CoreTurns`, binding each core's own chunk columns as it
+        switches to it (``i``, the references already run, is 0 for a
+        fresh run; positions come from ``turns``). It yields the number
+        of references run so far each time the running core retires the
         reference that crosses ``boundary`` — the next epoch or crash
         point, in total instructions — or the last of its chunk, after
-        writing back every counter the caller reads. The caller fires
-        the epoch, stops on a crash, or loads the core's next chunk
-        (setting its binding to None when the trace is done) and sends
-        the next boundary. The generator returns when no core is left.
-        A ``CrashSignal`` escaping mid-chain leaves ``turns.cid`` /
-        ``turns.pos`` on the in-flight reference (a single-core drain
-        leaves its index in :attr:`inflight`).
+        writing back every counter the caller reads. The caller fires the
+        epoch, stops on a crash, or loads the core's next chunk (setting
+        its binding to None when the trace is done) and sends the next
+        boundary. The generator returns when no core is left. A
+        ``CrashSignal`` escaping mid-chain leaves ``turns.cid`` /
+        ``turns.pos`` on the in-flight reference.
         """
         hierarchy = self.hierarchy
         system = self.system
         controller = self.controller
         device = self.device
         l1, l2, llc = hierarchy._l1[0], self.l2, self.llc
-        vec = l1._vec
         channel = device._only_channel
         sink = hierarchy.sink
 
         def turn_gen(
             i,
-            stop,
-            seg_end,
-            sfilter,
-            turns=None,
-            boundary=None,
+            turns,
+            boundary,
             # Default-arg binding: the body runs per reference, and
             # locals beat closure derefs.
             bisect=bisect_left,
@@ -228,19 +210,12 @@ class MissChainEngine:
             heappushpop=heapq.heappushpop,
             store_filter=sink.vector_store_filter,
             back_inv=hierarchy._back_invalidate,
-            gaps=gaps,
-            addrs=addrs,
-            writes=writes,
-            cum=cum,
-            run_ends=run_ends,
-            wcum=wcum,
-            n=len(gaps),
             system=system,
             track=system.track_reference,
             arch_image=system.arch_image,
             modified=LineState.MODIFIED,
-            # L1 (the first core's private caches; multi-core turns rebind
-            # them per core, together with the core and its chunk columns)
+            # L1 (the first core's private caches; every turn rebinds them
+            # per core, together with the core and its chunk columns)
             cid=0,
             core=self.cores[0],
             l1=l1,
@@ -252,12 +227,6 @@ class MissChainEngine:
             l1_assoc=l1.assoc,
             l1_latency=l1.hit_latency,
             lat1=l1.hit_latency - 1,
-            # The columnar interpreter's L1 mirror (single core only: the
-            # hierarchy attaches none to multi-core systems).
-            vec_pending=(vec.pending if vec is not None else None),
-            vec_evictq=(vec.evictq if vec is not None else None),
-            vec_eidq=(vec.eidq if vec is not None else None),
-            vec_removed=(vec.removed if vec is not None else None),
             # L2
             l2=l2,
             l2_tags=l2._tags,
@@ -327,21 +296,15 @@ class MissChainEngine:
             EID_NONE=EpochId.NONE,
             SimulationError=SimulationError,
         ):
-            if turns is None:
-                smode, sys_eid = _store_mode(sfilter)
-                eff = stop if stop < seg_end else seg_end
-                budget = _NO_HORIZON
-                clean = False
-            else:
-                smode, sys_eid = _store_mode(store_filter())
-                heap = turns.heap
-                bindings = turns.bindings
-                cpos = turns.pos
-                ncores = len(bindings)
-                room = boundary - system.total_instructions
-                # Nothing runs until the first pop below.
-                push = 0
-                clean = True
+            smode, sys_eid = _store_mode(store_filter())
+            heap = turns.heap
+            bindings = turns.bindings
+            cpos = turns.pos
+            ncores = len(bindings)
+            room = boundary - system.total_instructions
+            # Nothing runs until the first pop below.
+            push = 0
+            clean = True
             # Deferred accumulators.
             ccycle = core.cycle
             mstall = core.mem_stall_cycles
@@ -360,53 +323,52 @@ class MissChainEngine:
             ch_live = True
             try:
                 while True:
-                    if turns is not None:
-                        # ==== switch to the earliest (cycle, core) ====
-                        if push == 1:
-                            # The running core crossed its horizon: write
-                            # back its clock and position, and hand the
-                            # turn to the smallest key — the scalar loop's
-                            # push-then-pop.
-                            core.cycle = ccycle
-                            core.mem_stall_cycles = mstall
-                            cpos[cid] = i
-                            room = climit - cum[i - 1]
-                            key = heappushpop(heap, ccycle * ncores + cid)
-                        elif push:
-                            # Back from the caller, the core still running
-                            # (its state was written back at the yield).
-                            key = heappushpop(heap, ccycle * ncores + cid)
-                        elif heap:
-                            # First turn, or the last core's trace ran out.
-                            key = heappop(heap)
-                            clean = False
-                        else:
-                            return
-                        cid = key % ncores
-                        (
-                            core, l1, l1_tags, l1_sets, l1_dirty,
-                            l2, l2_tags, l2_sets, l2_dirty,
-                            gaps, addrs, writes, cum, run_ends, wcum, n,
-                        ) = bindings[cid]
-                        i = cpos[cid]
-                        ccycle = core.cycle
-                        mstall = core.mem_stall_cycles
-                        # The horizon: the core keeps the turn while its
-                        # key stays below the smallest other key, i.e.
-                        # while its clock is at most this.
-                        if heap:
-                            budget = (heap[0] - cid - 1) // ncores
-                        else:
-                            budget = _NO_HORIZON
-                        # The segment ends at (and includes) the first
-                        # reference whose retirement reaches the boundary.
-                        climit = (cum[i - 1] if i else 0) + room
-                        if cum[-1] < climit:
-                            seg_end = eff = n
-                        else:
-                            seg_end = eff = bisect(cum, climit, i) + 1
-                        push = 1
-                    while i < eff:
+                    # ==== switch to the earliest (cycle, core) ====
+                    if push == 1:
+                        # The running core crossed its horizon: write
+                        # back its clock and position, and hand the
+                        # turn to the smallest key — the scalar loop's
+                        # push-then-pop.
+                        core.cycle = ccycle
+                        core.mem_stall_cycles = mstall
+                        cpos[cid] = i
+                        room = climit - cum[i - 1]
+                        key = heappushpop(heap, ccycle * ncores + cid)
+                    elif push:
+                        # Back from the caller, the core still running
+                        # (its state was written back at the yield).
+                        key = heappushpop(heap, ccycle * ncores + cid)
+                    elif heap:
+                        # First turn, or the last core's trace ran out.
+                        key = heappop(heap)
+                        clean = False
+                    else:
+                        return
+                    cid = key % ncores
+                    (
+                        core, l1, l1_tags, l1_sets, l1_dirty,
+                        l2, l2_tags, l2_sets, l2_dirty,
+                        gaps, addrs, writes, cum, run_ends, wcum, n,
+                    ) = bindings[cid]
+                    i = cpos[cid]
+                    ccycle = core.cycle
+                    mstall = core.mem_stall_cycles
+                    # The horizon: the core keeps the turn while its
+                    # key stays below the smallest other key, i.e.
+                    # while its clock is at most this.
+                    if heap:
+                        budget = (heap[0] - cid - 1) // ncores
+                    else:
+                        budget = _NO_HORIZON
+                    # The segment ends at (and includes) the first
+                    # reference whose retirement reaches the boundary.
+                    climit = (cum[i - 1] if i else 0) + room
+                    if cum[-1] < climit:
+                        seg_end = n
+                    else:
+                        seg_end = bisect(cum, climit, i) + 1
+                    push = 1
+                    while i < seg_end:
                         cycle = ccycle + gaps[i]
                         addr = addrs[i]
                         w = writes[i]
@@ -456,9 +418,8 @@ class MissChainEngine:
                                         # Another core holds the line: the
                                         # out-of-line snoop pulls its private
                                         # data and releases ownership. It only
-                                        # touches the foreign core's caches
-                                        # (and their mirror queues), never the
-                                        # drain's deferred state.
+                                        # touches the foreign core's caches,
+                                        # never the drain's deferred state.
                                         snoop(llc_line)
                                 else:
                                     d_llc_miss += 1
@@ -508,7 +469,6 @@ class MissChainEngine:
                                     llc_line.owner = None
                                     llc_line.sub_eids = None
                                     llc_line._home = None
-                                    llc_line._vslot = -1
                                     # ==== _insert_llc, transcribed ====
                                     cache_set = llc_sets[
                                         (addr >> llc_shift) & llc_mask
@@ -541,9 +501,8 @@ class MissChainEngine:
                                         # for the drain's own core; a victim
                                         # owned by another core goes through
                                         # the out-of-line helper, which only
-                                        # touches that core's private caches
-                                        # and mirror queues — none of the
-                                        # drain's deferred state.
+                                        # touches that core's private caches —
+                                        # none of the drain's deferred state.
                                         owner = victim.owner
                                         if owner is not None and owner != cid:
                                             back_inv(victim)
@@ -556,9 +515,6 @@ class MissChainEngine:
                                                 l1_copy._home = None
                                                 if l1_copy._dirty:
                                                     del l1_dirty[vaddr]
-                                                if vec_removed is not None:
-                                                    vec_removed.append(vaddr)
-                                                    vec_evictq.append(l1_copy)
                                             l2_copy = l2_tags.pop(vaddr, None)
                                             if l2_copy is not None:
                                                 l2_sets[
@@ -618,7 +574,6 @@ class MissChainEngine:
                                     list(sub) if sub is not None else None
                                 )
                                 source._home = None
-                                source._vslot = -1
                                 cache_set = l2_sets[(addr >> l2_shift) & l2_mask]
                                 cache_set.insert(0, source)
                                 l2_tags[addr] = source
@@ -633,7 +588,7 @@ class MissChainEngine:
                                         del l2_dirty[vaddr]
                                     d_l2_ev += 1
                                     # l1.remove(vaddr), inline (L1 has no EID
-                                    # index; the mirror queues are eager).
+                                    # index).
                                     dropped = l1_tags.pop(vaddr, None)
                                     if dropped is not None:
                                         l1_sets[
@@ -642,9 +597,6 @@ class MissChainEngine:
                                         dropped._home = None
                                         if dropped._dirty:
                                             del l1_dirty[vaddr]
-                                        if vec_removed is not None:
-                                            vec_removed.append(vaddr)
-                                            vec_evictq.append(dropped)
                                     if dropped is not None and dropped._dirty:
                                         # _merge_lines inline: the L2 victim is
                                         # detached (_home None) — only the data
@@ -664,8 +616,8 @@ class MissChainEngine:
                                                 "%#x absent from LLC" % vaddr
                                             )
                                         # _merge_lines inline: target lives in
-                                        # the LLC — dirty dict, EID-index
-                                        # refresh, and mirror queue are live.
+                                        # the LLC — dirty dict and EID-index
+                                        # refresh are live.
                                         target.token = victim.token
                                         if not target._dirty:
                                             target._dirty = True
@@ -698,22 +650,16 @@ class MissChainEngine:
                             sub = source.sub_eids
                             line.sub_eids = list(sub) if sub is not None else None
                             line._home = None
-                            line._vslot = -1
                             cache_set = l1_sets[(addr >> l1_shift) & l1_mask]
                             cache_set.insert(0, line)
                             l1_tags[addr] = line
                             line._home = l1
                             # (copy_fill lines are clean: no dirty insert)
-                            if vec_pending is not None:
-                                vec_pending.append(line)
                             if len(cache_set) > l1_assoc:
                                 victim = cache_set.pop()
                                 vaddr = victim.addr
                                 del l1_tags[vaddr]
                                 victim._home = None
-                                if vec_removed is not None:
-                                    vec_removed.append(vaddr)
-                                    vec_evictq.append(victim)
                                 d_l1_ev += 1
                                 if victim._dirty:
                                     del l1_dirty[vaddr]
@@ -725,8 +671,8 @@ class MissChainEngine:
                                             "absent from l2" % vaddr
                                         )
                                     # _merge_lines inline: target lives in the
-                                    # L2 — dirty dict live, no mirror and no
-                                    # EID index on private L2s.
+                                    # L2 — dirty dict live, no EID index on
+                                    # private L2s.
                                     target.token = victim.token
                                     if not target._dirty:
                                         target._dirty = True
@@ -762,8 +708,6 @@ class MissChainEngine:
                                 line._dirty = True
                                 l1_dirty[addr] = line
                             line.state = modified
-                            if vec_eidq is not None:
-                                vec_eidq.append(line)
                             d_stores += 1
                             if track:
                                 arch_image[addr] = token
@@ -855,7 +799,7 @@ class MissChainEngine:
                             i = run_end
                             if ccycle > budget:
                                 break
-                    if i < eff:
+                    if i < seg_end:
                         # Horizon crossed mid-segment: switch cores (above).
                         continue
                     # ==== segment end ====
@@ -872,9 +816,6 @@ class MissChainEngine:
                     core.mem_stall_cycles = mstall
                     system._next_token = ntok
                     clean = True
-                    if turns is None:
-                        yield i
-                        return
                     cpos[cid] = i
                     turns.cid = cid
                     system.total_instructions = boundary - climit + cum[i - 1]
@@ -897,8 +838,7 @@ class MissChainEngine:
                         clean = False
             finally:
                 if not clean:
-                    # A CrashSignal escaped mid-reference (or the caller
-                    # closed a single-core drain early): leave the exact
+                    # A CrashSignal escaped mid-reference: leave the exact
                     # scalar crash-time state.
                     if ch_live:
                         channel.read_busy_until = rbu
@@ -907,14 +847,11 @@ class MissChainEngine:
                     core.cycle = ccycle
                     core.mem_stall_cycles = mstall
                     system._next_token = ntok
-                    if turns is not None:
-                        cpos[cid] = i
-                        turns.cid = cid
-                        system.total_instructions = (
-                            boundary - climit + (cum[i - 1] if i else 0)
-                        )
-                    else:
-                        self.inflight = i
+                    cpos[cid] = i
+                    turns.cid = cid
+                    system.total_instructions = (
+                        boundary - climit + (cum[i - 1] if i else 0)
+                    )
                 if silent:
                     sink_bulk(silent)
                 # The stat deltas have no mid-run readers: they flush
@@ -952,13 +889,4 @@ class MissChainEngine:
                 if d_bytes_r:
                     s_bytes_r.value += d_bytes_r
 
-        def drain(i, stop, seg_end, sfilter):
-            # One-shot: a single advance covers the whole span, and
-            # closing the finished generator flushes the deltas.
-            g = turn_gen(i, stop, seg_end, sfilter)
-            i = next(g)
-            g.close()
-            return i
-
-        drain.turn_gen = turn_gen
-        return drain
+        return types.SimpleNamespace(turn_gen=turn_gen)

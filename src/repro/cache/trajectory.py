@@ -9,12 +9,27 @@ line each fill evicts, are fixed by the trace and the cache geometry —
 the Mattson et al. observation behind stack processing ("Evaluation
 techniques for storage hierarchies", IBM Systems Journal, 1970).
 
-:class:`Trajectory` is that outcome, computed once per *trajectory key*
-(the trace plus the geometry that decides residency: sizes, ways and
-line size — not latencies, not epoch length). Its tag pass keeps only
-line addresses in per-set MRU lists and visits only the head of each
-same-line run (a repeat of the line just referenced is an L1 hit that
-moves nothing). Per reference it records one byte:
+:class:`Trajectory` is that outcome for one *trajectory key* (the trace
+plus the geometry that decides residency: sizes, ways and line size —
+not latencies, not epoch length). Every single-core run on the fast
+engine replays one (``Simulation._run_replay``). It is tagged lazily:
+the replay asks for chunk *k*'s codes just before it runs chunk *k*, and
+the tag pass tags that very chunk object, carrying its per-set MRU lists
+of line addresses from one chunk to the next. So a crashed run tags only
+the chunks it reached, and a single-pass trace is read once. A lone run
+keeps nothing; the trajectory a batch shares keeps every tagged chunk
+for the batch's later points.
+
+The pass visits only the head of each same-line run (a repeat of the
+line just referenced is an L1 hit that moves nothing). Hits dominate
+most traces, so it classifies a window of heads at once against a numpy
+index of the L1's resident lines (:class:`~repro.cache.vector_mirror.
+TagMirror`), applies the all-hit prefix up to the first L1 miss as one
+move-to-front per line in last-touch order, and steps through the miss
+and a burst of heads after it one by one; the window grows while
+prefixes reach its end and the burst grows while they come up short, so
+a miss-dense trace pays almost nothing for the windows. Per reference
+it records one byte:
 
 * bits 0-1 — the level that served it: 0 L1 hit, 1 L2 hit, 2 LLC hit,
   3 LLC miss (an NVM fill);
@@ -46,6 +61,7 @@ import zlib
 
 import numpy as np
 
+from repro.cache.vector_mirror import TagMirror
 from repro.common.errors import ConfigurationError, SimulationError
 
 #: Level codes (bits 0-1 of a trajectory byte).
@@ -68,42 +84,139 @@ def _digest(addrs):
     return zlib.crc32(np.ascontiguousarray(addrs))
 
 
-class Trajectory:
-    """The cache outcome of one trace on one geometry (see module doc).
+#: Tag-pass windows, in same-line run heads. A numpy window grows from
+#: _WINDOW_MIN up to _WINDOW_MAX while its all-hit prefix reaches its
+#: end and halves after a miss. From a miss the pass runs scalar for a
+#: burst: _BURST_MIN heads after a long prefix, doubling up to
+#: _BURST_MAX while prefixes stay shorter than _SHORT_PREFIX heads, so a
+#: miss-dense stretch pays almost nothing for classification.
+_WINDOW_MIN = 64
+_WINDOW_MAX = 8192
+_BURST_MIN = 16
+_BURST_MAX = 4096
+_SHORT_PREFIX = 32
 
-    ``chunks`` holds one ``(codes, l2_victims, length, digest)`` tuple per
-    trace chunk: an int8 array of trajectory bytes, an int64 array of the
-    L2 victims in fill order, and the chunk's length and address digest,
-    which :meth:`chunk_codes` checks against the chunk being replayed.
+
+class Trajectory:
+    """The cache outcome of one trace on one geometry (see module doc),
+    tagged lazily, one chunk at a time, from the chunks being replayed.
+
+    :meth:`chunk_codes` tags chunk *k* from the chunk object the replay
+    is about to run, the first time any replay reaches it; the per-set
+    MRU lists carry the cache state from one chunk to the next. With
+    ``keep`` (a trajectory shared by the points of a batch), ``chunks``
+    holds one ``(codes, l2_victims, length, digest)`` tuple per tagged
+    chunk: an int8 array of trajectory bytes, an int64 array of the L2
+    victims in fill order, and the chunk's length and address digest,
+    which a later replay's chunk must match. Without it (a lone run)
+    nothing is kept.
     """
 
-    __slots__ = ("geometry", "chunks")
+    __slots__ = (
+        "geometry", "keep", "chunks", "tagged", "_rows", "_in2", "_in3",
+        "_mirror", "_touched", "_window", "_burst",
+    )
 
-    def __init__(self, trace, geometry):
+    def __init__(self, geometry, keep=True):
         self.geometry = geometry
-        l1_sets, l1_ways, l2_sets, l2_ways, llc_sets, llc_ways, line = geometry
-        shift = line.bit_length() - 1
-        m1, m2, m3 = l1_sets - 1, l2_sets - 1, llc_sets - 1
+        self.keep = keep
+        self.chunks = []
+        #: Chunks tagged so far.
+        self.tagged = 0
+        l1_sets, l1_ways, l2_sets, _, llc_sets, _, line = geometry
         # Per-set MRU-first lists of line addresses, plus membership sets
         # for the two levels probed by address alone.
-        s1 = [[] for _ in range(l1_sets)]
-        s2 = [[] for _ in range(l2_sets)]
-        s3 = [[] for _ in range(llc_sets)]
-        in2 = set()
-        in3 = set()
-        chunks = []
-        for chunk in trace.chunks():
-            addrs = chunk.frozen.addrs
-            n = len(addrs)
-            # Run heads: a reference to the line just referenced is an L1
-            # hit on the MRU way and changes nothing.
-            heads = np.flatnonzero(addrs[1:] != addrs[:-1]) + 1
-            heads = np.concatenate(([0], heads))
-            miss_pos = []
-            miss_code = []
-            victims = []
-            for p, a in zip(heads.tolist(), addrs[heads].tolist()):
+        self._rows = (
+            [[] for _ in range(l1_sets)],
+            [[] for _ in range(l2_sets)],
+            [[] for _ in range(llc_sets)],
+        )
+        self._in2 = set()
+        self._in3 = set()
+        #: The L1's numpy mirror and the L1 sets the scalar step changed
+        #: since the mirror's last sync.
+        self._mirror = TagMirror(l1_sets, l1_ways, line.bit_length() - 1)
+        self._touched = []
+        self._window = _WINDOW_MIN
+        self._burst = _BURST_MIN
+
+    def chunk_codes(self, index, chunk):
+        """The ``(codes, l2_victims)`` of trace chunk ``index``: tagged from
+        ``chunk`` when no replay reached it before, else the kept ones,
+        checked against ``chunk``."""
+        addrs = chunk.frozen.addrs
+        if index < self.tagged:
+            if index >= len(self.chunks):
+                raise ConfigurationError(
+                    "trajectory keeps no chunks; it cannot be replayed twice"
+                )
+            codes, victims, n, digest = self.chunks[index]
+            if len(addrs) != n or _digest(addrs) != digest:
+                raise ConfigurationError(
+                    "trajectory was built from a different trace (chunk %d)" % index
+                )
+            return codes, victims
+        if index != self.tagged:
+            raise ConfigurationError("trajectory chunks are tagged in order")
+        codes, victims = self._tag(addrs)
+        self.tagged += 1
+        if self.keep:
+            self.chunks.append((codes, victims, len(addrs), _digest(addrs)))
+        return codes, victims
+
+    def _tag(self, addrs):
+        """Tag one chunk's references; returns its codes and L2 victims.
+
+        Only the head of each same-line run is visited: a reference to
+        the line just referenced is an L1 hit on the MRU way and changes
+        nothing. A numpy window classifies the heads up to the first L1
+        miss against the mirror and applies that all-hit prefix as one
+        move-to-front per line (see :meth:`TagMirror.hit_prefix`); the
+        scalar step takes a burst of heads from the miss.
+        """
+        _, l1_ways, _, l2_ways, _, llc_ways, line = self.geometry
+        shift = line.bit_length() - 1
+        s1, s2, s3 = self._rows
+        m1, m2, m3 = len(s1) - 1, len(s2) - 1, len(s3) - 1
+        in2 = self._in2
+        in3 = self._in3
+        mirror = self._mirror
+        touched = self._touched
+        window = self._window
+        burst = self._burst
+        heads = np.flatnonzero(addrs[1:] != addrs[:-1]) + 1
+        heads = np.concatenate(([0], heads))
+        head_addrs = addrs[heads]
+        n_heads = len(heads)
+        miss_pos = []
+        miss_code = []
+        victims = []
+        k = 0
+        while k < n_heads:
+            mirror.sync(s1, touched)
+            end = min(k + window, n_heads)
+            hits, order = mirror.hit_prefix(head_addrs[k:end])
+            for a in order:
                 row = s1[(a >> shift) & m1]
+                if row[0] != a:
+                    row.remove(a)
+                    row.insert(0, a)
+            k += hits
+            if k == end:
+                if window < _WINDOW_MAX:
+                    window *= 2
+                continue
+            if window > _WINDOW_MIN:
+                window //= 2
+            if hits < _SHORT_PREFIX:
+                if burst < _BURST_MAX:
+                    burst *= 2
+            else:
+                burst = _BURST_MIN
+            stop = min(k + burst, n_heads)
+            for p, a in zip(heads[k:stop].tolist(), head_addrs[k:stop].tolist()):
+                si = (a >> shift) & m1
+                row = s1[si]
                 if a in row:
                     if row[0] != a:
                         row.remove(a)
@@ -134,9 +247,10 @@ class Trajectory:
                             if v in in2:
                                 in2.remove(v)
                                 s2[(v >> shift) & m2].remove(v)
-                                vrow = s1[(v >> shift) & m1]
-                                if v in vrow:
-                                    vrow.remove(v)
+                                vs = (v >> shift) & m1
+                                if v in s1[vs]:
+                                    s1[vs].remove(v)
+                                    touched.append(vs)
                     row2.insert(0, a)
                     in2.add(a)
                     if len(row2) > l2_ways:
@@ -144,34 +258,23 @@ class Trajectory:
                         in2.remove(v)
                         victims.append(v)
                         code |= L2_EVICT
-                        vrow = s1[(v >> shift) & m1]
-                        if v in vrow:
-                            vrow.remove(v)
+                        vs = (v >> shift) & m1
+                        if v in s1[vs]:
+                            s1[vs].remove(v)
+                            touched.append(vs)
                 row.insert(0, a)
+                touched.append(si)
                 if len(row) > l1_ways:
                     row.pop()
                     code |= L1_EVICT
                 miss_pos.append(p)
                 miss_code.append(code)
-            codes = np.zeros(n, dtype=np.int8)
-            codes[miss_pos] = miss_code
-            chunks.append(
-                (codes, np.array(victims, dtype=np.int64), n, _digest(addrs))
-            )
-        self.chunks = chunks
-
-    def chunk_codes(self, index, chunk):
-        """The ``(codes, l2_victims)`` of trace chunk ``index``, checked
-        against the chunk the caller is about to replay."""
-        if index >= len(self.chunks):
-            raise ConfigurationError("trajectory is shorter than the trace")
-        codes, victims, n, digest = self.chunks[index]
-        addrs = chunk.frozen.addrs
-        if len(addrs) != n or _digest(addrs) != digest:
-            raise ConfigurationError(
-                "trajectory was built from a different trace (chunk %d)" % index
-            )
-        return codes, victims
+            k = stop
+        self._window = window
+        self._burst = burst
+        codes = np.zeros(len(addrs), dtype=np.int8)
+        codes[miss_pos] = miss_code
+        return codes, np.array(victims, dtype=np.int64)
 
 
 class PrivateCopies:
@@ -195,13 +298,11 @@ class PrivateCopies:
     def install(self):
         """Make the hierarchy answer its LLC back-invalidations and its
         private-cache syncs (and so ``collect_dirty_lines`` and ACS
-        snoops) from these records, and stop queueing updates for an L1
-        mirror nothing classifies against."""
+        snoops) from these records."""
         hierarchy = self.hierarchy
         hierarchy._back_invalidate = self.back_invalidate
         hierarchy.sync_all_private = self.sync_all_private
         hierarchy.sync_private_line = self.sync_private_line
-        hierarchy._l1[0]._vec = None
 
     def evict(self, line_addr):
         """An L2 victim leaves (its L1 copy with it): the record's dirty

@@ -157,27 +157,21 @@ class PiclScheme(CrashConsistencyScheme):
         return stall
 
     def vector_store_filter(self):
-        """Columnar store filter: the executing epoch's EID.
+        """Store filter: the executing epoch's EID.
 
-        With line-granularity tracking and no hard log cap, a store to an
-        L1 line already tagged with the executing epoch takes the cheap
+        With line-granularity tracking and no hard log cap, a store to a
+        line already tagged with the executing epoch takes the cheap
         branch of :meth:`on_store` — only ``_store_seq`` advances, which
-        :meth:`on_store_bulk` reproduces. A cross-epoch store hit (the
-        line's first store this epoch) adds one undo entry, retags the
-        line and its LLC copy, and bumps two counters; it stalls only
-        when its entry fills the buffer, which :meth:`vector_store_room`
-        rules out, so the columnar path applies it through
-        :meth:`on_store` in bulk. Any other configuration (log cap,
-        sub-block tracking) makes every store potentially visible, so
-        the columnar path must replay them all exactly.
+        :meth:`on_store_bulk` reproduces. A cross-epoch store (the line's
+        first store this epoch) adds one undo entry, which may flush the
+        buffer, and retags the line and its LLC copy; it runs
+        :meth:`on_store` at its own cycle. Any other configuration (log
+        cap, sub-block tracking) makes every store potentially visible,
+        so every store runs :meth:`on_store`.
         """
         if self._plain_stores:
             return self.epochs.system_eid
         return False
-
-    def vector_store_room(self):
-        """Cross-epoch stores the undo buffer takes without filling up."""
-        return self.buffer.capacity - 1 - len(self.buffer)
 
     def on_store_bulk(self, count):
         self._store_seq += count

@@ -45,7 +45,6 @@ sweep service (:mod:`repro.service`) drives :func:`trace_batches`,
 going through :func:`run_points`.
 """
 
-import collections
 import dataclasses
 import hashlib
 import json
@@ -165,9 +164,9 @@ class RunPoint:
 
         ``trajectories`` (a dict keyed by :func:`trajectory_key`) lends
         the point a scheme-free cache trajectory shared with other points:
-        the first point of a key runs the tag pass and stores the result
-        (None when it cannot replay one), later points replay it (see
-        :meth:`repro.sim.simulator.Simulation.run`).
+        the first point of a key creates it (None when it cannot replay
+        one), and every point tags the chunks no point reached before and
+        replays the rest (see :meth:`repro.sim.simulator.Simulation.run`).
         """
         sim = Simulation(
             self.config,
@@ -246,28 +245,21 @@ def _iter_batch(batch):
     """Run a batch's points in order, yielding each result as it lands.
 
     Points sharing a :func:`trajectory_key` replay one cache trajectory:
-    the key's first point builds it and its last point drops it, so no
-    trajectory outlives the call. A key only one point of the batch holds
-    builds none — a lone point runs faster on the columnar walk and
-    drain than a tag pass plus a replay. Every point still replays the
-    same reference stream as the others of its trace, so the worker's
-    trace memo (see repro.trace.synthetic.make_trace) hits for all but the
-    first generation.
+    the key's first point creates it and its last point drops it, so no
+    trajectory outlives the call. Every point of a trace also replays the
+    same reference stream, so the worker's trace memo (see
+    repro.trace.synthetic.make_trace) hits for all but the first
+    generation.
     """
     # A point class with its own execute() runs its own way.
     keys = [
         trajectory_key(point) if type(point).execute is RunPoint.execute else None
         for point in batch
     ]
-    shared = {
-        key
-        for key, count in collections.Counter(keys).items()
-        if count > 1 and key is not None
-    }
     last = {key: index for index, key in enumerate(keys)}
     trajectories = {}
     for index, (point, key) in enumerate(zip(batch, keys)):
-        result = _attributed(point, trajectories if key in shared else None)
+        result = _attributed(point, None if key is None else trajectories)
         if last[key] == index:
             trajectories.pop(key, None)
         yield result
@@ -561,6 +553,11 @@ class SweepCheckpoint:
     where the pickle stream actually ends. (Appending after torn bytes
     would frame every later record as garbage: the next ``_load`` stops
     at the tear and everything written post-resume is unreachable.)
+    Loading stops at the first record it cannot read, so a corrupt
+    record in the middle takes every later record with it: the bytes
+    from there on are moved to a quarantine file next to the journal
+    (``<journal>.corrupt-<offset>``) and reported on stderr, never
+    dropped silently.
     Unlike :class:`ResultCache` (shared, content-addressed, survives
     forever) a checkpoint belongs to one sweep invocation and is deleted
     when the sweep completes.
@@ -593,12 +590,39 @@ class SweepCheckpoint:
                 good_offset = handle.tell()
         try:
             if os.path.getsize(self.path) > good_offset:
+                self._quarantine_tail(good_offset)
                 os.truncate(self.path, good_offset)
         except OSError:
             # Can't repair (permissions, vanished file); appends may be
             # unreachable on the next load, but nothing already journaled
             # is lost.
             pass
+
+    def _quarantine_tail(self, offset):
+        """Copy the unreadable bytes from ``offset`` on to a quarantine
+        file beside the journal and report them on stderr."""
+        with open(self.path, "rb") as handle:
+            handle.seek(offset)
+            tail = handle.read()
+        target = "%s.corrupt-%d" % (self.path, offset)
+        fd, tmp_path = tempfile.mkstemp(
+            dir=os.path.dirname(os.path.abspath(self.path)), suffix=".tmp"
+        )
+        try:
+            with os.fdopen(fd, "wb") as out:
+                out.write(tail)
+            os.replace(tmp_path, target)
+        except BaseException:
+            try:
+                os.unlink(tmp_path)
+            except OSError:
+                pass
+            raise
+        print(
+            "checkpoint %s: %d unreadable bytes at offset %d moved to %s"
+            % (self.path, len(tail), offset, target),
+            file=sys.stderr,
+        )
 
     def lookup(self, point):
         """The journaled result for ``point``, or None."""

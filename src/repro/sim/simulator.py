@@ -27,10 +27,10 @@ import numpy as np
 from repro.baselines import Frm, IdealNvm, Journaling, ShadowPaging, ThyNvm
 from repro.baselines.base import CrashConsistencyScheme
 from repro.cache.hierarchy import CacheHierarchy
-from repro.cache.line import CacheLine, LineState
+from repro.cache.line import CacheLine
 from repro.cache.miss_engine import CoreTurns, MissChainEngine, decline_reason
 from repro.cache.trajectory import PrivateCopies, Trajectory, geometry
-from repro.common.errors import ConfigurationError, SimulationError
+from repro.common.errors import ConfigurationError
 from repro.common.stats import StatCounters
 from repro.core.picl import PiclScheme
 from repro.cpu.core import CoreState
@@ -45,38 +45,15 @@ from repro.trace.synthetic import make_trace
 #: Address-space stride between cores (programs never share lines).
 _CORE_ADDR_STRIDE = 1 << 40
 
-#: Columnar interpreter: shortest all-fast stretch (in references *and* in
-#: coalescing groups) worth bulk application; anything shorter replays
-#: through the drain, whose run-coalescing covers it in O(groups).
-_BULK_MIN = 8
+#: Trajectory-byte flag the replay adds to an event whose preceding L1
+#: hits hold stores it writes in bulk, and the code of a segment's end.
+_STORE_RUN = 16
+_SENTINEL = -64
 
-#: Bulk stretches spanning at least this many coalescing groups use the
-#: numpy reductions in bulk_span; sparser ones use its plain-Python
-#: group-at-a-time path (less per-call setup).
-_NUMPY_BULK_MIN = 64
-
-#: Classification window bounds: the lookahead doubles from the initial
-#: size while windows stay fully fast and productive, and halves when
-#: bulk application comes up short.
-_WINDOW_INIT = 256
-_WINDOW_MIN = 128
-_WINDOW_MAX = 4096
-
-#: After this many consecutive unproductive windows the interpreter
-#: disengages into a drain burst before probing again, so miss-heavy
-#: phases pay ~zero classification overhead. Bursts start at
-#: _DISENGAGE_REFS references and double up to _DISENGAGE_MAX while
-#: re-probes keep failing (geometric backoff), so a workload the columnar
-#: path never helps converges to pure drain speed while still noticing a
-#: phase change within ~_DISENGAGE_MAX references.
-_SHORT_LIMIT = 2
-_DISENGAGE_REFS = 4096
-_DISENGAGE_MAX = 65536
-
-#: A mirror row's match bytes read as one word (see TagMirror), and
-#: the multiplier that moves the index of its one set byte to the top.
-_ROW_WORD = np.dtype("<u8")
-_WAY_OF_BYTE = np.uint64(0x0001020304050607)
+#: A run of L1 hits between two misses holding at least this many stores
+#: writes its scheme-silent stores in bulk (see Simulation._run_replay);
+#: the replay visits the stores of shorter runs one by one, like misses.
+_BULK_STORES = 16
 
 SCHEME_NAMES = ("ideal", "journaling", "shadow", "frm", "thynvm", "picl")
 
@@ -202,10 +179,10 @@ class Simulation:
         #: The semantic crash site that fired (None for clean runs and
         #: instruction-count crashes).
         self.crash_site = None
-        #: Which interpreter ran, set by run(): ``"trajectory"`` for a
-        #: replayed trajectory, ``"columnar+drain"`` or ``"drain"`` for
-        #: the fast engine, or ``"reference: <reason>"`` when it declined
-        #: — e.g. ``"reference: nvm has 2 channels"``.
+        #: Which interpreter ran, set by run(): ``"trajectory"`` for one
+        #: core and ``"drain"`` for several on the fast engine, or
+        #: ``"reference: <reason>"`` when it declined — e.g.
+        #: ``"reference: nvm has 2 channels"``.
         self.engine = None
         self._ran = False
 
@@ -221,18 +198,19 @@ class Simulation:
         )
 
     def trajectory(self):
-        """The scheme-free cache trajectory of this single-core point: a
-        tag pass over a fresh copy of its trace on its cache geometry,
-        which every point with the same trace and geometry can replay
-        (see :meth:`run`). None when the point would not replay one:
-        several cores, or a config the fast engine declines."""
+        """An empty scheme-free cache trajectory for this single-core
+        point's trace and cache geometry, to be shared by every point
+        with the same trace and geometry (see :meth:`run`): the first
+        replay to reach a chunk tags it, and the trajectory keeps it for
+        the others. None when the point would not replay one: several
+        cores, or a config the fast engine declines."""
         if (
             len(self.cores) != 1
             or not self.hierarchy.vector
             or decline_reason(self) is not None
         ):
             return None
-        return Trajectory(self._make_trace(0), geometry(self.hierarchy))
+        return Trajectory(geometry(self.hierarchy))
 
     # ------------------------------------------------------------------
     # the main loop
@@ -248,19 +226,30 @@ class Simulation:
         inside the crash window. A plan whose site is never reached lets
         the run complete (check ``crash_plan.fired``).
 
-        ``trajectory`` (from :meth:`trajectory` on a point with the same
-        trace and cache geometry) splits a single-core run in two. On one
+        A single-core run on the fast engine is split in two. On one
         core the cache outcome does not depend on the scheme: LRU
         replacement follows the reference order alone, and no scheme
         moves a line in or out of a cache — flushes and ACS scans clean
-        lines in place. So a scheme-free *tag pass* records once which
-        level served each reference and which line each L1/L2 fill
-        evicted, and this run only *replays* it (:meth:`_run_replay`,
-        engine ``"trajectory"``): misses, stores, victims and epoch
-        boundaries under this scheme, with the runs of L1 load hits
-        between them retired in bulk. A batch of points sharing the
-        trace and geometry (``repro.sim.parallel``) pays for one tag pass.
-        Configs the fast engine declines ignore the trajectory.
+        lines in place. So a scheme-free *tag pass*
+        (:class:`repro.cache.trajectory.Trajectory`) records which level
+        served each reference and which line each L2 fill evicted, and
+        the run *replays* it (:meth:`_run_replay`, engine
+        ``"trajectory"``): misses, stores, victims and epoch boundaries
+        under this scheme, with the runs of L1 hits between misses
+        retired in bulk. The tag pass is lazy: the replay asks for each
+        chunk's codes just before it runs the chunk, and the pass tags
+        that very chunk object, classifying runs of L1 hits in numpy
+        (an all-hit prefix up to the first miss) and stepping through
+        misses one by one — so a crashed run tags only the chunks it
+        reached. ``trajectory`` (from :meth:`trajectory` on a point with
+        the same trace and cache geometry) lends the run a shared one: a
+        batch of such points (``repro.sim.parallel``) tags each chunk
+        once. Without one the run tags its own and keeps nothing.
+
+        Several cores run the multi-core drain loop
+        (:meth:`_run_multi_core_drain`, engine ``"drain"``). Configs the
+        fast engine declines, and every run under ``REPRO_VECTOR=0``, run
+        the reference loop and ignore ``trajectory``.
         """
         if self._ran:
             raise ConfigurationError("a Simulation object runs exactly once")
@@ -285,23 +274,19 @@ class Simulation:
                 reason = "REPRO_VECTOR=0"
             if reason is not None:
                 self.engine = "reference: " + reason
-                # Nothing classifies against the L1 mirror here: detach
-                # it so the cache paths stop queueing updates for it.
-                self.hierarchy._l1[0]._vec = None
                 self._run_reference(crash_at_instructions)
-            elif trajectory is not None:
-                if len(self.cores) != 1 or trajectory.geometry != geometry(
-                    self.hierarchy
-                ):
+            elif len(self.cores) == 1:
+                shape = geometry(self.hierarchy)
+                if trajectory is None:
+                    trajectory = Trajectory(shape, keep=False)
+                elif trajectory.geometry != shape:
                     raise ConfigurationError(
                         "trajectory geometry does not match this simulation"
                     )
                 self.engine = "trajectory"
                 self._run_replay(crash_at_instructions, trajectory)
-            elif len(self.cores) == 1:
-                columnar = self.hierarchy._l1[0]._vec is not None
-                self.engine = "columnar+drain" if columnar else "drain"
-                self._run_single_core(crash_at_instructions, MissChainEngine(self))
+            elif trajectory is not None:
+                raise ConfigurationError("a trajectory replays one core only")
             else:
                 self.engine = "drain"
                 self._run_multi_core_drain(
@@ -315,567 +300,45 @@ class Simulation:
             self.crash_site = signal.site
         return self.result()
 
-    def _run_single_core(self, crash_at_instructions, engine):
-        """The single-core driver: boundary-free segments, drained or bulked.
-
-        Each chunk is segmented at the epoch/crash boundaries up front
-        (its cumulative instruction counts searched against the next
-        boundary), so nothing inside a segment compares against a
-        boundary. Instruction counters are synced at segment ends, and
-        where a ``CrashSignal`` escapes the drain; nothing observes them
-        in between.
-
-        References that must replay exactly go to the fused miss-chain
-        drain (:meth:`repro.cache.miss_engine.MissChainEngine.make_drain`),
-        which also coalesces the tail of a run of consecutive references
-        to one line (``chunk.run_ends``) when the repeats provably cannot
-        change cache or scheme state.
-
-        Without an L1 mirror (an L1 wider than a mirror row) every
-        segment goes to the drain whole. With one, the driver is the
-        *columnar interpreter*: within each segment it repeatedly:
-
-        1. **Classifies a window.** Set indices and an L1 tag probe for the
-           next ``window`` references in numpy against the L1's live tag
-           mirror (:class:`repro.cache.vector_mirror.TagMirror`). A
-           reference is *fast* when it is a classified L1 hit the scheme
-           lets the walk apply: every load hit, plus the store hits the
-           scheme's ``vector_store_filter`` admits — all of them, none,
-           or, under an EID filter (PiCL), all of them again, those to
-           lines tagged otherwise being cross-epoch stores. For an EID
-           filter the same pass lists the window's *cross positions*:
-           each mirror slot's first store hit, where the slot's EID is
-           not the filter's. Everything else is *residual*. The probe has
-           no row reduction:
-           the mirror's rows are padded to eight ways, so each reference's
-           row of matches is one 64-bit word, nonzero on a hit, whose one
-           set byte names the way — and with it the reference's mirror
-           slot ``set * ways + way``.
-        2. **Bulk-applies all-fast stretches.** A stretch of consecutive
-           fast references is applied at once: cycle/stall arithmetic from
-           the cumulative metadata, bulk counter bumps, MRU reordering in
-           last-touch order, last-write tokens per line — exactly the
-           state the references would have left one by one. Per-line
-           order comes from per-slot last-touch, first-store and
-           last-store positions (scatter max/min over the mirror's slots,
-           no sort). That is sound because slots and addresses map one to
-           one within a stretch: the mirror was exact when the window was
-           classified, it holds each resident line in exactly one slot,
-           and a line evicted mid-window has its remaining fast
-           references demoted (step 3) before any stretch reaches them.
-           A cross-epoch store hit takes the scheme's own ``on_store``,
-           once per line, in first-store order, before the line's token
-           is written: that is its undo entry's FIFO position and its
-           LLC retag's EID-index order. A stretch holds at most the scheme's
-           ``vector_store_room`` of them and ends just before the one
-           past it, which replays exactly, so an undo-buffer flush never
-           runs inside a stretch and keeps its exact issue cycle.
-           Applying a fast stretch cannot change residency, and it
-           retags lines only to the filter's EID, so it can never
-           invalidate its own classification.
-        3. **Replays residuals exactly** through the drain, so misses,
-           evictions, undo logging, and crash-plan sites behave
-           identically. A residual's evictions CAN invalidate the rest of
-           the window (a classified hit whose line just left — the
-           stale-positive direction; see vector_mirror's docstring), so the
-           mirror logs removals and the loop demotes the victims'
-           remaining fast positions to residual after every replay.
-           Residual side effects can also flip references the *other* way
-           (a residual fill makes a later classified miss a hit); those
-           stay residual and replay exactly, which is merely conservative.
-
-        Only exact replays read the chunk one reference at a time, so only
-        they box it: the chunk's Python lists start unthawed, and every
-        replay first thaws from the reference before its start to the end
-        of the same-line run holding its last reference (the furthest a
-        coalescing tail reaches), and the plain-Python bulk path thaws its
-        stretch. Everything else — segmentation, the window tuner, the
-        cumulative ends of a bulk stretch — reads the numpy columns as
-        ints. On a hit-dominated trace that leaves over 90% of the chunk
-        unboxed.
-
-        The loop is self-tuning: the window doubles while classification
-        keeps paying off (long fast prefixes) and shrinks when prefixes
-        come up short; after a few consecutive short prefixes it disengages
-        into a pure drain burst before probing again, so miss-heavy
-        workloads pay near-zero classification overhead.
-
-        Bit-identical to the reference loop (:meth:`_run_reference`) —
-        same counters, tokens, cycles, NVM image, undo log, recovery
-        images — asserted by tests/sim/test_engine_identity.py.
-        """
-        system = self.system
-        scheme = self.scheme
-        hierarchy = self.hierarchy
-        l1 = hierarchy._l1[0]
-        vec = l1._vec
-        l1_tags = l1._tags
-        l1_sets = l1._sets
-        l1_dirty = l1._dirty_lines
-        l1_shift = l1._line_shift
-        l1_mask = l1._set_mask
-        l1_latency = l1.hit_latency
-        l1_hits = hierarchy._l1_hits
-        loads = hierarchy._loads
-        stores = hierarchy._stores
-        modified = LineState.MODIFIED
-        if vec is not None:
-            tags2d = vec.tags2d
-            eids = vec.eids
-            ways = vec.ways
-            n_slots = len(eids)
-            removed = vec.removed
-            eidq = vec.eidq
-        undo = getattr(scheme, "buffer", None)  # PiCL's, for bulk_span
-        # Stretch and store ordinals for bulk_span's scatter reductions.
-        positions = np.arange(_WINDOW_MAX, dtype=np.int64)
-        core = self.cores[0]
-        epoch_span = self.config.epoch_instructions
-        next_epoch = epoch_span
-        track = system.track_reference
-        arch_image = system.arch_image
-        total = system.total_instructions
-        crash = crash_at_instructions
-        bulk_min = _BULK_MIN
-        window = _WINDOW_INIT
-        shorts = 0
-        drain_budget = 0
-        burst_len = _DISENGAGE_REFS
-        productive = False
-
-        try:
-            for chunk in self.traces[0].chunks():
-                # The lists start unthawed: with a mirror, every exact
-                # replay below thaws the range it reads first (see
-                # TraceChunk.thaw) and everything else reads the numpy
-                # columns; without one, every reference replays, so the
-                # whole chunk thaws up front.
-                if vec is None:
-                    chunk.ensure_metadata()
-                gaps, addrs, writes, cum, run_ends, wcum = chunk.lists
-                thaw = chunk.thaw
-                frozen = chunk.frozen
-                np_addrs = frozen.addrs
-                np_writes = frozen.writes
-                np_cum = frozen.cum
-                np_run_ends = frozen.run_ends
-                np_rcum = frozen.run_cum
-                np_wcum = frozen.write_cum
-                n = len(chunk)
-                base = total
-
-                def thaw_span(i, stop, seg_end):
-                    """Thaw what an exact replay of [i, stop) can read: from
-                    reference i-1 to the end of the run holding stop-1."""
-                    end = int(np_run_ends[stop - 1])
-                    thaw(i - 1, end if end < seg_end else seg_end)
-
-                def bulk_span(
-                    s,
-                    r,
-                    nruns,
-                    slots,
-                    cross_eid,
-                    # Default-arg binding: the group loops below run once
-                    # per coalescing group, and locals are materially
-                    # faster than closure derefs there.
-                    addrs=addrs,
-                    run_ends=run_ends,
-                    wcum=wcum,
-                    core=core,
-                    system=system,
-                    scheme=scheme,
-                    track=track,
-                    arch_image=arch_image,
-                    l1_tags=l1_tags,
-                    l1_sets=l1_sets,
-                    l1_dirty=l1_dirty,
-                    l1_shift=l1_shift,
-                    l1_mask=l1_mask,
-                    l1_latency=l1_latency,
-                    l1_hits=l1_hits,
-                    loads=loads,
-                    stores=stores,
-                    modified=modified,
-                ):
-                    """Apply the all-fast stretch [s, r) at once.
-
-                    The aggregate arithmetic (cycles, stalls, counters,
-                    token range) is O(1) off the cumulative metadata;
-                    per-line state (MRU order, last-write token, dirty bit)
-                    is applied once per *distinct* line. The Python path
-                    iterates coalescing groups (``run_ends`` jumps), never
-                    references, so its cost matches the drain's O(runs);
-                    above a run-count crossover the numpy path takes over,
-                    keyed on ``slots`` — the stretch's mirror slots, which
-                    within one all-fast stretch map one to one onto its
-                    addresses.
-
-                    Under an EID filter (``cross_eid``) a stored line
-                    tagged otherwise takes one ``on_store`` call before its
-                    token is written. None may fill the undo buffer: that
-                    flush would issue at the wrong cycle, and a flush can
-                    stall 0 cycles, so the buffer is checked first.
-                    """
-                    k = r - s
-                    prev_cum = int(np_cum[s - 1]) if s else 0
-                    base_w = int(np_wcum[s - 1]) if s else 0
-                    nw = int(np_wcum[r - 1]) - base_w
-                    core.cycle += (int(np_cum[r - 1]) - prev_cum) - k + k * l1_latency
-                    core.mem_stall_cycles += k * l1_latency
-                    l1_hits.bump(k)
-                    loads.bump(k - nw)
-                    if nw:
-                        nt = system._next_token
-                        system._next_token = nt + nw
-                    if nruns < _NUMPY_BULK_MIN:
-                        thaw(s, r)
-                        # MRU: one move-to-front per distinct line,
-                        # ascending last-touch, so the final order matches
-                        # k individual touches (re-inserting moves a key to
-                        # the end).
-                        order = {}
-                        j = s
-                        while j < r:
-                            addr = addrs[j]
-                            if addr in order:
-                                del order[addr]
-                            order[addr] = None
-                            j = run_ends[j]
-                        for addr in order:
-                            line = l1_tags[addr]
-                            cache_set = l1_sets[(addr >> l1_shift) & l1_mask]
-                            if cache_set[0] is not line:
-                                cache_set.remove(line)
-                                cache_set.insert(0, line)
-                        if not nw:
-                            return
-                        # A line's surviving token is its last store in
-                        # the stretch: the last write of the last run that
-                        # stores to it, whose ordinal is the cumulative
-                        # write count at that run's end (intermediates are
-                        # unobservable — the same argument as the drain's
-                        # run-coalescing tail). Dict insertion order =
-                        # first-store order, matching the dirty dict's
-                        # scalar order.
-                        last = {}
-                        j = s
-                        prev_w = base_w
-                        while j < r:
-                            e = run_ends[j]
-                            if e > r:
-                                e = r
-                            wend = wcum[e - 1]
-                            if wend != prev_w:
-                                last[addrs[j]] = nt + (wend - base_w) - 1
-                                prev_w = wend
-                            j = e
-                        stored = last.items()
-                    else:
-                        # Per-slot last touch by scatter-max; the positions
-                        # that are their slot's last touch, ascending, give
-                        # the MRU order — no sort.
-                        a_seg = np_addrs[s:r]
-                        pos = positions[:k]
-                        last = np.zeros(n_slots, dtype=np.int64)
-                        np.maximum.at(last, slots, pos)
-                        for addr in a_seg[last[slots] == pos].tolist():
-                            line = l1_tags[addr]
-                            cache_set = l1_sets[(addr >> l1_shift) & l1_mask]
-                            if cache_set[0] is not line:
-                                cache_set.remove(line)
-                                cache_set.insert(0, line)
-                        if not nw:
-                            return
-                        # Same argument as the Python path, by store
-                        # ordinal: a line keeps the token of its last
-                        # store, and lines dirty in first-store order.
-                        wpos = np.flatnonzero(np_writes[s:r])
-                        wslots = slots[wpos]
-                        ords = positions[:nw]
-                        first = np.full(n_slots, nw, dtype=np.int64)
-                        np.minimum.at(first, wslots, ords)
-                        final = np.zeros(n_slots, dtype=np.int64)
-                        np.maximum.at(final, wslots, ords)
-                        firsts = first[wslots] == ords
-                        stored = zip(
-                            a_seg[wpos[firsts]].tolist(),
-                            (final[wslots[firsts]] + nt).tolist(),
-                        )
-                    calls = 0
-                    for addr, tok in stored:
-                        line = l1_tags[addr]
-                        if cross_eid is not None and line.eid != cross_eid:
-                            if undo is not None and len(undo) + 1 >= undo.capacity:
-                                raise SimulationError(
-                                    "cross-epoch store to %#x would fill the "
-                                    "undo buffer inside a bulk stretch" % addr
-                                )
-                            scheme.on_store(0, line, core.cycle)
-                            eidq.append(line)
-                            calls += 1
-                        line.token = tok
-                        if not line._dirty:
-                            line._dirty = True
-                            l1_dirty[addr] = line
-                        line.state = modified
-                        if track:
-                            arch_image[addr] = tok
-                    stores.bump(nw)
-                    scheme.on_store_bulk(nw - calls)
-
-                drain = engine.make_drain(gaps, addrs, writes, cum, run_ends, wcum)
-
-                index = 0
-                while index < n:
-                    limit = next_epoch - base
-                    if crash is not None and crash - base < limit:
-                        limit = crash - base
-                    seg_end = int(np_cum[index:].searchsorted(limit)) + index + 1
-                    if seg_end > n:
-                        seg_end = n
-                    # ``is True``/``is False`` below: an EID filter value
-                    # of 0 or 1 must not be mistaken for the booleans. The
-                    # filter is fixed within a segment (the SystemEID only
-                    # moves at boundaries, which are segment ends by
-                    # construction).
-                    sfilter = scheme.vector_store_filter()
-                    cross_eid = None if sfilter is True or sfilter is False else sfilter
-                    i = index
-                    if vec is None:
-                        # No mirror to classify against: the whole segment
-                        # replays exactly.
-                        i = drain(i, seg_end, seg_end, sfilter)
-                    while i < seg_end:
-                        if drain_budget > 0:
-                            # A drain burst. The drain maintains the mirror
-                            # queues at its inlined fill/evict sites, so the
-                            # mirror stays attached through it.
-                            stop = i + drain_budget
-                            if stop > seg_end:
-                                stop = seg_end
-                            thaw_span(i, stop, seg_end)
-                            ni = drain(i, stop, seg_end, sfilter)
-                            drain_budget -= ni - i
-                            i = ni
-                            continue
-                        if seg_end - i < bulk_min:
-                            thaw_span(i, seg_end, seg_end)
-                            i = drain(i, seg_end, seg_end, sfilter)
-                            break
-                        # -- classify the next window against the mirror,
-                        #    reconciled here (and only here) with the live
-                        #    tags
-                        vec.sync(l1_tags)
-                        wb = i
-                        we = wb + window
-                        if we > seg_end:
-                            we = seg_end
-                        a_win = np_addrs[wb:we]
-                        sidx = (a_win >> l1_shift) & l1_mask
-                        # One little-endian word per mirror row, byte w set
-                        # where way w holds the address: tags are unique in
-                        # a set and padding ways never match, so a hit is a
-                        # nonzero word with exactly one byte set, 1 << 8w.
-                        # Multiplying by 0x0001020304050607 lands w in the
-                        # top byte (lower terms stay below it, higher ones
-                        # wrap off), giving every reference its slot
-                        # set*ways+way.
-                        row = (tags2d[sidx] == a_win[:, None]).view(_ROW_WORD).ravel()
-                        hit = row != 0
-                        slot = sidx * ways + ((row * _WAY_OF_BYTE) >> 56).view(np.int64)
-                        cross = ()
-                        if sfilter is False:
-                            fast = hit & ~np_writes[wb:we]
-                        else:
-                            fast = hit
-                            if cross_eid is not None:
-                                # Cross positions: each stale slot's
-                                # first store hit (scatter-min).
-                                cw = np.flatnonzero(hit & np_writes[wb:we])
-                                cw = cw[eids[slot[cw]] != cross_eid]
-                                if len(cw):
-                                    cs = slot[cw]
-                                    first = np.full(n_slots, window, dtype=np.int64)
-                                    np.minimum.at(first, cs, cw)
-                                    cross = (cw[first[cs] == cw] + wb).tolist()
-                        bad = (np.flatnonzero(~fast) + wb).tolist()
-                        n_bad = len(bad)
-                        if n_bad * 4 >= we - wb:
-                            # Residual-dense window (≥25%): the walk's bulk
-                            # stretches cannot pay for themselves between
-                            # misses, so hand the whole window to the drain
-                            # (exact path, no stale-positive bookkeeping
-                            # needed). Counted as unproductive below, which
-                            # steers persistently miss-heavy phases into
-                            # drain bursts with zero classification cost.
-                            thaw_span(wb, we, seg_end)
-                            i = drain(wb, we, seg_end, sfilter)
-                            removed.clear()
-                            bulked_runs = 0
-                        else:
-                            # Fast positions (absolute) and their addresses,
-                            # for the stale-positive guard below: only a
-                            # victim that the *remaining fast* part of the
-                            # window references can invalidate the
-                            # classification — residual positions replay
-                            # exactly regardless.
-                            fpos = np.flatnonzero(fast) + wb
-                            fast_addrs = a_win[fast]
-                            removed.clear()
-                            # -- walk the window: bulk fast stretches,
-                            #    replay residuals, revalidate after each
-                            #    residual
-                            bptr = 0
-                            cptr = 0
-                            n_cross = len(cross)
-                            bulked_runs = 0
-                            while i < we:
-                                while bptr < n_bad and bad[bptr] < i:
-                                    bptr += 1
-                                nxt = bad[bptr] if bptr < n_bad else we
-                                if n_cross:
-                                    # End the stretch at the cross-epoch
-                                    # store past the room (drains and
-                                    # flushes change it): the drain replays
-                                    # it, so its flush keeps its cycle.
-                                    while cptr < n_cross and cross[cptr] < i:
-                                        cptr += 1
-                                    cut = cptr + scheme.vector_store_room()
-                                    if cut < n_cross and cross[cut] < nxt:
-                                        nxt = cross[cut]
-                                if nxt - i >= bulk_min:
-                                    # Size the stretch in coalescing groups,
-                                    # not references: the drain replays a
-                                    # same-line run in O(1), so a long but
-                                    # run-sparse stretch is cheaper replayed.
-                                    nruns = int(np_rcum[nxt - 1]) - (
-                                        int(np_rcum[i - 1]) if i else 0
-                                    )
-                                    if nruns >= bulk_min:
-                                        bulk_span(
-                                            i, nxt, nruns, slot[i - wb:nxt - wb], cross_eid
-                                        )
-                                        bulked_runs += nruns
-                                        i = nxt
-                                        if i >= we:
-                                            break
-                                stop = nxt + 1
-                                if stop > seg_end:
-                                    stop = seg_end
-                                thaw_span(i, stop, seg_end)
-                                i = drain(i, stop, seg_end, sfilter)
-                                if removed:
-                                    # Stale-positive guard: a
-                                    # classified-fast position whose line
-                                    # was just evicted is no longer safe to
-                                    # bulk — demote it to residual by
-                                    # splicing it into the bad list
-                                    # (demotion is always safe: residuals
-                                    # replay exactly). Re-adds need no
-                                    # check — a classified miss replays
-                                    # exactly anyway. This is also what
-                                    # keeps a bulk stretch's slots one to
-                                    # one with its addresses: a slot freed
-                                    # mid-window and refilled by another
-                                    # line can only be read through a
-                                    # demoted position.
-                                    if i < we:
-                                        j = int(np.searchsorted(fpos, i))
-                                        if j < len(fpos):
-                                            tail = fast_addrs[j:]
-                                            stale = None
-                                            for victim in removed:
-                                                m = tail == victim
-                                                if m.any():
-                                                    if stale is None:
-                                                        stale = m
-                                                    else:
-                                                        stale |= m
-                                            if stale is not None:
-                                                extra = fpos[j:][stale].tolist()
-                                                bad = sorted(bad[bptr:] + extra)
-                                                n_bad = len(bad)
-                                                bptr = 0
-                                    removed.clear()
-                        # -- self-tuning: how much of the window's
-                        #    coalescing work was actually bulk-applied?
-                        creached = int(np_rcum[i - 1]) - (
-                            int(np_rcum[wb - 1]) if wb else 0
-                        )
-                        if bulked_runs * 2 >= creached:
-                            shorts = 0
-                            productive = True
-                            burst_len = _DISENGAGE_REFS
-                            if n_bad == 0 and window < _WINDOW_MAX:
-                                window *= 2
-                        else:
-                            if window > _WINDOW_MIN:
-                                window //= 2
-                            shorts += 1
-                            if shorts >= _SHORT_LIMIT:
-                                # Classification is not paying off: run a
-                                # drain burst before probing again. Back
-                                # off geometrically while probes keep
-                                # failing.
-                                shorts = 0
-                                if not productive and burst_len < _DISENGAGE_MAX:
-                                    burst_len *= 2
-                                productive = False
-                                drain_budget = burst_len
-                    index = seg_end
-                    total = base + int(np_cum[index - 1])
-                    if total >= next_epoch:
-                        system.total_instructions = total
-                        core.instructions = total
-                        stall = scheme.on_epoch_boundary(core.cycle)
-                        system.broadcast_stall(stall)
-                        next_epoch += epoch_span
-                    if crash is not None and total >= crash:
-                        system.total_instructions = total
-                        core.instructions = total
-                        self.crashed = True
-                        return
-                system.total_instructions = total
-                core.instructions = total
-        except CrashSignal:
-            i = engine.inflight
-            if i is not None:
-                # The signal escaped the drain mid-chain. The reference
-                # loop retires a reference's gap before its access chain,
-                # so the gap is on the core's clock and instruction count
-                # — never on the system total, which moves only after the
-                # access. (A crash at an epoch boundary finds the counters
-                # already synced above.)
-                total = base + (int(np_cum[i - 1]) if i else 0)
-                gap = int(frozen.gaps[i])
-                system.total_instructions = total
-                core.instructions = total + gap
-                core.cycle += gap
-            raise
-        core.finished = True
-
     def _run_replay(self, crash_at_instructions, trajectory):
         """Replay a scheme-free cache trajectory under this scheme.
 
         The trajectory (:class:`repro.cache.trajectory.Trajectory`) says
-        which level served every reference and which line each L1/L2 fill
+        which level served every reference and which line each L2 fill
         evicted, so nothing here probes a private cache or keeps its LRU
-        order. The loop visits only *events* — references that miss L1
-        or store — and retires each run of L1 load hits between two
-        events in O(1) off the chunk's cumulative instruction counts.
-        An event runs the hierarchy's chain on the state a scheme can
-        observe: the LLC (tags, MRU lists, dirty lines, EID index; a fill
-        goes through ``CacheHierarchy._insert_llc``, whose LRU pop is the
-        victim), one private record per line resident in L2
-        (:class:`repro.cache.trajectory.PrivateCopies`, which also
+        order. The loop visits each L1 miss and retires the run of L1
+        hits before it in O(1) off the chunk's cumulative instruction
+        and store counts. A miss runs the hierarchy's chain on the state
+        a scheme can observe: the LLC (tags, MRU lists, dirty lines, EID
+        index; a fill goes through ``CacheHierarchy._insert_llc``, whose
+        LRU pop is the victim), one private record per line resident in
+        L2 (:class:`repro.cache.trajectory.PrivateCopies`, which also
         answers the hierarchy's back-invalidations and syncs) and the NVM
         channel (a demand fill is the controller's arithmetic, inline).
+
+        Stores follow the scheme's ``vector_store_filter()``, read once
+        per segment. ``False``: every store is visited like a miss and
+        runs ``on_store`` at its own cycle. ``True``, or an EID that the
+        stored line already carries:
+        the store is scheme-silent and only writes its token; the silent
+        stores are handed to ``on_store_bulk`` before the next
+        ``on_store`` call and at the segment's end. Under an EID, a
+        line's first store while it carries another EID is cross-epoch:
+        it runs ``on_store`` at its own cycle, which retags the line. A
+        run of hits holding at least ``_BULK_STORES`` stores writes its
+        silent stores in bulk: no line moves between two misses, so the
+        run's cross-epoch stores are known up front, and after them each
+        line takes the token of its last store and turns dirty at its
+        first, in first-store order — what one by one would leave (an
+        insertion-ordered dict gives both). Shorter runs visit each store
+        like a miss.
+
         The scheme's own ``on_store``, ``write_back`` and ``fill_token``
         run at the scalar call sites, so undo flushes, forced commits and
         every crash-plan site fire at the reference loop's exact state.
-        Epoch and crash boundaries cut the chunks into segments exactly
-        as in :meth:`_run_single_core`.
+        Epoch and crash boundaries cut each chunk into segments up front
+        (its cumulative instruction counts searched against the next
+        boundary), so nothing inside a segment compares against one.
 
         Bit-identical to the reference loop (:meth:`_run_reference`),
         asserted by tests/sim/test_engine_identity.py.
@@ -895,6 +358,7 @@ class Simulation:
         llc_shift = llc._line_shift
         llc_mask = llc._set_mask
         l1_lat = hierarchy._l1[0].hit_latency
+        lat1 = l1_lat - 1
         l2_lat = hierarchy._l2[0].hit_latency
         llc_lat = llc.hit_latency
         smf = hierarchy.store_miss_factor
@@ -912,11 +376,9 @@ class Simulation:
             if type(sink).fill_token is not CrashConsistencyScheme.fill_token
             else None
         )
-        on_store = (
-            sink.on_store
-            if type(sink).on_store is not CrashConsistencyScheme.on_store
-            else None
-        )
+        on_store = sink.on_store
+        on_store_bulk = sink.on_store_bulk
+        store_filter = sink.vector_store_filter
         track = system.track_reference
         arch_image = system.arch_image
         epoch_span = self.config.epoch_instructions
@@ -928,16 +390,47 @@ class Simulation:
         ntok = system._next_token
         d_l1_hits = d_loads = d_stores = d_l1_miss = d_l2_hits = d_l2_miss = 0
         d_llc_hits = d_llc_miss = d_l1_ev = d_l2_ev = d_fills = 0
-        # The reference in flight (chunk index) while an event runs; a
-        # CrashSignal escaping it leaves its gap on the core's clock.
+        # Silent stores not yet handed to on_store_bulk.
+        silent = 0
+
+        def write_tokens(stored):
+            """Write ``(address, token)`` stores to the private records."""
+            for addr, token in stored:
+                line = priv[addr]
+                line.token = token
+                if not line._dirty:
+                    line._dirty = True
+                    pdirty[addr] = line
+                if track:
+                    arch_image[addr] = token
+
+        # While a cross-epoch store's on_store runs inside a run of hits:
+        # the ``(first, end)`` store indices of the run's stores before
+        # it, whose tokens the run writes only at its end (a crash in the
+        # call writes them).
+        unwritten = None
+        # The reference in flight (chunk index) while a miss chain or a
+        # store's on_store runs; a CrashSignal escaping it leaves its gap
+        # on the core's clock.
         inflight = None
         try:
             for chunk_index, chunk in enumerate(self.traces[0].chunks()):
                 codes, victims = trajectory.chunk_codes(chunk_index, chunk)
                 frozen = chunk.frozen
                 np_cum = frozen.cum
-                cum0 = np.concatenate(([0], np_cum))
-                events = np.flatnonzero(codes | frozen.writes)
+                np_wcum = frozen.write_cum
+                np_writes = frozen.writes
+                # The events: every L1 miss, and the stores the loop visits
+                # one by one — under a False filter all of them, else those
+                # of the runs of hits between two misses that hold fewer
+                # than _BULK_STORES stores. (Made when first needed.)
+                events = [None, None]
+                # The chunk's stores; its j-th store draws token tok0 + j.
+                # Their lines are listed when a run of hits first writes
+                # stores in bulk.
+                stores = np.flatnonzero(np_writes)
+                saddrs = None
+                tok0 = ntok
                 victims = victims.tolist()
                 vi = 0
                 n = len(frozen)
@@ -952,35 +445,143 @@ class Simulation:
                     )
                     if seg_end > n:
                         seg_end = n
-                    lo, hi = events.searchsorted((seg_start, seg_end))
-                    ev = events[lo:hi]
-                    # Per event: the clock advance from the previous event
-                    # (or the segment start) to this reference's access —
-                    # the load hits between at one L1 latency each, plus
-                    # every gap including its own — and those hits' count.
-                    prev = np.empty_like(ev)
-                    if len(ev):
-                        prev[0] = seg_start - 1
-                        prev[1:] = ev[:-1]
-                    k = ev - prev - 1
-                    adv = cum0[ev + 1] - cum0[prev + 1] - 1 + k * (l1_lat - 1)
-                    for p, step, hits, code, addr, w in zip(
-                        ev.tolist(),
-                        adv.tolist(),
-                        k.tolist(),
-                        codes[ev].tolist(),
-                        frozen.addrs[ev].tolist(),
-                        frozen.writes[ev].tolist(),
+                    # ``is True``/``is False``: an EID of 0 or 1 must not
+                    # be mistaken for the booleans.
+                    sfilter = store_filter()
+                    if sfilter is True:
+                        smode, eid = 0, None
+                    elif sfilter is False:
+                        smode, eid = 1, None
+                    else:
+                        smode, eid = 2, sfilter
+                    ev = events[smode == 1]
+                    if ev is None:
+                        if smode == 1:
+                            ev = np.flatnonzero(codes | np_writes)
+                        else:
+                            misses = np.flatnonzero(codes)
+                            hit_stores = np.flatnonzero(np_writes & (codes == 0))
+                            run = misses.searchsorted(hit_stores)
+                            few = np.bincount(run)[run] < _BULK_STORES
+                            ev = np.sort(np.concatenate((misses, hit_stores[few])))
+                        events[smode == 1] = ev
+                    ev = ev[slice(*ev.searchsorted((seg_start, seg_end)))]
+                    # Per event, then the segment end as a sentinel (a
+                    # negative code): its position p, the clock advance
+                    # from the previous event to its access (the L1 hits
+                    # between at one hit latency each, every gap including
+                    # its own), those hits, the chunk's stores before it,
+                    # its trajectory byte (plus _STORE_RUN when the hits
+                    # before it hold stores), line and store bit.
+                    pos = np.append(ev, seg_end)
+                    reach = np.append(np_cum[ev] - 1, np_cum[seg_end - 1])
+                    prev_reach = np.empty_like(reach)
+                    prev_reach[0] = np_cum[seg_start - 1] if seg_start else 0
+                    prev_reach[1:] = reach[:-1] + 1
+                    ev_w = np_writes[ev]
+                    before = np.append(np_wcum[ev] - ev_w, np_wcum[seg_end - 1])
+                    prev_stores = np.empty_like(before)
+                    prev_stores[0] = np_wcum[seg_start - 1] if seg_start else 0
+                    prev_stores[1:] = before[:-1] + ev_w
+                    hits = np.diff(pos, prepend=seg_start - 1) - 1
+                    ev_codes = np.append(codes[ev], _SENTINEL)
+                    ev_codes[before != prev_stores] |= _STORE_RUN
+                    ev_addrs = frozen.addrs[ev].tolist()
+                    ev_addrs.append(0)
+                    ev_w = ev_w.tolist()
+                    ev_w.append(False)
+                    for p, step, k_hits, wp, code, addr, w in zip(
+                        pos.tolist(),
+                        (reach - prev_reach + hits * lat1).tolist(),
+                        hits.tolist(),
+                        before.tolist(),
+                        ev_codes.tolist(),
+                        ev_addrs,
+                        ev_w,
                     ):
-                        inflight = p
+                        if code & _STORE_RUN:
+                            # -- a run of hits with at least _BULK_STORES
+                            # stores, under a True or an EID filter. No
+                            # line moves until p, so only on_store retags a
+                            # line, and only the stored one: exactly the
+                            # first store of each line tagged otherwise
+                            # than the filter EID runs on_store. The silent
+                            # ones write their tokens at the end, each line
+                            # its last, in first-store order.
+                            if saddrs is None:
+                                saddrs = frozen.addrs[stores].tolist()
+                            done = p - k_hits
+                            lo = w_done = int(np_wcum[done - 1]) if done else 0
+                            last = dict(zip(
+                                saddrs[lo:wp], range(tok0 + lo, tok0 + wp)
+                            ))
+                            cross = ()
+                            if smode == 2:
+                                cross = [a for a in last if priv[a].eid != eid]
+                            if cross:
+                                first = dict(zip(
+                                    reversed(saddrs[lo:wp]),
+                                    range(wp - 1, lo - 1, -1),
+                                ))
+                                spos = stores.tolist()
+                                scum = np_cum[stores].tolist()
+                                # The instructions before the first
+                                # reference after the previous event (then
+                                # cross-epoch store).
+                                c_done = int(np_cum[done - 1]) if done else 0
+                                for a in cross:
+                                    # A cross-epoch store, at its own cycle.
+                                    j = first[a]
+                                    n_silent = j - w_done
+                                    silent += n_silent
+                                    d_stores += n_silent
+                                    q = spos[j]
+                                    k = q - done
+                                    c_store = scum[j]
+                                    cycle += c_store - 1 - c_done + k * lat1
+                                    mstall += k * l1_lat
+                                    d_l1_hits += k + 1
+                                    d_loads += k - n_silent
+                                    inflight = q
+                                    ntok = tok0 + j + 1
+                                    if silent:
+                                        on_store_bulk(silent)
+                                        silent = 0
+                                    unwritten = lo, j
+                                    wait = l1_lat + on_store(0, priv[a], cycle)
+                                    d_stores += 1
+                                    cycle += wait
+                                    mstall += wait
+                                    done = q + 1
+                                    c_done = c_store
+                                    w_done = j + 1
+                                k_hits = p - done
+                                if code < 0:
+                                    x = int(np_cum[p - 1])
+                                else:
+                                    x = int(np_cum[p]) - 1
+                                step = x - c_done + k_hits * lat1
+                            n_silent = wp - w_done
+                            silent += n_silent
+                            d_stores += n_silent
+                            # The retirement below counts every hit a load.
+                            d_loads -= n_silent
+                            write_tokens(last.items())
+                            unwritten = None
+                            ntok = tok0 + wp
+                        # -- retire the L1 hits before p, and p's gap
                         cycle += step
-                        if hits:
-                            d_l1_hits += hits
-                            d_loads += hits
-                            mstall += hits * l1_lat
+                        if k_hits:
+                            d_l1_hits += k_hits
+                            d_loads += k_hits
+                            mstall += k_hits * l1_lat
+                        if code < 0:
+                            break
+                        # -- the event at p: a store hit, or an L1 miss
+                        inflight = p
                         if w:
-                            token = ntok
-                            ntok += 1
+                            token = tok0 + wp
+                            ntok = token + 1
                         # The trajectory byte (repro.cache.trajectory):
                         # bits 0-1 the level, 4 an L1 and 8 an L2 eviction.
                         level = code & 3
@@ -1009,8 +610,8 @@ class Simulation:
                                         fill_token(addr) if fill_token is not None
                                         else None
                                     )
-                                    # MemoryController.demand_fill on the
-                                    # one NVM channel, inline.
+                                    # MemoryController.demand_fill on the one
+                                    # NVM channel, inline.
                                     bua = channel.backlog_updated_at
                                     wbk = channel.write_backlog
                                     if cycle > bua:
@@ -1052,7 +653,12 @@ class Simulation:
                                 wait = lat + l1_lat + fstall
                         if w:
                             line = priv[addr]
-                            if on_store is not None:
+                            if smode == 0 or (smode == 2 and line.eid == eid):
+                                silent += 1
+                            else:
+                                if silent:
+                                    on_store_bulk(silent)
+                                    silent = 0
                                 wait += on_store(0, line, cycle)
                             line.token = token
                             if not line._dirty:
@@ -1066,17 +672,12 @@ class Simulation:
                         cycle += wait
                         mstall += wait
                     inflight = None
-                    # The load hits after the segment's last event.
-                    last = int(ev[-1]) if len(ev) else seg_start - 1
-                    hits = seg_end - 1 - last
-                    if hits:
-                        cycle += int(cum0[seg_end] - cum0[last + 1])
-                        cycle += hits * (l1_lat - 1)
-                        d_l1_hits += hits
-                        d_loads += hits
-                        mstall += hits * l1_lat
                     seg_start = seg_end
-                    total = base + int(np_cum[seg_end - 1])
+                    ntok = tok0 + wp
+                    if silent:
+                        on_store_bulk(silent)
+                        silent = 0
+                    total = base + int(reach[-1])
                     if total >= next_epoch or (crash is not None and total >= crash):
                         system.total_instructions = total
                         core.instructions = total
@@ -1095,11 +696,17 @@ class Simulation:
                 system.total_instructions = total
                 core.instructions = total
         except CrashSignal:
+            if silent:
+                on_store_bulk(silent)
+            if unwritten is not None:
+                # The stores before the crashed one retired.
+                lo, j = unwritten
+                write_tokens(zip(saddrs[lo:j], range(tok0 + lo, tok0 + j)))
             if inflight is not None:
                 # Mid-chain: as in the reference loop, the in-flight
                 # reference's gap is on the core's clock and instruction
                 # count, never on the system total.
-                total = base + int(cum0[inflight])
+                total = base + (int(np_cum[inflight - 1]) if inflight else 0)
                 system.total_instructions = total
                 core.instructions = total + int(frozen.gaps[inflight])
                 core.cycle = cycle
@@ -1245,7 +852,7 @@ class Simulation:
 
         # Every clock starts at 0, so the keys are the core ids, in order.
         turns.heap = [cid for cid in range(n_cores) if load(cid)]
-        turn = engine.make_drain().turn_gen(0, 0, 0, None, turns, boundary())
+        turn = engine.make_drain().turn_gen(0, turns, boundary())
         command = None  # a just-started generator takes only None
         inflight_gap = 0
         try:

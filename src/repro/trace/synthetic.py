@@ -23,11 +23,11 @@ Two speed facilities live alongside the generator:
 
 * **Batch metadata and lazy boxing** (:class:`_FrozenChunk`,
   :class:`TraceChunk`): cumulative instruction and store counts and
-  same-line run lengths, computed once per chunk with numpy. The batched
-  single-core interpreter uses them to place epoch and crash boundaries
-  without per-reference checks and to coalesce same-line runs (see
-  :mod:`repro.sim.simulator`); the columnar one also reads them straight
-  from numpy and boxes only the blocks it replays one at a time.
+  same-line run lengths, computed once per chunk with numpy. The fast
+  engine uses them to place epoch and crash boundaries without
+  per-reference checks and to retire runs of L1 hits or coalesce
+  same-line runs (see :mod:`repro.sim.simulator`); the single-core
+  replay reads them straight from numpy and never boxes a chunk.
 * **Cross-scheme memoization** (:func:`make_trace`): figure sweeps drive
   the identical stream through every scheme at each (benchmark, config,
   seed) point, so generated chunks are memoized per process, keyed on
@@ -66,29 +66,15 @@ def _run_ends_array(addrs):
     return np.minimum.accumulate(ends[::-1])[::-1]
 
 
-def _run_cum_array(addrs):
-    """Inclusive cumulative count of same-line run starts (numpy)."""
-    n = len(addrs)
-    starts = np.ones(n, dtype=np.int64)
-    if n > 1:
-        starts[1:] = addrs[1:] != addrs[:-1]
-    return np.cumsum(starts)
-
-
-#: References boxed per thaw block: :meth:`TraceChunk.thaw` converts
-#: whole blocks, so scattered residual replays cost one small slice each.
-THAW_BLOCK = 64
-
-#: The :class:`_FrozenChunk` arrays an exact replay reads one reference
-#: at a time, in :attr:`TraceChunk.lists` order.
+#: The :class:`_FrozenChunk` arrays a per-reference loop reads one
+#: reference at a time, in :attr:`TraceChunk.lists` order.
 _REPLAY_COLUMNS = ("gaps", "addrs", "writes", "cum", "run_ends", "write_cum")
 
 
 def _column(index, doc):
-    """A TraceChunk replay column read whole: thaws the chunk first."""
+    """A TraceChunk replay column, as a Python list."""
 
     def read(self):
-        self.ensure_metadata()
         return self.lists[index]
 
     return property(read, doc=doc)
@@ -97,44 +83,36 @@ def _column(index, doc):
 class TraceChunk:
     """One batch of references, boxed into Python lists on demand.
 
-    The per-reference loops index Python lists (numpy scalar reads cost
-    several times a list read), but the columnar interpreter bulk-applies
-    most of a hit-dominated chunk straight from the numpy columns of its
-    :class:`_FrozenChunk` and never reads those references one at a time.
-    So a chunk starts with every list slot ``None`` and :meth:`thaw`
-    boxes only the blocks a caller is about to replay; an unthawed slot
-    fails loudly (``None`` in arithmetic) instead of reading wrong data.
-
-    The column attributes (``gaps``, ``addrs``, ``writes``,
-    ``cum_instructions``, ``run_ends``, ``write_cum``) return complete
-    lists, thawing the whole chunk first, so every consumer that walks a
-    chunk end to end — the reference loop, the drain,
-    calibration, record/replay — reads them as plain lists.
-    :attr:`lists` hands out the same replay lists without thawing.
+    The per-reference loops (the reference loop, the multi-core drain,
+    calibration, record/replay) index Python lists — numpy scalar reads
+    cost several times a list read — but the single-core replay reads
+    only the numpy columns of the chunk's :class:`_FrozenChunk`. So the
+    lists are built on first use, all at once: :attr:`lists` holds the
+    replay columns in ``_REPLAY_COLUMNS`` order, and the column
+    attributes (``gaps``, ``addrs``, ``writes``, ``cum_instructions``,
+    ``run_ends``, ``write_cum``) read them one by one.
     """
 
-    __slots__ = (
-        "frozen",
-        "instructions",
-        "lists",
-        "thawed_refs",
-        "_filled",
-    )
+    __slots__ = ("frozen", "instructions", "_lists")
 
     def __init__(self, frozen):
         #: The numpy columns and metadata (see :class:`_FrozenChunk`).
         self.frozen = frozen
         self.instructions = frozen.instructions
-        n = len(frozen)
-        #: The replay columns as lists, in ``_REPLAY_COLUMNS`` order,
-        #: filled block by block by :meth:`thaw`.
-        self.lists = tuple([None] * n for _ in _REPLAY_COLUMNS)
-        #: References boxed so far (whole blocks).
-        self.thawed_refs = 0
-        self._filled = bytearray(-(-n // THAW_BLOCK))
+        self._lists = None
 
     def __len__(self):
         return len(self.frozen)
+
+    @property
+    def lists(self):
+        """The replay columns as Python lists (boxed on first use)."""
+        if self._lists is None:
+            frozen = self.frozen
+            self._lists = tuple(
+                getattr(frozen, name).tolist() for name in _REPLAY_COLUMNS
+            )
+        return self._lists
 
     gaps = _column(0, "Non-memory instructions before each reference.")
     addrs = _column(1, "Line address of each reference.")
@@ -148,34 +126,6 @@ class TraceChunk:
         4, "Exclusive end of the same-line run starting at each reference."
     )
     write_cum = _column(5, "Inclusive cumulative store count.")
-
-    def thaw(self, lo, hi):
-        """Box every replay column of the blocks covering ``[lo, hi)``.
-
-        Idempotent and cheap when the range is already thawed; each
-        contiguous run of unfilled blocks costs one slice per column.
-        """
-        filled = self._filled
-        frozen = self.frozen
-        block = THAW_BLOCK
-        end = -(-hi // block)
-        b = filled.find(0, lo // block if lo > 0 else 0, end)
-        while b >= 0:
-            e = filled.find(1, b, end)
-            if e < 0:
-                e = end
-            s = b * block
-            t = min(e * block, len(frozen))
-            for lst, name in zip(self.lists, _REPLAY_COLUMNS):
-                lst[s:t] = getattr(frozen, name)[s:t].tolist()
-            filled[b:e] = b"\x01" * (e - b)
-            self.thawed_refs += t - s
-            b = filled.find(0, e, end)
-        return self
-
-    def ensure_metadata(self):
-        """Thaw the whole chunk (idempotent); returns the chunk."""
-        return self.thaw(0, len(self.frozen))
 
 
 def _zipf_cdf(n_ranks, alpha):
@@ -328,7 +278,6 @@ class _FrozenChunk:
         "instructions",
         "cum",
         "run_ends",
-        "run_cum",
         "write_cum",
     )
 
@@ -340,13 +289,12 @@ class _FrozenChunk:
         self.instructions = int(self.cum[-1])
         self.write_cum = np.cumsum(writes.astype(np.int64))
         self.run_ends = _run_ends_array(addrs)
-        self.run_cum = _run_cum_array(addrs)
 
     def __len__(self):
         return len(self.gaps)
 
     def thaw(self):
-        """A fresh, unthawed :class:`TraceChunk` over these arrays."""
+        """A fresh, unboxed :class:`TraceChunk` over these arrays."""
         return TraceChunk(self)
 
 

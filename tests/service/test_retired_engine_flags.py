@@ -123,9 +123,8 @@ def test_child_ignores_the_retired_flag(monkeypatch, flag, value):
     monkeypatch.setenv(flag, value)
     point = EnginePoint(CONFIG, "picl", ("gcc",), N, 12)
     (engines,) = execute_batch_with_retry([point], env={flag: value})
-    assert engines == ["columnar+drain", "drain"]
+    assert engines == ["trajectory", "drain"]
     sim = Simulation(CONFIG, "picl", ["gcc"], 500)
     hierarchy = sim.hierarchy
-    assert hierarchy._l2[0]._vec is None and hierarchy.llc._vec is None
     assert not (hierarchy._brute_scan or hierarchy.llc._brute_scan
                 or sim.scheme.acs._brute_scan)

@@ -1,4 +1,4 @@
-"""The trace-side machinery the single-core driver depends on.
+"""The trace-side machinery the fast engine depends on.
 
 :meth:`Simulation._run_single_core` segments chunks and coalesces
 same-line runs using each chunk's lazily computed run/cumsum metadata,
@@ -22,7 +22,6 @@ class TestTraceMetadata:
     def test_run_ends_matches_python_reference(self):
         trace = SyntheticTrace(get_profile("lbm"), 40_000, seed=3)
         for chunk in trace.chunks():
-            chunk.ensure_metadata()
             n = len(chunk.addrs)
             expected = [0] * n
             end = n
@@ -35,7 +34,6 @@ class TestTraceMetadata:
     def test_cumulative_counters_match_python_reference(self):
         trace = SyntheticTrace(get_profile("gcc"), 20_000, seed=4)
         for chunk in trace.chunks():
-            chunk.ensure_metadata()
             running = 0
             cum = []
             for gap in chunk.gaps:
@@ -50,9 +48,8 @@ class TestTraceMetadata:
     def test_metadata_is_idempotent(self):
         trace = SyntheticTrace(get_profile("gcc"), 5_000, seed=5)
         chunk = next(trace.chunks())
-        chunk.ensure_metadata()
         first = chunk.run_ends
-        chunk.ensure_metadata()
+        assert chunk.lists[4] is first
         assert chunk.run_ends is first
 
 
@@ -84,7 +81,7 @@ class TestTraceMemo:
 
     def test_simulation_identical_with_and_without_memo(self, monkeypatch):
         clear_trace_memo()
-        args = ("columnar+drain", small_config(), "picl", ["gcc"], 60_000, 13)
+        args = ("trajectory", small_config(), "picl", ["gcc"], 60_000, 13)
         with_memo = run_mode(*args)
         monkeypatch.setenv("REPRO_NO_TRACE_MEMO", "1")
         without_memo = run_mode(*args)

@@ -1,13 +1,11 @@
 """Engine identity: the fast engine against the reference side, 1..N cores.
 
 The fast engine is an optimization, not a model change. One core
-classifies trace windows against the L1 tag mirror, bulk-applies
-all-hit stretches and drains the rest through the fused miss chain
-(``columnar+drain``; ``drain`` when the L1 is too wide for a mirror
-row), or replays a scheme-free cache trajectory shared by every scheme
-of a batch (``trajectory``). Several cores take turns through the same
-drain (``drain``). Configs the drain declines run the reference loop
-and say why (``reference: <reason>``).
+replays a scheme-free cache trajectory (``trajectory``): a lone point
+tags its own trace lazily, chunk by chunk, and the points of a batch
+share one. Several cores take turns through the fused miss-chain drain
+(``drain``). Configs the drain declines run the reference loop and say
+why (``reference: <reason>``).
 
 Every case runs one point twice. The first run must report the engine
 the case names. The second is the reference side: ``REPRO_VECTOR=0``
@@ -16,8 +14,9 @@ with every cache and the ACS engine on the brute-force sweep oracle
 (``force_brute``). Their ``fingerprint``s must be equal: per-core
 clocks, stalls and instructions, the system total, the next token, the
 arch image, every stat, the NVM image, the undo log, the crash
-outcome and the scheme's store sequence. So one comparison covers the columnar walk, the drain and the
-EID index, and the fast side's index must also match a sweep of its LLC.
+outcome and the scheme's store sequence. So one comparison covers the
+replay, the drain and the EID index, and the fast side's index must
+also match a sweep of its LLC.
 Both sides then power-fail and must recover the same image. A crashed
 run must also leave the reference loop's in-flight convention: the
 system total counts exactly the retired references, and at most one
@@ -156,11 +155,22 @@ def run_pair(engine, scheme, benches, seed, n=N, shared=False, crash_at=None,
 
 
 def probe_trajectory(benches, seed, n=N, **config):
-    """The trajectory of a point: what a batch's first point builds."""
+    """The trajectory of a point: what a batch's first point creates."""
     config = {k: v for k, v in config.items() if k in SHAPE_KEYS}
     probe = Simulation(small_config(len(benches), **config), "ideal", benches,
                        n, seed=seed)
     return probe.trajectory()
+
+
+def tagged_trajectory(benches, seed, n=N, **config):
+    """A point's trajectory with every chunk of its trace tagged."""
+    trajectory = probe_trajectory(benches, seed, n, **config)
+    config = {k: v for k, v in config.items() if k in SHAPE_KEYS}
+    trace = Simulation(small_config(len(benches), **config), "ideal", benches,
+                       n, seed=seed).traces[0]
+    for index, chunk in enumerate(trace.chunks()):
+        trajectory.chunk_codes(index, chunk)
+    return trajectory
 
 
 #: run_pair's keywords that shape the system (small_config's), as
@@ -188,70 +198,68 @@ def row(id, engine, scheme, benches, seed, **kwargs):
     return pytest.param(engine, scheme, benches, seed, kwargs, id=id)
 
 
-CD, DRAIN = "columnar+drain", "drain"
-WIDE = dict(l1_ways=16)  # wider than a mirror row: the "drain" engine
+TRAJ, DRAIN = "trajectory", "drain"
+WIDE = dict(l1_ways=16)
 CRASH_AT = N // 2 + 137  # mid-epoch, not on a boundary
 W2 = MULTIPROGRAM_MIXES["W2"]
 
 ROWS = [
-    # One core. hmmer is hit-dominated (the bulk path carries nearly
-    # every window), lbm/h264ref run-structured, gcc/mcf/astar
+    # One core. hmmer is hit-dominated (runs of hits hold hundreds of
+    # stores, written in bulk), lbm/h264ref run-structured, gcc/mcf/astar
     # miss-heavy; every scheme runs a miss-heavy trace, covering the
-    # drain's three store-dispatch modes.
-    *[row("full-%s-%s" % pair, CD, *pair, 77) for pair in (
+    # replay's three store-filter modes.
+    *[row("full-%s-%s" % pair, TRAJ, *pair, 77) for pair in (
         ("ideal", "hmmer"), ("journaling", "mcf"), ("shadow", "gcc"),
         ("frm", "lbm"), ("thynvm", "astar"), ("picl", "hmmer"),
         ("picl", "gcc"), ("picl", "h264ref"), ("ideal", "gcc"),
         ("frm", "astar"), ("thynvm", "mcf"), ("picl", "astar"),
         ("picl", "lbm"), ("shadow", "mcf"))],
-    *[row("crash-at-" + s, CD, s, "gcc", 9, crash_at=CRASH_AT, must_crash=True)
+    *[row("crash-at-" + s, TRAJ, s, "gcc", 9, crash_at=CRASH_AT, must_crash=True)
       for s in SCHEMES],
-    # Site crashes inside drained windows, deep enough to fire from a
-    # miss-heavy phase: deferred counters, tokens and the pending undo
-    # run must all land before the signal escapes.
-    row("site-llc_eviction-picl-300", CD, "picl", "gcc", 5,
+    # Site crashes deep enough to fire from a miss-heavy phase: deferred
+    # counters, tokens and silent stores must all land before the signal
+    # escapes.
+    row("site-llc_eviction-picl-300", TRAJ, "picl", "gcc", 5,
         site="llc_eviction", occurrence=300, must_crash=True),
-    row("site-llc_eviction-journaling-15", CD, "journaling", "gcc", 5,
+    row("site-llc_eviction-journaling-15", TRAJ, "journaling", "gcc", 5,
         site="llc_eviction", occurrence=15, must_crash=True),
-    row("site-undo_flush-picl-torn", CD, "picl", "gcc", 5,
+    row("site-undo_flush-picl-torn", TRAJ, "picl", "gcc", 5,
         site="undo_flush", tear=7, must_crash=True),
-    row("site-pre_inplace-picl-200", CD, "picl", "gcc", 5,
+    row("site-pre_inplace-picl-200", TRAJ, "picl", "gcc", 5,
         site="pre_inplace", occurrence=200, must_crash=True),
-    *[row("site-%s-%s-3" % (site, s), CD, s, "gcc", 5, site=site)
+    *[row("site-%s-%s-3" % (site, s), TRAJ, s, "gcc", 5, site=site)
       for site in SEMANTIC_SITES for s in ("picl", "frm", "journaling")],
     # 16 B tracking and a hard log cap turn picl's store filter off:
-    # every store takes the drain's out-of-line on_store call.
-    *[row("sub-block-" + b, CD, "picl", b, 21, granularity=16)
+    # every store calls on_store.
+    *[row("sub-block-" + b, TRAJ, "picl", b, 21, granularity=16)
       for b in ("lbm", "gcc")],
-    *[row("log-cap-" + b, CD, "picl", b, 33, log_cap=64 * MB)
+    *[row("log-cap-" + b, TRAJ, "picl", b, 33, log_cap=64 * MB)
       for b in ("lbm", "gcc")],
-    # The mirror pads every row to eight ways.
-    *[row("l1-%d-way-%s-%s" % (w, s, b), CD, s, b, 61, l1_ways=w)
+    # The tag pass's mirror indexes any associativity.
+    *[row("l1-%d-way-%s-%s" % (w, s, b), TRAJ, s, b, 61, l1_ways=w)
       for w in (2, 3, 8) for s, b in (("picl", "hmmer"), ("frm", "gcc"))],
-    # On hmmer most of the chunk is still frozen when the crash lands;
-    # the third undo flush tears after one entry, ~60% of the way in.
-    row("lazy-crash-at-hmmer", CD, "picl", "hmmer", 83, crash_at=CRASH_AT,
+    # On hmmer the crashes land inside long runs of hits; the third undo
+    # flush tears after one entry, ~60% of the way in.
+    row("lazy-crash-at-hmmer", TRAJ, "picl", "hmmer", 83, crash_at=CRASH_AT,
         must_crash=True),
-    row("lazy-site-undo_flush-hmmer", CD, "picl", "hmmer", 89, n=400_000,
+    row("lazy-site-undo_flush-hmmer", TRAJ, "picl", "hmmer", 89, n=400_000,
         site="undo_flush", tear=1, must_crash=True),
-    # PiCL's cross-epoch store hits, bulk-applied through on_store. At
-    # scale 128 the write-hot sc-hit traces store to more lines in one
-    # window of a short epoch than the undo buffer has room for, so
-    # stretches are cut just before the store that fills it. On the
-    # 2-way L1 a residual's eviction demotes a position after the bulk
-    # retag of its line. The crash row's third flush is issued by a cut
-    # position's replay.
-    *[row("cross-epoch-cut-" + b, CD, "picl", b, 77, scale=128,
+    # PiCL's cross-epoch store hits, each run through on_store at its own
+    # cycle among the silent stores written in bulk. At scale 128 the
+    # write-hot sc-hit traces store to more lines in one run of hits of a
+    # short epoch than the undo buffer holds, so flushes issue inside
+    # runs of hits; the crash row's third flush tears inside one.
+    *[row("cross-epoch-cut-" + b, TRAJ, "picl", b, 77, scale=128,
           epoch_instructions=ep)
       for b, ep in (("povray", 15_000), ("namd", 8_000))],
-    row("cross-epoch-l1-2-way-gobmk", CD, "picl", "gobmk", 5, n=200_000,
+    row("cross-epoch-l1-2-way-gobmk", TRAJ, "picl", "gobmk", 5, n=200_000,
         scale=256, l1_ways=2, epoch_instructions=2_500),
-    row("cross-epoch-cut-site-undo_flush-namd", CD, "picl", "namd", 77,
+    row("cross-epoch-cut-site-undo_flush-namd", TRAJ, "picl", "namd", 77,
         scale=128, epoch_instructions=8_000, site="undo_flush", occurrence=3,
         tear=1, must_crash=True),
     # One core, every engine string.
-    row("4-way-l1", CD, "picl", "gcc", 19),
-    row("16-way-l1-undo-flush-crash", DRAIN, "picl", "gcc", 19, **WIDE,
+    row("4-way-l1", TRAJ, "picl", "gcc", 19),
+    row("16-way-l1-undo-flush-crash", TRAJ, "picl", "gcc", 19, **WIDE,
         site="undo_flush", tear=7, must_crash=True),
     row("2-channel-nvm", "reference: nvm has 2 channels", "picl", "gcc", 19,
         channels=2),
@@ -260,20 +268,19 @@ ROWS = [
     row("plain-sink", "reference: eviction sink is not the scheme", "ideal",
         "gcc", 19, prepare=attach_plain_sink),
     row("reference", REFERENCE, "picl", "gcc", 19),
-    # One core, an L1 too wide for a mirror row: the drain runs every
-    # reference, hits included, so its run-coalescing tail carries every
-    # same-line run (lbm's are long), with picl's store filter on, off
-    # (16 B tracking, a log cap) and through a crash.
-    *[row("wide-full-%s-%s" % pair, DRAIN, *pair, 77, **WIDE) for pair in (
+    # One core, a 16-way L1 (lbm's same-line runs are long), with picl's
+    # store filter on, off (16 B tracking, a log cap) and through a
+    # crash.
+    *[row("wide-full-%s-%s" % pair, TRAJ, *pair, 77, **WIDE) for pair in (
         ("journaling", "mcf"), ("shadow", "gcc"), ("picl", "hmmer"),
         ("picl", "gcc"), ("frm", "lbm"), ("picl", "lbm"),
         ("journaling", "lbm"))],
-    *[row("wide-crash-at-" + s, DRAIN, s, "gcc", 9, **WIDE, crash_at=CRASH_AT,
+    *[row("wide-crash-at-" + s, TRAJ, s, "gcc", 9, **WIDE, crash_at=CRASH_AT,
           must_crash=True) for s in SCHEMES],
-    row("wide-crash-at-picl-lbm", DRAIN, "picl", "lbm", 9, **WIDE,
+    row("wide-crash-at-picl-lbm", TRAJ, "picl", "lbm", 9, **WIDE,
         crash_at=CRASH_AT, must_crash=True),
-    row("wide-sub-block-lbm", DRAIN, "picl", "lbm", 21, **WIDE, granularity=16),
-    row("wide-log-cap-lbm", DRAIN, "picl", "lbm", 33, **WIDE, log_cap=64 * MB),
+    row("wide-sub-block-lbm", TRAJ, "picl", "lbm", 21, **WIDE, granularity=16),
+    row("wide-log-cap-lbm", TRAJ, "picl", "lbm", 33, **WIDE, log_cap=64 * MB),
     *[row("wide-%d-channel-nvm" % c, "reference: nvm has %d channels" % c,
           "picl", "gcc", 3, n=20_000, **WIDE, channels=c) for c in (4, 2)],
     # Several cores: turn lengths shrink as the heap fills; shared
@@ -318,11 +325,9 @@ def test_one_definition(bench, monkeypatch):
     """Each scheme rule is defined once: a mutant of PiCL's hazard flush
     (the undo-before-in-place ordering) reaches both engines alike."""
     monkeypatch.setattr(UndoBuffer, "eviction_hazard", lambda *args: 0)
-    fast = run_pair(CD, "picl", [bench], 7)
+    fast = run_pair(TRAJ, "picl", [bench], 7)
     assert fast.stats.get("undo.forced_flushes") == 0
 
-
-TRAJ = "trajectory"
 
 #: One trajectory, six schemes: miss-heavy and hit-dominated traces,
 #: picl's store filter off (16 B tracking, a log cap), the L1 at both
@@ -373,17 +378,17 @@ def level_counts(trajectory, n_refs):
 def check_level_counts(schemes, benches, seed, n=N, crash_at=None, site=None,
                        occurrence=3, tear=None, must_crash=False, expect=(),
                        **config):
-    """Every scheme's level counters, on its own fast engine run (no
-    trajectory), equal the trajectory's level counts; ``expect`` is
+    """Every scheme's level counters, on its own fast engine run (its
+    own lazy trajectory), equal a fully tagged trajectory's level counts; ``expect`` is
     checked on the first scheme. A crash may leave one reference in
     flight: its level is counted but it never retired."""
-    trajectory = probe_trajectory(benches, seed, n, **config)
+    trajectory = tagged_trajectory(benches, seed, n, **config)
     config = small_config(len(benches), **config)
     for scheme in schemes:
         plan = None if site is None else CrashPlan.on_event(
             site, occurrence=occurrence, tear_entries=tear
         )
-        sim = run_mode(CD, config, scheme, benches, n, seed, crash_at=crash_at,
+        sim = run_mode(TRAJ, config, scheme, benches, n, seed, crash_at=crash_at,
                        crash_plan=plan)
         assert sim.crashed or not must_crash
         if scheme == schemes[0]:
@@ -423,7 +428,7 @@ def test_level_counts(schemes, benches, seed, kwargs):
 @pytest.mark.parametrize("source", ("memo", "fresh", "file"))
 def test_trace_source(source, monkeypatch, tmp_path):
     # Every source builds its chunks through the same frozen-chunk
-    # constructor; the columnar walk must not care which one it got.
+    # constructor; the lazy tag pass tags whichever chunks it is given.
     factory = None
     if source == "fresh":
         monkeypatch.setenv("REPRO_NO_TRACE_MEMO", "1")
@@ -435,20 +440,20 @@ def test_trace_source(source, monkeypatch, tmp_path):
         def factory():
             return load_trace(path)
 
-    fast = run_pair(CD, "picl", ["hmmer"], 71, trace=factory)
+    fast = run_pair(TRAJ, "picl", ["hmmer"], 71, trace=factory)
     cls = {"memo": MaterializedTrace, "fresh": SyntheticTrace,
            "file": RecordedTrace}[source]
     assert isinstance(fast.traces[0], cls)
 
 
-def expected_engine(n_cores, l1_ways, channels, dram_cache):
+def expected_engine(n_cores, channels, dram_cache):
     """The engine a config must run: ``decline_reason``'s checks in
-    order, then the mirror rule (one core, at most eight L1 ways)."""
+    order, then one core or several."""
     if dram_cache:
         return "reference: dram cache in front of nvm"
     if channels > 1:
         return "reference: nvm has %d channels" % channels
-    return CD if n_cores == 1 and l1_ways <= 8 else DRAIN
+    return TRAJ if n_cores == 1 else DRAIN
 
 
 # Every axis the trace generator exposes, constrained exactly as
@@ -479,16 +484,14 @@ fuzz_profiles = st.builds(
 )
 
 
-#: The fuzz's shapes, one per fast-engine path: one core with a mirrored
-#: L1 (``columnar+drain``), one core with an L1 too wide for a mirror row
-#: and several cores (both ``drain``), and one core replaying a shared
-#: trajectory under all six schemes (``trajectory``; the drawn scheme is
-#: unused). Each shape gets its own share of the examples and draws every
-#: other axis; together they cover cores {1, 2, 4, 8} x L1 ways
-#: {2, 4, 8, 16}.
+#: The fuzz's shapes, one per fast-engine path: one core tagging its
+#: own trace (``trajectory``), several cores (``drain``), and one core
+#: replaying a shared trajectory under all six schemes (``trajectory``;
+#: the drawn scheme is unused). Each shape gets its own share of the
+#: examples and draws every other axis; together they cover cores
+#: {1, 2, 4, 8} x L1 ways {2, 4, 8, 16}.
 SHAPES = {
-    "mirror-l1": ((1,), (2, 4, 8)),
-    "wide-l1": ((1,), (16,)),
+    "lone-point": ((1,), (2, 4, 8, 16)),
     "multi-core": ((2, 4, 8), (2, 4, 8, 16)),
     "shared-batch": ((1,), (2, 4, 8, 16)),
 }
@@ -534,13 +537,11 @@ def test_fuzz(shape, data, profile, rotate, scheme, shared, granularity,
         kwargs.update(crash_at=int(n * n_cores * crash), must_crash=True)
     elif crash is not None:
         kwargs.update(site=crash, tear=1 if crash == SITE_UNDO_FLUSH else None)
-    engine = expected_engine(n_cores, l1_ways, channels, dram_cache)
+    engine = expected_engine(n_cores, channels, dram_cache)
     benches = ["_fuzz"] + benchlist(n_cores - 1, rotate)
     profiles._BY_NAME["_fuzz"] = profile
     try:
         if shape == "shared-batch":
-            if not engine.startswith("reference"):
-                engine = TRAJ
             run_shared_batch(engine, benches, seed, **kwargs)
         else:
             run_pair(engine, scheme, benches, seed, **kwargs)

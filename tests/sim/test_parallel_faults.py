@@ -212,6 +212,28 @@ class TestCheckpoint:
         assert reloaded.lookup(point(RunPoint, 66)) == "result-a"
         assert reloaded.lookup(point(RunPoint, 68, "bwaves")) == "result-c"
 
+    def test_corrupt_record_is_quarantined_not_dropped(self, tmp_path, capsys):
+        # One flipped byte in record 2 of 5 stops the load there; the
+        # three records from it on must survive in a quarantine file next
+        # to the journal, and the load must say so.
+        journal = str(tmp_path / "sweep.ckpt")
+        checkpoint = SweepCheckpoint(journal)
+        for index in range(5):
+            checkpoint.record_digest("digest-%d" % index, "result-%d" % index)
+        size = os.path.getsize(journal)
+        with open(journal, "r+b") as handle:
+            data = bytearray(handle.read())
+            data[size * 2 // 5] ^= 0xFF
+            handle.seek(0)
+            handle.write(data)
+        reloaded = SweepCheckpoint(journal)
+        assert len(reloaded) == 2
+        good = os.path.getsize(journal)
+        with open("%s.corrupt-%d" % (journal, good), "rb") as handle:
+            assert handle.read() == bytes(data[good:])
+        err = capsys.readouterr().err
+        assert "%d unreadable bytes at offset %d" % (size - good, good) in err
+
     def test_done_removes_journal(self, tmp_path):
         journal = str(tmp_path / "sweep.ckpt")
         checkpoint = SweepCheckpoint(journal)

@@ -47,7 +47,7 @@ def test_fig15_replayed_batches_equal_point_by_point_runs():
     assert {result.engine for result in batched} == {"trajectory"}
     for point, result in zip(points, batched):
         alone = point.execute()
-        assert alone.engine == "columnar+drain"
+        assert alone.engine == "trajectory"
         assert fingerprint(result) == fingerprint(alone)
 
 

@@ -1,68 +1,66 @@
 """The fast single-core engine's laziness and its engine gate.
 
-By default :meth:`Simulation._run_single_core` classifies windows of the
-reference stream against the L1 tag mirror, applies all-fast stretches
-in bulk, and replays the rest through the fused miss-chain drain of
-:mod:`repro.cache.miss_engine`; ``REPRO_VECTOR=0`` selects the reference
-loop, :meth:`Simulation._run_reference`, with no mirror. The columnar
-loop reads trace chunks lazily, boxing only the blocks it replays one
-reference at a time: ``TestLazyThaw`` pins that laziness. ``TestGate``
-pins which caches carry a mirror and which loop runs. Bit-identity of
-every engine with the reference side is
-tests/sim/test_engine_identity.py's job.
+By default a single-core run replays a scheme-free cache trajectory
+(:meth:`Simulation._run_replay`). The tag pass is lazy: it tags each
+chunk from the chunk object the replay is about to run, classifying
+runs of L1 hits against a numpy mirror of the L1
+(:class:`repro.cache.vector_mirror.TagMirror`); ``REPRO_VECTOR=0``
+selects the reference loop, :meth:`Simulation._run_reference`.
+``TestLazyThaw`` pins the laziness: the replay never boxes a chunk, a
+crashed run tags only the chunks it reached, and a shared trajectory
+keeps its chunks for the next point. ``TestGate`` pins which runs tag
+through the mirror and which loop runs. Bit-identity of every engine
+with the reference side is tests/sim/test_engine_identity.py's job.
 """
 
 import pytest
 
-from helpers import small_config
+from helpers import REFERENCE, fingerprint, run_mode, small_config
+from repro.cache.trajectory import Trajectory
+from repro.cache.vector_mirror import TagMirror
+from repro.fault.plan import CrashPlan
 from repro.sim.config import SystemConfig
 from repro.sim.simulator import Simulation
-from repro.trace import profiles
-from repro.trace.synthetic import THAW_BLOCK, TraceChunk, make_trace
 
 N = 60_000  # a few scheduled epochs at scale 256
 
 
+@pytest.fixture
+def tag_calls(monkeypatch):
+    """Count the chunks every trajectory tags."""
+    calls = []
+    tag = Trajectory._tag
+
+    def counted(self, addrs):
+        calls.append(len(addrs))
+        return tag(self, addrs)
+
+    monkeypatch.setattr(Trajectory, "_tag", counted)
+    return calls
+
+
+@pytest.fixture
+def probes(monkeypatch):
+    """Count the windows the tag pass classifies through its mirror."""
+    calls = []
+    hit_prefix = TagMirror.hit_prefix
+
+    def counted(self, addrs):
+        calls.append(len(addrs))
+        return hit_prefix(self, addrs)
+
+    monkeypatch.setattr(TagMirror, "hit_prefix", counted)
+    return calls
+
+
+def chunk_count(sim):
+    return sum(1 for _chunk in sim.traces[0].chunks())
+
+
 class TestLazyThaw:
-    def test_thaw_fills_whole_blocks(self):
-        chunk = next(make_trace(profiles.get_profile("gcc"), 20_000, seed=3).chunks())
-        gaps = chunk.lists[0]
-        assert chunk.thawed_refs == 0 and gaps[0] is None
-        chunk.thaw(THAW_BLOCK + 5, 2 * THAW_BLOCK + 5)
-        assert chunk.thawed_refs == 2 * THAW_BLOCK
-        assert gaps[THAW_BLOCK - 1] is None and gaps[3 * THAW_BLOCK] is None
-        # Reading outside the thawed blocks raises instead of misreading.
-        with pytest.raises(TypeError):
-            gaps[3 * THAW_BLOCK] + 1
-        frozen = chunk.frozen
-        arrays = (
-            frozen.gaps,
-            frozen.addrs,
-            frozen.writes,
-            frozen.cum,
-            frozen.run_ends,
-            frozen.write_cum,
-        )
-        lo, hi = THAW_BLOCK, 3 * THAW_BLOCK
-        for column, array in zip(chunk.lists, arrays):
-            assert column[lo:hi] == array[lo:hi].tolist()
-        chunk.thaw(THAW_BLOCK, 3 * THAW_BLOCK)
-        assert chunk.thawed_refs == 2 * THAW_BLOCK
-        # Reading a whole column thaws the rest.
-        assert chunk.gaps == chunk.frozen.gaps.tolist()
-        assert chunk.thawed_refs == len(chunk)
-
-    def test_missed_thaw_raises(self, monkeypatch):
-        # If the interpreter ever replayed a reference it had not thawed,
-        # it would read None and fail, never a wrong value.
-        monkeypatch.setattr(TraceChunk, "thaw", lambda self, lo, hi: self)
-        sim = Simulation(small_config(), "picl", ["hmmer"], N, seed=5)
-        with pytest.raises(TypeError):
-            sim.run()
-
     def test_hit_dominated_run_thaws_little(self, monkeypatch):
-        # Nearly every reference of ideal/hmmer is bulk-applied from the
-        # numpy columns; the per-chunk counts show how little is boxed.
+        # The replay reads only the numpy columns of ideal/hmmer's chunks:
+        # none of them is ever boxed into Python lists.
         config = SystemConfig().scaled(128)
         sim = Simulation(
             config, "ideal", ["hmmer"], config.epoch_instructions * 4, seed=7
@@ -78,34 +76,86 @@ class TestLazyThaw:
 
         monkeypatch.setattr(trace, "chunks", recording)
         sim.run()
-        refs = sum(len(chunk) for chunk in seen)
-        assert refs > 100_000
-        assert sum(chunk.thawed_refs for chunk in seen) < 0.1 * refs
+        assert sum(len(chunk) for chunk in seen) > 100_000
+        assert all(chunk._lists is None for chunk in seen)
+
+    def test_early_crash_tags_few_chunks(self, tag_calls):
+        # picl/mcf's second undo flush fires in the trace's first chunks:
+        # the lone run tags those and no more, and still matches the
+        # reference side.
+        config = small_config()
+        n = 400_000
+        sims = []
+        for engine, brute in (("trajectory", False), (REFERENCE, True)):
+            plan = CrashPlan.on_event("undo_flush", 2)
+            sims.append(run_mode(engine, config, "picl", ["mcf"], n, 5,
+                                 brute=brute, crash_plan=plan))
+        fast, reference = sims
+        assert fast.crashed and fast.crash_site == "undo_flush"
+        assert 0 < len(tag_calls) < chunk_count(fast) // 2
+        assert fingerprint(fast) == fingerprint(reference)
+
+    def test_single_pass_trace_tags_the_replayed_chunks(self, monkeypatch,
+                                                        tag_calls):
+        # A generator trace runs once; the replay tags the very chunks it
+        # is about to run, never a second pass over the trace.
+        monkeypatch.setenv("REPRO_NO_TRACE_MEMO", "1")
+        config = small_config()
+        fast = run_mode("trajectory", config, "picl", ["gcc"], N, 13)
+        reference = run_mode(REFERENCE, config, "picl", ["gcc"], N, 13,
+                             brute=True)
+        assert fingerprint(fast) == fingerprint(reference)
+        # Every reference was tagged once, and the trace was read once.
+        refs = fast.stats.get("loads") + fast.stats.get("stores")
+        assert sum(tag_calls) == refs
+        assert chunk_count(fast) == 0
+
+    def test_shared_trajectory_keeps_its_chunks(self, tag_calls):
+        # A batch's trajectory is tagged by its first point and replayed
+        # by the next; a lone run's own trajectory keeps nothing.
+        config = small_config()
+        first = Simulation(config, "picl", ["gcc"], N, seed=3)
+        trajectory = first.trajectory()
+        first.run(trajectory=trajectory)
+        n_chunks = chunk_count(first)
+        assert len(trajectory.chunks) == trajectory.tagged == n_chunks
+        second = Simulation(config, "frm", ["gcc"], N, seed=3)
+        second.run(trajectory=trajectory)
+        assert second.engine == "trajectory"
+        assert len(tag_calls) == n_chunks
+        lone = Trajectory(trajectory.geometry, keep=False)
+        Simulation(config, "frm", ["gcc"], N, seed=3).run(trajectory=lone)
+        assert lone.tagged == n_chunks and lone.chunks == []
 
 
 class TestGate:
-    def test_mirror_attached_by_default(self):
-        sim = Simulation(small_config(), "ideal", ["gcc"], 1_000, seed=1)
-        assert sim.hierarchy._l1[0]._vec is not None
+    def test_mirror_attached_by_default(self, probes):
+        # Every L1 associativity tags through the mirror.
+        for ways in (4, 16):
+            probes.clear()
+            sim = Simulation(small_config(l1_ways=ways), "ideal", ["hmmer"],
+                             N, seed=1)
+            sim.run()
+            assert sim.engine == "trajectory"
+            assert probes
 
-    def test_mirror_detached_when_disabled(self, monkeypatch):
+    def test_mirror_detached_when_disabled(self, monkeypatch, probes):
         monkeypatch.setenv("REPRO_VECTOR", "0")
         sim = Simulation(small_config(), "ideal", ["gcc"], 1_000, seed=1)
-        assert sim.hierarchy._l1[0]._vec is None
+        assert sim.trajectory() is None
+        sim.run()
+        assert sim.engine == "reference: REPRO_VECTOR=0"
+        assert not probes
 
-    def test_no_mirror_for_l1_wider_than_a_row(self):
-        config = small_config(l1_ways=16)
-        sim = Simulation(config, "ideal", ["gcc"], 1_000, seed=1)
-        assert sim.hierarchy._l1[0]._vec is None
-
-    def test_multi_core_keeps_no_mirrors(self):
-        # Multi-core runs classify nothing: the drain loop runs every
-        # reference, so no private L1 carries a mirror.
+    def test_multi_core_keeps_no_mirrors(self, probes):
+        # Multi-core runs tag nothing: the drain loop runs every
+        # reference.
         config = small_config(2)
         sim = Simulation(config, "ideal", ["gcc", "mcf"], 1_000, seed=1)
-        assert all(l1._vec is None for l1 in sim.hierarchy._l1)
+        assert sim.trajectory() is None
         sim.run()
         assert sim.engine == "drain"
+        assert not probes
 
     def test_retired_multi_core_sub_switch_is_inert(self, monkeypatch):
         # REPRO_VECTOR_MC once pinned multi-core runs to the reference
@@ -116,13 +166,12 @@ class TestGate:
         sim.run()
         assert sim.engine == "drain"
         single = Simulation(small_config(), "ideal", ["gcc"], 1_000, seed=1)
-        assert single.hierarchy._l1[0]._vec is not None
+        assert single.trajectory() is not None
 
     def test_multi_core_master_switch_wins(self, monkeypatch):
         # REPRO_VECTOR=0 disables every fast loop, multi-core included.
         monkeypatch.setenv("REPRO_VECTOR", "0")
         config = small_config(2)
         sim = Simulation(config, "ideal", ["gcc", "mcf"], 1_000, seed=1)
-        assert all(l1._vec is None for l1 in sim.hierarchy._l1)
         sim.run()
         assert sim.engine == "reference: REPRO_VECTOR=0"

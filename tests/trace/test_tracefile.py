@@ -71,6 +71,8 @@ class TestSaveLoad:
         sim.traces[0] = load_trace(path)
         result = sim.run()
         assert result.instructions >= 20_000
+        # The replay tags the loaded trace's own chunks.
+        assert result.engine == "trajectory"
 
     def test_replay_gives_identical_results(self, tmp_path):
         from repro.sim.config import SystemConfig
