@@ -293,7 +293,10 @@ def trajectory_key(point):
     """:func:`trace_key` plus the cache geometry that decides residency:
     cache sizes, ways and line size — not latencies or epoch length.
     Single-core points with equal keys have the same cache trajectory
-    (see :mod:`repro.cache.trajectory`), whatever their scheme."""
+    (see :mod:`repro.cache.trajectory`), whatever their scheme. Two
+    callers share one trajectory per key: :func:`_iter_batch` across a
+    batch's points, and :func:`repro.fault.harness.run_crash_matrix`
+    across a matrix call's crashed runs."""
     config = point.config
     return trace_key(point) + (
         config.l1_size,

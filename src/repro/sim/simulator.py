@@ -203,7 +203,8 @@ class Simulation:
         with the same trace and geometry (see :meth:`run`): the first
         replay to reach a chunk tags it, and the trajectory keeps it for
         the others. None when the point would not replay one: several
-        cores, or a config the fast engine declines."""
+        cores, a config the fast engine declines, or any run under
+        ``REPRO_VECTOR=0``."""
         if (
             len(self.cores) != 1
             or not self.hierarchy.vector

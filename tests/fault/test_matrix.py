@@ -24,7 +24,9 @@ from repro.fault.harness import (
 )
 from repro.fault.nvm_faults import INJECTORS
 from repro.fault.plan import CrashPlan, CrashSignal
+from repro.cache.trajectory import Trajectory
 from repro.sim.config import SystemConfig
+from repro.sim.parallel import RunPoint, trajectory_key
 from repro.sim.simulator import Simulation
 
 CONFIG = SystemConfig().scaled(512, track_reference=True, reference_depth=256)
@@ -155,21 +157,41 @@ def outcome_fields(outcome):
 
 @pytest.fixture(scope="module")
 def quick_matrix():
-    """The quick matrix once, counting simulations run and cells served."""
-    calls = {"run": 0, "cell": 0}
+    """The quick matrix once, counting simulations run, cells served and
+    trajectory chunks tagged, and recording per trajectory key the most
+    chunks any one run of it reached."""
+    calls = {"run": 0, "cell": 0, "tag": 0, "reached": {}}
     sim_run, cell_fn = Simulation.run, harness.run_cell
+    chunk_codes, tag = Trajectory.chunk_codes, Trajectory._tag
+    current = []
 
     def counted_run(self, *args, **kwargs):
         calls["run"] += 1
+        point = RunPoint.single(
+            self.config, self.scheme_name, self.benchmarks[0],
+            self.n_instructions, self.seed,
+        )
+        current[:] = [trajectory_key(point)]
         return sim_run(self, *args, **kwargs)
 
     def counted_cell(*args, **kwargs):
         calls["cell"] += 1
         return cell_fn(*args, **kwargs)
 
+    def counted_chunk_codes(self, index, chunk):
+        reached = calls["reached"]
+        reached[current[0]] = max(reached.get(current[0], 0), index + 1)
+        return chunk_codes(self, index, chunk)
+
+    def counted_tag(self, addrs):
+        calls["tag"] += 1
+        return tag(self, addrs)
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(Simulation, "run", counted_run)
         patch.setattr(harness, "run_cell", counted_cell)
+        patch.setattr(Trajectory, "chunk_codes", counted_chunk_codes)
+        patch.setattr(Trajectory, "_tag", counted_tag)
         outcomes = run_crash_matrix(CONFIG, epochs=SHARED_EPOCHS)
     return outcomes, calls
 
@@ -184,6 +206,16 @@ class TestSharedRuns:
     def test_run_cell_once_per_cell(self, quick_matrix):
         outcomes, calls = quick_matrix
         assert calls["cell"] == len(outcomes)
+
+    def test_each_trace_tagged_once(self, quick_matrix):
+        # The runs of one trace and cache geometry share one trajectory:
+        # each chunk is tagged by the first run to reach it, so the tag
+        # count is, summed over keys, the furthest any run of a key got.
+        # gcc (3 columns x 5 schemes + the torn flush), mcf (4 columns)
+        # and libquantum with the mid-ACS overrides.
+        _outcomes, calls = quick_matrix
+        assert len(calls["reached"]) == 3
+        assert calls["tag"] == sum(calls["reached"].values())
 
     def test_event_major_order_and_all_pass(self, quick_matrix):
         outcomes, _calls = quick_matrix
@@ -208,8 +240,11 @@ class TestSharedRuns:
             }
             assert len(served) == 1
 
+    # Every quick column: the runs that replay chunks another scheme's
+    # run tagged must validate exactly as a solo cell on its own
+    # trajectory does.
     @pytest.mark.parametrize(
-        "event_name", LATE_CRASH_EVENTS + ("epoch1-7", "undo-flush-torn")
+        "event_name", [event.name for event in matrix_events()]
     )
     def test_outcomes_equal_solo_cells(self, quick_matrix, event_name):
         outcomes, _calls = quick_matrix
@@ -221,6 +256,32 @@ class TestSharedRuns:
                 CONFIG, outcome.scheme, event, "gcc", SHARED_EPOCHS, seed=20180101
             )
             assert outcome_fields(outcome) == outcome_fields(solo)
+
+    def test_reference_loop_matches_default_engine(self, monkeypatch):
+        # Under REPRO_VECTOR=0, Simulation.trajectory() is None and every
+        # run of the shared trace falls back to the reference loop.
+        events = [e for e in matrix_events() if e.name == "epoch1-7"]
+        schemes = ("picl", "frm")
+        default = run_crash_matrix(
+            CONFIG, epochs=SHARED_EPOCHS, schemes=schemes, events=events
+        )
+        monkeypatch.setenv("REPRO_VECTOR", "0")
+        lent = []
+        make = Simulation.trajectory
+
+        def recorded(self):
+            lent.append(make(self))
+            return lent[-1]
+
+        monkeypatch.setattr(Simulation, "trajectory", recorded)
+        reference = run_crash_matrix(
+            CONFIG, epochs=SHARED_EPOCHS, schemes=schemes, events=events
+        )
+        assert lent == [None]  # made once for the shared trace, and None
+        assert len(reference) == 2
+        assert [outcome_fields(o) for o in reference] == [
+            outcome_fields(o) for o in default
+        ]
 
     def test_second_fault_column_sees_pristine_log(self, monkeypatch):
         seen = []

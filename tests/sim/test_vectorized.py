@@ -8,9 +8,10 @@ runs of L1 hits against a numpy mirror of the L1
 selects the reference loop, :meth:`Simulation._run_reference`.
 ``TestLazyThaw`` pins the laziness: the replay never boxes a chunk, a
 crashed run tags only the chunks it reached, and a shared trajectory
-keeps its chunks for the next point. ``TestGate`` pins which runs tag
-through the mirror and which loop runs. Bit-identity of every engine
-with the reference side is tests/sim/test_engine_identity.py's job.
+keeps its chunks for the next point, which tags on from where a crashed
+run stopped. ``TestGate`` pins which runs tag through the mirror and
+which loop runs. Bit-identity of every engine with the reference side
+is tests/sim/test_engine_identity.py's job.
 """
 
 import pytest
@@ -126,6 +127,39 @@ class TestLazyThaw:
         lone = Trajectory(trajectory.geometry, keep=False)
         Simulation(config, "frm", ["gcc"], N, seed=3).run(trajectory=lone)
         assert lone.tagged == n_chunks and lone.chunks == []
+
+    def test_shared_trajectory_resumes_after_a_crash(self, tag_calls):
+        # The crash matrix hands one trajectory to every run of a trace:
+        # a run that crashed early leaves it part-tagged, and the next run
+        # replays those chunks and tags on from the crashed run's MRU
+        # state. Both must match the reference side.
+        config = small_config()
+        n = 400_000
+        trajectory = Simulation(config, "picl", ["mcf"], n, seed=5).trajectory()
+        sims = []
+        for engine, brute, shared in (
+            ("trajectory", False, trajectory),
+            (REFERENCE, True, None),
+        ):
+            plan = CrashPlan.on_event("undo_flush", 2)
+            sims.append(run_mode(engine, config, "picl", ["mcf"], n, 5,
+                                 brute=brute, crash_plan=plan,
+                                 trajectory=shared))
+        crashed, crashed_reference = sims
+        assert crashed.crashed and crashed.crash_site == "undo_flush"
+        reached = len(tag_calls)
+        n_chunks = chunk_count(crashed)
+        assert 0 < reached < n_chunks
+        assert fingerprint(crashed) == fingerprint(crashed_reference)
+        full = run_mode("trajectory", config, "frm", ["mcf"], n, 5,
+                        trajectory=trajectory)
+        assert not full.crashed
+        # The full run tagged only the chunks the crashed run never reached.
+        assert len(tag_calls) == n_chunks
+        assert trajectory.tagged == len(trajectory.chunks) == n_chunks
+        reference = run_mode(REFERENCE, config, "frm", ["mcf"], n, 5,
+                             brute=True)
+        assert fingerprint(full) == fingerprint(reference)
 
 
 class TestGate:
