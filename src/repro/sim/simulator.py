@@ -51,11 +51,41 @@ _STORE_RUN = 16
 _SENTINEL = -64
 
 #: A run of L1 hits between two misses holding at least this many stores
-#: writes its scheme-silent stores in bulk (see Simulation._run_replay);
-#: the replay visits the stores of shorter runs one by one, like misses.
+#: writes its scheme-silent stores in bulk (see Simulation._run_replay),
+#: deduplicated by :func:`store_lines`; the replay visits the stores of
+#: shorter runs one by one, like misses.
 _BULK_STORES = 16
 
 SCHEME_NAMES = ("ideal", "journaling", "shadow", "frm", "thynvm", "picl")
+
+
+def store_lines(addrs):
+    """The lines a run of stores writes: ``(lines, first, last)``, numpy
+    arrays holding each line of the non-empty address array ``addrs``
+    once, in first-store order, with the indices of its first and last
+    store in ``addrs``.
+
+    An insertion-ordered dict gives the same: ``dict(zip(addrs,
+    range(len(addrs))))`` lists the lines in first-store order, each with
+    its last store's index. A stable sort keeps each line's stores in
+    order, so the head of each equal-address group is its first store and
+    the tail its last. Addresses spanning less than 64 KiB sort as 16-bit
+    offsets, which numpy sorts stably by radix, in linear time.
+    """
+    low = addrs.min()
+    if addrs.max() - low < 1 << 16:
+        order = (addrs - low).astype(np.uint16).argsort(kind="stable")
+    else:
+        order = addrs.argsort(kind="stable")
+    ranked = addrs[order]
+    head = np.empty(len(ranked), dtype=bool)
+    tail = np.empty_like(head)
+    head[0] = tail[-1] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=head[1:])
+    tail[:-1] = head[1:]
+    first = order[head]
+    by_first = first.argsort()
+    return ranked[head][by_first], first[by_first], order[tail][by_first]
 
 
 class _TraceCursor:
@@ -330,16 +360,24 @@ class Simulation:
         silent stores in bulk: no line moves between two misses, so the
         run's cross-epoch stores are known up front, and after them each
         line takes the token of its last store and turns dirty at its
-        first, in first-store order — what one by one would leave (an
-        insertion-ordered dict gives both). Shorter runs visit each store
-        like a miss.
+        first, in first-store order — what one by one would leave. One
+        numpy dedupe of the run's store addresses (:func:`store_lines`)
+        gives each stored line once, in first-store order, with its first
+        and last store; it drives the cross-epoch walk and the token
+        writes, and a crash inside a cross-epoch store writes the dedupe
+        of the stores before it. Shorter runs visit each store like a
+        miss.
 
         The scheme's own ``on_store``, ``write_back`` and ``fill_token``
         run at the scalar call sites, so undo flushes, forced commits and
         every crash-plan site fire at the reference loop's exact state.
         Epoch and crash boundaries cut each chunk into segments up front
         (its cumulative instruction counts searched against the next
-        boundary), so nothing inside a segment compares against one.
+        boundary), so nothing inside a segment compares against one. A
+        segment's rows (its events, then its end) come from numpy only
+        for the events it holds; its end row is four counts, so a segment
+        holding no event (most of a hit-dominated trace) costs its two
+        boundary searches and no per-store Python.
 
         Bit-identical to the reference loop (:meth:`_run_reference`),
         asserted by tests/sim/test_engine_identity.py.
@@ -394,9 +432,10 @@ class Simulation:
         # Silent stores not yet handed to on_store_bulk.
         silent = 0
 
-        def write_tokens(stored):
-            """Write ``(address, token)`` stores to the private records."""
-            for addr, token in stored:
+        def write_tokens(lines, tokens):
+            """Write each line's token to its private record, turning the
+            records dirty in the order given."""
+            for addr, token in zip(lines, tokens):
                 line = priv[addr]
                 line.token = token
                 if not line._dirty:
@@ -426,16 +465,18 @@ class Simulation:
                 # of the runs of hits between two misses that hold fewer
                 # than _BULK_STORES stores. (Made when first needed.)
                 events = [None, None]
-                # The chunk's stores; its j-th store draws token tok0 + j.
-                # Their lines are listed when a run of hits first writes
-                # stores in bulk.
-                stores = np.flatnonzero(np_writes)
-                saddrs = None
+                # The chunk's store positions; its j-th store draws token
+                # tok0 + j. (Made when a run of hits first writes stores
+                # in bulk.)
+                stores = None
                 tok0 = ntok
                 victims = victims.tolist()
                 vi = 0
                 n = len(frozen)
                 base = total
+                # The instructions and stores of the chunk before the
+                # segment.
+                c_start = w_start = 0
                 seg_start = 0
                 while seg_start < n:
                     limit = next_epoch - base
@@ -460,46 +501,81 @@ class Simulation:
                         if smode == 1:
                             ev = np.flatnonzero(codes | np_writes)
                         else:
+                            # The stores of each run of hits: those before
+                            # its closing miss (or the chunk's end) less
+                            # those up to its opening miss.
                             misses = np.flatnonzero(codes)
-                            hit_stores = np.flatnonzero(np_writes & (codes == 0))
-                            run = misses.searchsorted(hit_stores)
-                            few = np.bincount(run)[run] < _BULK_STORES
-                            ev = np.sort(np.concatenate((misses, hit_stores[few])))
+                            after = np_wcum[misses]
+                            held = np.append(
+                                after - np_writes[misses], np_wcum[-1]
+                            ) - np.append(0, after)
+                            few = held < _BULK_STORES
+                            ev = misses
+                            if held[few].any():
+                                hit_stores = np.flatnonzero(
+                                    np_writes & (codes == 0)
+                                )
+                                few = few[misses.searchsorted(hit_stores)]
+                                ev = np.sort(
+                                    np.concatenate((misses, hit_stores[few]))
+                                )
                         events[smode == 1] = ev
-                    ev = ev[slice(*ev.searchsorted((seg_start, seg_end)))]
-                    # Per event, then the segment end as a sentinel (a
-                    # negative code): its position p, the clock advance
-                    # from the previous event to its access (the L1 hits
+                    # One row per event, then the segment end as a sentinel
+                    # (a negative code): its position p, the clock advance
+                    # from the previous row to its access (the L1 hits
                     # between at one hit latency each, every gap including
                     # its own), those hits, the chunk's stores before it,
                     # its trajectory byte (plus _STORE_RUN when the hits
-                    # before it hold stores), line and store bit.
-                    pos = np.append(ev, seg_end)
-                    reach = np.append(np_cum[ev] - 1, np_cum[seg_end - 1])
-                    prev_reach = np.empty_like(reach)
-                    prev_reach[0] = np_cum[seg_start - 1] if seg_start else 0
-                    prev_reach[1:] = reach[:-1] + 1
-                    ev_w = np_writes[ev]
-                    before = np.append(np_wcum[ev] - ev_w, np_wcum[seg_end - 1])
-                    prev_stores = np.empty_like(before)
-                    prev_stores[0] = np_wcum[seg_start - 1] if seg_start else 0
-                    prev_stores[1:] = before[:-1] + ev_w
-                    hits = np.diff(pos, prepend=seg_start - 1) - 1
-                    ev_codes = np.append(codes[ev], _SENTINEL)
-                    ev_codes[before != prev_stores] |= _STORE_RUN
-                    ev_addrs = frozen.addrs[ev].tolist()
-                    ev_addrs.append(0)
-                    ev_w = ev_w.tolist()
-                    ev_w.append(False)
-                    for p, step, k_hits, wp, code, addr, w in zip(
-                        pos.tolist(),
-                        (reach - prev_reach + hits * lat1).tolist(),
-                        hits.tolist(),
-                        before.tolist(),
-                        ev_codes.tolist(),
-                        ev_addrs,
-                        ev_w,
-                    ):
+                    # before it hold stores), line and store bit. Only a
+                    # segment holding events builds rows in numpy; the
+                    # sentinel takes the instruction and store counts after
+                    # the last event (or at the segment's start) and at
+                    # its end.
+                    e_lo, e_hi = ev.searchsorted((seg_start, seg_end)).tolist()
+                    c_end = int(np_cum[seg_end - 1])
+                    w_end = int(np_wcum[seg_end - 1])
+                    if e_lo == e_hi:
+                        last_p, c_prev, w_prev = seg_start - 1, c_start, w_start
+                    else:
+                        last_p = int(ev[e_hi - 1])
+                        c_prev = int(np_cum[last_p])
+                        w_prev = int(np_wcum[last_p])
+                    k_end = seg_end - 1 - last_p
+                    sentinel = (
+                        seg_end,
+                        c_end - c_prev + k_end * lat1,
+                        k_end,
+                        w_end,
+                        _SENTINEL | _STORE_RUN if w_end != w_prev else _SENTINEL,
+                        0,
+                        False,
+                    )
+                    if e_lo == e_hi:
+                        rows = (sentinel,)
+                    else:
+                        ev = ev[e_lo:e_hi]
+                        ev_cum = np_cum[ev]
+                        ev_wcum = np_wcum[ev]
+                        ev_w = np_writes[ev]
+                        hits = np.diff(ev, prepend=seg_start - 1) - 1
+                        ev_codes = codes[ev] | np.where(
+                            np.diff(ev_wcum, prepend=w_start) != ev_w, _STORE_RUN, 0
+                        )
+                        columns = (
+                            ev.tolist(),
+                            (
+                                np.diff(ev_cum, prepend=c_start) - 1 + hits * lat1
+                            ).tolist(),
+                            hits.tolist(),
+                            (ev_wcum - ev_w).tolist(),
+                            ev_codes.tolist(),
+                            frozen.addrs[ev].tolist(),
+                            ev_w.tolist(),
+                        )
+                        for column, value in zip(columns, sentinel):
+                            column.append(value)
+                        rows = zip(*columns)
+                    for p, step, k_hits, wp, code, addr, w in rows:
                         if code & _STORE_RUN:
                             # -- a run of hits with at least _BULK_STORES
                             # stores, under a True or an EID filter. No
@@ -508,37 +584,35 @@ class Simulation:
                             # first store of each line tagged otherwise
                             # than the filter EID runs on_store. The silent
                             # ones write their tokens at the end, each line
-                            # its last, in first-store order.
-                            if saddrs is None:
-                                saddrs = frozen.addrs[stores].tolist()
+                            # its last, in first-store order (store_lines).
+                            if stores is None:
+                                stores = np.flatnonzero(np_writes)
                             done = p - k_hits
                             lo = w_done = int(np_wcum[done - 1]) if done else 0
-                            last = dict(zip(
-                                saddrs[lo:wp], range(tok0 + lo, tok0 + wp)
-                            ))
+                            lines, first, last = store_lines(
+                                frozen.addrs[stores[lo:wp]]
+                            )
+                            lines = lines.tolist()
                             cross = ()
                             if smode == 2:
-                                cross = [a for a in last if priv[a].eid != eid]
+                                cross = [
+                                    (a, j) for a, j in zip(lines, first.tolist())
+                                    if priv[a].eid != eid
+                                ]
                             if cross:
-                                first = dict(zip(
-                                    reversed(saddrs[lo:wp]),
-                                    range(wp - 1, lo - 1, -1),
-                                ))
-                                spos = stores.tolist()
-                                scum = np_cum[stores].tolist()
                                 # The instructions before the first
                                 # reference after the previous event (then
                                 # cross-epoch store).
                                 c_done = int(np_cum[done - 1]) if done else 0
-                                for a in cross:
+                                for a, j in cross:
                                     # A cross-epoch store, at its own cycle.
-                                    j = first[a]
+                                    j += lo
                                     n_silent = j - w_done
                                     silent += n_silent
                                     d_stores += n_silent
-                                    q = spos[j]
+                                    q = int(stores[j])
                                     k = q - done
-                                    c_store = scum[j]
+                                    c_store = int(np_cum[q])
                                     cycle += c_store - 1 - c_done + k * lat1
                                     mstall += k * l1_lat
                                     d_l1_hits += k + 1
@@ -558,7 +632,7 @@ class Simulation:
                                     w_done = j + 1
                                 k_hits = p - done
                                 if code < 0:
-                                    x = int(np_cum[p - 1])
+                                    x = c_end
                                 else:
                                     x = int(np_cum[p]) - 1
                                 step = x - c_done + k_hits * lat1
@@ -567,7 +641,7 @@ class Simulation:
                             d_stores += n_silent
                             # The retirement below counts every hit a load.
                             d_loads -= n_silent
-                            write_tokens(last.items())
+                            write_tokens(lines, (last + (tok0 + lo)).tolist())
                             unwritten = None
                             ntok = tok0 + wp
                         # -- retire the L1 hits before p, and p's gap
@@ -674,11 +748,12 @@ class Simulation:
                         mstall += wait
                     inflight = None
                     seg_start = seg_end
-                    ntok = tok0 + wp
+                    c_start, w_start = c_end, w_end
+                    ntok = tok0 + w_end
                     if silent:
                         on_store_bulk(silent)
                         silent = 0
-                    total = base + int(reach[-1])
+                    total = base + c_end
                     if total >= next_epoch or (crash is not None and total >= crash):
                         system.total_instructions = total
                         core.instructions = total
@@ -702,7 +777,9 @@ class Simulation:
             if unwritten is not None:
                 # The stores before the crashed one retired.
                 lo, j = unwritten
-                write_tokens(zip(saddrs[lo:j], range(tok0 + lo, tok0 + j)))
+                if j > lo:
+                    lines, _, last = store_lines(frozen.addrs[stores[lo:j]])
+                    write_tokens(lines.tolist(), (last + (tok0 + lo)).tolist())
             if inflight is not None:
                 # Mid-chain: as in the reference loop, the in-flight
                 # reference's gap is on the core's clock and instruction

@@ -242,6 +242,10 @@ ROWS = [
     # flush tears after one entry, ~60% of the way in.
     row("lazy-crash-at-hmmer", TRAJ, "picl", "hmmer", 83, crash_at=CRASH_AT,
         must_crash=True),
+    # The same stop under a True store filter: it lands in a segment
+    # that holds no event, inside a run of hits written in bulk.
+    *[row("lazy-crash-at-hmmer-" + s, TRAJ, s, "hmmer", 83, crash_at=CRASH_AT,
+          must_crash=True) for s in ("ideal", "frm")],
     row("lazy-site-undo_flush-hmmer", TRAJ, "picl", "hmmer", 89, n=400_000,
         site="undo_flush", tear=1, must_crash=True),
     # PiCL's cross-epoch store hits, each run through on_store at its own
@@ -257,6 +261,11 @@ ROWS = [
     row("cross-epoch-cut-site-undo_flush-namd", TRAJ, "picl", "namd", 77,
         scale=128, epoch_instructions=8_000, site="undo_flush", occurrence=3,
         tear=1, must_crash=True),
+    # Epoch boundaries cutting runs of hits written in bulk under a True
+    # store filter, where no store runs on_store.
+    *[row("bulk-cut-%s-%s" % (s, b), TRAJ, s, b, 77, scale=128,
+          epoch_instructions=ep)
+      for s, b, ep in (("ideal", "povray", 15_000), ("frm", "namd", 8_000))],
     # One core, every engine string.
     row("4-way-l1", TRAJ, "picl", "gcc", 19),
     row("16-way-l1-undo-flush-crash", TRAJ, "picl", "gcc", 19, **WIDE,
