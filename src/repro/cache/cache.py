@@ -72,10 +72,6 @@ class SetAssocCache:
     # lookups
     # ------------------------------------------------------------------
 
-    def set_index(self, line_addr):
-        """Index of the set a line address maps to."""
-        return (line_addr >> self._line_shift) & self._set_mask
-
     def lookup(self, line_addr, touch=True):
         """Return the line at ``line_addr`` or None; ``touch`` updates LRU."""
         line = self._tags.get(line_addr)

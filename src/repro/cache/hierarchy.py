@@ -31,6 +31,9 @@ from repro.cache.cache import SetAssocCache
 from repro.cache.eid_index import EidIndex
 from repro.cache.line import CacheLine, LineState
 
+_new_line = CacheLine.__new__
+_EXCLUSIVE = LineState.EXCLUSIVE
+
 
 class EvictionSink:
     """Default sink: write everything in place (the Ideal-NVM behaviour)."""
@@ -186,8 +189,18 @@ class CacheHierarchy:
         return wait
 
     def _fill_to_l1(self, core, line_addr, now):
-        """Bring a line into the core's L1; returns (line, latency, stall)."""
+        """Bring a line into the core's L1, through its L2 and the LLC
+        and memory below; returns (line, latency, stall).
+
+        This is the one miss chain every engine runs: ``access`` and the
+        multi-core drain call it on every L1 miss. Each fill copies the
+        line's data and EID tag up a level (``CacheLine.copy_fill``,
+        slot by slot), and each insert is ``SetAssocCache.insert``
+        inline, with the victim's dirty-dict entry dropped at pop time,
+        before a merge can flip its dirty bit.
+        """
         self._l1_misses.value += 1
+        l1 = self._l1[core]
         l2 = self._l2[core]
         stall = 0
         # Inline tag probe + LRU touch (same shape as the L1 fast path).
@@ -201,83 +214,98 @@ class CacheHierarchy:
             self._l2_hits.value += 1
         else:
             self._l2_misses.value += 1
-            source, latency, stall = self._fill_to_l2(core, line_addr, now)
-        line = source.copy_fill(line_addr)
-        l1 = self._l1[core]
-        # Inlined SetAssocCache.insert (this runs on every L1 miss). The
-        # dirty dict is updated at pop time, before any merge can flip
-        # the victim's dirty bit — same order as the out-of-line insert.
+            llc = self.llc
+            llc_line = llc._tags.get(line_addr)
+            if llc_line is not None:
+                cache_set = llc._sets[(line_addr >> llc._line_shift) & llc._set_mask]
+                if cache_set[0] is not llc_line:
+                    cache_set.remove(llc_line)
+                    cache_set.insert(0, llc_line)
+                latency = llc.hit_latency
+                self._llc_hits.value += 1
+                if llc_line.owner is not None and llc_line.owner != core:
+                    self._snoop_invalidate(llc_line)
+            else:
+                self._llc_misses.value += 1
+                override = self.sink.fill_token(line_addr)
+                mem_latency, token = self.controller.demand_fill(line_addr, now)
+                if override is not None:
+                    token = override
+                    self.stats.add("llc.fills_from_log")
+                llc_line = CacheLine(line_addr, token=token)
+                stall = self._insert_llc(llc_line, now)
+                latency = llc.hit_latency + mem_latency
+            llc_line.owner = core
+            # The L2 fill.
+            source = _new_line(CacheLine)
+            source.addr = line_addr
+            source.state = _EXCLUSIVE
+            source._dirty = False
+            source.token = llc_line.token
+            source.eid = llc_line.eid
+            source.owner = None
+            sub_eids = llc_line.sub_eids
+            source.sub_eids = list(sub_eids) if sub_eids is not None else None
+            cache_set = l2._sets[(line_addr >> l2._line_shift) & l2._set_mask]
+            cache_set.insert(0, source)
+            l2._tags[line_addr] = source
+            source._home = l2
+            if len(cache_set) > l2.assoc:
+                victim = cache_set.pop()
+                addr = victim.addr
+                del l2._tags[addr]
+                victim._home = None
+                if victim._dirty:
+                    del l2._dirty_lines[addr]
+                l2._evictions.value += 1
+                # Inclusion: the L1 copy leaves too (SetAssocCache.remove
+                # inline; private caches carry no EID index), and its
+                # dirty data folds into the victim.
+                dropped = l1._tags.pop(addr, None)
+                if dropped is not None:
+                    l1._sets[(addr >> l1._line_shift) & l1._set_mask].remove(dropped)
+                    dropped._home = None
+                    if dropped._dirty:
+                        del l1._dirty_lines[addr]
+                        self._merge_lines(victim, dropped)
+                if victim._dirty:
+                    target = llc._tags.get(addr)
+                    if target is None:
+                        raise SimulationError(
+                            "inclusion violated: L2 victim %#x absent from LLC"
+                            % addr
+                        )
+                    self._merge_lines(target, victim)
+            latency += l2.hit_latency
+        # The L1 fill.
+        line = _new_line(CacheLine)
+        line.addr = line_addr
+        line.state = _EXCLUSIVE
+        line._dirty = False
+        line.token = source.token
+        line.eid = source.eid
+        line.owner = None
+        sub_eids = source.sub_eids
+        line.sub_eids = list(sub_eids) if sub_eids is not None else None
         cache_set = l1._sets[(line_addr >> l1._line_shift) & l1._set_mask]
         cache_set.insert(0, line)
         l1._tags[line_addr] = line
         line._home = l1
-        if line._dirty:
-            l1._dirty_lines[line_addr] = line
         if len(cache_set) > l1.assoc:
             victim = cache_set.pop()
-            del l1._tags[victim.addr]
+            addr = victim.addr
+            del l1._tags[addr]
             victim._home = None
             l1._evictions.value += 1
             if victim._dirty:
-                del l1._dirty_lines[victim.addr]
-                self._merge_down(victim, l2, line_addr_level="l2")
-        return line, latency + l1.hit_latency, stall
-
-    def _fill_to_l2(self, core, line_addr, now):
-        """Bring a line into the core's L2; returns (line, latency, stall)."""
-        llc = self.llc
-        stall = 0
-        # Inline tag probe + LRU touch (same shape as the L1 fast path).
-        llc_line = llc._tags.get(line_addr)
-        if llc_line is not None:
-            cache_set = llc._sets[(line_addr >> llc._line_shift) & llc._set_mask]
-            if cache_set[0] is not llc_line:
-                cache_set.remove(llc_line)
-                cache_set.insert(0, llc_line)
-            latency = llc.hit_latency
-            self._llc_hits.value += 1
-            if llc_line.owner is not None and llc_line.owner != core:
-                self._snoop_invalidate(llc_line)
-        else:
-            self._llc_misses.value += 1
-            override = self.sink.fill_token(line_addr)
-            mem_latency, token = self.controller.demand_fill(line_addr, now)
-            if override is not None:
-                token = override
-                self.stats.add("llc.fills_from_log")
-            llc_line = CacheLine(line_addr, token=token)
-            stall += self._insert_llc(llc_line, now)
-            latency = llc.hit_latency + mem_latency
-        llc_line.owner = core
-        line = llc_line.copy_fill(line_addr)
-        l2 = self._l2[core]
-        # Inlined SetAssocCache.insert; dirty dict updated at pop time,
-        # before the L1 merge can re-dirty the victim (see _fill_to_l1).
-        cache_set = l2._sets[(line_addr >> l2._line_shift) & l2._set_mask]
-        cache_set.insert(0, line)
-        l2._tags[line_addr] = line
-        line._home = l2
-        if line._dirty:
-            l2._dirty_lines[line_addr] = line
-        if len(cache_set) > l2.assoc:
-            victim = cache_set.pop()
-            del l2._tags[victim.addr]
-            victim._home = None
-            if victim._dirty:
-                del l2._dirty_lines[victim.addr]
-            l2._evictions.value += 1
-            dropped = self._l1[core].remove(victim.addr)
-            if dropped is not None and dropped._dirty:
-                self._merge_lines(victim, dropped)
-            if victim._dirty:
-                target = llc._tags.get(victim.addr)
+                del l1._dirty_lines[addr]
+                target = l2._tags.get(addr)
                 if target is None:
                     raise SimulationError(
-                        "inclusion violated: L2 victim %#x absent from LLC"
-                        % victim.addr
+                        "inclusion violated: L1 victim %#x absent from l2" % addr
                     )
                 self._merge_lines(target, victim)
-        return line, latency + l2.hit_latency, stall
+        return line, latency + l1.hit_latency, stall
 
     def _insert_llc(self, line, now):
         """Insert into the LLC, handling the victim; returns stall cycles."""
@@ -343,7 +371,12 @@ class CacheHierarchy:
         EID) must not pay a call into the index.
         """
         target.token = source.token
-        target.dirty = True
+        # Inlined ``target.dirty = True`` (see CacheLine.dirty).
+        if not target._dirty:
+            target._dirty = True
+            home = target._home
+            if home is not None:
+                home._dirty_lines[target.addr] = target
         old_eid = target.eid
         new_eid = source.eid
         old_had_sub = target.sub_eids is not None
@@ -354,15 +387,6 @@ class CacheHierarchy:
             home = target._home
             if home is not None and home.eid_index is not None:
                 home.eid_index.refresh(target, old_eid, old_had_sub)
-
-    def _merge_down(self, victim, lower_cache, line_addr_level):
-        target = lower_cache.lookup(victim.addr, touch=False)
-        if target is None:
-            raise SimulationError(
-                "inclusion violated: L1 victim %#x absent from %s"
-                % (victim.addr, line_addr_level)
-            )
-        self._merge_lines(target, victim)
 
     def _back_invalidate(self, llc_victim):
         """Remove private copies of an LLC victim, folding in dirty data."""

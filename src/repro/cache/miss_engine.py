@@ -1,56 +1,53 @@
-"""Multi-core miss-chain engine: the whole reference chain as one fused loop.
+"""Multi-core miss-chain engine: the cores' turns as one fused loop.
 
-In the reference loop every reference runs ``CacheHierarchy.access`` — a
-chain of six-plus Python calls per miss (``access`` → ``_fill_to_l1`` →
-``_fill_to_l2`` → ``_insert_llc`` → ``demand_fill``/``write_back`` →
-channel arithmetic), each re-resolving attributes the previous frame
-already held, plus one heap operation per reference to pick the next
-core. On several cores the fast engine replaces both with a **drain**: a
-single generator that runs the cores' references with the cache chain
-transcribed inline — L1/L2/LLC probes, LRU order, fills, victim
-selection in eviction order, back-invalidation, the demand read's NVM
-channel recurrence as local-integer arithmetic and the stat deltas.
-Scheme semantics are not transcribed: ``on_store``, ``on_store_repeat``,
-``write_back`` and ``fill_token`` are always calls to the scheme's own
-methods at the exact scalar call sites. The one exception is generic:
-under an EID ``vector_store_filter()``, a store to a line tagged with
-that EID is scheme-silent, so the drain only counts it and hands the
-count to ``on_store_bulk`` before the next out-of-line ``on_store`` and
-at every yield. (One core needs none of this: its cache outcome is
-scheme-free and replayed from a trajectory, see
-:mod:`repro.cache.trajectory`.)
+In the reference loop every reference runs ``CacheHierarchy.access``,
+and one heap operation per reference picks the next core. On several
+cores the fast engine replaces both with a **drain**: a single
+generator that runs the cores' references in the heap loop's order and
+switches cores inline. It keeps only what is its own:
+
+* the turn/horizon loop (below);
+* the L1 hit, inline: a tag probe and an LRU touch;
+* the store continuation of ``access``: the token, the dirty bit, the
+  MODIFIED state and the scheme's ``on_store``;
+* run coalescing: the rest of a same-line run of L1 hits retires in
+  O(1);
+* silent-store counting: under an EID ``vector_store_filter()``, a
+  store to a line tagged with that EID is scheme-silent, so the drain
+  only counts it and hands the count to ``on_store_bulk`` before the
+  next out-of-line ``on_store`` and at every yield.
+
+An L1 miss calls the hierarchy's own chain,
+``CacheHierarchy._fill_to_l1``: the L2, LLC and NVM fills, victim
+selection, back-invalidation and the scheme's ``fill_token`` and
+``write_back``, with the hierarchy counting its own stats. Scheme
+semantics are the scheme's own methods too: ``on_store``,
+``on_store_repeat`` and ``on_store_bulk`` run at the scalar call sites.
+So each cache rule and each scheme rule is defined once, and every
+config runs here, whatever its NVM channels, DRAM cache or eviction
+sink. (One core needs none of this: its cache outcome is scheme-free
+and replayed from a trajectory, see :mod:`repro.cache.trajectory`.)
 
 Deferred bookkeeping:
 
-* stat counters accumulate in locals and land once per run
+* the drain's own counters (``l1.hits``, ``loads``, ``stores``)
+  accumulate in locals and land once, when the generator ends
   (delta-commutative with anything an out-of-line callee bumps);
 * ``core.cycle`` / ``mem_stall_cycles`` / ``system._next_token`` live in
   locals and are written back at every core switch and yield.
 
 **Bit-identity argument.** The drain visits references in exactly the
-scalar order and mutates all *shared* structures (tag dicts, LRU lists,
-dirty dicts, EID index) at exactly the scalar program points. Deferral
-is restricted to state nothing reads mid-drain, and every deferral is
+scalar order, and every shared structure changes in the scalar code
+itself: the inline L1 hit and store continuation mirror ``access`` line
+for line, and everything else is the scalar call. Deferral is
+restricted to state nothing reads mid-drain, and every deferral is
 forced down before any point that could observe it:
 
 * the silent-store count lands through ``on_store_bulk`` before every
   out-of-line ``on_store`` (so each call sees the scheme state the
   scalar loop leaves) and at every yield;
-* channel timing state is held in locals but synced to the ``_Channel``
-  object around every scheme call (undo flushes, write-backs and store
-  hooks issue NVM traffic of their own); a live-flag keeps the exit sync
-  from clobbering updates made by a callee that raised;
 * counters/cycles/tokens flush in a ``finally``, so even a mid-drain
   ``CrashSignal`` leaves exactly the scalar crash-time values.
-
-**Safety conditions** (:func:`decline_reason` names the first one that
-fails; the simulation then runs the reference loop,
-``Simulation._run_reference``, as it does under ``REPRO_VECTOR=0``; the
-single-core trajectory replay makes the same checks):
-
-* the hierarchy's eviction sink is the scheme itself;
-* no DRAM cache in front of NVM;
-* a single NVM channel, whose recurrence the drain transcribes.
 
 **The turn order.** The drain keeps the order of the reference heap loop
 (``Simulation._run_reference``): it pops the earliest ``cycle * n_cores +
@@ -58,53 +55,28 @@ core`` key (the heap loop's ``(cycle, core)`` tuple as one int) and runs
 that core while its clock stays within the *horizon* — the smallest
 other key, which no other core can move while this one runs. The first
 reference past the horizon still retires; then the loop writes back the
-core's clock, ``heappushpop``s its key, and unpacks the next core's
-private caches and trace columns (:meth:`MissChainEngine.bind`) in
-place. Everything the cores share (token counter, NVM channel,
-silent-store count, stat deltas) stays in locals across the switch.
-The loop yields to its caller (``Simulation._run_multi_core_drain``)
-only where the running core retires the reference that crosses the next
-epoch or crash boundary, or the last reference of its chunk.
+core's clock, ``heappushpop``s its key, and unpacks the next core's L1
+and trace columns (:meth:`MissChainEngine.bind`) in place. Everything
+the cores share (token counter, silent-store count, counter deltas)
+stays in locals across the switch. The loop yields to its caller
+(``Simulation._run_multi_core_drain``) only where the running core
+retires the reference that crosses the next epoch or crash boundary, or
+the last reference of its chunk.
 
 A scheme needs nothing to run on the drain: every hook it overrides is
 called where the reference loop calls it, so a new scheme is
 automatically exact.
-
-The EID-index discard on LLC eviction is deliberately **never** deferred:
-with a deferred discard, an old line and a same-address successor with
-the same EID would share a bucket slot, and the late discard would pop
-the successor's entry — index drift the fail-fast ``retag`` would only
-catch much later. ``EidIndex.verify_against`` is the differential oracle
-for exactly this class of bug.
 """
 
 import heapq
 import types
 from bisect import bisect_left
 
-from repro.baselines.base import CrashConsistencyScheme
-from repro.cache.line import CacheLine, LineState
-from repro.common.eid import EpochId
-from repro.common.errors import SimulationError
-from repro.mem.nvm import AccessCategory
+from repro.cache.line import LineState
 
 #: The horizon of a turn no other core can end: the last core still
 #: running.
 _NO_HORIZON = 1 << 62
-
-
-def decline_reason(sim):
-    """Why the drain cannot run ``sim``, or None when it can."""
-    hierarchy = sim.hierarchy
-    if hierarchy.sink is not sim.scheme:
-        return "eviction sink is not the scheme"
-    controller = hierarchy.controller
-    if controller.dram_cache is not None:
-        return "dram cache in front of nvm"
-    device = controller.device
-    if device._only_channel is None:
-        return "nvm has %d channels" % len(device._channels)
-    return None
 
 
 def _store_mode(sfilter):
@@ -145,27 +117,18 @@ class MissChainEngine:
     """Per-simulation state + the drain-closure factory."""
 
     def __init__(self, sim):
-        hierarchy = sim.hierarchy
-        self.hierarchy = hierarchy
+        self.hierarchy = sim.hierarchy
         self.system = sim.system
         self.cores = sim.cores
-        controller = hierarchy.controller
-        self.controller = controller
-        self.device = controller.device
-        self.l2 = hierarchy._l2[0]
-        self.llc = hierarchy.llc
 
     def bind(self, core_id, chunk):
-        """One core's switch-in tuple: its clock, private L1/L2 and the
-        replay columns of its current chunk, in the order the drain
-        loop unpacks them."""
+        """One core's switch-in tuple: the core, its private L1 and the
+        replay columns of its current chunk, in the order the drain loop
+        unpacks them."""
         l1 = self.hierarchy._l1[core_id]
-        l2 = self.hierarchy._l2[core_id]
         gaps, addrs, writes, cum, run_ends, wcum = chunk.lists
         return (
-            self.cores[core_id],
-            l1, l1._tags, l1._sets, l1._dirty_lines,
-            l2, l2._tags, l2._sets, l2._dirty_lines,
+            self.cores[core_id], l1._tags, l1._sets, l1._dirty_lines,
             gaps, addrs, writes, cum, run_ends, wcum, len(gaps),
         )
 
@@ -193,10 +156,7 @@ class MissChainEngine:
         """
         hierarchy = self.hierarchy
         system = self.system
-        controller = self.controller
-        device = self.device
-        l1, l2, llc = hierarchy._l1[0], self.l2, self.llc
-        channel = device._only_channel
+        l1 = hierarchy._l1[0]
         sink = hierarchy.sink
 
         def turn_gen(
@@ -209,92 +169,33 @@ class MissChainEngine:
             heappop=heapq.heappop,
             heappushpop=heapq.heappushpop,
             store_filter=sink.vector_store_filter,
-            back_inv=hierarchy._back_invalidate,
             system=system,
             track=system.track_reference,
             arch_image=system.arch_image,
             modified=LineState.MODIFIED,
-            # L1 (the first core's private caches; every turn rebinds them
-            # per core, together with the core and its chunk columns)
+            fill=hierarchy._fill_to_l1,
+            smf=hierarchy.store_miss_factor,
+            # The running core and its L1: every turn rebinds them,
+            # together with the core's chunk columns. The L1 geometry is
+            # every core's.
             cid=0,
             core=self.cores[0],
-            l1=l1,
             l1_tags=l1._tags,
             l1_sets=l1._sets,
             l1_dirty=l1._dirty_lines,
             l1_shift=l1._line_shift,
             l1_mask=l1._set_mask,
-            l1_assoc=l1.assoc,
             l1_latency=l1.hit_latency,
             lat1=l1.hit_latency - 1,
-            # L2
-            l2=l2,
-            l2_tags=l2._tags,
-            l2_sets=l2._sets,
-            l2_dirty=l2._dirty_lines,
-            l2_shift=l2._line_shift,
-            l2_mask=l2._set_mask,
-            l2_assoc=l2.assoc,
-            l2_latency=l2.hit_latency,
-            # LLC
-            llc=llc,
-            llc_tags=llc._tags,
-            llc_sets=llc._sets,
-            llc_dirty=llc._dirty_lines,
-            llc_shift=llc._line_shift,
-            llc_mask=llc._set_mask,
-            llc_assoc=llc.assoc,
-            llc_latency=llc.hit_latency,
-            index=llc.eid_index,
-            buckets=llc.eid_index.buckets if llc.eid_index is not None else None,
-            index_refresh=(
-                llc.eid_index.refresh if llc.eid_index is not None else None
-            ),
-            # NVM / controller
-            channel=channel,
-            read_occ=device._line_read_occupancy,
-            icap=device._interference_cap,
-            img_lines=controller.image._lines,
-            smf=hierarchy.store_miss_factor,
             # the scheme's own hooks, called at the scalar call sites
-            ft=(
-                sink.fill_token
-                if type(sink).fill_token is not CrashConsistencyScheme.fill_token
-                else None
-            ),
             sink_on_store=sink.on_store,
             sink_repeat=sink.on_store_repeat,
             sink_bulk=sink.on_store_bulk,
-            sink_wb=sink.write_back,
-            snoop=hierarchy._snoop_invalidate,
-            # the hierarchy's fault plan (installed before run())
-            h_fault=hierarchy.fault_plan,
-            # stat slots (deferred via local deltas, flushed in finally)
-            stats_add=hierarchy.stats.add,
+            # the drain's own counters (deferred via local deltas,
+            # flushed in finally)
             s_l1_hits=hierarchy._l1_hits,
             s_loads=hierarchy._loads,
             s_stores=hierarchy._stores,
-            s_l1_miss=hierarchy._l1_misses,
-            s_l2_hits=hierarchy._l2_hits,
-            s_l2_miss=hierarchy._l2_misses,
-            s_llc_hits=hierarchy._llc_hits,
-            s_llc_miss=hierarchy._llc_misses,
-            s_llc_dirty=hierarchy._llc_dirty_evictions,
-            s_llc_clean=hierarchy._llc_clean_evictions,
-            # Every L1 (and every L2) counts into the one shared
-            # "l1.evictions" ("l2.evictions") slot, so one delta per
-            # level serves all cores.
-            s_l1_ev=l1._evictions,
-            s_l2_ev=l2._evictions,
-            s_llc_ev=llc._evictions,
-            s_fills=controller._demand_fills,
-            s_iops_dr=device._iops_slots[AccessCategory.DEMAND_READ],
-            s_bytes_r=device._bytes_read,
-            CacheLine=CacheLine,
-            new_line=CacheLine.__new__,
-            EXCLUSIVE=LineState.EXCLUSIVE,
-            EID_NONE=EpochId.NONE,
-            SimulationError=SimulationError,
         ):
             smode, sys_eid = _store_mode(store_filter())
             heap = turns.heap
@@ -311,16 +212,7 @@ class MissChainEngine:
             ntok = system._next_token
             # Silent stores (smode 2) not yet handed to on_store_bulk.
             silent = 0
-            d_l1_hits = d_loads = d_stores = d_l1_miss = 0
-            d_l2_hits = d_l2_miss = d_llc_hits = d_llc_miss = 0
-            d_llc_dirty = d_llc_clean = d_l1_ev = d_l2_ev = d_llc_ev = 0
-            d_fills = d_iops_dr = d_bytes_r = 0
-            # Channel recurrence state as local ints; ch_live flags when
-            # the locals (not the object) are authoritative.
-            rbu = channel.read_busy_until
-            wbk = channel.write_backlog
-            bua = channel.backlog_updated_at
-            ch_live = True
+            d_l1_hits = d_loads = d_stores = 0
             try:
                 while True:
                     # ==== switch to the earliest (cycle, core) ====
@@ -346,8 +238,7 @@ class MissChainEngine:
                         return
                     cid = key % ncores
                     (
-                        core, l1, l1_tags, l1_sets, l1_dirty,
-                        l2, l2_tags, l2_sets, l2_dirty,
+                        core, l1_tags, l1_sets, l1_dirty,
                         gaps, addrs, writes, cum, run_ends, wcum, n,
                     ) = bindings[cid]
                     i = cpos[cid]
@@ -387,304 +278,14 @@ class MissChainEngine:
                             d_l1_hits += 1
                             wait = l1_latency
                         else:
-                            # ==== _fill_to_l1, transcribed ====
-                            d_l1_miss += 1
-                            fstall = 0
-                            source = l2_tags.get(addr)
-                            if source is not None:
-                                cache_set = l2_sets[(addr >> l2_shift) & l2_mask]
-                                if cache_set[0] is not source:
-                                    cache_set.remove(source)
-                                    cache_set.insert(0, source)
-                                lat = l2_latency
-                                d_l2_hits += 1
-                            else:
-                                d_l2_miss += 1
-                                # ==== _fill_to_l2, transcribed ====
-                                llc_line = llc_tags.get(addr)
-                                if llc_line is not None:
-                                    cache_set = llc_sets[
-                                        (addr >> llc_shift) & llc_mask
-                                    ]
-                                    if cache_set[0] is not llc_line:
-                                        cache_set.remove(llc_line)
-                                        cache_set.insert(0, llc_line)
-                                    lat2 = llc_latency
-                                    d_llc_hits += 1
-                                    if (
-                                        llc_line.owner is not None
-                                        and llc_line.owner != cid
-                                    ):
-                                        # Another core holds the line: the
-                                        # out-of-line snoop pulls its private
-                                        # data and releases ownership. It only
-                                        # touches the foreign core's caches,
-                                        # never the drain's deferred state.
-                                        snoop(llc_line)
-                                else:
-                                    d_llc_miss += 1
-                                    if ft is not None:
-                                        channel.read_busy_until = rbu
-                                        channel.write_backlog = wbk
-                                        channel.backlog_updated_at = bua
-                                        ch_live = False
-                                        override = ft(addr)
-                                        rbu = channel.read_busy_until
-                                        wbk = channel.write_backlog
-                                        bua = channel.backlog_updated_at
-                                        ch_live = True
-                                    else:
-                                        override = None
-                                    # NvmDevice.read_line / _Channel.read,
-                                    # transcribed on locals.
-                                    if cycle > bua:
-                                        wbk -= cycle - bua
-                                        if wbk < 0:
-                                            wbk = 0
-                                        bua = cycle
-                                    start = rbu if rbu > cycle else cycle
-                                    start += wbk if wbk < icap else icap
-                                    finish = start + read_occ
-                                    rbu = finish
-                                    d_iops_dr += 1
-                                    d_bytes_r += 64
-                                    d_fills += 1
-                                    mem_lat = finish - cycle
-                                    if override is not None:
-                                        token_f = override
-                                        stats_add("llc.fills_from_log")
-                                    else:
-                                        # MemoryImage.read inline (0 is
-                                        # INITIAL_TOKEN; _lines never rebinds
-                                        # outside restore()).
-                                        token_f = img_lines.get(addr, 0)
-                                    # CacheLine.__init__, slot-by-slot (one
-                                    # fresh line per NVM fill).
-                                    llc_line = new_line(CacheLine)
-                                    llc_line.addr = addr
-                                    llc_line.state = EXCLUSIVE
-                                    llc_line._dirty = False
-                                    llc_line.token = token_f
-                                    llc_line.eid = EID_NONE
-                                    llc_line.owner = None
-                                    llc_line.sub_eids = None
-                                    llc_line._home = None
-                                    # ==== _insert_llc, transcribed ====
-                                    cache_set = llc_sets[
-                                        (addr >> llc_shift) & llc_mask
-                                    ]
-                                    cache_set.insert(0, llc_line)
-                                    llc_tags[addr] = llc_line
-                                    llc_line._home = llc
-                                    # (fresh line: clean, untagged — the dirty
-                                    # dict / EID index inserts are dead code)
-                                    if len(cache_set) > llc_assoc:
-                                        victim = cache_set.pop()
-                                        vaddr = victim.addr
-                                        del llc_tags[vaddr]
-                                        victim._home = None
-                                        if victim._dirty:
-                                            del llc_dirty[vaddr]
-                                        # EidIndex.discard, inline — never
-                                        # deferred (see module docstring).
-                                        if index is not None:
-                                            if victim.sub_eids is not None:
-                                                index.sub.pop(vaddr, None)
-                                            elif victim.eid >= 0:
-                                                bucket = buckets.get(victim.eid)
-                                                if bucket is not None:
-                                                    bucket.pop(vaddr, None)
-                                                    if not bucket:
-                                                        del buckets[victim.eid]
-                                        d_llc_ev += 1
-                                        # ==== _back_invalidate, transcribed
-                                        # for the drain's own core; a victim
-                                        # owned by another core goes through
-                                        # the out-of-line helper, which only
-                                        # touches that core's private caches —
-                                        # none of the drain's deferred state.
-                                        owner = victim.owner
-                                        if owner is not None and owner != cid:
-                                            back_inv(victim)
-                                        elif owner is not None:
-                                            l1_copy = l1_tags.pop(vaddr, None)
-                                            if l1_copy is not None:
-                                                l1_sets[
-                                                    (vaddr >> l1_shift) & l1_mask
-                                                ].remove(l1_copy)
-                                                l1_copy._home = None
-                                                if l1_copy._dirty:
-                                                    del l1_dirty[vaddr]
-                                            l2_copy = l2_tags.pop(vaddr, None)
-                                            if l2_copy is not None:
-                                                l2_sets[
-                                                    (vaddr >> l2_shift) & l2_mask
-                                                ].remove(l2_copy)
-                                                l2_copy._home = None
-                                                if l2_copy._dirty:
-                                                    del l2_dirty[vaddr]
-                                            if l1_copy is not None and l1_copy._dirty:
-                                                src = l1_copy
-                                            elif l2_copy is not None and l2_copy._dirty:
-                                                src = l2_copy
-                                            else:
-                                                src = None
-                                            if src is not None:
-                                                # _merge_lines inline: the LLC
-                                                # victim is detached (_home is
-                                                # None), so the dirty-dict and
-                                                # EID-index arms are dead.
-                                                victim.token = src.token
-                                                victim._dirty = True
-                                                victim.eid = src.eid
-                                                if src.sub_eids is not None:
-                                                    victim.sub_eids = list(
-                                                        src.sub_eids
-                                                    )
-                                            victim.owner = None
-                                        if victim._dirty:
-                                            d_llc_dirty += 1
-                                            if h_fault is not None:
-                                                h_fault.notify("llc_eviction")
-                                            channel.read_busy_until = rbu
-                                            channel.write_backlog = wbk
-                                            channel.backlog_updated_at = bua
-                                            ch_live = False
-                                            fstall += sink_wb(
-                                                vaddr, victim.token, cycle
-                                            )
-                                            rbu = channel.read_busy_until
-                                            wbk = channel.write_backlog
-                                            bua = channel.backlog_updated_at
-                                            ch_live = True
-                                        else:
-                                            d_llc_clean += 1
-                                    lat2 = llc_latency + mem_lat
-                                llc_line.owner = cid
-                                # copy_fill inline (LLC → L2).
-                                source = new_line(CacheLine)
-                                source.addr = addr
-                                source.state = EXCLUSIVE
-                                source._dirty = False
-                                source.token = llc_line.token
-                                source.eid = llc_line.eid
-                                source.owner = None
-                                sub = llc_line.sub_eids
-                                source.sub_eids = (
-                                    list(sub) if sub is not None else None
-                                )
-                                source._home = None
-                                cache_set = l2_sets[(addr >> l2_shift) & l2_mask]
-                                cache_set.insert(0, source)
-                                l2_tags[addr] = source
-                                source._home = l2
-                                # (copy_fill lines are clean: no dirty insert)
-                                if len(cache_set) > l2_assoc:
-                                    victim = cache_set.pop()
-                                    vaddr = victim.addr
-                                    del l2_tags[vaddr]
-                                    victim._home = None
-                                    if victim._dirty:
-                                        del l2_dirty[vaddr]
-                                    d_l2_ev += 1
-                                    # l1.remove(vaddr), inline (L1 has no EID
-                                    # index).
-                                    dropped = l1_tags.pop(vaddr, None)
-                                    if dropped is not None:
-                                        l1_sets[
-                                            (vaddr >> l1_shift) & l1_mask
-                                        ].remove(dropped)
-                                        dropped._home = None
-                                        if dropped._dirty:
-                                            del l1_dirty[vaddr]
-                                    if dropped is not None and dropped._dirty:
-                                        # _merge_lines inline: the L2 victim is
-                                        # detached (_home None) — only the data
-                                        # fold is live.
-                                        victim.token = dropped.token
-                                        victim._dirty = True
-                                        victim.eid = dropped.eid
-                                        if dropped.sub_eids is not None:
-                                            victim.sub_eids = list(
-                                                dropped.sub_eids
-                                            )
-                                    if victim._dirty:
-                                        target = llc_tags.get(vaddr)
-                                        if target is None:
-                                            raise SimulationError(
-                                                "inclusion violated: L2 victim "
-                                                "%#x absent from LLC" % vaddr
-                                            )
-                                        # _merge_lines inline: target lives in
-                                        # the LLC — dirty dict and EID-index
-                                        # refresh are live.
-                                        target.token = victim.token
-                                        if not target._dirty:
-                                            target._dirty = True
-                                            llc_dirty[vaddr] = target
-                                        old = target.eid
-                                        new_eid = victim.eid
-                                        had_sub = target.sub_eids is not None
-                                        target.eid = new_eid
-                                        if victim.sub_eids is not None:
-                                            target.sub_eids = list(
-                                                victim.sub_eids
-                                            )
-                                        if new_eid != old or (
-                                            target.sub_eids is not None
-                                            and not had_sub
-                                        ):
-                                            if index is not None:
-                                                index_refresh(
-                                                    target, old, had_sub
-                                                )
-                                lat = lat2 + l2_latency
-                            # copy_fill inline (L2 → L1).
-                            line = new_line(CacheLine)
-                            line.addr = addr
-                            line.state = EXCLUSIVE
-                            line._dirty = False
-                            line.token = source.token
-                            line.eid = source.eid
-                            line.owner = None
-                            sub = source.sub_eids
-                            line.sub_eids = list(sub) if sub is not None else None
-                            line._home = None
-                            cache_set = l1_sets[(addr >> l1_shift) & l1_mask]
-                            cache_set.insert(0, line)
-                            l1_tags[addr] = line
-                            line._home = l1
-                            # (copy_fill lines are clean: no dirty insert)
-                            if len(cache_set) > l1_assoc:
-                                victim = cache_set.pop()
-                                vaddr = victim.addr
-                                del l1_tags[vaddr]
-                                victim._home = None
-                                d_l1_ev += 1
-                                if victim._dirty:
-                                    del l1_dirty[vaddr]
-                                    # _merge_down into L2
-                                    target = l2_tags.get(vaddr)
-                                    if target is None:
-                                        raise SimulationError(
-                                            "inclusion violated: L1 victim %#x "
-                                            "absent from l2" % vaddr
-                                        )
-                                    # _merge_lines inline: target lives in the
-                                    # L2 — dirty dict live, no EID index on
-                                    # private L2s.
-                                    target.token = victim.token
-                                    if not target._dirty:
-                                        target._dirty = True
-                                        l2_dirty[vaddr] = target
-                                    target.eid = victim.eid
-                                    if victim.sub_eids is not None:
-                                        target.sub_eids = list(victim.sub_eids)
-                            fill_lat = lat + l1_latency
+                            # The hierarchy's own miss chain: L2, LLC and
+                            # NVM fills, victims, back-invalidation and
+                            # the scheme's write-backs, with its counters.
+                            line, lat, fstall = fill(cid, addr, cycle)
                             if w:
-                                wait = int(fill_lat * smf) + fstall
+                                wait = int(lat * smf) + fstall
                             else:
-                                wait = fill_lat + fstall
+                                wait = lat + fstall
                         # ==== the store continuation of access() ====
                         if w:
                             if smode == 2 and line.eid == sys_eid:
@@ -693,15 +294,7 @@ class MissChainEngine:
                                 if silent:
                                     sink_bulk(silent)
                                     silent = 0
-                                channel.read_busy_until = rbu
-                                channel.write_backlog = wbk
-                                channel.backlog_updated_at = bua
-                                ch_live = False
                                 wait += sink_on_store(cid, line, cycle)
-                                rbu = channel.read_busy_until
-                                wbk = channel.write_backlog
-                                bua = channel.backlog_updated_at
-                                ch_live = True
                             # smode 0: every store is silent.
                             line.token = token
                             if not line._dirty:
@@ -768,18 +361,10 @@ class MissChainEngine:
                                             silent += kw
                                             ok = True
                                     else:
-                                        channel.read_busy_until = rbu
-                                        channel.write_backlog = wbk
-                                        channel.backlog_updated_at = bua
-                                        ch_live = False
                                         ok = (
                                             sink_repeat(cid, line, kw, ccycle)
                                             is not None
                                         )
-                                        rbu = channel.read_busy_until
-                                        wbk = channel.write_backlog
-                                        bua = channel.backlog_updated_at
-                                        ch_live = True
                                 if not ok:
                                     continue
                                 last_token = ntok + kw - 1
@@ -809,9 +394,6 @@ class MissChainEngine:
                     if silent:
                         sink_bulk(silent)
                         silent = 0
-                    channel.read_busy_until = rbu
-                    channel.write_backlog = wbk
-                    channel.backlog_updated_at = bua
                     core.cycle = ccycle
                     core.mem_stall_cycles = mstall
                     system._next_token = ntok
@@ -824,9 +406,6 @@ class MissChainEngine:
                     # stop-the-world stalls, a new SystemEID) or loaded
                     # the core's next chunk: reload what it can move.
                     ntok = system._next_token
-                    rbu = channel.read_busy_until
-                    wbk = channel.write_backlog
-                    bua = channel.backlog_updated_at
                     ccycle = core.cycle
                     mstall = core.mem_stall_cycles
                     room = boundary - system.total_instructions
@@ -840,10 +419,6 @@ class MissChainEngine:
                 if not clean:
                     # A CrashSignal escaped mid-reference: leave the exact
                     # scalar crash-time state.
-                    if ch_live:
-                        channel.read_busy_until = rbu
-                        channel.write_backlog = wbk
-                        channel.backlog_updated_at = bua
                     core.cycle = ccycle
                     core.mem_stall_cycles = mstall
                     system._next_token = ntok
@@ -856,37 +431,8 @@ class MissChainEngine:
                     sink_bulk(silent)
                 # The stat deltas have no mid-run readers: they flush
                 # exactly once — here — however the generator ends.
-                if d_l1_hits:
-                    s_l1_hits.value += d_l1_hits
-                if d_loads:
-                    s_loads.value += d_loads
-                if d_stores:
-                    s_stores.value += d_stores
-                if d_l1_miss:
-                    s_l1_miss.value += d_l1_miss
-                if d_l2_hits:
-                    s_l2_hits.value += d_l2_hits
-                if d_l2_miss:
-                    s_l2_miss.value += d_l2_miss
-                if d_llc_hits:
-                    s_llc_hits.value += d_llc_hits
-                if d_llc_miss:
-                    s_llc_miss.value += d_llc_miss
-                if d_llc_dirty:
-                    s_llc_dirty.value += d_llc_dirty
-                if d_llc_clean:
-                    s_llc_clean.value += d_llc_clean
-                if d_l1_ev:
-                    s_l1_ev.value += d_l1_ev
-                if d_l2_ev:
-                    s_l2_ev.value += d_l2_ev
-                if d_llc_ev:
-                    s_llc_ev.value += d_llc_ev
-                if d_fills:
-                    s_fills.value += d_fills
-                if d_iops_dr:
-                    s_iops_dr.value += d_iops_dr
-                if d_bytes_r:
-                    s_bytes_r.value += d_bytes_r
+                s_l1_hits.value += d_l1_hits
+                s_loads.value += d_loads
+                s_stores.value += d_stores
 
         return types.SimpleNamespace(turn_gen=turn_gen)

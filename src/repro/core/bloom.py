@@ -36,13 +36,6 @@ class BloomFilter:
         self._words = [0] * ((n_bits + 63) >> 6)
         self._population = 0
 
-    def _positions(self, addr):
-        # Two independent mixes combined per Kirsch-Mitzenmacher.
-        h1 = (addr * 2654435761) & 0xFFFFFFFF
-        h2 = ((addr >> 6) * 40503 + 0x9E3779B9) & 0xFFFFFFFF
-        for i in range(self.n_hashes):
-            yield (h1 + i * h2) & self._mask
-
     def add(self, addr):
         """Set the address's bits."""
         h1 = (addr * 2654435761) & 0xFFFFFFFF

@@ -10,9 +10,8 @@ Per Table IV this is an FCFS, closed-page controller. An optional DRAM
 memory-side cache (§IV-C of the paper) can be layered in front.
 """
 
-from repro.common.address import LINE_SIZE
 from repro.common.stats import StatCounters
-from repro.mem.image import MemoryImage
+from repro.mem.image import INITIAL_TOKEN, MemoryImage
 from repro.mem.nvm import AccessCategory, NvmDevice
 
 
@@ -39,9 +38,10 @@ class MemoryController:
             latency, token = self.dram_cache.read(line_addr, now)
             self._demand_fills.value += 1
             return latency, token
-        finish = self.device.read_line(line_addr, now, AccessCategory.DEMAND_READ)
+        finish = self.device.read_line(line_addr, now)
         self._demand_fills.value += 1
-        return finish - now, self.image.read(line_addr)
+        # MemoryImage.read, inline.
+        return finish - now, self.image._lines.get(line_addr, INITIAL_TOKEN)
 
     def writeback(
         self,
@@ -136,18 +136,3 @@ class MemoryController:
     def snapshot_image(self):
         """Snapshot the functional NVM image (crash-injection support)."""
         return self.image.snapshot()
-
-
-def make_controller(timings=None, stats=None, dram_cache=None):
-    """Convenience factory with Table IV defaults."""
-    from repro.mem.timing import NvmTimings
-
-    if timings is None:
-        timings = NvmTimings()
-    if stats is None:
-        stats = StatCounters()
-    return MemoryController(timings, stats, dram_cache)
-
-
-#: Re-exported for callers that size transfers in lines.
-BYTES_PER_LINE = LINE_SIZE

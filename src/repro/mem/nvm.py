@@ -70,23 +70,42 @@ class _Channel:
         a read by at most one in-progress row write (the controller lets
         reads preempt queued writes, the classic read-priority model).
         """
-        self._decay_backlog(now)
-        interference = min(self.write_backlog, interference_cap)
-        start = max(now, self.read_busy_until) + interference
-        finish = start + occupancy
+        # _decay_backlog, inline: a demand fill runs this once per LLC miss.
+        backlog = self.write_backlog
+        if now > self.backlog_updated_at:
+            backlog -= now - self.backlog_updated_at
+            if backlog < 0:
+                backlog = 0
+            self.write_backlog = backlog
+            self.backlog_updated_at = now
+        start = self.read_busy_until
+        if start < now:
+            start = now
+        if backlog > interference_cap:
+            backlog = interference_cap
+        finish = start + backlog + occupancy
         self.read_busy_until = finish
         return finish
 
     def post_write(self, now, occupancy, queue_limit):
         """Queue a posted write; returns (completion_time, issuer_stall)."""
-        self._decay_backlog(now)
+        # _decay_backlog, inline: every write-back runs this.
+        backlog = self.write_backlog
+        if now > self.backlog_updated_at:
+            backlog -= now - self.backlog_updated_at
+            if backlog < 0:
+                backlog = 0
+            self.backlog_updated_at = now
         stall = 0
-        if self.write_backlog > queue_limit:
-            stall = self.write_backlog - queue_limit
+        if backlog > queue_limit:
+            # The issuer waits until the backlog decays to the limit.
+            stall = backlog - queue_limit
+            self.write_backlog = backlog
             self._decay_backlog(now + stall)
-        self.write_backlog += occupancy
-        finish = self.backlog_updated_at + self.write_backlog
-        return finish, stall
+            backlog = self.write_backlog
+        backlog += occupancy
+        self.write_backlog = backlog
+        return self.backlog_updated_at + backlog, stall
 
     def enqueue_write(self, now, occupancy):
         """Queue a background write with no issuer backpressure.

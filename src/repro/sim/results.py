@@ -129,10 +129,6 @@ class SimulationResult:
         """Raw counter access (see StatCounters)."""
         return self.stats.get(name, default)
 
-    def stat_items(self):
-        """Read-only iteration over every (name, value) counter pair."""
-        return self.stats.items()
-
     def stats_dict(self):
         """Every counter as a plain dict.
 

@@ -28,7 +28,7 @@ from repro.baselines import Frm, IdealNvm, Journaling, ShadowPaging, ThyNvm
 from repro.baselines.base import CrashConsistencyScheme
 from repro.cache.hierarchy import CacheHierarchy
 from repro.cache.line import CacheLine
-from repro.cache.miss_engine import CoreTurns, MissChainEngine, decline_reason
+from repro.cache.miss_engine import CoreTurns, MissChainEngine
 from repro.cache.trajectory import PrivateCopies, Trajectory, geometry
 from repro.common.errors import ConfigurationError
 from repro.common.stats import StatCounters
@@ -37,7 +37,6 @@ from repro.cpu.core import CoreState
 from repro.fault.plan import CrashSignal
 from repro.cpu.system import System
 from repro.mem.controller import MemoryController
-from repro.mem.nvm import AccessCategory
 from repro.sim.results import SimulationResult
 from repro.trace.profiles import get_profile
 from repro.trace.synthetic import make_trace
@@ -211,8 +210,7 @@ class Simulation:
         self.crash_site = None
         #: Which interpreter ran, set by run(): ``"trajectory"`` for one
         #: core and ``"drain"`` for several on the fast engine, or
-        #: ``"reference: <reason>"`` when it declined — e.g.
-        #: ``"reference: nvm has 2 channels"``.
+        #: ``"reference: REPRO_VECTOR=0"``.
         self.engine = None
         self._ran = False
 
@@ -233,13 +231,8 @@ class Simulation:
         with the same trace and geometry (see :meth:`run`): the first
         replay to reach a chunk tags it, and the trajectory keeps it for
         the others. None when the point would not replay one: several
-        cores, a config the fast engine declines, or any run under
-        ``REPRO_VECTOR=0``."""
-        if (
-            len(self.cores) != 1
-            or not self.hierarchy.vector
-            or decline_reason(self) is not None
-        ):
+        cores, or any run under ``REPRO_VECTOR=0``."""
+        if len(self.cores) != 1 or not self.hierarchy.vector:
             return None
         return Trajectory(geometry(self.hierarchy))
 
@@ -278,9 +271,10 @@ class Simulation:
         once. Without one the run tags its own and keeps nothing.
 
         Several cores run the multi-core drain loop
-        (:meth:`_run_multi_core_drain`, engine ``"drain"``). Configs the
-        fast engine declines, and every run under ``REPRO_VECTOR=0``, run
-        the reference loop and ignore ``trajectory``.
+        (:meth:`_run_multi_core_drain`, engine ``"drain"``). Both fast
+        engines run every config: each calls the hierarchy's own miss
+        chain and the scheme's own hooks. Only ``REPRO_VECTOR=0`` runs
+        the reference loop, which ignores ``trajectory``.
         """
         if self._ran:
             raise ConfigurationError("a Simulation object runs exactly once")
@@ -297,14 +291,9 @@ class Simulation:
                 crash_plan.install(self)
         try:
             # REPRO_VECTOR=0 (read when the hierarchy was built) selects
-            # the reference loop, and so does every config the miss-chain
-            # drain declines; everything else runs the fast engine.
-            if self.hierarchy.vector:
-                reason = decline_reason(self)
-            else:
-                reason = "REPRO_VECTOR=0"
-            if reason is not None:
-                self.engine = "reference: " + reason
+            # the reference loop; everything else runs the fast engine.
+            if not self.hierarchy.vector:
+                self.engine = "reference: REPRO_VECTOR=0"
                 self._run_reference(crash_at_instructions)
             elif len(self.cores) == 1:
                 shape = geometry(self.hierarchy)
@@ -344,8 +333,8 @@ class Simulation:
         index; a fill goes through ``CacheHierarchy._insert_llc``, whose
         LRU pop is the victim), one private record per line resident in
         L2 (:class:`repro.cache.trajectory.PrivateCopies`, which also
-        answers the hierarchy's back-invalidations and syncs) and the NVM
-        channel (a demand fill is the controller's arithmetic, inline).
+        answers the hierarchy's back-invalidations and syncs) and the
+        memory (a fill is ``MemoryController.demand_fill``).
 
         Stores follow the scheme's ``vector_store_filter()``, read once
         per segment. ``False``: every store is visited like a miss and
@@ -402,11 +391,7 @@ class Simulation:
         llc_lat = llc.hit_latency
         smf = hierarchy.store_miss_factor
         evict = copies.evict
-        device = controller.device
-        channel = device._only_channel
-        read_occ = device._line_read_occupancy
-        icap = device._interference_cap
-        img_lines = controller.image._lines
+        demand_fill = controller.demand_fill
         insert_llc = hierarchy._insert_llc
         stats_add = hierarchy.stats.add
         sink = hierarchy.sink
@@ -428,7 +413,7 @@ class Simulation:
         mstall = core.mem_stall_cycles
         ntok = system._next_token
         d_l1_hits = d_loads = d_stores = d_l1_miss = d_l2_hits = d_l2_miss = 0
-        d_llc_hits = d_llc_miss = d_l1_ev = d_l2_ev = d_fills = 0
+        d_llc_hits = d_llc_miss = d_l1_ev = d_l2_ev = 0
         # Silent stores not yet handed to on_store_bulk.
         silent = 0
 
@@ -685,28 +670,10 @@ class Simulation:
                                         fill_token(addr) if fill_token is not None
                                         else None
                                     )
-                                    # MemoryController.demand_fill on the one
-                                    # NVM channel, inline.
-                                    bua = channel.backlog_updated_at
-                                    wbk = channel.write_backlog
-                                    if cycle > bua:
-                                        wbk -= cycle - bua
-                                        if wbk < 0:
-                                            wbk = 0
-                                        channel.write_backlog = wbk
-                                        channel.backlog_updated_at = cycle
-                                    start = channel.read_busy_until
-                                    if start < cycle:
-                                        start = cycle
-                                    start += wbk if wbk < icap else icap
-                                    channel.read_busy_until = start + read_occ
-                                    mem_lat = start + read_occ - cycle
-                                    d_fills += 1
+                                    mem_lat, token_f = demand_fill(addr, cycle)
                                     if override is not None:
                                         token_f = override
                                         stats_add("llc.fills_from_log")
-                                    else:
-                                        token_f = img_lines.get(addr, 0)
                                     # The LLC's own insert: its LRU pop is
                                     # the victim, and the back-invalidation
                                     # folds the victim's private record in.
@@ -803,9 +770,6 @@ class Simulation:
                 (hierarchy._llc_misses, d_llc_miss),
                 (hierarchy._l1[0]._evictions, d_l1_ev),
                 (hierarchy._l2[0]._evictions, d_l2_ev),
-                (controller._demand_fills, d_fills),
-                (device._iops_slots[AccessCategory.DEMAND_READ], d_fills),
-                (device._bytes_read, 64 * d_fills),
             ):
                 slot.value += delta
         core.cycle = cycle
@@ -820,9 +784,7 @@ class Simulation:
         ``hierarchy.access`` per reference: the compute gap retires before
         the access, and the epoch and crash checks read the system
         instruction total after it. ``REPRO_VECTOR=0`` runs every config
-        here, and so does every config
-        :func:`repro.cache.miss_engine.decline_reason` rejects; the fast
-        engine must match it bit for bit.
+        here; the fast engine must match it bit for bit.
         """
         system = self.system
         hierarchy = self.hierarchy
@@ -881,13 +843,14 @@ class Simulation:
         *horizon* — and the first reference past it still retires.
 
         The drain generator (:meth:`MissChainEngine.make_drain`'s
-        ``turn_gen``) runs exactly those turns through the fused miss
-        chain and switches cores inline. It comes back here only when
-        the running core retires the reference that crosses the next
-        epoch or crash boundary, or the last reference of its chunk, so
-        everything the reference loop does between references — epoch
-        commits and their stop-the-world stall, crash stops, chunk
-        loading — lives in this loop, in the reference order.
+        ``turn_gen``) runs exactly those turns, every L1 miss through
+        the hierarchy's own chain, and switches cores inline. It comes
+        back here only when the running core retires the reference that
+        crosses the next epoch or crash boundary, or the last reference
+        of its chunk, so everything the reference loop does between
+        references — epoch commits and their stop-the-world stall, crash
+        stops, chunk loading — lives in this loop, in the reference
+        order.
 
         Bit-identical to :meth:`_run_reference` — same tokens, cycles,
         counters, NVM image, undo log, recovery images — asserted by

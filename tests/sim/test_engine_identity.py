@@ -3,9 +3,10 @@
 The fast engine is an optimization, not a model change. One core
 replays a scheme-free cache trajectory (``trajectory``): a lone point
 tags its own trace lazily, chunk by chunk, and the points of a batch
-share one. Several cores take turns through the fused miss-chain drain
-(``drain``). Configs the drain declines run the reference loop and say
-why (``reference: <reason>``).
+share one. Several cores take turns through the multi-core drain
+(``drain``). No config declines: both call the hierarchy's own miss
+chain, so 2-channel NVM, a DRAM cache and a plain eviction sink run
+fast too.
 
 Every case runs one point twice. The first run must report the engine
 the case names. The second is the reference side: ``REPRO_VECTOR=0``
@@ -24,14 +25,16 @@ core (the one whose access chain the crash escaped) carries its next
 reference's gap on its clock and instruction count.
 
 ``ROWS`` is the curated matrix. ``test_fuzz`` draws the whole config
-space, one ``SHAPES`` share per fast-engine path, and asserts the
-engine each draw must run. ``SHARED_ROWS`` and the fuzz's
-``shared-batch`` shape replay one trajectory under all six schemes,
-each against its own reference run. ``COUNT_ROWS`` pin the invariant
-the trajectory rests on: its level counts are every scheme's
-``l1.hits``, ``l2.misses`` and ``llc.misses``. ``test_one_definition``
-runs both sides on one mutant of PiCL's hazard flush: every engine calls
-the scheme's own rules, so the mutant changes them alike.
+space, one ``SHAPES`` share per fast-engine path, on every memory shape
+(``MEMORY_ROWS``), and asserts the engine each draw must run.
+``SHARED_ROWS`` and the fuzz's ``shared-batch`` shape replay one
+trajectory under all six schemes, each against its own reference run.
+``COUNT_ROWS`` pin the invariant the trajectory rests on: its level
+counts are every scheme's ``l1.hits``, ``l2.misses`` and
+``llc.misses``. ``test_one_definition`` runs both sides on one mutant
+of PiCL's hazard flush, and ``test_one_cache_definition`` on one mutant
+of the demand fill: every engine calls the scheme's and the cache
+chain's own rules, so a mutant changes them alike.
 """
 
 import numpy as np
@@ -45,6 +48,7 @@ from repro.common.units import KB, MB
 from repro.core.recovery import check_recovered
 from repro.core.undo_buffer import UndoBuffer
 from repro.fault.plan import SEMANTIC_SITES, SITE_UNDO_FLUSH, CrashPlan
+from repro.mem.controller import MemoryController
 from repro.mem.dram_cache import DramCache, DramCacheMode
 from repro.sim.simulator import Simulation
 from repro.trace import profiles
@@ -199,6 +203,11 @@ def row(id, engine, scheme, benches, seed, **kwargs):
 
 
 TRAJ, DRAIN = "trajectory", "drain"
+#: The memory shapes besides one plain NVM channel, as run_pair keywords.
+MEMORY_ROWS = {
+    "2-channel-nvm": dict(channels=2),
+    "dram-cache": dict(prepare=attach_dram_cache),
+}
 WIDE = dict(l1_ways=16)
 CRASH_AT = N // 2 + 137  # mid-epoch, not on a boundary
 W2 = MULTIPROGRAM_MIXES["W2"]
@@ -270,13 +279,19 @@ ROWS = [
     row("4-way-l1", TRAJ, "picl", "gcc", 19),
     row("16-way-l1-undo-flush-crash", TRAJ, "picl", "gcc", 19, **WIDE,
         site="undo_flush", tear=7, must_crash=True),
-    row("2-channel-nvm", "reference: nvm has 2 channels", "picl", "gcc", 19,
-        channels=2),
-    row("dram-cache", "reference: dram cache in front of nvm", "picl", "gcc",
-        19, prepare=attach_dram_cache),
-    row("plain-sink", "reference: eviction sink is not the scheme", "ideal",
-        "gcc", 19, prepare=attach_plain_sink),
+    row("2-channel-nvm", TRAJ, "picl", "gcc", 19, channels=2),
+    row("dram-cache", TRAJ, "picl", "gcc", 19, prepare=attach_dram_cache,
+        expect=(("dram.hits", 1),)),
+    row("plain-sink", TRAJ, "ideal", "gcc", 19, prepare=attach_plain_sink),
     row("reference", REFERENCE, "picl", "gcc", 19),
+    # A torn undo flush and a late LLC eviction on each memory shape
+    # (and on two cores below): crashes inside the miss chain's NVM and
+    # DRAM-cache traffic.
+    *[row("%s-site-%s" % (name, site), TRAJ, "picl", "gcc", 5, site=site,
+          occurrence=occurrence, tear=tear, must_crash=True, **memory)
+      for name, memory in MEMORY_ROWS.items()
+      for site, occurrence, tear in (("undo_flush", 3, 7),
+                                     ("llc_eviction", 300, None))],
     # One core, a 16-way L1 (lbm's same-line runs are long), with picl's
     # store filter on, off (16 B tracking, a log cap) and through a
     # crash.
@@ -290,8 +305,8 @@ ROWS = [
         crash_at=CRASH_AT, must_crash=True),
     row("wide-sub-block-lbm", TRAJ, "picl", "lbm", 21, **WIDE, granularity=16),
     row("wide-log-cap-lbm", TRAJ, "picl", "lbm", 33, **WIDE, log_cap=64 * MB),
-    *[row("wide-%d-channel-nvm" % c, "reference: nvm has %d channels" % c,
-          "picl", "gcc", 3, n=20_000, **WIDE, channels=c) for c in (4, 2)],
+    *[row("wide-%d-channel-nvm" % c, TRAJ, "picl", "gcc", 3, n=20_000,
+          **WIDE, channels=c) for c in (4, 2)],
     # Several cores: turn lengths shrink as the heap fills; shared
     # memory adds cross-core snoops and back-invalidations.
     *[row("mc%d-%s" % (c, "shared" if sh else "private"), DRAIN, "picl",
@@ -305,11 +320,18 @@ ROWS = [
     row("mc8-w2-short-epochs", DRAIN, "picl", W2, 61, n=8192, scale=16,
         llc_size_per_core=4 * MB, epoch_instructions=512,
         expect=(("commits", 11), ("acs.scans", 1))),
-    row("mc2-2-channel-nvm", "reference: nvm has 2 channels", "picl",
-        benchlist(2), 71, n=N_MC, channels=2),
-    row("mc2-dram-cache", "reference: dram cache in front of nvm", "frm",
-        benchlist(2, 1), 73, n=N_MC, prepare=attach_dram_cache,
-        expect=(("dram.hits", 1),)),
+    row("mc2-2-channel-nvm", DRAIN, "picl", benchlist(2), 71, n=N_MC,
+        channels=2),
+    row("mc2-dram-cache", DRAIN, "frm", benchlist(2, 1), 73, n=N_MC,
+        prepare=attach_dram_cache, expect=(("dram.hits", 1),)),
+    row("mc2-plain-sink", DRAIN, "ideal", benchlist(2), 73, n=N_MC,
+        prepare=attach_plain_sink),
+    *[row("mc2-%s-site-%s" % (name, site), DRAIN, "picl", ["gcc", "mcf"], 83,
+          n=N_MC, site=site, occurrence=occurrence, tear=tear,
+          must_crash=True, **memory)
+      for name, memory in MEMORY_ROWS.items()
+      for site, occurrence, tear in (("undo_flush", 3, 1),
+                                     ("llc_eviction", 300, None))],
     # crash_at counts all cores' instructions, so the stop lands mid-turn.
     *[row("mc4-crash-at-" + s, DRAIN, s, benchlist(4), 43, n=N_MC,
           crash_at=N_MC * 2 + 137, must_crash=True) for s in SCHEMES],
@@ -336,6 +358,26 @@ def test_one_definition(bench, monkeypatch):
     monkeypatch.setattr(UndoBuffer, "eviction_hazard", lambda *args: 0)
     fast = run_pair(TRAJ, "picl", [bench], 7)
     assert fast.stats.get("undo.forced_flushes") == 0
+
+
+@pytest.mark.parametrize("engine,benches", [
+    pytest.param(TRAJ, ["mcf"], id=TRAJ),
+    pytest.param(DRAIN, ["gcc", "mcf"], id=DRAIN),
+])
+def test_one_cache_definition(engine, benches, monkeypatch):
+    """Each cache rule is defined once: a mutant demand fill, one cycle
+    slower, reaches both engines alike — and does change the run."""
+    plain = run_pair(engine, "picl", benches, 7, n=N_MC)
+    demand_fill = MemoryController.demand_fill
+
+    def slower(self, line_addr, now):
+        latency, token = demand_fill(self, line_addr, now)
+        return latency + 1, token
+
+    monkeypatch.setattr(MemoryController, "demand_fill", slower)
+    mutant = run_pair(engine, "picl", benches, 7, n=N_MC)
+    assert ([c.cycle for c in mutant.cores]
+            != [c.cycle for c in plain.cores])
 
 
 #: One trajectory, six schemes: miss-heavy and hit-dominated traces,
@@ -455,13 +497,8 @@ def test_trace_source(source, monkeypatch, tmp_path):
     assert isinstance(fast.traces[0], cls)
 
 
-def expected_engine(n_cores, channels, dram_cache):
-    """The engine a config must run: ``decline_reason``'s checks in
-    order, then one core or several."""
-    if dram_cache:
-        return "reference: dram cache in front of nvm"
-    if channels > 1:
-        return "reference: nvm has %d channels" % channels
+def expected_engine(n_cores):
+    """The engine a config must run: every config runs fast."""
     return TRAJ if n_cores == 1 else DRAIN
 
 
@@ -516,9 +553,9 @@ SHAPES = {
     shared=st.booleans(),
     granularity=st.sampled_from((64, 16)),
     log_cap=st.sampled_from((None, 64 * MB)),
-    # One draw in eight runs a config the drain declines (the reference
-    # loop on both sides); the curated rows pin every declined engine.
-    declined=st.sampled_from((None,) * 14 + ("channels", "dram-cache")),
+    # One draw in eight runs on a memory shape other than one plain NVM
+    # channel; the curated rows pin each of them (MEMORY_ROWS).
+    memory=st.sampled_from((None,) * 14 + tuple(MEMORY_ROWS)),
     crash=st.one_of(
         st.none(),
         st.floats(0.2, 0.9),  # crash at this fraction of the run
@@ -527,7 +564,7 @@ SHAPES = {
     seed=st.integers(0, 2**20),
 )
 def test_fuzz(shape, data, profile, rotate, scheme, shared, granularity,
-              log_cap, declined, crash, seed):
+              log_cap, memory, crash, seed):
     cores, ways = SHAPES[shape]
     n_cores = data.draw(st.sampled_from(cores), "n_cores")
     l1_ways = data.draw(st.sampled_from(ways), "l1_ways")
@@ -536,17 +573,15 @@ def test_fuzz(shape, data, profile, rotate, scheme, shared, granularity,
     # in the registry for the two runs; the trace memo keys on the
     # profile's value, so same-name profiles never collide.
     n = 20_000 if n_cores == 1 else 12_000
-    channels = 2 if declined == "channels" else 1
-    dram_cache = declined == "dram-cache"
     kwargs = dict(n=n, shared=shared, granularity=granularity,
-                  log_cap=log_cap, l1_ways=l1_ways, channels=channels)
-    if dram_cache:
-        kwargs["prepare"] = attach_dram_cache
+                  log_cap=log_cap, l1_ways=l1_ways)
+    if memory is not None:
+        kwargs.update(MEMORY_ROWS[memory])
     if isinstance(crash, float):
         kwargs.update(crash_at=int(n * n_cores * crash), must_crash=True)
     elif crash is not None:
         kwargs.update(site=crash, tear=1 if crash == SITE_UNDO_FLUSH else None)
-    engine = expected_engine(n_cores, channels, dram_cache)
+    engine = expected_engine(n_cores)
     benches = ["_fuzz"] + benchlist(n_cores - 1, rotate)
     profiles._BY_NAME["_fuzz"] = profile
     try:
