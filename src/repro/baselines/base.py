@@ -23,6 +23,7 @@ regardless of whether they were scheduled or overflow-forced;
 property tests can check recovery exactly.
 """
 
+from repro.cache.hierarchy import EvictionSink
 from repro.common.stats import StatCounters
 
 
@@ -50,9 +51,9 @@ class CrashConsistencyScheme:
         _completion, stall = self.controller.writeback(line_addr, token, now)
         return stall
 
-    def fill_token(self, line_addr):
-        """Default: no redo buffer to snoop on fills."""
-        return None
+    #: Default: no redo buffer to snoop on fills. The hierarchy's own
+    #: no-op, so it skips the call (see CacheHierarchy.attach_sink).
+    fill_token = EvictionSink.fill_token
 
     def on_store(self, core, line, now):
         """Default: stores carry no scheme work."""

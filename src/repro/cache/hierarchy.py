@@ -29,7 +29,7 @@ from repro.common.errors import SimulationError
 from repro.common.stats import StatCounters
 from repro.cache.cache import SetAssocCache
 from repro.cache.eid_index import EidIndex
-from repro.cache.line import CacheLine, LineState
+from repro.cache.line import CacheLine, LineState, memory_line
 
 _new_line = CacheLine.__new__
 _EXCLUSIVE = LineState.EXCLUSIVE
@@ -126,7 +126,7 @@ class CacheHierarchy:
         # REPRO_VECTOR=0 selects the reference loop; ``vector`` records
         # the choice for the engine selection in Simulation.run.
         self.vector = os.environ.get("REPRO_VECTOR", "1") != "0"
-        self.sink = EvictionSink(controller)
+        self.attach_sink(EvictionSink(controller))
         #: Mirrors SetAssocCache._brute_scan: run the original full-sweep
         #: sync paths as a differential oracle.
         self._brute_scan = self.llc._brute_scan
@@ -148,6 +148,11 @@ class CacheHierarchy:
     def attach_sink(self, sink):
         """Attach the crash-consistency scheme's eviction sink."""
         self.sink = sink
+        #: The sink's ``fill_token``; None for the no-op default (skipped).
+        self._fill_token = (
+            None if type(sink).fill_token is EvictionSink.fill_token
+            else sink.fill_token
+        )
 
     # ------------------------------------------------------------------
     # the demand path
@@ -227,12 +232,13 @@ class CacheHierarchy:
                     self._snoop_invalidate(llc_line)
             else:
                 self._llc_misses.value += 1
-                override = self.sink.fill_token(line_addr)
+                fill_token = self._fill_token
+                override = fill_token(line_addr) if fill_token is not None else None
                 mem_latency, token = self.controller.demand_fill(line_addr, now)
                 if override is not None:
                     token = override
                     self.stats.add("llc.fills_from_log")
-                llc_line = CacheLine(line_addr, token=token)
+                llc_line = memory_line(line_addr, token)
                 stall = self._insert_llc(llc_line, now)
                 latency = llc.hit_latency + mem_latency
             llc_line.owner = core

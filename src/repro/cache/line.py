@@ -132,3 +132,17 @@ class CacheLine:
             self.token,
             self.eid,
         )
+
+
+def memory_line(addr, token):
+    """The clean LLC line a fill from memory brings: slot by slot."""
+    line = CacheLine.__new__(CacheLine)
+    line.addr = addr
+    line.state = LineState.EXCLUSIVE
+    line._dirty = False
+    line.token = token
+    line.eid = EpochId.NONE
+    line.owner = None
+    line.sub_eids = None
+    line._home = None
+    return line

@@ -20,16 +20,15 @@ the chunks it reached, and a single-pass trace is read once. A lone run
 keeps nothing; the trajectory a batch shares keeps every tagged chunk
 for the batch's later points.
 
-The pass visits only the head of each same-line run (a repeat of the
-line just referenced is an L1 hit that moves nothing). Hits dominate
-most traces, so it classifies a window of heads at once against a numpy
-index of the L1's resident lines (:class:`~repro.cache.vector_mirror.
-TagMirror`), applies the all-hit prefix up to the first L1 miss as one
-move-to-front per line in last-touch order, and steps through the miss
-and a burst of heads after it one by one; the window grows while
-prefixes reach its end and the burst grows while they come up short, so
-a miss-dense trace pays almost nothing for the windows. Per reference
-it records one byte:
+Hits dominate most traces, so the pass classifies references at once
+against a numpy index of the L1's resident lines, which keeps the L1's
+LRU order as last-touch stamps (:class:`~repro.cache.vector_mirror.
+TagMirror`): an all-hit window is one gather and one scatter. From a
+miss it steps a burst of same-line run heads one by one on per-set MRU
+lists (a repeat of the line just referenced is an L1 hit that moves
+nothing); the window grows while prefixes reach its end and the burst
+grows while they come up short, so a miss-dense trace pays almost
+nothing for the windows. Per reference it records one byte:
 
 * bits 0-1 — the level that served it: 0 L1 hit, 1 L2 hit, 2 LLC hit,
   3 LLC miss (an NVM fill);
@@ -114,7 +113,7 @@ class Trajectory:
 
     __slots__ = (
         "geometry", "keep", "chunks", "tagged", "_rows", "_in2", "_in3",
-        "_mirror", "_touched", "_window", "_burst",
+        "_mirror", "_stale", "_ramp", "_window", "_burst",
     )
 
     def __init__(self, geometry, keep=True):
@@ -133,10 +132,11 @@ class Trajectory:
         )
         self._in2 = set()
         self._in3 = set()
-        #: The L1's numpy mirror and the L1 sets the scalar step changed
-        #: since the mirror's last sync.
+        #: The L1's numpy mirror, whether its stamps hold an order the
+        #: MRU lists do not, and 0, 1, 2, ...: a chunk's stamps.
         self._mirror = TagMirror(l1_sets, l1_ways, line.bit_length() - 1)
-        self._touched = []
+        self._stale = False
+        self._ramp = np.arange(0)
         self._window = _WINDOW_MIN
         self._burst = _BURST_MIN
 
@@ -167,12 +167,10 @@ class Trajectory:
     def _tag(self, addrs):
         """Tag one chunk's references; returns its codes and L2 victims.
 
-        Only the head of each same-line run is visited: a reference to
-        the line just referenced is an L1 hit on the MRU way and changes
-        nothing. A numpy window classifies the heads up to the first L1
-        miss against the mirror and applies that all-hit prefix as one
-        move-to-front per line (see :meth:`TagMirror.hit_prefix`); the
-        scalar step takes a burst of heads from the miss.
+        A chunk that hits the L1 throughout only stamps the mirror. Else,
+        from the first miss, the scalar step takes a burst of run heads
+        on the MRU lists (rebuilt from the stamps if windows stamped them)
+        and a numpy window stamps the heads up to the next miss.
         """
         _, l1_ways, _, l2_ways, _, llc_ways, line = self.geometry
         shift = line.bit_length() - 1
@@ -181,42 +179,37 @@ class Trajectory:
         in2 = self._in2
         in3 = self._in3
         mirror = self._mirror
-        touched = self._touched
         window = self._window
         burst = self._burst
+        n_refs = len(addrs)
+        if len(self._ramp) < n_refs:
+            self._ramp = np.arange(n_refs)
+        ids = addrs >> shift
+        mirror.cover(int(ids.max()))
+        hits = mirror.hit_prefix(ids, self._ramp)
+        stale = self._stale or hits > 0
+        codes = np.zeros(n_refs, dtype=np.int8)
+        if hits == n_refs:
+            self._stale = stale
+            mirror.stamps -= n_refs
+            return codes, np.zeros(0, dtype=np.int64)
         heads = np.flatnonzero(addrs[1:] != addrs[:-1]) + 1
         heads = np.concatenate(([0], heads))
+        head_ids = ids[heads]
         head_addrs = addrs[heads]
         n_heads = len(heads)
         miss_pos = []
         miss_code = []
         victims = []
-        k = 0
-        while k < n_heads:
-            mirror.sync(s1, touched)
-            end = min(k + window, n_heads)
-            hits, order = mirror.hit_prefix(head_addrs[k:end])
-            for a in order:
-                row = s1[(a >> shift) & m1]
-                if row[0] != a:
-                    row.remove(a)
-                    row.insert(0, a)
-            k += hits
-            if k == end:
-                if window < _WINDOW_MAX:
-                    window *= 2
-                continue
-            if window > _WINDOW_MIN:
-                window //= 2
-            if hits < _SHORT_PREFIX:
-                if burst < _BURST_MAX:
-                    burst *= 2
-            else:
-                burst = _BURST_MIN
+        # The reference that missed heads its run.
+        k = int(heads.searchsorted(hits))
+        while True:
+            if stale:
+                s1[:] = mirror.rows()
+                stale = False
             stop = min(k + burst, n_heads)
             for p, a in zip(heads[k:stop].tolist(), head_addrs[k:stop].tolist()):
-                si = (a >> shift) & m1
-                row = s1[si]
+                row = s1[(a >> shift) & m1]
                 if a in row:
                     if row[0] != a:
                         row.remove(a)
@@ -250,7 +243,6 @@ class Trajectory:
                                 vs = (v >> shift) & m1
                                 if v in s1[vs]:
                                     s1[vs].remove(v)
-                                    touched.append(vs)
                     row2.insert(0, a)
                     in2.add(a)
                     if len(row2) > l2_ways:
@@ -261,18 +253,38 @@ class Trajectory:
                         vs = (v >> shift) & m1
                         if v in s1[vs]:
                             s1[vs].remove(v)
-                            touched.append(vs)
                 row.insert(0, a)
-                touched.append(si)
                 if len(row) > l1_ways:
                     row.pop()
                     code |= L1_EVICT
                 miss_pos.append(p)
                 miss_code.append(code)
             k = stop
+            mirror.sync(s1)
+            # Numpy windows, growing while they hit to their end.
+            while k < n_heads:
+                end = min(k + window, n_heads)
+                hits = mirror.hit_prefix(head_ids[k:end], heads[k:end])
+                if hits:
+                    stale = True
+                k += hits
+                if k < end:
+                    break
+                if window < _WINDOW_MAX:
+                    window *= 2
+            else:
+                break
+            if window > _WINDOW_MIN:
+                window //= 2
+            if hits < _SHORT_PREFIX:
+                if burst < _BURST_MAX:
+                    burst *= 2
+            else:
+                burst = _BURST_MIN
         self._window = window
         self._burst = burst
-        codes = np.zeros(len(addrs), dtype=np.int8)
+        self._stale = stale
+        mirror.stamps -= n_refs
         codes[miss_pos] = miss_code
         return codes, np.array(victims, dtype=np.int64)
 

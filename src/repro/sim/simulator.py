@@ -25,9 +25,8 @@ import heapq
 import numpy as np
 
 from repro.baselines import Frm, IdealNvm, Journaling, ShadowPaging, ThyNvm
-from repro.baselines.base import CrashConsistencyScheme
 from repro.cache.hierarchy import CacheHierarchy
-from repro.cache.line import CacheLine
+from repro.cache.line import memory_line
 from repro.cache.miss_engine import CoreTurns, MissChainEngine
 from repro.cache.trajectory import PrivateCopies, Trajectory, geometry
 from repro.common.errors import ConfigurationError
@@ -395,11 +394,7 @@ class Simulation:
         insert_llc = hierarchy._insert_llc
         stats_add = hierarchy.stats.add
         sink = hierarchy.sink
-        fill_token = (
-            sink.fill_token
-            if type(sink).fill_token is not CrashConsistencyScheme.fill_token
-            else None
-        )
+        fill_token = hierarchy._fill_token
         on_store = sink.on_store
         on_store_bulk = sink.on_store_bulk
         store_filter = sink.vector_store_filter
@@ -677,7 +672,7 @@ class Simulation:
                                     # The LLC's own insert: its LRU pop is
                                     # the victim, and the back-invalidation
                                     # folds the victim's private record in.
-                                    llc_line = CacheLine(addr, token=token_f)
+                                    llc_line = memory_line(addr, token_f)
                                     fstall = insert_llc(llc_line, cycle)
                                     lat = llc_lat + mem_lat + l2_lat
                                 llc_line.owner = 0

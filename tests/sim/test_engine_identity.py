@@ -81,7 +81,7 @@ def attach_dram_cache(sim):
 
 
 def attach_plain_sink(sim):
-    sim.hierarchy.sink = EvictionSink(sim.controller)
+    sim.hierarchy.attach_sink(EvictionSink(sim.controller))
 
 
 def retired(trace, instructions):

@@ -46,9 +46,9 @@ def probes(monkeypatch):
     calls = []
     hit_prefix = TagMirror.hit_prefix
 
-    def counted(self, addrs):
-        calls.append(len(addrs))
-        return hit_prefix(self, addrs)
+    def counted(self, ids, stamps):
+        calls.append(len(ids))
+        return hit_prefix(self, ids, stamps)
 
     monkeypatch.setattr(TagMirror, "hit_prefix", counted)
     return calls
