@@ -47,7 +47,8 @@ class Frm(CrashConsistencyScheme):
         """The read-log-modify sequence: undo read, log append, in-place write."""
         stall = 0
         # (1) Read the undo data from its canonical address (random read).
-        old_token, _completion, s = self.controller.log_read_line(line_addr, now)
+        old_token = self.controller.read_token(line_addr)
+        _completion, s = self.controller.log_read_line(line_addr, now)
         stall += s
         # (2) Persist the undo entry (coalesced into bursts).
         entry = UndoEntry(
@@ -56,7 +57,7 @@ class Frm(CrashConsistencyScheme):
         self.log.append(entry)
         self._pending_log_entries += 1
         if self._pending_log_entries >= self.LOG_COALESCE_ENTRIES:
-            _completion, s = self.controller.bulk_log_write(
+            _completion, s = self.controller.bulk_write(
                 self._pending_log_entries * ENTRY_BYTES, now + stall
             )
             stall += s
@@ -76,7 +77,7 @@ class Frm(CrashConsistencyScheme):
         stall = self.system.handler_stall()
         stall += self._flush_all_dirty(now)
         if self._pending_log_entries:
-            _completion, s = self.controller.bulk_log_write(
+            _completion, s = self.controller.bulk_write(
                 self._pending_log_entries * ENTRY_BYTES, now + stall
             )
             stall += s

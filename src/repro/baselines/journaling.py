@@ -62,7 +62,7 @@ class Journaling(CrashConsistencyScheme):
     def write_back(self, line_addr, token, now):
         """Divert the write into the redo buffer (snooped on fills)."""
         self.redo_contents[line_addr] = token
-        _completion, stall = self.controller.device.write_line(
+        _completion, stall = self.controller.write_line(
             line_addr, now, AccessCategory.WRITEBACK
         )
         return stall
@@ -83,13 +83,13 @@ class Journaling(CrashConsistencyScheme):
         stall = self.system.handler_stall()
         stall += self._flush_all_dirty(now)
         # Apply: read every redo entry back and write it in place.
-        device = self.controller.device
+        controller = self.controller
         for line_addr, token in self.redo_contents.items():
-            _c, s = device.log_read_line(line_addr, now + stall)
+            _c, s = controller.log_read_line(line_addr, now + stall)
             stall += s
-            _c, s = device.write_line(line_addr, now + stall, AccessCategory.RANDOM)
+            _c, s = controller.write_line(line_addr, now + stall, AccessCategory.RANDOM)
             stall += s
-            self.controller.write_token(line_addr, token)
+            controller.write_token(line_addr, token)
         self.stats.add("journal.entries_applied", len(self.redo_contents))
         self.redo_contents.clear()
         self.table.clear()

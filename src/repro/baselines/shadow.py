@@ -93,7 +93,7 @@ class ShadowPaging(CrashConsistencyScheme):
     def write_back(self, line_addr, token, now):
         """Divert the write into the page's shadow copy."""
         self.shadow_contents[line_addr] = token
-        _completion, stall = self.controller.device.write_line(
+        _completion, stall = self.controller.write_line(
             line_addr, now, AccessCategory.WRITEBACK
         )
         return stall
@@ -117,7 +117,7 @@ class ShadowPaging(CrashConsistencyScheme):
             page for page, entry in self.table.items() if entry.dirty
         ]
         for page in dirty_pages:
-            _completion, s = self.controller.device.bulk_write(
+            _completion, s = self.controller.bulk_write(
                 PAGE_SIZE, now + stall, AccessCategory.SEQUENTIAL
             )
             stall += s

@@ -126,11 +126,11 @@ class ThyNvm(CrashConsistencyScheme):
         if self.page_table.lookup(page) is not None:
             # Page-tracked data lands in row-buffer-friendly page slots;
             # charge a line's share of a sequential page write.
-            _completion, stall = self.controller.device.bulk_write(
+            _completion, stall = self.controller.bulk_write(
                 64, now, AccessCategory.WRITEBACK
             )
             return stall
-        _completion, stall = self.controller.device.write_line(
+        _completion, stall = self.controller.write_line(
             line_addr, now, AccessCategory.WRITEBACK
         )
         return stall
@@ -166,21 +166,21 @@ class ThyNvm(CrashConsistencyScheme):
         # traffic; page entries move as module-local page copies.
         apply_start = now + stall
         completion = apply_start
-        device = self.controller.device
+        controller = self.controller
         applied_pages = set()
         for line_addr in self.redo_contents:
             page = page_address(line_addr)
             if self.page_table.lookup(page) is not None:
                 if page not in applied_pages:
                     applied_pages.add(page)
-                    completion, _s = self.controller.bulk_copy(
+                    completion, _s = controller.bulk_copy(
                         PAGE_SIZE, apply_start, backpressure=False
                     )
             else:
-                completion, _s = device.log_read_line(
+                completion, _s = controller.log_read_line(
                     line_addr, apply_start, backpressure=False
                 )
-                completion, _s = device.write_line(
+                completion, _s = controller.write_line(
                     line_addr, apply_start, AccessCategory.RANDOM, backpressure=False
                 )
         self._apply_done_at = completion

@@ -145,9 +145,18 @@ class CacheHierarchy:
         self._llc_clean_evictions = self.stats.slot("llc.clean_evictions")
         self._llc_snoops = self.stats.slot("llc.snoops")
 
+    @property
+    def sink(self):
+        """The crash-consistency scheme's eviction sink.
+
+        Read-only: :meth:`attach_sink` is its only writer, because it also
+        decides ``_fill_token``.
+        """
+        return self._sink
+
     def attach_sink(self, sink):
         """Attach the crash-consistency scheme's eviction sink."""
-        self.sink = sink
+        self._sink = sink
         #: The sink's ``fill_token``; None for the no-op default (skipped).
         self._fill_token = (
             None if type(sink).fill_token is EvictionSink.fill_token
@@ -180,7 +189,7 @@ class CacheHierarchy:
                 self._loads.value += 1
                 return fill_latency + stall
             wait = int(fill_latency * self.store_miss_factor) + stall
-        wait += self.sink.on_store(core, line, now)
+        wait += self._sink.on_store(core, line, now)
         line.token = token
         # Inlined ``line.dirty = True`` (see CacheLine.dirty): stores are
         # hot enough that the property call shows up in profiles.
@@ -358,7 +367,7 @@ class CacheHierarchy:
                 # folded in, SRAM contents doomed) but the scheme's
                 # bloom-guarded log write / write-back has not happened.
                 self.fault_plan.notify("llc_eviction")
-            return self.sink.write_back(victim.addr, victim.token, now)
+            return self._sink.write_back(victim.addr, victim.token, now)
         self._llc_clean_evictions.value += 1
         return 0
 

@@ -83,7 +83,10 @@ def _store_mode(sfilter):
     """The drain's store dispatch for a ``vector_store_filter()`` value:
     ``(0, None)`` every store is scheme-silent, ``(1, None)`` every store
     calls ``sink.on_store``, ``(2, eid)`` a store to a line tagged ``eid``
-    is silent and any other store calls ``sink.on_store``."""
+    is silent and any other store calls ``sink.on_store``. The replay
+    (``Simulation._run_replay``) dispatches its stores the same way."""
+    # ``is True``/``is False``: an EID of 0 or 1 must not be mistaken for
+    # the booleans.
     if sfilter is True:
         return 0, None
     if sfilter is False:

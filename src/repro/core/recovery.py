@@ -113,5 +113,5 @@ def recovery_latency_cycles(report, timings, entry_bytes=72):
     """
     scan_bytes = report.entries_scanned * entry_bytes
     scan = timings.bulk_read_cycles(max(scan_bytes, 1))
-    apply_writes = report.entries_applied * timings.line_write_cycles()
+    apply_writes = report.entries_applied * timings.line_write_cycles
     return scan + apply_writes

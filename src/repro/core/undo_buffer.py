@@ -115,7 +115,7 @@ class UndoBuffer:
         self.log_region.append_many(self._entries)
         n_entries = len(self._entries)
         burst = min(self.flush_bytes, n_entries * self.log_region.entry_bytes)
-        _completion, stall = self.controller.bulk_log_write(
+        _completion, stall = self.controller.bulk_write(
             burst, now, backpressure=backpressure
         )
         self.stats.add("undo.buffer_flushes")

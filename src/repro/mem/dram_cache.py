@@ -11,11 +11,11 @@ granularity. The paper argues PiCL composes with both modes:
   Dirty pages are volatile until evicted, so the functional NVM image is
   only updated on page write-back.
 
-This module implements both as a layer in front of
-:class:`repro.mem.controller.MemoryController`'s device.
+This module implements both as a layer in front of the NVM channels of
+:class:`repro.mem.controller.MemoryController`.
 """
 
-from repro.common.address import LINE_SIZE, PAGE_SIZE, page_address
+from repro.common.address import PAGE_SIZE, page_address
 from repro.common.errors import ConfigurationError
 from repro.common.units import cycles_from_ns
 from repro.mem.nvm import AccessCategory
@@ -83,9 +83,8 @@ class DramCache:
 
     def _fill(self, page_addr, now):
         """Bring a page into DRAM; returns (page, fill_latency)."""
-        device = self._controller.device
-        finish = device.bulk_read(
-            self.page_size, now, category=AccessCategory.DEMAND_READ
+        finish = self._controller.bulk_read(
+            self.page_size, now, AccessCategory.DEMAND_READ
         )
         cache_set = self._set_for(page_addr)
         page = _DramPage(page_addr)
@@ -97,8 +96,7 @@ class DramCache:
 
     def _evict(self, page, now):
         if self.mode == DramCacheMode.WRITE_BACK and page.dirty:
-            device = self._controller.device
-            device.bulk_write(self.page_size, now, AccessCategory.WRITEBACK)
+            self._controller.bulk_write(self.page_size, now, AccessCategory.WRITEBACK)
             for line_addr, token in page.dirty_lines.items():
                 self._controller.image.write(line_addr, token)
             self._controller.stats.add("dram.page_writebacks")
@@ -124,16 +122,27 @@ class DramCache:
             token = self._controller.image.read(line_addr)
         return latency, token
 
-    def write(self, line_addr, token, now, category=AccessCategory.WRITEBACK):
-        """Write a line through the DRAM cache; returns (completion, stall)."""
+    def write(
+        self,
+        line_addr,
+        token,
+        now,
+        category=AccessCategory.WRITEBACK,
+        backpressure=True,
+    ):
+        """Write a line through the DRAM cache; returns (completion, stall).
+
+        ``backpressure`` is the controller's: write-through background
+        traffic (ACS) adds NVM load but never stalls its issuer.
+        """
         page_addr = page_address(line_addr, self.page_size)
         page = self._find(page_addr)
         if page is None:
             page, _fill_latency = self._fill(page_addr, now)
             self._controller.stats.add("dram.misses")
         if self.mode == DramCacheMode.WRITE_THROUGH:
-            completion, stall = self._controller.device.write_line(
-                line_addr, now, category, LINE_SIZE
+            completion, stall = self._controller.write_line(
+                line_addr, now, category, backpressure
             )
             self._controller.image.write(line_addr, token)
             return completion, stall

@@ -10,6 +10,7 @@ which is exactly the property PiCL's 2 KB undo-buffer flush exploits.
 
 import dataclasses
 
+from repro.common.address import LINE_SIZE
 from repro.common.errors import ConfigurationError
 from repro.common.units import KB, cycles_from_ns, is_power_of_two
 
@@ -57,27 +58,21 @@ class NvmTimings:
         self.write_queue_limit_cycles = cycles_from_ns(
             self.write_queue_limit_ns, self.cpu_ghz
         )
-        # The hot demand path reads/writes whole 64 B lines millions of
-        # times per run; cache their service times once.
-        self._line_read_cycles_64 = self.row_read_cycles + self.transfer_cycles(64)
-        self._line_write_cycles_64 = self.row_write_cycles + self.transfer_cycles(64)
+        #: Service times of one isolated (closed-page) 64 B line read and
+        #: line write.
+        self.line_read_cycles = self.row_read_cycles + self.transfer_cycles(LINE_SIZE)
+        self.line_write_cycles = self.row_write_cycles + self.transfer_cycles(LINE_SIZE)
+
+    def __setstate__(self, state):
+        # Recompute the derived cycle counts: a timing pickled by an older
+        # build (a daemon spool) may lack some that this build reads.
+        self.__dict__.update(state)
+        self.__post_init__()
 
     def transfer_cycles(self, size_bytes):
         """Cycles the link is occupied transferring ``size_bytes``."""
         nanoseconds = size_bytes / self.link_gb_per_s
         return cycles_from_ns(nanoseconds, self.cpu_ghz)
-
-    def line_read_cycles(self, line_size=64):
-        """Service time of one isolated (closed-page) line read."""
-        if line_size == 64:
-            return self._line_read_cycles_64
-        return self.row_read_cycles + self.transfer_cycles(line_size)
-
-    def line_write_cycles(self, line_size=64):
-        """Service time of one isolated (closed-page) line write."""
-        if line_size == 64:
-            return self._line_write_cycles_64
-        return self.row_write_cycles + self.transfer_cycles(line_size)
 
     def bulk_write_cycles(self, size_bytes):
         """Service time of a sequential write of ``size_bytes``.

@@ -27,7 +27,7 @@ import numpy as np
 from repro.baselines import Frm, IdealNvm, Journaling, ShadowPaging, ThyNvm
 from repro.cache.hierarchy import CacheHierarchy
 from repro.cache.line import memory_line
-from repro.cache.miss_engine import CoreTurns, MissChainEngine
+from repro.cache.miss_engine import CoreTurns, MissChainEngine, _store_mode
 from repro.cache.trajectory import PrivateCopies, Trajectory, geometry
 from repro.common.errors import ConfigurationError
 from repro.common.stats import StatCounters
@@ -467,15 +467,7 @@ class Simulation:
                     )
                     if seg_end > n:
                         seg_end = n
-                    # ``is True``/``is False``: an EID of 0 or 1 must not
-                    # be mistaken for the booleans.
-                    sfilter = store_filter()
-                    if sfilter is True:
-                        smode, eid = 0, None
-                    elif sfilter is False:
-                        smode, eid = 1, None
-                    else:
-                        smode, eid = 2, sfilter
+                    smode, eid = _store_mode(store_filter())
                     ev = events[smode == 1]
                     if ev is None:
                         if smode == 1:

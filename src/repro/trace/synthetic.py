@@ -31,12 +31,10 @@ Two speed facilities live alongside the generator:
 * **Cross-scheme memoization** (:func:`make_trace`): figure sweeps drive
   the identical stream through every scheme at each (benchmark, config,
   seed) point, so generated chunks are memoized per process, keyed on
-  ``(profile, n_instructions, seed, addr_base)``. Set
-  ``REPRO_NO_TRACE_MEMO=1`` to force fresh generation every time.
+  ``(profile, n_instructions, seed, addr_base)``.
 """
 
 import collections
-import os
 
 import numpy as np
 
@@ -354,12 +352,9 @@ def make_trace(profile, n_instructions, seed=0, addr_base=0):
     identical stream through six schemes, so five of the six generations
     (and their batch-metadata passes) are saved. The stream itself is
     bit-identical either way — memo hits replay the very chunks a fresh
-    generator would emit. ``REPRO_NO_TRACE_MEMO=1`` disables memoization;
-    traces expected to exceed ``_TRACE_MEMO_MAX_REFS`` references bypass it
-    to bound resident memory.
+    generator would emit. Traces expected to exceed
+    ``_TRACE_MEMO_MAX_REFS`` references bypass it to bound resident memory.
     """
-    if os.environ.get("REPRO_NO_TRACE_MEMO"):
-        return SyntheticTrace(profile, n_instructions, seed=seed, addr_base=addr_base)
     if n_instructions > 0 and int(n_instructions * profile.mem_ratio) > _TRACE_MEMO_MAX_REFS:
         return SyntheticTrace(profile, n_instructions, seed=seed, addr_base=addr_base)
     key = (profile, n_instructions, seed, addr_base)

@@ -202,6 +202,14 @@ class TestSchemeSnoopFill:
         assert hierarchy.l1(0).lookup(0x40, touch=False).token == 77
         assert hierarchy.stats.get("llc.fills_from_log") == 1
 
+    def test_sink_is_read_only(self):
+        # attach_sink also decides which fill_token the fills call; a bare
+        # assignment would leave the previous sink's snoop in place.
+        hierarchy, controller, sink = make_hierarchy()
+        with pytest.raises(AttributeError):
+            hierarchy.sink = EvictionSink(controller)
+        assert hierarchy.sink is sink
+
     def test_eid_propagates_on_fill(self):
         hierarchy, _c, _s = make_hierarchy(l1_size=128)
         hierarchy.access(0, 0x40, True, 1, now=0)

@@ -38,21 +38,16 @@ class TestDemandPath:
 
 
 class TestLoggingPath:
-    def test_log_read_returns_old_token(self, controller):
-        controller.writeback(0x40, 11, now=0)
-        token, _completion, _stall = controller.log_read_line(0x40, now=0)
-        assert token == 11
-
     def test_log_read_does_not_change_image(self, controller):
         controller.log_read_line(0x40, now=0)
         assert controller.read_token(0x40) == 0
 
     def test_log_write_does_not_touch_image(self, controller):
-        controller.log_write_line(0x40, now=0)
+        controller.write_line(0x40, now=0, category=AccessCategory.RANDOM)
         assert controller.read_token(0x40) == 0
 
-    def test_bulk_log_write_is_sequential(self, controller):
-        controller.bulk_log_write(2048, now=0)
+    def test_bulk_write_is_sequential(self, controller):
+        controller.bulk_write(2048, now=0)
         assert controller.stats.get("nvm.iops.sequential") == 1
 
     def test_bulk_copy_is_sequential_and_linkless(self, controller):

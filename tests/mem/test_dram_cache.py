@@ -45,6 +45,21 @@ class TestWriteThrough:
         assert controller.stats.get("dram.misses") == 1
         assert controller.stats.get("dram.hits") == 1
 
+    def test_background_writes_never_stall(self):
+        # ACS write-backs pass backpressure=False: through the DRAM cache
+        # they must load the NVM exactly as without it, and never stall.
+        controller, _cache = make(DramCacheMode.WRITE_THROUGH)
+        bare = MemoryController(NvmTimings())
+        for mc in (controller, bare):
+            stalls = [
+                mc.writeback(i * 64, i, now=0, backpressure=False)[1]
+                for i in range(200)
+            ]
+            assert sum(stalls) == 0
+        assert controller.drain(0) == bare.drain(0) == 200 * (
+            bare.timings.line_write_cycles
+        )
+
 
 class TestWriteBack:
     def test_dirty_data_not_in_nvm_until_eviction(self):

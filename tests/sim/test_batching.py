@@ -3,12 +3,13 @@
 :meth:`Simulation._run_single_core` segments chunks and coalesces
 same-line runs using each chunk's lazily computed run/cumsum metadata,
 and every scheme of a sweep reads the same trace through the
-cross-scheme memo (``REPRO_NO_TRACE_MEMO`` must yield the identical
-stream). The driver's identity with the reference loop is
+cross-scheme memo (a fresh generator must yield the identical
+stream). The fast engine's identity with the reference loop is
 tests/sim/test_engine_identity.py's job.
 """
 
 from helpers import fingerprint, run_mode, small_config
+from repro.trace import synthetic
 from repro.trace.profiles import get_profile
 from repro.trace.synthetic import (
     MaterializedTrace,
@@ -62,7 +63,7 @@ class TestTraceMemo:
         assert isinstance(memo_a, MaterializedTrace)
         # Memo hits share the frozen storage (thawed chunks are transient).
         assert memo_a._chunks is memo_b._chunks
-        monkeypatch.setenv("REPRO_NO_TRACE_MEMO", "1")
+        monkeypatch.setattr(synthetic, "_TRACE_MEMO_MAX_REFS", -1)
         fresh = make_trace(profile, 30_000, seed=11)
         assert isinstance(fresh, SyntheticTrace)
         for memo_chunk, fresh_chunk in zip(memo_a.chunks(), fresh.chunks()):
@@ -83,7 +84,7 @@ class TestTraceMemo:
         clear_trace_memo()
         args = ("trajectory", small_config(), "picl", ["gcc"], 60_000, 13)
         with_memo = run_mode(*args)
-        monkeypatch.setenv("REPRO_NO_TRACE_MEMO", "1")
+        monkeypatch.setattr(synthetic, "_TRACE_MEMO_MAX_REFS", -1)
         without_memo = run_mode(*args)
         assert fingerprint(with_memo) == fingerprint(without_memo)
         clear_trace_memo()

@@ -51,7 +51,7 @@ from repro.fault.plan import SEMANTIC_SITES, SITE_UNDO_FLUSH, CrashPlan
 from repro.mem.controller import MemoryController
 from repro.mem.dram_cache import DramCache, DramCacheMode
 from repro.sim.simulator import Simulation
-from repro.trace import profiles
+from repro.trace import profiles, synthetic
 from repro.trace.mixes import MULTIPROGRAM_MIXES
 from repro.trace.profiles import WorkloadProfile
 from repro.trace.synthetic import MaterializedTrace, SyntheticTrace
@@ -482,7 +482,7 @@ def test_trace_source(source, monkeypatch, tmp_path):
     # constructor; the lazy tag pass tags whichever chunks it is given.
     factory = None
     if source == "fresh":
-        monkeypatch.setenv("REPRO_NO_TRACE_MEMO", "1")
+        monkeypatch.setattr(synthetic, "_TRACE_MEMO_MAX_REFS", -1)
     elif source == "file":
         path = tmp_path / "hmmer.npz"
         recorder = Simulation(small_config(), "picl", ["hmmer"], N, seed=71)

@@ -22,6 +22,7 @@ from repro.cache.vector_mirror import TagMirror
 from repro.fault.plan import CrashPlan
 from repro.sim.config import SystemConfig
 from repro.sim.simulator import Simulation
+from repro.trace import synthetic
 
 N = 60_000  # a few scheduled epochs at scale 256
 
@@ -100,7 +101,7 @@ class TestLazyThaw:
                                                         tag_calls):
         # A generator trace runs once; the replay tags the very chunks it
         # is about to run, never a second pass over the trace.
-        monkeypatch.setenv("REPRO_NO_TRACE_MEMO", "1")
+        monkeypatch.setattr(synthetic, "_TRACE_MEMO_MAX_REFS", -1)
         config = small_config()
         fast = run_mode("trajectory", config, "picl", ["gcc"], N, 13)
         reference = run_mode(REFERENCE, config, "picl", ["gcc"], N, 13,
