@@ -59,38 +59,17 @@ class CrashConsistencyScheme:
         """Default: stores carry no scheme work."""
         return 0
 
-    def on_store_repeat(self, core, line, count, now):
-        """Batch ``count`` repeated stores when each is a provable no-op.
-
-        The multi-core miss-chain drain's run-coalescing tail calls this
-        for the tail of a same-line store run when
-        :meth:`vector_store_filter` is False; under True or an EID the
-        drain applies that contract instead (an EID-tagged tail is
-        counted for :meth:`on_store_bulk`). Returning 0 asserts that
-        ``count`` consecutive ``on_store`` calls on this line would each
-        have returned 0 without any observable state change (beyond the
-        idempotent bookkeeping this method applies itself); returning None
-        makes the drain fall back and replay them exactly, and must
-        leave the scheme untouched. The default only batches when
-        ``on_store`` is the inherited no-op — a scheme that overrides
-        ``on_store`` must opt in with its own override here.
-        """
-        if type(self).on_store is CrashConsistencyScheme.on_store:
-            return 0
-        return None
-
     def vector_store_filter(self):
         """Which stores may skip :meth:`on_store`.
 
-        Two interpreters read this contract, once per epoch segment (it
-        is never cached across a boundary): the single-core trajectory
-        replay (``Simulation._run_replay``), for every store, and the
-        multi-core drain (:mod:`repro.cache.miss_engine`), for every
-        store it runs. A *silent* store only writes its token; the
-        interpreter counts it and hands the count to
-        :meth:`on_store_bulk` before its next :meth:`on_store` call and at
-        every boundary. Every other store calls :meth:`on_store` at its
-        own cycle.
+        One interpreter reads this contract: the single-core trajectory
+        replay (``Simulation._run_replay``), once per epoch segment (it
+        is never cached across a boundary). A *silent* store only writes
+        its token; the replay counts it and hands the count to
+        :meth:`on_store_bulk` before its next :meth:`on_store` call and
+        at every boundary. Every other store calls :meth:`on_store` at
+        its own cycle. (The reference loop and the multi-core drain call
+        :meth:`on_store` for every store.)
 
         Returns ``True`` (every store is silent), ``False`` (none is), or
         an int EID: a store to a line tagged with that EID must be silent
@@ -99,17 +78,16 @@ class CrashConsistencyScheme:
         tagged with the EID, so its later stores are silent, and may
         read or retag no other private line: the replay knows a run of
         L1 hits' cross-epoch stores up front and writes the silent
-        stores' tokens around them. The default mirrors
-        :meth:`on_store_repeat`: silent iff ``on_store`` is the inherited
-        no-op.
+        stores' tokens around them. The default: silent iff ``on_store``
+        is the inherited no-op.
         """
         return type(self).on_store is CrashConsistencyScheme.on_store
 
     def on_store_bulk(self, count):
         """Aggregate bookkeeping for ``count`` silent stores.
 
-        Called by the trajectory replay and the multi-core drain with the
-        stores :meth:`vector_store_filter` made silent, before their next
+        Called by the trajectory replay with the stores
+        :meth:`vector_store_filter` made silent, before their next
         :meth:`on_store` call and at every boundary. Must reproduce
         exactly the state ``count`` silent ``on_store`` calls would have
         left (PiCL advances its store sequence). Default: the inherited

@@ -49,12 +49,6 @@ class Journaling(CrashConsistencyScheme):
             raise AssertionError("translation table full immediately after commit")
         return stall
 
-    def on_store_repeat(self, core, line, count, now):
-        """Repeated stores to an already-tracked block are free re-inserts."""
-        if self.table.lookup(line.addr) is not None:
-            return 0
-        return None
-
     # ------------------------------------------------------------------
     # eviction path: into the redo buffer, snooped on fills
     # ------------------------------------------------------------------

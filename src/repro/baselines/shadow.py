@@ -78,14 +78,6 @@ class ShadowPaging(CrashConsistencyScheme):
         self.stats.add("shadow.page_cows")
         return stall + cow_stall
 
-    def on_store_repeat(self, core, line, count, now):
-        """Repeated stores to an already-shadowed page just re-mark it dirty."""
-        entry = self.table.lookup(page_address(line.addr))
-        if entry is None:
-            return None
-        entry.dirty = True
-        return 0
-
     # ------------------------------------------------------------------
     # eviction path: into the shadow copy
     # ------------------------------------------------------------------

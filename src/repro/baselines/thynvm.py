@@ -91,14 +91,6 @@ class ThyNvm(CrashConsistencyScheme):
         self._page_line_counts[page] = 1
         return stall
 
-    def on_store_repeat(self, core, line, count, now):
-        """Repeated stores to a tracked block/page hit the early-out paths."""
-        if self.page_table.lookup(page_address(line.addr)) is not None:
-            return 0
-        if self.block_table.lookup(line.addr) is not None:
-            return 0
-        return None
-
     def _promote_fullest_page(self):
         """Promote the page with the most staged blocks; False if impossible."""
         if not self._page_line_counts:

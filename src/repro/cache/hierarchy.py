@@ -54,28 +54,17 @@ class EvictionSink:
         """Default sink behaviour: stores need no extra work."""
         return 0
 
-    def on_store_repeat(self, core, line, count, now):
-        """Batch hook for ``count`` repeated stores that are scheme no-ops.
-
-        The miss-chain drain calls this for the tail of a same-line store
-        run (see repro.cache.miss_engine). Contract: return 0 after
-        applying bookkeeping that is *provably identical* to ``count``
-        consecutive ``on_store`` calls on this line — which also means no
-        stall and no state change a later access could observe differently.
-        Return None (without mutating anything) to make the caller replay
-        the stores one by one through ``on_store``.
-        """
-        return 0
-
     def vector_store_filter(self):
-        """Which stores may skip ``on_store`` (see
-        ``CrashConsistencyScheme.vector_store_filter``): every one, as
-        this sink's ``on_store`` is a pure no-op."""
-        return True
+        """Which stores the single-core trajectory replay may write
+        without ``on_store`` (see
+        ``CrashConsistencyScheme.vector_store_filter``): every one while
+        ``on_store`` is this class's no-op, none once a subclass
+        overrides it."""
+        return type(self).on_store is EvictionSink.on_store
 
     def on_store_bulk(self, count):
-        """Bookkeeping for ``count`` stores that skipped ``on_store``
-        (for this sink: nothing)."""
+        """The replay's bookkeeping for ``count`` stores that skipped
+        ``on_store`` (for this sink: nothing)."""
 
 
 class CacheHierarchy:

@@ -11,49 +11,20 @@ For trace-driven performance runs use :class:`repro.sim.simulator.Simulation`
 instead.
 """
 
-from repro.cache.hierarchy import CacheHierarchy
-from repro.common.stats import StatCounters
-from repro.cpu.core import CoreState
-from repro.cpu.system import System
-from repro.mem.controller import MemoryController
 from repro.sim.config import SystemConfig
-from repro.sim.simulator import build_scheme
+from repro.sim.simulator import BuiltSystem
 
 
-class InteractiveSystem:
-    """A fully built system driven access by access."""
+class InteractiveSystem(BuiltSystem):
+    """A fully built system driven access by access.
+
+    Reference tracking is always on, so :meth:`crash_and_recover` has
+    the snapshot to check every recovery against.
+    """
 
     def __init__(self, scheme_name="picl", config=None):
-        self.config = config if config is not None else SystemConfig().scaled(256)
-        self.stats = StatCounters()
-        self.controller = MemoryController(self.config.nvm, self.stats)
-        self.hierarchy = CacheHierarchy(
-            self.controller,
-            n_cores=self.config.n_cores,
-            l1_size=self.config.l1_size,
-            l1_assoc=self.config.l1_assoc,
-            l1_latency=self.config.l1_latency,
-            l2_size=self.config.l2_size,
-            l2_assoc=self.config.l2_assoc,
-            l2_latency=self.config.l2_latency,
-            llc_size_per_core=self.config.llc_size_per_core,
-            llc_assoc=self.config.llc_assoc,
-            llc_latency=self.config.llc_latency,
-            line_size=self.config.line_size,
-            store_miss_factor=self.config.store_miss_factor,
-            stats=self.stats,
-        )
-        self.cores = [CoreState(i) for i in range(self.config.n_cores)]
-        self.system = System(
-            self.controller,
-            self.hierarchy,
-            self.cores,
-            stats=self.stats,
-            epoch_handler_cycles=self.config.epoch_handler_cycles,
-            track_reference=True,
-            reference_depth=self.config.reference_depth,
-        )
-        self.scheme = build_scheme(scheme_name, self.system, self.config)
+        config = config if config is not None else SystemConfig().scaled(256)
+        super().__init__(config, scheme_name, track_reference=True)
         self.now = 0
 
     # ------------------------------------------------------------------
@@ -87,25 +58,8 @@ class InteractiveSystem:
         self.now += cycles
 
     # ------------------------------------------------------------------
-    # crash / recovery
+    # state
     # ------------------------------------------------------------------
-
-    def crash_and_recover(self):
-        """Power-fail now; returns (recovered_image, commit_id, reference).
-
-        ``reference`` is the architectural snapshot the recovered image
-        must equal ({} when the recovery target is the initial state;
-        None when the scheme offers no consistency guarantee).
-        """
-        self.system.crash()
-        image, commit_id = self.scheme.recover()
-        if commit_id is None:
-            reference = None
-        elif commit_id < 0:
-            reference = {}
-        else:
-            reference = self.system.commit_snapshot(commit_id)
-        return image, commit_id, reference
 
     def arch_state(self):
         """The architectural (crash-free) memory image right now."""

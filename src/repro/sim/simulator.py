@@ -27,7 +27,7 @@ import numpy as np
 from repro.baselines import Frm, IdealNvm, Journaling, ShadowPaging, ThyNvm
 from repro.cache.hierarchy import CacheHierarchy
 from repro.cache.line import memory_line
-from repro.cache.miss_engine import CoreTurns, MissChainEngine, _store_mode
+from repro.cache.miss_engine import CoreTurns, MissChainEngine
 from repro.cache.trajectory import PrivateCopies, Trajectory, geometry
 from repro.common.errors import ConfigurationError
 from repro.common.stats import StatCounters
@@ -86,6 +86,20 @@ def store_lines(addrs):
     return ranked[head][by_first], first[by_first], order[tail][by_first]
 
 
+def _store_mode(sfilter):
+    """The replay's store dispatch for a ``vector_store_filter()`` value:
+    ``(0, None)`` every store is scheme-silent, ``(1, None)`` every store
+    calls ``sink.on_store``, ``(2, eid)`` a store to a line tagged ``eid``
+    is silent and any other store calls ``sink.on_store``."""
+    # ``is True``/``is False``: an EID of 0 or 1 must not be mistaken for
+    # the booleans.
+    if sfilter is True:
+        return 0, None
+    if sfilter is False:
+        return 1, None
+    return 2, sfilter
+
+
 class _TraceCursor:
     """Positional reader over a trace's chunks.
 
@@ -142,36 +156,21 @@ def build_scheme(name, system, config):
     )
 
 
-class Simulation:
-    """One system + one scheme + one trace per core.
+class BuiltSystem:
+    """A system built from a config, with a scheme attached.
 
-    ``shared_memory=False`` (the default, the paper's multiprogram rate
-    mode) gives every core a disjoint address space; ``True`` makes all
-    cores address one shared working set — a multithreaded workload whose
-    cross-core stores exercise coherence, undo forwarding, and recovery
-    under sharing.
+    The memory controller, the cache hierarchy, one ``CoreState`` per
+    core, the :class:`repro.cpu.system.System` over them and the scheme,
+    all counting into one ``StatCounters``. Both drivers are built this
+    way: :class:`Simulation` runs traces through it, and
+    :class:`repro.sim.interactive.InteractiveSystem` drives it one
+    access at a time. ``track_reference`` keeps the architectural image
+    and commit snapshots that :meth:`crash_and_recover` checks against.
     """
 
-    def __init__(
-        self,
-        config,
-        scheme_name,
-        benchmarks,
-        n_instructions,
-        seed=1234,
-        shared_memory=False,
-    ):
-        if isinstance(benchmarks, str):
-            benchmarks = [benchmarks]
-        if len(benchmarks) != config.n_cores:
-            raise ConfigurationError(
-                "%d benchmarks for %d cores" % (len(benchmarks), config.n_cores)
-            )
-        self.shared_memory = shared_memory
+    def __init__(self, config, scheme_name, track_reference):
         self.config = config
         self.scheme_name = scheme_name
-        self.benchmarks = list(benchmarks)
-        self.n_instructions = n_instructions
         self.stats = StatCounters()
         self.controller = MemoryController(config.nvm, self.stats)
         self.hierarchy = CacheHierarchy(
@@ -197,10 +196,59 @@ class Simulation:
             self.cores,
             stats=self.stats,
             epoch_handler_cycles=config.epoch_handler_cycles,
-            track_reference=config.track_reference,
+            track_reference=track_reference,
             reference_depth=config.reference_depth,
         )
         self.scheme = build_scheme(scheme_name, self.system, config)
+
+    def crash_and_recover(self):
+        """Power-fail now, recover, and return (image, commit_id, reference).
+
+        ``reference`` is the architectural snapshot the recovered image
+        must equal ({} when the recovery target is the initial state;
+        None when the scheme offers no consistency guarantee, reference
+        tracking is off, or the snapshot fell out of the window).
+        """
+        self.system.crash()
+        image, commit_id = self.scheme.recover()
+        if commit_id is None:
+            reference = None
+        elif commit_id < 0:
+            reference = {}
+        else:
+            reference = self.system.commit_snapshot(commit_id)
+        return image, commit_id, reference
+
+
+class Simulation(BuiltSystem):
+    """One system + one scheme + one trace per core.
+
+    ``shared_memory=False`` (the default, the paper's multiprogram rate
+    mode) gives every core a disjoint address space; ``True`` makes all
+    cores address one shared working set — a multithreaded workload whose
+    cross-core stores exercise coherence, undo forwarding, and recovery
+    under sharing.
+    """
+
+    def __init__(
+        self,
+        config,
+        scheme_name,
+        benchmarks,
+        n_instructions,
+        seed=1234,
+        shared_memory=False,
+    ):
+        if isinstance(benchmarks, str):
+            benchmarks = [benchmarks]
+        if len(benchmarks) != config.n_cores:
+            raise ConfigurationError(
+                "%d benchmarks for %d cores" % (len(benchmarks), config.n_cores)
+            )
+        super().__init__(config, scheme_name, config.track_reference)
+        self.shared_memory = shared_memory
+        self.benchmarks = list(benchmarks)
+        self.n_instructions = n_instructions
         self.seed = seed
         self.traces = [self._make_trace(core_id) for core_id in range(config.n_cores)]
         self.crashed = False
@@ -830,14 +878,16 @@ class Simulation:
         *horizon* — and the first reference past it still retires.
 
         The drain generator (:meth:`MissChainEngine.make_drain`'s
-        ``turn_gen``) runs exactly those turns, every L1 miss through
-        the hierarchy's own chain, and switches cores inline. It comes
-        back here only when the running core retires the reference that
-        crosses the next epoch or crash boundary, or the last reference
-        of its chunk, so everything the reference loop does between
-        references — epoch commits and their stop-the-world stall, crash
-        stops, chunk loading — lives in this loop, in the reference
-        order.
+        ``turn_gen``) runs exactly those turns and switches cores
+        inline. It steps every reference as ``access`` does: an L1 hit
+        inline, an L1 miss through the hierarchy's own chain, and every
+        store through the scheme's ``on_store`` at the access's cycle.
+        It comes back here only when the running core retires the
+        reference that crosses the next epoch or crash boundary, or the
+        last reference of its chunk, so everything the reference loop
+        does between references — epoch commits and their
+        stop-the-world stall, crash stops, chunk loading — lives in
+        this loop, in the reference order.
 
         Bit-identical to :meth:`_run_reference` — same tokens, cycles,
         counters, NVM image, undo log, recovery images — asserted by
@@ -933,24 +983,3 @@ class Simulation:
             per_core_cycles=[core.cycle for core in self.cores],
             engine=self.engine,
         )
-
-    # ------------------------------------------------------------------
-    # crash / recovery harness
-    # ------------------------------------------------------------------
-
-    def crash_and_recover(self):
-        """Power-fail now, recover, and return (image, commit_id, reference).
-
-        ``reference`` is the architectural snapshot the recovered image
-        must equal ({} for the initial state; None when the config did not
-        enable reference tracking or the snapshot fell out of the window).
-        """
-        self.system.crash()
-        image, commit_id = self.scheme.recover()
-        if commit_id is None:
-            reference = None
-        elif commit_id < 0:
-            reference = {}
-        else:
-            reference = self.system.commit_snapshot(commit_id)
-        return image, commit_id, reference

@@ -22,12 +22,13 @@ temporal and spatial locality stay independent knobs.
 Two speed facilities live alongside the generator:
 
 * **Batch metadata and lazy boxing** (:class:`_FrozenChunk`,
-  :class:`TraceChunk`): cumulative instruction and store counts and
-  same-line run lengths, computed once per chunk with numpy. The fast
-  engine uses them to place epoch and crash boundaries without
-  per-reference checks and to retire runs of L1 hits or coalesce
-  same-line runs (see :mod:`repro.sim.simulator`); the single-core
-  replay reads them straight from numpy and never boxes a chunk.
+  :class:`TraceChunk`): cumulative instruction and store counts,
+  computed once per chunk with numpy. The fast engine uses them to
+  place epoch and crash boundaries without per-reference checks, and
+  the single-core replay also to retire runs of L1 hits in bulk (see
+  :mod:`repro.sim.simulator`). The replay reads them straight from
+  numpy and never boxes a chunk; the multi-core drain boxes the
+  reference columns and the instruction counts.
 * **Cross-scheme memoization** (:func:`make_trace`): figure sweeps drive
   the identical stream through every scheme at each (benchmark, config,
   seed) point, so generated chunks are memoized per process, keyed on
@@ -48,25 +49,9 @@ CHUNK_REFS = 8192
 _MAX_ZIPF_RANKS = 1 << 16
 
 
-def _run_ends_array(addrs):
-    """Exclusive end of the same-line run starting at each index (numpy).
-
-    ``breaks[i]`` is True when the run cannot extend past reference ``i``;
-    ``run_ends[i]`` is then the nearest break at or after ``i``, plus one.
-    """
-    n = len(addrs)
-    if n == 1:
-        return np.ones(1, dtype=np.int64)
-    breaks = np.empty(n, dtype=bool)
-    breaks[:-1] = addrs[1:] != addrs[:-1]
-    breaks[-1] = True
-    ends = np.where(breaks, np.arange(1, n + 1), n)
-    return np.minimum.accumulate(ends[::-1])[::-1]
-
-
 #: The :class:`_FrozenChunk` arrays a per-reference loop reads one
 #: reference at a time, in :attr:`TraceChunk.lists` order.
-_REPLAY_COLUMNS = ("gaps", "addrs", "writes", "cum", "run_ends", "write_cum")
+_REPLAY_COLUMNS = ("gaps", "addrs", "writes", "cum")
 
 
 def _column(index, doc):
@@ -87,8 +72,9 @@ class TraceChunk:
     only the numpy columns of the chunk's :class:`_FrozenChunk`. So the
     lists are built on first use, all at once: :attr:`lists` holds the
     replay columns in ``_REPLAY_COLUMNS`` order, and the column
-    attributes (``gaps``, ``addrs``, ``writes``, ``cum_instructions``,
-    ``run_ends``, ``write_cum``) read them one by one.
+    attributes (``gaps``, ``addrs``, ``writes``, ``cum_instructions``)
+    read them one by one. The cumulative store count has no list form:
+    only the single-core replay reads it, from ``frozen.write_cum``.
     """
 
     __slots__ = ("frozen", "instructions", "_lists")
@@ -120,10 +106,6 @@ class TraceChunk:
         "Inclusive cumulative instruction count (``sum(gaps[:i+1]) + i + 1``):"
         " segments the chunk at epoch/crash boundaries.",
     )
-    run_ends = _column(
-        4, "Exclusive end of the same-line run starting at each reference."
-    )
-    write_cum = _column(5, "Inclusive cumulative store count.")
 
 
 def _zipf_cdf(n_ranks, alpha):
@@ -275,7 +257,6 @@ class _FrozenChunk:
         "writes",
         "instructions",
         "cum",
-        "run_ends",
         "write_cum",
     )
 
@@ -286,7 +267,6 @@ class _FrozenChunk:
         self.cum = np.cumsum(gaps + 1)
         self.instructions = int(self.cum[-1])
         self.write_cum = np.cumsum(writes.astype(np.int64))
-        self.run_ends = _run_ends_array(addrs)
 
     def __len__(self):
         return len(self.gaps)

@@ -1,11 +1,13 @@
 """The trace-side machinery the fast engine depends on.
 
-:meth:`Simulation._run_single_core` segments chunks and coalesces
-same-line runs using each chunk's lazily computed run/cumsum metadata,
-and every scheme of a sweep reads the same trace through the
-cross-scheme memo (a fresh generator must yield the identical
-stream). The fast engine's identity with the reference loop is
-tests/sim/test_engine_identity.py's job.
+Each chunk carries cumulative instruction and store counts, computed
+once with numpy: the single-core replay (``Simulation._run_replay``)
+segments chunks at epoch and crash boundaries and retires runs of L1
+hits off them, and the multi-core drain segments its turns off the
+boxed instruction counts. Every scheme of a sweep reads the same trace
+through the cross-scheme memo (a fresh generator must yield the
+identical stream). The fast engine's identity with the reference loop
+is tests/sim/test_engine_identity.py's job.
 """
 
 from helpers import fingerprint, run_mode, small_config
@@ -20,18 +22,6 @@ from repro.trace.synthetic import (
 
 
 class TestTraceMetadata:
-    def test_run_ends_matches_python_reference(self):
-        trace = SyntheticTrace(get_profile("lbm"), 40_000, seed=3)
-        for chunk in trace.chunks():
-            n = len(chunk.addrs)
-            expected = [0] * n
-            end = n
-            for i in range(n - 1, -1, -1):
-                if i + 1 < n and chunk.addrs[i] != chunk.addrs[i + 1]:
-                    end = i + 1
-                expected[i] = end
-            assert chunk.run_ends == expected
-
     def test_cumulative_counters_match_python_reference(self):
         trace = SyntheticTrace(get_profile("gcc"), 20_000, seed=4)
         for chunk in trace.chunks():
@@ -41,7 +31,7 @@ class TestTraceMetadata:
                 running += gap + 1
                 cum.append(running)
             assert chunk.cum_instructions == cum
-            assert chunk.write_cum == [
+            assert chunk.frozen.write_cum.tolist() == [
                 sum(chunk.writes[: i + 1]) for i in range(len(chunk.writes))
             ]
             assert cum[-1] == chunk.instructions
@@ -49,9 +39,9 @@ class TestTraceMetadata:
     def test_metadata_is_idempotent(self):
         trace = SyntheticTrace(get_profile("gcc"), 5_000, seed=5)
         chunk = next(trace.chunks())
-        first = chunk.run_ends
-        assert chunk.lists[4] is first
-        assert chunk.run_ends is first
+        first = chunk.cum_instructions
+        assert chunk.lists[3] is first
+        assert chunk.cum_instructions is first
 
 
 class TestTraceMemo:

@@ -31,7 +31,9 @@ space, one ``SHAPES`` share per fast-engine path, on every memory shape
 trajectory under all six schemes, each against its own reference run.
 ``COUNT_ROWS`` pin the invariant the trajectory rests on: its level
 counts are every scheme's ``l1.hits``, ``l2.misses`` and
-``llc.misses``. ``test_one_definition`` runs both sides on one mutant
+``llc.misses``. ``test_every_store_calls_on_store`` records every
+``on_store`` call on both sides of 2- and 8-core drain runs, under each
+kind of store filter. ``test_one_definition`` runs both sides on one mutant
 of PiCL's hazard flush, and ``test_one_cache_definition`` on one mutant
 of the demand fill: every engine calls the scheme's and the cache
 chain's own rules, so a mutant changes them alike.
@@ -82,6 +84,19 @@ def attach_dram_cache(sim):
 
 def attach_plain_sink(sim):
     sim.hierarchy.attach_sink(EvictionSink(sim.controller))
+
+
+class CountingSink(EvictionSink):
+    """A plain sink whose ``on_store`` counts each store and stalls it
+    one cycle, so a skipped call shows in the stats and the clocks."""
+
+    def on_store(self, core, line, now):
+        self.controller.stats.add("sink.on_store_calls")
+        return 1
+
+
+def attach_counting_sink(sim):
+    sim.hierarchy.attach_sink(CountingSink(sim.controller))
 
 
 def retired(trace, instructions):
@@ -283,6 +298,9 @@ ROWS = [
     row("dram-cache", TRAJ, "picl", "gcc", 19, prepare=attach_dram_cache,
         expect=(("dram.hits", 1),)),
     row("plain-sink", TRAJ, "ideal", "gcc", 19, prepare=attach_plain_sink),
+    row("counting-sink", TRAJ, "ideal", "gcc", 19,
+        prepare=attach_counting_sink,
+        expect=(("sink.on_store_calls", 1),)),
     row("reference", REFERENCE, "picl", "gcc", 19),
     # A torn undo flush and a late LLC eviction on each memory shape
     # (and on two cores below): crashes inside the miss chain's NVM and
@@ -326,6 +344,9 @@ ROWS = [
         prepare=attach_dram_cache, expect=(("dram.hits", 1),)),
     row("mc2-plain-sink", DRAIN, "ideal", benchlist(2), 73, n=N_MC,
         prepare=attach_plain_sink),
+    row("mc2-counting-sink", DRAIN, "ideal", benchlist(2), 73, n=N_MC,
+        prepare=attach_counting_sink,
+        expect=(("sink.on_store_calls", 1),)),
     *[row("mc2-%s-site-%s" % (name, site), DRAIN, "picl", ["gcc", "mcf"], 83,
           n=N_MC, site=site, occurrence=occurrence, tear=tear,
           must_crash=True, **memory)
@@ -349,6 +370,62 @@ ROWS = [
 @pytest.mark.parametrize("engine,scheme,benches,seed,kwargs", ROWS)
 def test_row(engine, scheme, benches, seed, kwargs):
     run_pair(engine, scheme, benches, seed, **kwargs)
+
+
+def longest_store_run(trace):
+    """The longest run of consecutive stores to one line in ``trace``."""
+    best = run = 0
+    previous = None
+    for chunk in trace.chunks():
+        for addr, write in zip(chunk.addrs, chunk.writes):
+            if not write:
+                run = 0
+            elif run and addr == previous:
+                run += 1
+            else:
+                run = 1
+            previous = addr
+            best = max(best, run)
+    return best
+
+
+@pytest.mark.parametrize("n_cores", (2, 8))
+@pytest.mark.parametrize("scheme,plain", [
+    pytest.param("picl", False, id="picl"),
+    pytest.param("journaling", False, id="journaling"),
+    pytest.param("ideal", True, id="plain-sink"),
+])
+def test_every_store_calls_on_store(scheme, plain, n_cores):
+    """The drain calls the sink's ``on_store`` for every store, at the
+    access's cycle, whatever its ``vector_store_filter()``: an EID
+    (picl), False (journaling) or True (a plain sink, whose ``on_store``
+    here only counts). Both sides record the same ``(core, line,
+    cycle)`` calls. Core 0 runs lbm, whose trace holds runs of six or
+    more stores to one line: a shortcut that batched repeated stores
+    would drop calls there."""
+    logs = []
+
+    def record(sim):
+        if plain:
+            attach_plain_sink(sim)
+        sink = sim.hierarchy.sink
+        on_store = sink.on_store
+        calls = []
+        logs.append(calls)
+
+        def recorded(core, line, now):
+            calls.append((core, line.addr, now))
+            return on_store(core, line, now)
+
+        sink.on_store = recorded
+
+    benches = ["lbm"] + benchlist(n_cores - 1)
+    n = N_MC if n_cores == 2 else N_MC // 4
+    fast = run_pair(DRAIN, scheme, benches, 11, n=n, prepare=record)
+    assert longest_store_run(fast.traces[0]) >= 6
+    drain_calls, reference_calls = logs
+    assert len(drain_calls) == fast.stats.get("stores")
+    assert drain_calls == reference_calls
 
 
 @pytest.mark.parametrize("bench", ["mcf", "gcc"])
