@@ -65,11 +65,10 @@ class CrashConsistencyScheme:
         One interpreter reads this contract: the single-core trajectory
         replay (``Simulation._run_replay``), once per epoch segment (it
         is never cached across a boundary). A *silent* store only writes
-        its token; the replay counts it and hands the count to
-        :meth:`on_store_bulk` before its next :meth:`on_store` call and
-        at every boundary. Every other store calls :meth:`on_store` at
-        its own cycle. (The reference loop and the multi-core drain call
-        :meth:`on_store` for every store.)
+        its token: :meth:`on_store` on it must return 0 and change no
+        state, since the replay never makes the call. Every other store
+        calls :meth:`on_store` at its own cycle. (The reference loop and
+        the multi-core drain call :meth:`on_store` for every store.)
 
         Returns ``True`` (every store is silent), ``False`` (none is), or
         an int EID: a store to a line tagged with that EID must be silent
@@ -82,17 +81,6 @@ class CrashConsistencyScheme:
         is the inherited no-op.
         """
         return type(self).on_store is CrashConsistencyScheme.on_store
-
-    def on_store_bulk(self, count):
-        """Aggregate bookkeeping for ``count`` silent stores.
-
-        Called by the trajectory replay with the stores
-        :meth:`vector_store_filter` made silent, before their next
-        :meth:`on_store` call and at every boundary. Must reproduce
-        exactly the state ``count`` silent ``on_store`` calls would have
-        left (PiCL advances its store sequence). Default: the inherited
-        no-op ``on_store`` keeps no state, so nothing to do.
-        """
 
     # ------------------------------------------------------------------
     # driver protocol

@@ -55,16 +55,12 @@ class EvictionSink:
         return 0
 
     def vector_store_filter(self):
-        """Which stores the single-core trajectory replay may write
-        without ``on_store`` (see
+        """Which stores the single-core trajectory replay writes without
+        calling ``on_store`` (see
         ``CrashConsistencyScheme.vector_store_filter``): every one while
         ``on_store`` is this class's no-op, none once a subclass
         overrides it."""
         return type(self).on_store is EvictionSink.on_store
-
-    def on_store_bulk(self, count):
-        """The replay's bookkeeping for ``count`` stores that skipped
-        ``on_store`` (for this sink: nothing)."""
 
 
 class CacheHierarchy:

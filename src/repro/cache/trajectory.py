@@ -16,9 +16,15 @@ engine replays one (``Simulation._run_replay``). It is tagged lazily:
 the replay asks for chunk *k*'s codes just before it runs chunk *k*, and
 the tag pass tags that very chunk object, carrying its per-set MRU lists
 of line addresses from one chunk to the next. So a crashed run tags only
-the chunks it reached, and a single-pass trace is read once. A lone run
-keeps nothing; the trajectory a batch shares keeps every tagged chunk
-for the batch's later points.
+the chunks it reached, and a single-pass trace is read once.
+
+A memoized trace's trajectories are owned by the trace memo
+(:func:`repro.trace.synthetic.make_trace`): each memo entry keeps one
+per geometry, and it lives as long as its entry. It keeps every tagged
+chunk, so every later run of the trace on that geometry, whatever its
+scheme, replays those chunks and tags on from where the furthest run
+stopped, and it drops its tag-pass state once a replay reaches the
+trace's end. A single-pass or recorded trace keeps nothing.
 
 Hits dominate most traces, so the pass classifies references at once
 against a numpy index of the L1's resident lines, which keeps the L1's
@@ -103,12 +109,13 @@ class Trajectory:
     :meth:`chunk_codes` tags chunk *k* from the chunk object the replay
     is about to run, the first time any replay reaches it; the per-set
     MRU lists carry the cache state from one chunk to the next. With
-    ``keep`` (a trajectory shared by the points of a batch), ``chunks``
-    holds one ``(codes, l2_victims, length, digest)`` tuple per tagged
-    chunk: an int8 array of trajectory bytes, an int64 array of the L2
-    victims in fill order, and the chunk's length and address digest,
-    which a later replay's chunk must match. Without it (a lone run)
-    nothing is kept.
+    ``keep`` (a trajectory the trace memo owns), ``chunks`` holds one
+    ``(codes, l2_victims, length, digest)`` tuple per tagged chunk: an
+    int8 array of trajectory bytes, an int64 array of the L2 victims in
+    fill order, and the chunk's length and address digest, which a later
+    replay's chunk must match. Without it (a trace the memo does not
+    hold) nothing is kept. :meth:`finish` drops the tag-pass state once
+    every chunk is tagged.
     """
 
     __slots__ = (
@@ -158,11 +165,22 @@ class Trajectory:
             return codes, victims
         if index != self.tagged:
             raise ConfigurationError("trajectory chunks are tagged in order")
-        codes, victims = self._tag(addrs)
+        try:
+            codes, victims = self._tag(addrs)
+        except BaseException:
+            # A failed pass may leave the MRU lists half updated: the
+            # next replay tags from the trace's start.
+            self.__init__(self.geometry, self.keep)
+            raise
         self.tagged += 1
         if self.keep:
             self.chunks.append((codes, victims, len(addrs), _digest(addrs)))
         return codes, victims
+
+    def finish(self):
+        """A replay reached the trace's end, so every chunk is tagged:
+        drop the tag-pass state. Later replays read the kept chunks."""
+        self._rows = self._in2 = self._in3 = self._mirror = self._ramp = None
 
     def _tag(self, addrs):
         """Tag one chunk's references; returns its codes and L2 victims.

@@ -122,11 +122,13 @@ class PiclScheme(CrashConsistencyScheme):
 
     def on_store(self, core, line, now):
         """Detect cross-epoch stores and capture undo data from the cache."""
-        self._store_seq += 1
         # Cheap same-epoch same-line store: the dominant case at 64 B
-        # granularity — nothing to log, no cap to police.
+        # granularity — nothing to log, no cap to police, and no store
+        # sequence to advance (only sub-block tracking reads it, and its
+        # stores are never plain).
         if self._plain_stores and line.eid == self.epochs.system_eid:
             return 0
+        self._store_seq += 1
         stall = 0
         if self.config.log_max_bytes is not None:
             # Must happen before the undo entry is created: a forced
@@ -161,8 +163,8 @@ class PiclScheme(CrashConsistencyScheme):
 
         With line-granularity tracking and no hard log cap, a store to a
         line already tagged with the executing epoch takes the cheap
-        branch of :meth:`on_store` — only ``_store_seq`` advances, which
-        :meth:`on_store_bulk` reproduces. A cross-epoch store (the line's
+        branch of :meth:`on_store`, which changes no state, so the replay
+        may skip the call. A cross-epoch store (the line's
         first store this epoch) adds one undo entry, which may flush the
         buffer, and retags the line and its LLC copy; it runs
         :meth:`on_store` at its own cycle. Any other configuration (log
@@ -172,9 +174,6 @@ class PiclScheme(CrashConsistencyScheme):
         if self._plain_stores:
             return self.epochs.system_eid
         return False
-
-    def on_store_bulk(self, count):
-        self._store_seq += count
 
     def _relieve_log_pressure(self, now):
         """Force a persist when a hard-capped log is nearly full.

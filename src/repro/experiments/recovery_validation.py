@@ -18,8 +18,9 @@ a change breaks crash consistency. Cells need the live post-crash
 accepted for CLI uniformity but unused); cells that crash the same run
 share one simulation, each validating on a restored copy of its durable
 state, and the summary line counts the simulations behind the cells.
-The runs of one trace and cache geometry share one scheme-free cache
-trajectory, so each trace is tagged once per matrix call.
+The runs of one trace and cache geometry replay one scheme-free cache
+trajectory, owned by the trace memo and living as long as its entry, so
+each trace is tagged once.
 """
 
 import sys

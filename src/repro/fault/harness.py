@@ -32,12 +32,11 @@ copy of the run's durable state (:class:`CrashedRun`); the quick matrix
 is 29 cells from 25 runs, the full one 85 from 77.
 
 Runs that differ in scheme or crash point but not in trace and cache
-geometry (equal :func:`repro.sim.parallel.trajectory_key`) also share
-one scheme-free cache trajectory (:mod:`repro.cache.trajectory`), the
-way the points of a batch do: the key's first run creates it, each run
-tags only the chunks no earlier run reached and replays the rest, and
-the key's last run drops it, so each trace is tagged once per matrix
-call and nothing outlives the call. A lone :func:`run_cell` tags its own.
+geometry also share one scheme-free cache trajectory
+(:mod:`repro.cache.trajectory`), the one the trace memo keeps for that
+trace and geometry (:func:`repro.trace.synthetic.make_trace`): each run
+tags only the chunks no earlier run reached and replays the rest, so a
+trace is tagged once for as long as its memo entry lives.
 """
 
 import dataclasses
@@ -53,7 +52,6 @@ from repro.fault.plan import (
     SITE_UNDO_FLUSH,
     CrashPlan,
 )
-from repro.sim.parallel import RunPoint, trajectory_key
 from repro.sim.simulator import Simulation
 
 #: Schemes with a real recovery procedure (ideal NVM has nothing to check).
@@ -369,20 +367,11 @@ class CrashedRun:
     left, because validators mutate that state in place (nested recovery
     writes tokens back to NVM, the corruption injectors rewrite the log).
     Only a ``shared`` run keeps that snapshot; any other serves one cell.
-
-    ``trajectories`` (a dict keyed by :func:`repro.sim.parallel.
-    trajectory_key`, owned by :func:`run_crash_matrix`) lends the run the
-    cache trajectory of its trace and geometry: the key's first run
-    creates it with :meth:`Simulation.trajectory` (None on the reference
-    loop, which then runs as it would alone), and the simulation tags the
-    chunks no earlier run reached and replays the rest. Without it the
-    run tags its own trajectory and keeps nothing.
     """
 
-    def __init__(self, index=0, shared=False, trajectories=None):
+    def __init__(self, index=0, shared=False):
         self.index = index
         self.shared = shared
-        self.trajectories = trajectories
         self.sim = None
         self._durable = None
 
@@ -390,14 +379,7 @@ class CrashedRun:
         """The run's simulation, in its post-crash durable state."""
         if self.sim is None:
             self.sim = Simulation(config, scheme, [benchmark], n_instructions, seed=seed)
-            trajectory = None
-            if self.trajectories is not None:
-                key = _trajectory_key(config, scheme, benchmark, n_instructions, seed)
-                if key in self.trajectories:
-                    trajectory = self.trajectories[key]
-                else:
-                    trajectory = self.trajectories[key] = self.sim.trajectory()
-            self.sim.run(crash_plan=plan, trajectory=trajectory)
+            self.sim.run(crash_plan=plan)
             if self.shared:
                 self._durable = self._snapshot()
         else:
@@ -418,13 +400,6 @@ class CrashedRun:
         scheme.controller.image.restore(image)
         if log is not None:
             scheme.log.restore(log)
-
-
-def _trajectory_key(config, scheme, benchmark, n_instructions, seed):
-    """The trajectory key of one crashed run (see :class:`CrashedRun`)."""
-    return trajectory_key(
-        RunPoint.single(config, scheme, benchmark, n_instructions, seed)
-    )
 
 
 def run_cell(config, scheme, event, benchmark, epochs, seed, run=None):
@@ -484,7 +459,7 @@ def run_crash_matrix(
     ]
     # Group the cells by the run they crash. Configs are compared by
     # value (``==``): they are unhashable dataclasses.
-    keys, groups, lent = [], [], []
+    keys, groups = [], []
     for position, (event, scheme) in enumerate(cells):
         run_config, run_benchmark, n_instructions, plan = _cell_run(
             config, event, benchmark, epochs
@@ -502,23 +477,14 @@ def run_crash_matrix(
         else:
             keys.append(key)
             groups.append([position])
-            lent.append(
-                _trajectory_key(run_config, scheme, run_benchmark, n_instructions, seed)
-            )
-    # ``lent[i]`` keys the trajectory run ``i`` shares with every run of
-    # its trace and geometry; it is dropped after the last of them.
-    last = {shared: index for index, shared in enumerate(lent)}
-    trajectories = {}
     outcomes = [None] * len(cells)
     for index, positions in enumerate(groups):
         # A run's cells go back to back; rebinding ``run`` drops the
         # previous simulation before this one is built.
-        run = CrashedRun(index, shared=len(positions) > 1, trajectories=trajectories)
+        run = CrashedRun(index, shared=len(positions) > 1)
         for position in positions:
             event, scheme = cells[position]
             outcomes[position] = run_cell(
                 config, scheme, event, benchmark, epochs, seed, run=run
             )
-        if last[lent[index]] == index:
-            trajectories.pop(lent[index], None)
     return outcomes

@@ -159,31 +159,16 @@ class RunPoint:
             )
         )
 
-    def execute(self, trajectories=None):
-        """Run the simulation described by this point.
-
-        ``trajectories`` (a dict keyed by :func:`trajectory_key`) lends
-        the point a scheme-free cache trajectory shared with other points:
-        the first point of a key creates it (None when it cannot replay
-        one), and every point tags the chunks no point reached before and
-        replays the rest (see :meth:`repro.sim.simulator.Simulation.run`).
-        """
-        sim = Simulation(
+    def execute(self):
+        """Run the simulation described by this point."""
+        return Simulation(
             self.config,
             self.scheme_name,
             list(self.benchmarks),
             self.n_instructions,
             seed=self.seed,
             shared_memory=self.shared_memory,
-        )
-        trajectory = None
-        if trajectories is not None:
-            key = trajectory_key(self)
-            if key in trajectories:
-                trajectory = trajectories[key]
-            else:
-                trajectory = trajectories[key] = sim.trajectory()
-        return sim.run(trajectory=trajectory)
+        ).run()
 
 
 # ----------------------------------------------------------------------
@@ -219,12 +204,10 @@ class PointTimeoutError(PointExecutionError):
     """A batch exceeded its time budget and its process was killed."""
 
 
-def _attributed(point, trajectories=None):
+def _attributed(point):
     """Execute ``point``, wrapping any failure with the point's identity."""
     try:
-        if trajectories is None:
-            return point.execute()
-        return point.execute(trajectories)
+        return point.execute()
     except PointExecutionError:
         raise
     except Exception as exc:
@@ -244,25 +227,14 @@ def _execute_batch(batch):
 def _iter_batch(batch):
     """Run a batch's points in order, yielding each result as it lands.
 
-    Points sharing a :func:`trajectory_key` replay one cache trajectory:
-    the key's first point creates it and its last point drops it, so no
-    trajectory outlives the call. Every point of a trace also replays the
-    same reference stream, so the worker's trace memo (see
-    repro.trace.synthetic.make_trace) hits for all but the first
-    generation.
+    Every point of a trace replays the same reference stream, so the
+    worker's trace memo (see repro.trace.synthetic.make_trace) hits for
+    all but the first generation, and the points sharing a
+    :func:`trajectory_key` replay the one cache trajectory the memo
+    keeps for that trace and geometry.
     """
-    # A point class with its own execute() runs its own way.
-    keys = [
-        trajectory_key(point) if type(point).execute is RunPoint.execute else None
-        for point in batch
-    ]
-    last = {key: index for index, key in enumerate(keys)}
-    trajectories = {}
-    for index, (point, key) in enumerate(zip(batch, keys)):
-        result = _attributed(point, None if key is None else trajectories)
-        if last[key] == index:
-            trajectories.pop(key, None)
-        yield result
+    for point in batch:
+        yield _attributed(point)
 
 
 #: Largest batch of whole trajectory groups shipped to one worker as a
@@ -293,10 +265,9 @@ def trajectory_key(point):
     """:func:`trace_key` plus the cache geometry that decides residency:
     cache sizes, ways and line size — not latencies or epoch length.
     Single-core points with equal keys have the same cache trajectory
-    (see :mod:`repro.cache.trajectory`), whatever their scheme. Two
-    callers share one trajectory per key: :func:`_iter_batch` across a
-    batch's points, and :func:`repro.fault.harness.run_crash_matrix`
-    across a matrix call's crashed runs."""
+    (see :mod:`repro.cache.trajectory`), whatever their scheme: the one
+    the trace memo keeps for their trace and geometry. Scheduling a
+    key's points on one worker (:func:`trace_batches`) tags it once."""
     config = point.config
     return trace_key(point) + (
         config.l1_size,

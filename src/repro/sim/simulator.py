@@ -272,22 +272,11 @@ class Simulation(BuiltSystem):
             addr_base=0 if self.shared_memory else core_id * _CORE_ADDR_STRIDE,
         )
 
-    def trajectory(self):
-        """An empty scheme-free cache trajectory for this single-core
-        point's trace and cache geometry, to be shared by every point
-        with the same trace and geometry (see :meth:`run`): the first
-        replay to reach a chunk tags it, and the trajectory keeps it for
-        the others. None when the point would not replay one: several
-        cores, or any run under ``REPRO_VECTOR=0``."""
-        if len(self.cores) != 1 or not self.hierarchy.vector:
-            return None
-        return Trajectory(geometry(self.hierarchy))
-
     # ------------------------------------------------------------------
     # the main loop
     # ------------------------------------------------------------------
 
-    def run(self, crash_at_instructions=None, crash_plan=None, trajectory=None):
+    def run(self, crash_at_instructions=None, crash_plan=None):
         """Drive the traces to completion (or to the crash point).
 
         ``crash_plan`` injects a semantic-event crash (see
@@ -312,16 +301,17 @@ class Simulation(BuiltSystem):
         that very chunk object, classifying runs of L1 hits in numpy
         (an all-hit prefix up to the first miss) and stepping through
         misses one by one — so a crashed run tags only the chunks it
-        reached. ``trajectory`` (from :meth:`trajectory` on a point with
-        the same trace and cache geometry) lends the run a shared one: a
-        batch of such points (``repro.sim.parallel``) tags each chunk
-        once. Without one the run tags its own and keeps nothing.
+        reached. The trajectory of a memoized trace is owned by the trace
+        memo (``trace.trajectories``, keyed by cache geometry) and lives
+        as long as its entry: every run of the trace on this geometry,
+        whatever its scheme, replays the chunks an earlier run tagged and
+        tags the rest. A trace the memo does not hold keeps nothing.
 
         Several cores run the multi-core drain loop
         (:meth:`_run_multi_core_drain`, engine ``"drain"``). Both fast
         engines run every config: each calls the hierarchy's own miss
         chain and the scheme's own hooks. Only ``REPRO_VECTOR=0`` runs
-        the reference loop, which ignores ``trajectory``.
+        the reference loop.
         """
         if self._ran:
             raise ConfigurationError("a Simulation object runs exactly once")
@@ -344,16 +334,14 @@ class Simulation(BuiltSystem):
                 self._run_reference(crash_at_instructions)
             elif len(self.cores) == 1:
                 shape = geometry(self.hierarchy)
+                kept = self.traces[0].trajectories
+                trajectory = None if kept is None else kept.get(shape)
                 if trajectory is None:
-                    trajectory = Trajectory(shape, keep=False)
-                elif trajectory.geometry != shape:
-                    raise ConfigurationError(
-                        "trajectory geometry does not match this simulation"
-                    )
+                    trajectory = Trajectory(shape, keep=kept is not None)
+                    if kept is not None:
+                        kept[shape] = trajectory
                 self.engine = "trajectory"
                 self._run_replay(crash_at_instructions, trajectory)
-            elif trajectory is not None:
-                raise ConfigurationError("a trajectory replays one core only")
             else:
                 self.engine = "drain"
                 self._run_multi_core_drain(
@@ -386,10 +374,8 @@ class Simulation(BuiltSystem):
         Stores follow the scheme's ``vector_store_filter()``, read once
         per segment. ``False``: every store is visited like a miss and
         runs ``on_store`` at its own cycle. ``True``, or an EID that the
-        stored line already carries:
-        the store is scheme-silent and only writes its token; the silent
-        stores are handed to ``on_store_bulk`` before the next
-        ``on_store`` call and at the segment's end. Under an EID, a
+        stored line already carries: the store is scheme-silent and only
+        writes its token. Under an EID, a
         line's first store while it carries another EID is cross-epoch:
         it runs ``on_store`` at its own cycle, which retags the line. A
         run of hits holding at least ``_BULK_STORES`` stores writes its
@@ -444,7 +430,6 @@ class Simulation(BuiltSystem):
         sink = hierarchy.sink
         fill_token = hierarchy._fill_token
         on_store = sink.on_store
-        on_store_bulk = sink.on_store_bulk
         store_filter = sink.vector_store_filter
         track = system.track_reference
         arch_image = system.arch_image
@@ -457,8 +442,6 @@ class Simulation(BuiltSystem):
         ntok = system._next_token
         d_l1_hits = d_loads = d_stores = d_l1_miss = d_l2_hits = d_l2_miss = 0
         d_llc_hits = d_llc_miss = d_l1_ev = d_l2_ev = 0
-        # Silent stores not yet handed to on_store_bulk.
-        silent = 0
 
         def write_tokens(lines, tokens):
             """Write each line's token to its private record, turning the
@@ -628,7 +611,6 @@ class Simulation(BuiltSystem):
                                     # A cross-epoch store, at its own cycle.
                                     j += lo
                                     n_silent = j - w_done
-                                    silent += n_silent
                                     d_stores += n_silent
                                     q = int(stores[j])
                                     k = q - done
@@ -639,9 +621,6 @@ class Simulation(BuiltSystem):
                                     d_loads += k - n_silent
                                     inflight = q
                                     ntok = tok0 + j + 1
-                                    if silent:
-                                        on_store_bulk(silent)
-                                        silent = 0
                                     unwritten = lo, j
                                     wait = l1_lat + on_store(0, priv[a], cycle)
                                     d_stores += 1
@@ -657,7 +636,6 @@ class Simulation(BuiltSystem):
                                     x = int(np_cum[p]) - 1
                                 step = x - c_done + k_hits * lat1
                             n_silent = wp - w_done
-                            silent += n_silent
                             d_stores += n_silent
                             # The retirement below counts every hit a load.
                             d_loads -= n_silent
@@ -730,12 +708,7 @@ class Simulation(BuiltSystem):
                                 wait = lat + l1_lat + fstall
                         if w:
                             line = priv[addr]
-                            if smode == 0 or (smode == 2 and line.eid == eid):
-                                silent += 1
-                            else:
-                                if silent:
-                                    on_store_bulk(silent)
-                                    silent = 0
+                            if smode == 1 or (smode == 2 and line.eid != eid):
                                 wait += on_store(0, line, cycle)
                             line.token = token
                             if not line._dirty:
@@ -752,9 +725,6 @@ class Simulation(BuiltSystem):
                     seg_start = seg_end
                     c_start, w_start = c_end, w_end
                     ntok = tok0 + w_end
-                    if silent:
-                        on_store_bulk(silent)
-                        silent = 0
                     total = base + c_end
                     if total >= next_epoch or (crash is not None and total >= crash):
                         system.total_instructions = total
@@ -773,9 +743,8 @@ class Simulation(BuiltSystem):
                             return
                 system.total_instructions = total
                 core.instructions = total
+            trajectory.finish()
         except CrashSignal:
-            if silent:
-                on_store_bulk(silent)
             if unwritten is not None:
                 # The stores before the crashed one retired.
                 lo, j = unwritten

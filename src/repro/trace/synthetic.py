@@ -32,7 +32,11 @@ Two speed facilities live alongside the generator:
 * **Cross-scheme memoization** (:func:`make_trace`): figure sweeps drive
   the identical stream through every scheme at each (benchmark, config,
   seed) point, so generated chunks are memoized per process, keyed on
-  ``(profile, n_instructions, seed, addr_base)``.
+  ``(profile, n_instructions, seed, addr_base)``. Each memo entry also
+  owns the cache trajectories derived from its chunks (a dict from cache
+  geometry to :class:`repro.cache.trajectory.Trajectory`, opaque here):
+  every scheme's single-core replay of the trace on that geometry reads
+  the same one, and it lives as long as the entry.
 """
 
 import collections
@@ -127,6 +131,10 @@ def _scatter(ranks, n_lines):
 
 class SyntheticTrace:
     """Deterministic reference stream for one benchmark profile."""
+
+    #: A single-pass stream keeps no cache trajectories (see
+    #: :attr:`MaterializedTrace.trajectories`).
+    trajectories = None
 
     def __init__(self, profile, n_instructions, seed=0, addr_base=0):
         if n_instructions <= 0:
@@ -285,11 +293,14 @@ class MaterializedTrace:
     frozen storage; each replay thaws its own transient chunks.
     """
 
-    def __init__(self, profile, n_instructions, addr_base, chunks):
+    def __init__(self, profile, n_instructions, addr_base, chunks, trajectories):
         self.profile = profile
         self.n_instructions = n_instructions
         self.addr_base = addr_base
         self._chunks = chunks
+        #: The memo entry's cache trajectories, keyed by cache geometry:
+        #: shared by every view of the entry, dropped with it.
+        self.trajectories = trajectories
 
     @property
     def expected_refs(self):
@@ -310,14 +321,16 @@ _TRACE_MEMO_MAX_REFS = 2_000_000
 #: streams are evicted past this.
 _TRACE_MEMO_TOTAL_REFS = 4_000_000
 
-#: key -> (chunk list, reference count), LRU order. Per-process: parallel
-#: sweep workers each keep their own memo (see repro.sim.parallel, which
-#: groups same-trace points onto one worker so the memo actually hits).
+#: key -> (chunk list, reference count, trajectories), LRU order.
+#: Per-process: parallel sweep workers each keep their own memo (see
+#: repro.sim.parallel, which groups same-trace points onto one worker so
+#: the memo actually hits).
 _trace_memo = collections.OrderedDict()
 
 
 def clear_trace_memo():
-    """Drop every memoized trace (tests, memory pressure)."""
+    """Drop every memoized trace and its trajectories (tests, memory
+    pressure)."""
     _trace_memo.clear()
 
 
@@ -334,6 +347,7 @@ def make_trace(profile, n_instructions, seed=0, addr_base=0):
     bit-identical either way — memo hits replay the very chunks a fresh
     generator would emit. Traces expected to exceed
     ``_TRACE_MEMO_MAX_REFS`` references bypass it to bound resident memory.
+    An entry's cache trajectories go when the entry is evicted.
     """
     if n_instructions > 0 and int(n_instructions * profile.mem_ratio) > _TRACE_MEMO_MAX_REFS:
         return SyntheticTrace(profile, n_instructions, seed=seed, addr_base=addr_base)
@@ -348,12 +362,13 @@ def make_trace(profile, n_instructions, seed=0, addr_base=0):
             for gaps, addrs, writes in source._array_chunks()
         ]
         refs = sum(len(chunk) for chunk in chunks)
-        _trace_memo[key] = (chunks, refs)
-        total = sum(held for _chunks, held in _trace_memo.values())
+        trajectories = {}
+        _trace_memo[key] = (chunks, refs, trajectories)
+        total = sum(held for _chunks, held, _kept in _trace_memo.values())
         while total > _TRACE_MEMO_TOTAL_REFS and len(_trace_memo) > 1:
-            _evicted, (_dropped, held) = _trace_memo.popitem(last=False)
+            _evicted, (_dropped, held, _kept) = _trace_memo.popitem(last=False)
             total -= held
     else:
-        chunks, _refs = entry
+        chunks, _refs, trajectories = entry
         _trace_memo.move_to_end(key)
-    return MaterializedTrace(profile, n_instructions, addr_base, chunks)
+    return MaterializedTrace(profile, n_instructions, addr_base, chunks, trajectories)

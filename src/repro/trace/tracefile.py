@@ -24,6 +24,10 @@ _FORMAT_VERSION = 1
 class RecordedTrace:
     """A materialized trace, API-compatible with SyntheticTrace."""
 
+    #: Each replay re-slices the arrays into new chunks; no cache
+    #: trajectory is kept for them.
+    trajectories = None
+
     def __init__(self, gaps, addrs, writes, n_instructions, source=""):
         if not (len(gaps) == len(addrs) == len(writes)):
             raise ConfigurationError("trace arrays must have equal length")

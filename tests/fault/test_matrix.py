@@ -28,6 +28,7 @@ from repro.cache.trajectory import Trajectory
 from repro.sim.config import SystemConfig
 from repro.sim.parallel import RunPoint, trajectory_key
 from repro.sim.simulator import Simulation
+from repro.trace.synthetic import clear_trace_memo
 
 CONFIG = SystemConfig().scaled(512, track_reference=True, reference_depth=256)
 
@@ -157,9 +158,12 @@ def outcome_fields(outcome):
 
 @pytest.fixture(scope="module")
 def quick_matrix():
-    """The quick matrix once, counting simulations run, cells served and
-    trajectory chunks tagged, and recording per trajectory key the most
-    chunks any one run of it reached."""
+    """The quick matrix once, from an empty trace memo (so it tags every
+    trajectory it replays, rather than finding one an earlier test
+    kept), counting simulations run, cells served and trajectory chunks
+    tagged, and recording per trajectory key the most chunks any one run
+    of it reached."""
+    clear_trace_memo()
     calls = {"run": 0, "cell": 0, "tag": 0, "reached": {}}
     sim_run, cell_fn = Simulation.run, harness.run_cell
     chunk_codes, tag = Trajectory.chunk_codes, Trajectory._tag
@@ -208,9 +212,10 @@ class TestSharedRuns:
         assert calls["cell"] == len(outcomes)
 
     def test_each_trace_tagged_once(self, quick_matrix):
-        # The runs of one trace and cache geometry share one trajectory:
-        # each chunk is tagged by the first run to reach it, so the tag
-        # count is, summed over keys, the furthest any run of a key got.
+        # The runs of one trace and cache geometry share the trajectory
+        # the trace memo keeps: each chunk is tagged by the first run to
+        # reach it, so the tag count is, summed over keys, the furthest
+        # any run of a key got.
         # gcc (3 columns x 5 schemes + the torn flush), mcf (4 columns)
         # and libquantum with the mid-ACS overrides.
         _outcomes, calls = quick_matrix
@@ -241,8 +246,8 @@ class TestSharedRuns:
             assert len(served) == 1
 
     # Every quick column: the runs that replay chunks another scheme's
-    # run tagged must validate exactly as a solo cell on its own
-    # trajectory does.
+    # run tagged must validate exactly as a solo cell does from an empty
+    # trace memo, tagging its own trajectory.
     @pytest.mark.parametrize(
         "event_name", [event.name for event in matrix_events()]
     )
@@ -252,32 +257,34 @@ class TestSharedRuns:
         shared = [o for o in outcomes if o.event == event_name]
         assert shared
         for outcome in shared:
+            clear_trace_memo()
             solo = run_cell(
                 CONFIG, outcome.scheme, event, "gcc", SHARED_EPOCHS, seed=20180101
             )
             assert outcome_fields(outcome) == outcome_fields(solo)
 
     def test_reference_loop_matches_default_engine(self, monkeypatch):
-        # Under REPRO_VECTOR=0, Simulation.trajectory() is None and every
-        # run of the shared trace falls back to the reference loop.
+        # Under REPRO_VECTOR=0 every run of the shared trace runs the
+        # reference loop, which makes no trajectory.
         events = [e for e in matrix_events() if e.name == "epoch1-7"]
         schemes = ("picl", "frm")
         default = run_crash_matrix(
             CONFIG, epochs=SHARED_EPOCHS, schemes=schemes, events=events
         )
+        clear_trace_memo()
         monkeypatch.setenv("REPRO_VECTOR", "0")
-        lent = []
-        make = Simulation.trajectory
+        made = []
+        init = Trajectory.__init__
 
-        def recorded(self):
-            lent.append(make(self))
-            return lent[-1]
+        def recorded(self, *args, **kwargs):
+            made.append(self)
+            init(self, *args, **kwargs)
 
-        monkeypatch.setattr(Simulation, "trajectory", recorded)
+        monkeypatch.setattr(Trajectory, "__init__", recorded)
         reference = run_crash_matrix(
             CONFIG, epochs=SHARED_EPOCHS, schemes=schemes, events=events
         )
-        assert lent == [None]  # made once for the shared trace, and None
+        assert made == []
         assert len(reference) == 2
         assert [outcome_fields(o) for o in reference] == [
             outcome_fields(o) for o in default

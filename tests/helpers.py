@@ -125,16 +125,15 @@ def force_brute(system):
 
 def run_mode(engine, config, scheme, benches, n, seed, brute=False,
              shared_memory=False, crash_at=None, crash_plan=None, trace=None,
-             prepare=None, trajectory=None):
+             prepare=None):
     """Run one simulation, which must run on ``engine``.
 
     ``engine`` is the string ``Simulation.engine`` must report: the
     reference one sets ``REPRO_VECTOR=0``, any other leaves the fast
     engine on. The switch is read when the hierarchy is built, so it is
     pinned around construction only. ``brute`` puts the run on the scan
-    oracle; ``trace`` (a zero-argument factory) replaces core 0's trace;
-    ``prepare`` edits the built simulation before it runs;
-    ``trajectory`` is handed to ``Simulation.run``.
+    oracle; ``trace`` (a zero-argument factory) replaces core 0's trace,
+    and ``prepare`` edits the built simulation before it runs.
     """
     previous = os.environ.get("REPRO_VECTOR")
     os.environ["REPRO_VECTOR"] = "0" if engine == REFERENCE else "1"
@@ -152,8 +151,7 @@ def run_mode(engine, config, scheme, benches, n, seed, brute=False,
         sim.traces[0] = trace()
     if prepare is not None:
         prepare(sim)
-    sim.run(crash_at_instructions=crash_at, crash_plan=crash_plan,
-            trajectory=trajectory)
+    sim.run(crash_at_instructions=crash_at, crash_plan=crash_plan)
     # Otherwise a test could compare the reference loop with itself.
     assert sim.engine == engine
     return sim

@@ -51,11 +51,14 @@ class TestTraceMemo:
         memo_a = make_trace(profile, 30_000, seed=11)
         memo_b = make_trace(profile, 30_000, seed=11)
         assert isinstance(memo_a, MaterializedTrace)
-        # Memo hits share the frozen storage (thawed chunks are transient).
+        # Memo hits share the frozen storage (thawed chunks are transient)
+        # and the entry's cache trajectories; a fresh stream keeps none.
         assert memo_a._chunks is memo_b._chunks
+        assert memo_a.trajectories is memo_b.trajectories
         monkeypatch.setattr(synthetic, "_TRACE_MEMO_MAX_REFS", -1)
         fresh = make_trace(profile, 30_000, seed=11)
         assert isinstance(fresh, SyntheticTrace)
+        assert fresh.trajectories is None
         for memo_chunk, fresh_chunk in zip(memo_a.chunks(), fresh.chunks()):
             assert memo_chunk.gaps == fresh_chunk.gaps
             assert memo_chunk.addrs == fresh_chunk.addrs

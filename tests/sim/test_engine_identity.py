@@ -1,9 +1,10 @@
 """Engine identity: the fast engine against the reference side, 1..N cores.
 
 The fast engine is an optimization, not a model change. One core
-replays a scheme-free cache trajectory (``trajectory``): a lone point
-tags its own trace lazily, chunk by chunk, and the points of a batch
-share one. Several cores take turns through the multi-core drain
+replays a scheme-free cache trajectory (``trajectory``), tagged lazily,
+chunk by chunk: the trace memo keeps one per trace and cache geometry,
+so a run tags the chunks no earlier run of its trace reached and
+replays the rest. Several cores take turns through the multi-core drain
 (``drain``). No config declines: both call the hierarchy's own miss
 chain, so 2-channel NVM, a DRAM cache and a plain eviction sink run
 fast too.
@@ -27,8 +28,9 @@ reference's gap on its clock and instruction count.
 ``ROWS`` is the curated matrix. ``test_fuzz`` draws the whole config
 space, one ``SHAPES`` share per fast-engine path, on every memory shape
 (``MEMORY_ROWS``), and asserts the engine each draw must run.
-``SHARED_ROWS`` and the fuzz's ``shared-batch`` shape replay one
-trajectory under all six schemes, each against its own reference run.
+``SHARED_ROWS`` and the fuzz's ``shared-batch`` shape run one trace
+under all six schemes from an empty memo, each against its own
+reference run: the first tags the trajectory and the rest replay it.
 ``COUNT_ROWS`` pin the invariant the trajectory rests on: its level
 counts are every scheme's ``l1.hits``, ``l2.misses`` and
 ``llc.misses``. ``test_every_store_calls_on_store`` records every
@@ -45,7 +47,9 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import REFERENCE, fingerprint, run_mode, small_config
 from repro.cache.hierarchy import EvictionSink
-from repro.cache.trajectory import L1_HIT, LEVEL, LLC_HIT, LLC_MISS
+from repro.cache.trajectory import (
+    L1_HIT, LEVEL, LLC_HIT, LLC_MISS, Trajectory, geometry,
+)
 from repro.common.units import KB, MB
 from repro.core.recovery import check_recovered
 from repro.core.undo_buffer import UndoBuffer
@@ -56,7 +60,9 @@ from repro.sim.simulator import Simulation
 from repro.trace import profiles, synthetic
 from repro.trace.mixes import MULTIPROGRAM_MIXES
 from repro.trace.profiles import WorkloadProfile
-from repro.trace.synthetic import MaterializedTrace, SyntheticTrace
+from repro.trace.synthetic import (
+    MaterializedTrace, SyntheticTrace, clear_trace_memo,
+)
 from repro.trace.tracefile import RecordedTrace, load_trace, save_trace
 
 SCHEMES = ("ideal", "journaling", "shadow", "frm", "thynvm", "picl")
@@ -132,13 +138,12 @@ def gap_carriers(sim):
 
 def run_pair(engine, scheme, benches, seed, n=N, shared=False, crash_at=None,
              site=None, occurrence=3, tear=None, prepare=None, trace=None,
-             must_crash=False, expect=(), trajectory=None, **config):
+             must_crash=False, expect=(), **config):
     """Run one point on ``engine`` and on the reference side; compare.
 
     ``must_crash`` (True, or ``"mid-chain"`` for a crash that leaves a
     gap in flight) and ``expect`` (``(stat, minimum)`` pairs) check that
-    the point exercises what it was chosen for. ``trajectory`` is handed
-    to the engine side's ``Simulation.run``.
+    the point exercises what it was chosen for.
     """
     config = small_config(len(benches), **config)
     sims, plans = [], []
@@ -151,7 +156,6 @@ def run_pair(engine, scheme, benches, seed, n=N, shared=False, crash_at=None,
             side, config, scheme, benches, n, seed, brute=brute,
             shared_memory=shared, crash_at=crash_at, crash_plan=plan,
             trace=trace, prepare=prepare,
-            trajectory=trajectory if side == engine else None,
         ))
     fast, reference = sims
     if site is not None:
@@ -173,21 +177,20 @@ def run_pair(engine, scheme, benches, seed, n=N, shared=False, crash_at=None,
     return fast
 
 
-def probe_trajectory(benches, seed, n=N, **config):
-    """The trajectory of a point: what a batch's first point creates."""
-    config = {k: v for k, v in config.items() if k in SHAPE_KEYS}
-    probe = Simulation(small_config(len(benches), **config), "ideal", benches,
-                       n, seed=seed)
-    return probe.trajectory()
+def kept_trajectory(sim):
+    """The trajectory the trace memo keeps for ``sim``'s trace and cache
+    geometry (None if no run made one)."""
+    return sim.traces[0].trajectories.get(geometry(sim.hierarchy))
 
 
 def tagged_trajectory(benches, seed, n=N, **config):
-    """A point's trajectory with every chunk of its trace tagged."""
-    trajectory = probe_trajectory(benches, seed, n, **config)
+    """A point's trajectory with every chunk of its trace tagged, made
+    apart from the one the trace memo keeps."""
     config = {k: v for k, v in config.items() if k in SHAPE_KEYS}
-    trace = Simulation(small_config(len(benches), **config), "ideal", benches,
-                       n, seed=seed).traces[0]
-    for index, chunk in enumerate(trace.chunks()):
+    probe = Simulation(small_config(len(benches), **config), "ideal", benches,
+                       n, seed=seed)
+    trajectory = Trajectory(geometry(probe.hierarchy))
+    for index, chunk in enumerate(probe.traces[0].chunks()):
         trajectory.chunk_codes(index, chunk)
     return trajectory
 
@@ -201,14 +204,17 @@ SHAPE_KEYS = {
 
 
 def run_shared_batch(engine, benches, seed, n=N, **kwargs):
-    """Replay one trajectory under all six schemes, each compared with
-    its own reference run; returns the fast runs."""
-    trajectory = probe_trajectory(benches, seed, n, **kwargs)
-    return [
-        run_pair(engine, scheme, benches, seed, n=n, trajectory=trajectory,
-                 **kwargs)
-        for scheme in SCHEMES
-    ]
+    """Run one trace under all six schemes, each compared with its own
+    reference run; returns the fast runs. The memo starts empty, so the
+    first scheme tags the trajectory and the rest replay the very one
+    it kept."""
+    clear_trace_memo()
+    fasts = [run_pair(engine, scheme, benches, seed, n=n, **kwargs)
+             for scheme in SCHEMES]
+    shared = kept_trajectory(fasts[0])
+    assert shared is not None
+    assert all(kept_trajectory(fast) is shared for fast in fasts)
+    return fasts
 
 
 def row(id, engine, scheme, benches, seed, **kwargs):
@@ -506,9 +512,10 @@ def level_counts(trajectory, n_refs):
 def check_level_counts(schemes, benches, seed, n=N, crash_at=None, site=None,
                        occurrence=3, tear=None, must_crash=False, expect=(),
                        **config):
-    """Every scheme's level counters, on its own fast engine run (its
-    own lazy trajectory), equal a fully tagged trajectory's level counts; ``expect`` is
-    checked on the first scheme. A crash may leave one reference in
+    """Every scheme's level counters, on its own fast engine run (which
+    tags or replays the trajectory the trace memo keeps), equal the level
+    counts of a trajectory tagged apart from it; ``expect`` is checked on
+    the first scheme. A crash may leave one reference in
     flight: its level is counted but it never retired."""
     trajectory = tagged_trajectory(benches, seed, n, **config)
     config = small_config(len(benches), **config)

@@ -1,10 +1,11 @@
 """Shared cache trajectories in batches.
 
 Single-core points that share a trace and the cache geometry deciding
-residency (a *trajectory key*) replay one scheme-free tag pass
-(``Simulation.run(trajectory=...)``). Batches are cut so that no group
-of them straddles two batches, and the replayed results are exactly
-what each point computes on its own.
+residency (a *trajectory key*) replay one scheme-free tag pass, the
+trajectory the worker's trace memo keeps for that trace and geometry.
+Batches are cut so that no group of them straddles two batches, and the
+replayed results are exactly what each point computes on its own from
+an empty memo.
 """
 
 import pickle
@@ -12,6 +13,7 @@ import pickle
 from repro.experiments import fig09, fig15
 from repro.sim.parallel import run_points, trace_batches, trajectory_key
 from repro.sim.results import SimulationResult
+from repro.trace.synthetic import clear_trace_memo
 
 
 def grid(pairs):
@@ -46,6 +48,7 @@ def test_fig15_replayed_batches_equal_point_by_point_runs():
     batched = run_points(points, jobs=1)
     assert {result.engine for result in batched} == {"trajectory"}
     for point, result in zip(points, batched):
+        clear_trace_memo()
         alone = point.execute()
         assert alone.engine == "trajectory"
         assert fingerprint(result) == fingerprint(alone)
