@@ -12,7 +12,9 @@ One gating script, four phases:
    point digest** — the dedupe and retry guarantees, asserted from the
    durable record, not from exit codes.
 3. **Warm resubmit** — a third client resubmits the figure; every point
-   must be answered from the journal with zero new executions, fast.
+   must be answered from the result store with zero new executions,
+   fast. The client's ``repro: batch …`` summary must show no point
+   queued or joined.
 4. **Daemon SIGKILL + restart** — the daemon itself is killed without
    ceremony and restarted on the same spool; a resubmission must again
    be byte-identical, with no digest ever executed twice across both
@@ -23,7 +25,9 @@ Run from the repository root:
     PYTHONPATH=src python benchmarks/service_smoke.py
 """
 
+import ast
 import os
+import re
 import shutil
 import signal
 import subprocess
@@ -52,7 +56,7 @@ def fail(message):
     sys.exit(1)
 
 
-def run_cli(args, env, timeout=600):
+def run_cli(args, env, timeout=600, with_stderr=False):
     proc = subprocess.run(
         [sys.executable, "-m", "repro"] + args,
         env=env,
@@ -65,7 +69,18 @@ def run_cli(args, env, timeout=600):
             "repro %s exited %d\n%s"
             % (" ".join(args), proc.returncode, proc.stderr.decode())
         )
+    if with_stderr:
+        return proc.stdout, proc.stderr.decode()
     return proc.stdout
+
+
+def batch_sources(stderr):
+    """The ``{source: count}`` summary ``repro submit`` prints on stderr."""
+    for line in stderr.splitlines():
+        match = re.match(r"repro: batch \S+: (\{.*\})$", line)
+        if match:
+            return ast.literal_eval(match.group(1))
+    fail("no 'repro: batch' summary on the client's stderr:\n%s" % stderr)
 
 
 def child_pids(pid):
@@ -168,17 +183,25 @@ def main():
             "(worker kill included)" % len(counts)
         )
 
-        # Phase 3: warm resubmit — journal-only, fast.
+        # Phase 3: warm resubmit — answered from the result store, fast.
         log("phase 3: warm resubmit")
         t0 = time.monotonic()
-        warm = run_cli(["submit"] + FIGURE_ARGS + ["--socket", sock], env)
+        warm, warm_err = run_cli(
+            ["submit"] + FIGURE_ARGS + ["--socket", sock], env, with_stderr=True
+        )
         elapsed = time.monotonic() - t0
+        sources = batch_sources(warm_err)
+        if sources.get("queued") != 0 or sources.get("joined") != 0:
+            fail("warm resubmit was not answered from the store: %r" % sources)
         if warm != serial:
             fail("warm resubmit output differs from the serial run")
         after = executions_per_digest(read_events(events_path))
         if after != counts:
             fail("warm resubmit triggered new executions")
-        log("warm resubmit byte-identical, 0 new executions, %.2fs" % elapsed)
+        log(
+            "warm resubmit byte-identical, 0 new executions, %d points from"
+            " the store, %.2fs" % (sources.get("cache", 0), elapsed)
+        )
         if elapsed > 30:
             fail("warm resubmit took %.2fs (expected ~1s)" % elapsed)
 

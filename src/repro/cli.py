@@ -133,8 +133,8 @@ def _add_service_commands(subparsers):
     serve.add_argument(
         "--spool",
         default=None,
-        help="spool directory for the journal, batch spool, and event "
-        "log (default: .repro_service)",
+        help="spool directory for the batch spool, the event log and, "
+        "under REPRO_NO_CACHE, the result store (default: .repro_service)",
     )
     serve.add_argument(
         "--jobs",

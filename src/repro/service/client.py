@@ -11,8 +11,8 @@ disables) instead of blocking forever on a daemon that hung after
 ``accepted``. When a streaming read times out the client does not give
 up: it reconnects and *re-submits the same batch id and points*, which
 is safe and cheap by construction — the scheduler answers every
-already-finished point from its journal and joins every in-flight one,
-so the resumed stream replays instantly up to where it died and no
+already-finished point from its result store and joins every in-flight
+one, so the resumed stream replays instantly up to where it died and no
 point is ever executed twice.
 """
 
@@ -233,7 +233,7 @@ class ServiceClient:
         """Redial and replay a submit whose stream went quiet.
 
         Returns the fresh ``accepted`` message. Idempotent server-side:
-        same batch id, same points — journaled points answer instantly,
+        same batch id, same points — stored points answer instantly,
         in-flight points are joined, nothing re-executes.
         """
         self.resumes += 1

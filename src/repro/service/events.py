@@ -2,7 +2,7 @@
 
 Each line of ``events.jsonl`` is one JSON record with at least ``t``
 (unix time), ``event``, and usually ``digest`` — the same content-hash
-the result cache and checkpoint journal key on, so one digest can be
+the result store keys on, so one digest can be
 followed across enqueue, dispatch, retries, and completion. The log is
 append-only across daemon restarts, which is exactly what lets tests
 (and operators) assert global properties like "this digest was executed
@@ -19,9 +19,10 @@ segment actually ages out. ``REPRO_EVENTS_MAX_BYTES`` /
 disables rotation entirely.
 
 Event vocabulary (producers in :mod:`repro.service.scheduler` /
-``server``): ``enqueue``, ``dispatch``, ``done``, ``cache_hit``,
-``journal_hit``, ``join`` (deduped onto an in-flight execution),
-``retry`` (transient worker crash/timeout, attempt counted), ``failed``,
+``server``): ``enqueue``, ``dispatch``, ``done``, ``cache_hit``
+(answered from the result store), ``join`` (deduped onto an in-flight
+execution), ``retry`` (transient worker crash/timeout, attempt
+counted), ``failed``,
 ``batch_accepted``, ``batch_done``, ``batch_recovered``,
 ``spool_corrupt``, ``serve``, ``stop``; plus the observability events
 ``protocol_error``, ``client_disconnect``, ``io_error``, and
@@ -176,7 +177,7 @@ def executions_per_digest(records):
     """``{digest: number of completed executions}`` from event records.
 
     The dedupe property under test: every digest's count is exactly 1 —
-    cache hits, journal hits, and joins serve every other request.
+    result-store hits and joins serve every other request.
     """
     counts = collections.Counter()
     for record in records:

@@ -3,11 +3,11 @@
 One :class:`Scheduler` owns all execution state of a running daemon:
 
 * **Dedupe.** Every submitted point is resolved in order against the
-  checkpoint journal (finished this daemon lifetime or a previous one),
-  the shared on-disk :class:`~repro.sim.parallel.ResultCache`, and the
-  in-flight table. Only a genuinely novel digest is enqueued; concurrent
-  clients asking for the same digest share one future and therefore one
-  execution.
+  in-flight table and the result store (a
+  :class:`~repro.sim.parallel.ResultCache`: every point finished this
+  daemon lifetime, a previous one, or by any other sweep sharing it).
+  Only a genuinely novel digest is enqueued; concurrent clients asking
+  for the same digest share one future and therefore one execution.
 * **Fairness.** Pending work is kept as per-client queues of same-trace
   units (see :func:`repro.sim.parallel.trace_batches`); the dispatcher
   pops units round-robin across clients, so a client submitting a
@@ -17,9 +17,10 @@ One :class:`Scheduler` owns all execution state of a running daemon:
   :func:`~repro.sim.parallel.execute_batch_with_retry` (an isolated,
   killable child process with capped-backoff retries). Every capacity
   change wakes the dispatcher: a submit, or a unit finishing.
-* **Write-through.** A finished point is appended to the checkpoint
-  journal and stored in the result cache *before* its future resolves,
-  so no client can observe a result the daemon could later lose.
+* **Write-through.** A finished point is stored durably in the result
+  store *before* its future resolves, so no client can observe a result
+  the daemon could later lose. A point whose store fails is failed, not
+  shown as a success.
 
 The scheduler must be driven from a single asyncio event loop
 (``submit`` and ``start``/``close`` are loop-side); only the event log
@@ -78,7 +79,6 @@ class Scheduler:
         self,
         jobs=None,
         cache=None,
-        checkpoint=None,
         events=None,
         timeout=None,
         retries=None,
@@ -87,7 +87,6 @@ class Scheduler:
     ):
         self.jobs = resolve_jobs(jobs)
         self.cache = cache
-        self.checkpoint = checkpoint
         self.events = events if events is not None else EventLog()
         env_timeout, env_retries = fault_env()
         self.timeout = env_timeout if timeout is None else timeout
@@ -145,9 +144,10 @@ class Scheduler:
         """Resolve-or-enqueue every point for ``client``.
 
         Returns ``[(future, source), ...]`` in input order; ``source`` is
-        how the point was answered: ``journal`` / ``cache`` (already
-        done), ``joined`` (another client's in-flight execution), or
-        ``queued`` (novel work enqueued now).
+        how the point was answered: ``joined`` (another client's
+        in-flight execution), ``cache`` (already in the result store), or
+        ``queued`` (novel work enqueued now). The in-flight table is
+        asked first: a store lookup reads the disk.
 
         ``env`` is the client's engine-flag capture
         (:data:`repro.sim.parallel.ENGINE_FLAGS`); fresh units execute
@@ -162,17 +162,6 @@ class Scheduler:
         fresh = []  # (digest, point, future) needing execution
         for point in points:
             digest = point_digest(point)
-            journaled = (
-                self.checkpoint.get(digest) if self.checkpoint is not None else None
-            )
-            if journaled is not None:
-                future = loop.create_future()
-                future.set_result(journaled)
-                self.events.append(
-                    "journal_hit", digest=digest, client=client, batch=batch_id
-                )
-                out.append((future, "journal"))
-                continue
             inflight = self._inflight.get(digest)
             if inflight is not None:
                 self.events.append(
@@ -182,8 +171,6 @@ class Scheduler:
                 continue
             cached = self.cache.load(point) if self.cache is not None else None
             if cached is not None:
-                if self.checkpoint is not None:
-                    self.checkpoint.record_digest(digest, cached)
                 future = loop.create_future()
                 future.set_result(cached)
                 self.events.append(
@@ -320,12 +307,35 @@ class Scheduler:
     # ------------------------------------------------------------------
 
     def _settle_unit(self, unit, results):
-        """Durability before visibility: journal + cache, then futures."""
+        """Durability before visibility: store, then resolve the future.
+
+        A point whose store raises (a full disk, say) fails with the OS
+        error instead: its result is not durable, and leaving its future
+        pending would strand every client that joined it.
+        """
         for (digest, point, future), result in zip(unit.entries, results):
-            if self.checkpoint is not None:
-                self.checkpoint.record_digest(digest, result)
             if self.cache is not None:
-                self.cache.store(point, result)
+                try:
+                    self.cache.store(point, result)
+                except OSError as exc:
+                    self.events.append(
+                        "io_error",
+                        op="store",
+                        digest=digest,
+                        client=unit.client,
+                        batch=unit.batch_id,
+                        error=str(exc),
+                    )
+                    self._fail_point(
+                        unit,
+                        digest,
+                        future,
+                        PointExecutionError(
+                            "result store failed: %s" % (exc,),
+                            point_description=point.describe(),
+                        ),
+                    )
+                    continue
             self._inflight.pop(digest, None)
             self.events.append(
                 "done", digest=digest, client=unit.client, batch=unit.batch_id
@@ -335,17 +345,20 @@ class Scheduler:
 
     def _fail_unit(self, unit, exc):
         for digest, _point, future in unit.entries:
-            self._inflight.pop(digest, None)
-            self.events.append(
-                "failed",
-                digest=digest,
-                client=unit.client,
-                batch=unit.batch_id,
-                error=str(exc),
-            )
-            if not future.done():
-                future.add_done_callback(_silence)
-                future.set_exception(exc)
+            self._fail_point(unit, digest, future, exc)
+
+    def _fail_point(self, unit, digest, future, exc):
+        self._inflight.pop(digest, None)
+        self.events.append(
+            "failed",
+            digest=digest,
+            client=unit.client,
+            batch=unit.batch_id,
+            error=str(exc),
+        )
+        if not future.done():
+            future.add_done_callback(_silence)
+            future.set_exception(exc)
 
     # ------------------------------------------------------------------
     # introspection
@@ -360,7 +373,6 @@ class Scheduler:
                 client: sum(len(unit.entries) for unit in queue)
                 for client, queue in self._queues.items()
             },
-            "journaled": len(self.checkpoint) if self.checkpoint else 0,
             "events": self.events.snapshot(),
             "cache": {
                 "hits": self.cache.hits,

@@ -2,32 +2,31 @@
 
 A :class:`SweepService` listens on a unix socket (default
 ``<spool>/service.sock``) or localhost TCP and speaks the JSON-line
-protocol of :mod:`repro.service.protocol`. Its durable state lives in
-one *spool directory*:
+protocol of :mod:`repro.service.protocol`. Its durable state is the
+result store plus two entries of one *spool directory*:
 
-``journal.ckpt``
-    A :class:`~repro.sim.parallel.SweepCheckpoint` of every finished
-    point (digest -> result), appended before any client sees the
-    result. Survives SIGKILL; a torn tail is truncated on reload.
+the result store
+    A :class:`~repro.sim.parallel.ResultCache` of every finished point
+    (digest -> result), stored durably before any client sees the
+    result. It is the shared cache (``REPRO_CACHE_DIR``), which outlives
+    any daemon and is how independent daemons and plain ``run_points``
+    sweeps share work; under ``REPRO_NO_CACHE`` it is
+    ``<spool>/results``, private to daemons on this spool.
 ``batches/<id>.pkl``
-    One pickled point-list per accepted batch, written before the batch
-    is scheduled and removed once every point has settled. A daemon
-    killed mid-batch finds the file on restart and re-submits the batch
-    to itself: journaled points replay instantly, the rest re-execute —
-    no lost points, no duplicated executions.
+    One pickled record (point list plus engine-flag capture) per
+    accepted batch, written before the batch is scheduled and removed
+    once every point has settled. A daemon killed mid-batch finds the
+    file on restart and re-submits the batch to itself: stored points
+    answer instantly, the rest re-execute — no lost points, no
+    duplicated executions.
 ``events.jsonl``
     The append-only structured event log (append-across-restarts).
-
-The shared result cache (``REPRO_CACHE_DIR``) is *not* under the spool:
-it outlives any daemon and is how independent daemons and plain
-``run_points`` sweeps share work.
 """
 
 import asyncio
 import os
 import pickle
 import signal
-import tempfile
 
 from repro.service import protocol
 from repro.service.events import EventLog
@@ -36,7 +35,7 @@ from repro.sim.parallel import (
     DEFAULT_BACKOFF,
     ENGINE_FLAGS,
     ResultCache,
-    SweepCheckpoint,
+    atomic_pickle,
     point_digest,
 )
 
@@ -54,6 +53,14 @@ STREAM_LIMIT = 64 * 1024 * 1024
 def default_socket_path(spool_dir=None):
     """Where the daemon listens when no socket/TCP endpoint is given."""
     return os.path.join(spool_dir or DEFAULT_SPOOL_DIR, "service.sock")
+
+
+def _count_sources(entries):
+    """How many of a submit's points each source answered."""
+    return {
+        source: sum(1 for _future, answered in entries if answered == source)
+        for source in ("cache", "joined", "queued")
+    }
 
 
 class SweepService:
@@ -83,14 +90,14 @@ class SweepService:
             None if tcp else (socket_path or default_socket_path(self.spool_dir))
         )
         self.events = EventLog(os.path.join(self.spool_dir, "events.jsonl"))
-        self.checkpoint = SweepCheckpoint(
-            os.path.join(self.spool_dir, "journal.ckpt")
-        )
-        self.cache = cache if cache is not None else ResultCache.from_env()
+        if cache is None:
+            cache = ResultCache.from_env() or ResultCache(
+                os.path.join(self.spool_dir, "results")
+            )
+        self.cache = cache
         self.scheduler = Scheduler(
             jobs=jobs,
             cache=self.cache,
-            checkpoint=self.checkpoint,
             events=self.events,
             timeout=timeout,
             retries=retries,
@@ -128,7 +135,6 @@ class SweepService:
             "serve",
             endpoint=list(self.tcp) if self.tcp else self.socket_path,
             jobs=self.scheduler.jobs,
-            journaled=len(self.checkpoint),
         )
 
     def request_stop(self):
@@ -187,30 +193,15 @@ class SweepService:
         return os.path.join(self.batch_dir, "%s.pkl" % batch_id)
 
     def _spool(self, batch_id, points, env=None):
-        """Persist an accepted batch atomically before scheduling it.
+        """Persist an accepted batch durably before scheduling it.
 
         The spool record is a dict carrying the point list plus the
         client's engine-flag capture, so a restart re-runs the batch
-        under the same engine selection the client asked for. (Older
-        spools pickled a bare point list; recovery still reads those.)
+        under the same engine selection the client asked for.
         """
-        fd, tmp_path = tempfile.mkstemp(dir=self.batch_dir, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                pickle.dump(
-                    {"points": list(points), "env": env},
-                    handle,
-                    pickle.HIGHEST_PROTOCOL,
-                )
-            os.replace(tmp_path, self._spool_path(batch_id))
-        except BaseException:
-            try:
-                os.unlink(tmp_path)
-            except OSError as exc:
-                self.events.append(
-                    "io_error", op="unlink_spool_tmp", error=str(exc)
-                )
-            raise
+        atomic_pickle(
+            self._spool_path(batch_id), {"points": list(points), "env": env}
+        )
 
     def _unspool(self, batch_id):
         try:
@@ -227,13 +218,8 @@ class SweepService:
             try:
                 with open(os.path.join(self.batch_dir, name), "rb") as handle:
                     record = pickle.load(handle)
-                if isinstance(record, dict):
-                    points = record["points"]
-                    env = record.get("env")
-                else:
-                    # Pre-env spool format: a bare point list.
-                    points = record
-                    env = None
+                points = record["points"]
+                env = record.get("env")
                 # A point the scheduler cannot digest would kill the
                 # daemon below; such a batch is as unusable as a torn one.
                 for point in points:
@@ -426,10 +412,7 @@ class SweepService:
             batch=batch_id,
             client=client,
             n_points=len(points),
-            sources={
-                source: sum(1 for _f, s in entries if s == source)
-                for source in ("journal", "cache", "joined", "queued")
-            },
+            sources=_count_sources(entries),
         )
         await self._send(
             writer,
@@ -485,10 +468,7 @@ class SweepService:
             "batch": batch_id,
             "n_points": len(points),
             "failures": failures,
-            "sources": {
-                source: sum(1 for _f, s in entries if s == source)
-                for source in ("journal", "cache", "joined", "queued")
-            },
+            "sources": _count_sources(entries),
         }
         self.events.append(
             "batch_done", batch=batch_id, client=client, failures=failures

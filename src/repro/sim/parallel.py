@@ -7,7 +7,7 @@ point builds its own trace from an explicit seed, so running points on
 worker processes produces *bit-identical* results to running them in a
 loop.
 
-Three pieces live here:
+Two pieces live here:
 
 * :func:`run_points` — execute a list of :class:`RunPoint` s, fanning out
   over a ``ProcessPoolExecutor`` when ``jobs > 1``. Results come back in
@@ -25,10 +25,9 @@ Three pieces live here:
   but fail to load are quarantined to ``<cache>/corrupt/`` (counted in
   ``cache.quarantined``) rather than silently overwritten, preserving
   the evidence. Opt out with ``REPRO_NO_CACHE=1``; relocate with
-  ``REPRO_CACHE_DIR``.
-* :class:`SweepCheckpoint` — an append-only journal of finished points,
-  so an interrupted sweep resumes where it stopped instead of starting
-  over.
+  ``REPRO_CACHE_DIR``. A returned store is durable (see
+  :func:`atomic_pickle`), so an interrupted sweep rerun against the same
+  cache resumes where it stopped instead of starting over.
 
 Select the worker count with ``jobs=N``, ``jobs="auto"`` (one per
 *available* CPU — the scheduling affinity mask, not the raw core count),
@@ -41,7 +40,7 @@ the first failure, default 2).
 The building blocks are public so other schedulers can reuse them: the
 sweep service (:mod:`repro.service`) drives :func:`trace_batches`,
 :func:`execute_batch_with_retry`, :func:`point_digest`,
-:class:`ResultCache` and :class:`SweepCheckpoint` directly rather than
+:class:`ResultCache` and :func:`atomic_pickle` directly rather than
 going through :func:`run_points`.
 """
 
@@ -404,8 +403,8 @@ def point_digest(point):
     Hashes the *entire* run description — every config field (nested
     dataclasses included), scheme, benchmarks, instruction budget, seed,
     and a schema version — so any change to what would be simulated
-    changes the digest. Shared by :class:`ResultCache` and
-    :class:`SweepCheckpoint`.
+    changes the digest. Keys :class:`ResultCache` and the sweep
+    service's dedupe.
     """
     payload = {
         "schema": CACHE_SCHEMA_VERSION,
@@ -418,6 +417,37 @@ def point_digest(point):
     }
     canonical = json.dumps(payload, sort_keys=True, default=repr)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def atomic_pickle(path, obj):
+    """Pickle ``obj`` to ``path`` atomically and durably.
+
+    The bytes go to a private temp file in ``path``'s directory, which is
+    fsynced, renamed over ``path`` and then the directory itself is
+    fsynced: a reader sees the old entry or the whole new one, never a
+    torn one, and once the call returns the entry survives a power cut
+    as long as its directory does. A failed write leaves no temp file
+    behind.
+    """
+    directory = os.path.dirname(path) or "."
+    fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            pickle.dump(obj, handle, protocol=pickle.HIGHEST_PROTOCOL)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp_path, path)
+    except BaseException:
+        try:
+            os.unlink(tmp_path)
+        except OSError:
+            pass
+        raise
+    dir_fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
 
 
 class ResultCache:
@@ -501,132 +531,10 @@ class ResultCache:
         return result
 
     def store(self, point, result):
-        """Persist a result atomically (write-to-temp then rename)."""
+        """Persist a result durably (see :func:`atomic_pickle`)."""
         path = self._path(self.key(point))
-        directory = os.path.dirname(path)
-        os.makedirs(directory, exist_ok=True)
-        fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                pickle.dump(result, handle, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp_path, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
-            raise
-
-
-class SweepCheckpoint:
-    """Append-only journal of finished points for sweep resumption.
-
-    Each record is one pickled ``(digest, result)`` pair; a process
-    killed mid-append leaves a truncated tail that loading skips — and
-    *truncates away*, so that subsequent :meth:`record` appends land
-    where the pickle stream actually ends. (Appending after torn bytes
-    would frame every later record as garbage: the next ``_load`` stops
-    at the tear and everything written post-resume is unreachable.)
-    Loading stops at the first record it cannot read, so a corrupt
-    record in the middle takes every later record with it: the bytes
-    from there on are moved to a quarantine file next to the journal
-    (``<journal>.corrupt-<offset>``) and reported on stderr, never
-    dropped silently.
-    Unlike :class:`ResultCache` (shared, content-addressed, survives
-    forever) a checkpoint belongs to one sweep invocation and is deleted
-    when the sweep completes.
-    """
-
-    def __init__(self, path):
-        self.path = path
-        self._results = {}
-        self._load()
-
-    def _load(self):
-        try:
-            handle = open(self.path, "rb")
-        except FileNotFoundError:
-            return
-        good_offset = 0
-        with handle:
-            while True:
-                try:
-                    digest, result = pickle.load(handle)
-                except EOFError:
-                    # Clean end *or* a record truncated mid-frame — the
-                    # size check below tells them apart.
-                    break
-                except Exception:
-                    # Torn tail record: everything before it is intact,
-                    # everything after is unreadable framing.
-                    break
-                self._results[digest] = result
-                good_offset = handle.tell()
-        try:
-            if os.path.getsize(self.path) > good_offset:
-                self._quarantine_tail(good_offset)
-                os.truncate(self.path, good_offset)
-        except OSError:
-            # Can't repair (permissions, vanished file); appends may be
-            # unreachable on the next load, but nothing already journaled
-            # is lost.
-            pass
-
-    def _quarantine_tail(self, offset):
-        """Copy the unreadable bytes from ``offset`` on to a quarantine
-        file beside the journal and report them on stderr."""
-        with open(self.path, "rb") as handle:
-            handle.seek(offset)
-            tail = handle.read()
-        target = "%s.corrupt-%d" % (self.path, offset)
-        fd, tmp_path = tempfile.mkstemp(
-            dir=os.path.dirname(os.path.abspath(self.path)), suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "wb") as out:
-                out.write(tail)
-            os.replace(tmp_path, target)
-        except BaseException:
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
-            raise
-        print(
-            "checkpoint %s: %d unreadable bytes at offset %d moved to %s"
-            % (self.path, len(tail), offset, target),
-            file=sys.stderr,
-        )
-
-    def lookup(self, point):
-        """The journaled result for ``point``, or None."""
-        return self._results.get(point_digest(point))
-
-    def get(self, digest):
-        """The journaled result for an already-computed digest, or None."""
-        return self._results.get(digest)
-
-    def __len__(self):
-        return len(self._results)
-
-    def record(self, point, result):
-        """Append one finished point; durable once the call returns."""
-        self.record_digest(point_digest(point), result)
-
-    def record_digest(self, digest, result):
-        """Append one finished ``(digest, result)``; durable on return."""
-        with open(self.path, "ab") as handle:
-            pickle.dump((digest, result), handle, protocol=pickle.HIGHEST_PROTOCOL)
-            handle.flush()
-            os.fsync(handle.fileno())
-        self._results[digest] = result
-
-    def done(self):
-        """The sweep completed: remove the journal."""
-        try:
-            os.unlink(self.path)
-        except FileNotFoundError:
-            pass
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        atomic_pickle(path, result)
 
 
 # ----------------------------------------------------------------------
@@ -804,30 +712,20 @@ def _env_float(name):
 # ----------------------------------------------------------------------
 
 
-def resolve_precomputed(points, cache=None, checkpoint=None):
-    """Answer points from the checkpoint journal and result cache.
+def resolve_precomputed(points, cache=None):
+    """Answer points from the result cache.
 
     Returns ``(results, pending)``: a results list (input order, None
-    where nothing precomputed was found) and the indices still needing
-    execution. Cache hits are recorded into the checkpoint so a later
-    resume is journal-local.
+    where the cache had nothing) and the indices still needing execution.
     """
     results = [None] * len(points)
     pending = []
     for index, point in enumerate(points):
-        if checkpoint is not None:
-            journaled = checkpoint.lookup(point)
-            if journaled is not None:
-                results[index] = journaled
-                continue
-        if cache is not None:
-            cached = cache.load(point)
-            if cached is not None:
-                results[index] = cached
-                if checkpoint is not None:
-                    checkpoint.record(point, cached)
-                continue
-        pending.append(index)
+        cached = cache.load(point) if cache is not None else None
+        if cached is None:
+            pending.append(index)
+        else:
+            results[index] = cached
     return results, pending
 
 
@@ -835,16 +733,15 @@ def run_points(
     points,
     jobs=None,
     cache=None,
-    checkpoint=None,
     timeout=None,
     retries=None,
     backoff=DEFAULT_BACKOFF,
 ):
     """Execute every point; returns results in input order.
 
-    Cached or checkpointed points are answered without simulating. The
-    remainder run serially when ``jobs`` resolves to 1 (or only one point
-    is pending), otherwise on a process pool — either way each point's
+    Cached points are answered without simulating. The remainder run
+    serially when ``jobs`` resolves to 1 (or only one point is pending),
+    otherwise on a process pool — either way each point's
     simulation is seeded identically, so the results are bit-identical
     across modes. Pool tasks are same-trace batches (see
     :func:`trace_batches`) so each worker generates a given reference
@@ -867,7 +764,7 @@ def run_points(
         timeout = env_timeout
     if retries is None:
         retries = env_retries
-    results, pending = resolve_precomputed(points, cache, checkpoint)
+    results, pending = resolve_precomputed(points, cache)
     if not pending:
         return results
 
@@ -875,8 +772,6 @@ def run_points(
         results[index] = result
         if cache is not None:
             cache.store(points[index], result)
-        if checkpoint is not None:
-            checkpoint.record(points[index], result)
 
     # Same-trace points run as one batch — in this process or on one
     # worker — so the trace memo hits and points sharing a trajectory key

@@ -4,9 +4,9 @@ A scripted fake server (plain unix-socket thread) plays the failure:
 it accepts a submit, streams *part* of the batch, then goes silent.
 The client's read deadline must fire, and instead of raising it must
 reconnect and re-submit the same batch id — the real daemon answers a
-re-submission idempotently from its journal/in-flight table, which the
-fake server emulates by replaying the full stream on the second
-connection.
+re-submission idempotently from its result store and in-flight table,
+which the fake server emulates by replaying the full stream on the
+second connection.
 """
 
 import json
@@ -121,13 +121,13 @@ def test_stalled_stream_reconnects_and_resumes():
 
     def second(message, send):
         # The daemon answers a re-submission idempotently: same batch,
-        # full replay (index 0 now a journal hit).
+        # full replay (index 0 now a result-store hit).
         send(accepted(message, 2))
-        send(point(message, 0, "r0", source="journal"))
+        send(point(message, 0, "r0", source="cache"))
         send(point(message, 1, "r1"))
         send({"event": "done", "batch": message["batch"], "n_points": 2,
-              "failures": 0, "sources": {"journal": 1, "queued": 1,
-                                         "cache": 0, "joined": 0}})
+              "failures": 0, "sources": {"cache": 1, "queued": 1,
+                                         "joined": 0}})
 
     server = ScriptedServer(first, second)
     try:
@@ -170,8 +170,8 @@ def test_no_deadline_when_disabled():
         time.sleep(0.5)
         send(point(message, 0, "r0"))
         send({"event": "done", "batch": message["batch"], "n_points": 1,
-              "failures": 0, "sources": {"journal": 0, "queued": 1,
-                                         "cache": 0, "joined": 0}})
+              "failures": 0, "sources": {"cache": 0, "queued": 1,
+                                         "joined": 0}})
 
     server = ScriptedServer(slow)
     try:

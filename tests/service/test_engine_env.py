@@ -121,7 +121,9 @@ class TestProtocolAndSpool:
         decoded = protocol.loads(protocol.dumps(message))
         assert decoded["env"] == {"REPRO_VECTOR": "1"}
 
-    def test_spool_recovery_reads_both_formats(self, tmp_path):
+    def test_spool_recovery_reads_env_records_and_drops_bare_lists(
+        self, tmp_path
+    ):
         seen = []
 
         async def scenario():
@@ -134,10 +136,11 @@ class TestProtocolAndSpool:
                 return []
 
             service.scheduler.submit = record_submit
-            # Old format: a bare pickled point list (pre-env daemons).
+            # A bare pickled point list (the spool format from before the
+            # engine-flag capture) is no longer read: it is corrupt.
             with open(service._spool_path("old"), "wb") as handle:
                 pickle.dump([probe(6)], handle)
-            # New format: dict with the engine-flag capture.
+            # The spool format: a dict with the engine-flag capture.
             service._spool("new", [probe(7)], env={"REPRO_VECTOR": "0"})
             service._stopping = asyncio.Event()
             service.scheduler.start()
@@ -145,7 +148,13 @@ class TestProtocolAndSpool:
             await service.scheduler.close()
             for task in list(service._background):
                 await task
+            return service
 
-        asyncio.run(scenario())
-        assert ("old", None) in seen
-        assert ("new", {"REPRO_VECTOR": "0"}) in seen
+        service = asyncio.run(scenario())
+        assert seen == [("new", {"REPRO_VECTOR": "0"})]
+        assert [
+            record["batch"]
+            for record in service.events.tail(100)
+            if record["event"] == "spool_corrupt"
+        ] == ["old"]
+        assert not os.path.exists(service._spool_path("old"))

@@ -4,11 +4,12 @@ These drive the :class:`~repro.service.scheduler.Scheduler` directly on
 an event loop with an *injected* runner — no worker processes — so every
 property is asserted deterministically: a digest asked for by N clients
 executes once; pending work round-robins across clients; results are
-journaled before futures resolve; a failing unit fails exactly its own
-points and leaves the digests retryable.
+stored before futures resolve; a failing unit, or a failing store, fails
+exactly its own points and leaves the digests retryable.
 """
 
 import asyncio
+import errno
 import json
 import threading
 import time
@@ -22,7 +23,6 @@ from repro.sim.parallel import (
     PointExecutionError,
     ResultCache,
     RunPoint,
-    SweepCheckpoint,
     point_digest,
 )
 
@@ -124,60 +124,36 @@ class TestDedupe:
         assert gathered[0] == ["result-9", "result-9"]
         assert len(runner.executed_digests) == 1
 
-    def test_journal_answers_without_execution(self, tmp_path):
-        runner = RecordingRunner()
-        checkpoint = SweepCheckpoint(str(tmp_path / "j.ckpt"))
-        point = make_points(5)[0]
-        checkpoint.record(point, "journaled-result")
-
-        async def scenario():
-            scheduler = Scheduler(
-                jobs=1, checkpoint=checkpoint, runner=runner
-            )
-            return await drive(scheduler, ("alice", [point]))
-
-        entries, gathered = run_async(scenario())
-        assert gathered[0] == ["journaled-result"]
-        assert entries[0][0][1] == "journal"
-        assert runner.calls == []
-
-    def test_cache_hit_is_recorded_into_journal(self, tmp_path):
+    def test_stored_result_answers_without_execution(self, tmp_path):
         runner = RecordingRunner()
         cache = ResultCache(str(tmp_path / "cache"))
-        checkpoint = SweepCheckpoint(str(tmp_path / "j.ckpt"))
-        point = make_points(6)[0]
-        cache.store(point, "cached-result")
+        point = make_points(5)[0]
+        cache.store(point, "stored-result")
 
         async def scenario():
-            scheduler = Scheduler(
-                jobs=1, cache=cache, checkpoint=checkpoint, runner=runner
-            )
+            scheduler = Scheduler(jobs=1, cache=cache, runner=runner)
             return await drive(scheduler, ("alice", [point]))
 
         entries, gathered = run_async(scenario())
-        assert gathered[0] == ["cached-result"]
+        assert gathered[0] == ["stored-result"]
         assert entries[0][0][1] == "cache"
         assert runner.calls == []
-        # Write-through: a restart now answers from the journal alone.
-        assert SweepCheckpoint(str(tmp_path / "j.ckpt")).lookup(point) == (
-            "cached-result"
-        )
 
-    def test_results_journaled_before_futures_resolve(self, tmp_path):
+    def test_results_stored_before_futures_resolve(self, tmp_path):
         runner = RecordingRunner()
-        checkpoint = SweepCheckpoint(str(tmp_path / "j.ckpt"))
+        root = str(tmp_path / "cache")
         point = make_points(7)[0]
 
         async def scenario():
             scheduler = Scheduler(
-                jobs=1, checkpoint=checkpoint, runner=runner
+                jobs=1, cache=ResultCache(root), runner=runner
             )
             scheduler.start()
             (future, _source), = scheduler.submit("alice", [point])
             result = await future
-            # At the instant the future resolved, the journal already
-            # held the result (durability before visibility).
-            assert checkpoint.lookup(point) == result
+            # At the instant the future resolved, the store already held
+            # the result on disk (durability before visibility).
+            assert ResultCache(root).load(point) == result
             await scheduler.close()
 
         run_async(scenario())
@@ -245,7 +221,6 @@ class TestStatus:
             scheduler = Scheduler(
                 jobs=1,
                 cache=ResultCache(str(tmp_path / "cache")),
-                checkpoint=SweepCheckpoint(str(tmp_path / "j.ckpt")),
                 runner=RecordingRunner(),
             )
             scheduler.start()
@@ -263,7 +238,6 @@ class TestStatus:
             "jobs",
             "inflight",
             "queued",
-            "journaled",
             "events",
             "cache",
         }
@@ -292,6 +266,56 @@ class TestFailure:
             await scheduler.close()
 
         run_async(scenario())
+
+    def test_failed_store_fails_its_points_and_leaves_them_retryable(
+        self, tmp_path
+    ):
+        # A store that raises (a full disk) must fail the unit's points,
+        # not strand them: before the fix the first store's OSError
+        # escaped the unit task, both futures stayed pending forever, and
+        # a resubmit joined the dead futures.
+        class FullDisk(ResultCache):
+            def store(self, point, result):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        events = EventLog()
+        runner = RecordingRunner()
+        # One trace under two schemes: one unit of two points.
+        points = [
+            RunPoint.single(CONFIG, scheme, "gcc", N, seed=71)
+            for scheme in ("picl", "frm")
+        ]
+
+        async def scenario():
+            scheduler = Scheduler(
+                jobs=1,
+                cache=FullDisk(str(tmp_path)),
+                events=events,
+                runner=runner,
+            )
+            scheduler.start()
+            entries = scheduler.submit("alice", points)
+            outcomes = await asyncio.wait_for(
+                asyncio.gather(
+                    *(future for future, _source in entries),
+                    return_exceptions=True,
+                ),
+                timeout=10,
+            )
+            inflight = scheduler.status()["inflight"]
+            resubmitted = scheduler.submit("alice", points)
+            await scheduler.close()
+            return outcomes, inflight, [s for _f, s in resubmitted]
+
+        outcomes, inflight, resubmitted = run_async(scenario())
+        assert runner.calls and len(runner.calls[0]) == 2
+        for outcome in outcomes:
+            assert isinstance(outcome, PointExecutionError)
+            assert "No space left on device" in str(outcome)
+        assert inflight == 0
+        assert resubmitted == ["queued", "queued"]
+        assert events.counts["io_error"] == 2
+        assert events.counts["done"] == 0
 
     def test_close_cancels_queued_work(self):
         runner = RecordingRunner(delay=0.2)

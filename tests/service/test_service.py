@@ -12,11 +12,13 @@ The acceptance properties of the sweep service are asserted here:
   executed exactly once (read back from the durable event log), and both
   clients receive results bit-identical to an in-process serial
   ``run_points`` of the same points;
-* a warm resubmission is answered entirely from the journal with zero
-  new executions;
+* a warm resubmission is answered entirely from the result store with
+  zero new executions;
 * SIGKILL of the whole daemon mid-batch loses nothing: a restarted
   daemon on the same spool recovers the batch, finishes the remaining
-  points, and never re-executes a completed digest;
+  points, and never re-executes a completed digest — with the shared
+  cache as its result store, and with ``<spool>/results`` under
+  ``REPRO_NO_CACHE``;
 * a point the scheduler cannot digest is refused with an ``error`` and
   never spooled, and a spooled one is dropped as ``spool_corrupt`` on
   restart.
@@ -74,13 +76,16 @@ def fingerprint(result):
 class Daemon:
     """A ``repro serve`` subprocess bound to a private spool + socket."""
 
-    def __init__(self, jobs=2):
+    def __init__(self, jobs=2, no_cache=""):
         # Short base dir: the unix socket path must fit in sun_path.
         self.home = tempfile.mkdtemp(prefix="rsvc-", dir="/tmp")
         self.spool = os.path.join(self.home, "spool")
         self.socket = os.path.join(self.home, "s.sock")
         self.cache_dir = os.path.join(self.home, "cache")
         self.jobs = jobs
+        #: The daemon's REPRO_NO_CACHE: "" uses the shared cache at
+        #: ``cache_dir``; "1" makes ``<spool>/results`` the result store.
+        self.no_cache = no_cache
         self.proc = None
 
     @property
@@ -92,7 +97,7 @@ class Daemon:
         env["PYTHONPATH"] = os.pathsep.join(
             (SRC_DIR, TESTS_DIR, env.get("PYTHONPATH", ""))
         )
-        env["REPRO_NO_CACHE"] = ""  # conftest disables caching; re-enable
+        env["REPRO_NO_CACHE"] = self.no_cache  # conftest sets "1"
         env["REPRO_CACHE_DIR"] = self.cache_dir
         self.proc = subprocess.Popen(
             [
@@ -146,8 +151,8 @@ class Daemon:
 def daemon_factory():
     daemons = []
 
-    def factory(jobs=2):
-        daemon = Daemon(jobs=jobs).start()
+    def factory(jobs=2, no_cache=""):
+        daemon = Daemon(jobs=jobs, no_cache=no_cache).start()
         daemons.append(daemon)
         return daemon
 
@@ -190,12 +195,12 @@ class TestConcurrentClients:
         assert counts == {point_digest(p): 1 for p in points}
         # Between the two clients, every point was deduped one way or
         # another: the totals add up to exactly one execution's worth of
-        # "queued" plus joins/journal hits for the other client.
+        # "queued" plus joins/store hits for the other client.
         sources = [outcomes["alice"][1], outcomes["bob"][1]]
         assert sum(s["queued"] for s in sources) == len(points)
-        assert sum(s["joined"] + s["journal"] for s in sources) == len(points)
+        assert sum(s["joined"] + s["cache"] for s in sources) == len(points)
 
-        # Warm resubmission: answered entirely from the journal, with
+        # Warm resubmission: answered entirely from the store, with
         # zero new executions and sub-second latency.
         t0 = time.monotonic()
         with daemon.client() as client:
@@ -203,7 +208,7 @@ class TestConcurrentClients:
             warm_sources = client.last_sources
         elapsed = time.monotonic() - t0
         assert [fingerprint(r) for r in warm] == serial
-        assert warm_sources["journal"] == len(points)
+        assert warm_sources["cache"] == len(points)
         counts_after = executions_per_digest(read_events(daemon.events_path))
         assert counts_after == counts
         assert elapsed < 5.0, "warm resubmit took %.2fs" % elapsed
@@ -224,13 +229,27 @@ class TestConcurrentClients:
 
 class TestCrashRecovery:
     def test_daemon_sigkill_mid_batch_loses_nothing(self, daemon_factory):
+        self.sigkill_mid_batch_loses_nothing(daemon_factory, no_cache="")
+
+    def test_daemon_sigkill_mid_batch_loses_nothing_without_shared_cache(
+        self, daemon_factory
+    ):
+        # Restart dedupe comes from <spool>/results alone: no shared
+        # cache exists for the restarted daemon to answer from.
+        daemon = self.sigkill_mid_batch_loses_nothing(
+            daemon_factory, no_cache="1"
+        )
+        assert not os.path.exists(daemon.cache_dir)
+        assert os.listdir(os.path.join(daemon.spool, "results"))
+
+    def sigkill_mid_batch_loses_nothing(self, daemon_factory, no_cache):
         # Every point after the first waits for a gate file that appears
         # only once the daemon is dead, so with jobs=1 the daemon is
         # provably mid-batch — the first point done, the rest not — when
         # the SIGKILL lands.
         plain = make_points(1, 2, 3, 4)
         serial = [fingerprint(r) for r in run_points(plain)]
-        daemon = daemon_factory(jobs=1)
+        daemon = daemon_factory(jobs=1, no_cache=no_cache)
         gate = os.path.join(daemon.home, "gate")
         points = plain[:1] + [
             GatedPoint(**vars(p), gate=gate) for p in plain[1:]
@@ -285,6 +304,7 @@ class TestCrashRecovery:
         counts = executions_per_digest(read_events(daemon.events_path))
         assert set(counts) <= {point_digest(p) for p in points}
         assert all(count <= 1 for count in counts.values()), counts
+        return daemon
 
 
 class TestBadPoints:

@@ -6,6 +6,7 @@ stat counter — because each grid point carries its own explicit seed.
 """
 
 import os
+import stat
 
 import pytest
 
@@ -179,6 +180,43 @@ class TestResultCache:
         hits_before = cache.hits
         run_points([point], cache=cache)
         assert cache.hits == hits_before + 1
+
+    def test_store_fsyncs_the_file_before_the_rename_and_the_dir_after(
+        self, cache, point, monkeypatch
+    ):
+        calls = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            is_dir = stat.S_ISDIR(os.fstat(fd).st_mode)
+            calls.append(("fsync", "dir" if is_dir else "file"))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            calls.append(("replace", os.path.dirname(src), dst))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        cache.store(point, "stored-result")
+        path = cache._path(cache.key(point))
+        assert calls == [
+            ("fsync", "file"),
+            ("replace", os.path.dirname(path), path),
+            ("fsync", "dir"),
+        ]
+        assert cache.load(point) == "stored-result"
+
+    def test_failed_store_leaves_no_temp_file(self, cache, point):
+        class Unpicklable:
+            def __reduce__(self):
+                raise TypeError("injected pickling failure")
+
+        with pytest.raises(TypeError, match="injected"):
+            cache.store(point, Unpicklable())
+        directory = os.path.dirname(cache._path(cache.key(point)))
+        assert os.listdir(directory) == []
+        assert cache.load(point) is None
 
     def test_from_env_honors_no_cache(self, monkeypatch):
         monkeypatch.setenv("REPRO_NO_CACHE", "1")

@@ -1,9 +1,9 @@
 """Fault tolerance of the parallel sweep runner.
 
-The properties ISSUE'd: a worker that raises names the exact point that
+The properties under test: a worker that raises names the exact point that
 died; a worker killed mid-sweep is retried and the sweep completes with
 results bit-identical to a clean serial run; a hung batch is killed at
-its deadline; an interrupted sweep resumes from its checkpoint journal.
+its deadline.
 
 The bomb points are ``RunPoint`` subclasses at module level so the pool
 (fork start method) can pickle them by reference; flakiness is a sentinel
@@ -24,7 +24,6 @@ from repro.sim.parallel import (
     PointExecutionError,
     PointTimeoutError,
     RunPoint,
-    SweepCheckpoint,
     WorkerCrashError,
     batch_budget,
     execute_batch_with_retry,
@@ -138,110 +137,6 @@ class TestWorkerDeath:
         # Two kills (pool + isolated attempt) must still be far below the
         # 300 s the point would have slept.
         assert time.time() - start < 60
-
-
-class TestCheckpoint:
-    def test_interrupted_sweep_resumes(self, tmp_path):
-        journal = str(tmp_path / "sweep.ckpt")
-        points = [point(RunPoint, 51), point(RunPoint, 52, "gamess")]
-        first = SweepCheckpoint(journal)
-        partial = run_points(points[:1], jobs=1, checkpoint=first)
-
-        resumed = SweepCheckpoint(journal)
-        assert resumed.lookup(points[0]) is not None
-        assert resumed.lookup(points[1]) is None
-
-        # The finished point is answered from the journal, not re-run:
-        # pair it with a bomb carrying the same digest-relevant fields —
-        # if the journal were ignored, the bomb would kill the process.
-        results = run_points(
-            [point(ExitingPoint, 51), points[1]], jobs=1, checkpoint=resumed
-        )
-        assert fingerprint(results[0]) == fingerprint(partial[0])
-
-    def test_torn_tail_record_is_skipped(self, tmp_path):
-        journal = str(tmp_path / "sweep.ckpt")
-        checkpoint = SweepCheckpoint(journal)
-        checkpoint.record(point(RunPoint, 61), "result-a")
-        checkpoint.record(point(RunPoint, 62, "gamess"), "result-b")
-        with open(journal, "ab") as handle:
-            handle.write(b"\x80\x05torn-mid-append")
-        survivor = SweepCheckpoint(journal)
-        assert survivor.lookup(point(RunPoint, 61)) == "result-a"
-        assert survivor.lookup(point(RunPoint, 62, "gamess")) == "result-b"
-
-    def test_torn_tail_then_resume_keeps_later_records(self, tmp_path):
-        # Regression: _load used to *leave* the torn bytes in place, so
-        # records appended by the resumed run were glued onto the garbage
-        # and lost on the next reload. The torn tail must be truncated
-        # before appending resumes.
-        journal = str(tmp_path / "sweep.ckpt")
-        checkpoint = SweepCheckpoint(journal)
-        checkpoint.record(point(RunPoint, 63), "result-a")
-        with open(journal, "ab") as handle:
-            handle.write(b"\x80\x05torn-mid-append")
-
-        resumed = SweepCheckpoint(journal)
-        assert resumed.lookup(point(RunPoint, 63)) == "result-a"
-        resumed.record(point(RunPoint, 64, "gamess"), "result-b")
-        resumed.record(point(RunPoint, 65, "bwaves"), "result-c")
-
-        reloaded = SweepCheckpoint(journal)
-        assert reloaded.lookup(point(RunPoint, 63)) == "result-a"
-        assert reloaded.lookup(point(RunPoint, 64, "gamess")) == "result-b"
-        assert reloaded.lookup(point(RunPoint, 65, "bwaves")) == "result-c"
-
-    def test_mid_pickle_truncation_then_resume(self, tmp_path):
-        # The crash variant: the file ends exactly mid-record (power cut
-        # during a write), not with trailing garbage.
-        journal = str(tmp_path / "sweep.ckpt")
-        checkpoint = SweepCheckpoint(journal)
-        checkpoint.record(point(RunPoint, 66), "result-a")
-        good_size = os.path.getsize(journal)
-        checkpoint.record(point(RunPoint, 67, "gamess"), "result-b")
-        with open(journal, "ab") as handle:
-            pass
-        os.truncate(journal, good_size + (os.path.getsize(journal) - good_size) // 2)
-
-        resumed = SweepCheckpoint(journal)
-        assert resumed.lookup(point(RunPoint, 66)) == "result-a"
-        assert resumed.lookup(point(RunPoint, 67, "gamess")) is None
-        resumed.record(point(RunPoint, 68, "bwaves"), "result-c")
-
-        reloaded = SweepCheckpoint(journal)
-        assert reloaded.lookup(point(RunPoint, 66)) == "result-a"
-        assert reloaded.lookup(point(RunPoint, 68, "bwaves")) == "result-c"
-
-    def test_corrupt_record_is_quarantined_not_dropped(self, tmp_path, capsys):
-        # One flipped byte in record 2 of 5 stops the load there; the
-        # three records from it on must survive in a quarantine file next
-        # to the journal, and the load must say so.
-        journal = str(tmp_path / "sweep.ckpt")
-        checkpoint = SweepCheckpoint(journal)
-        for index in range(5):
-            checkpoint.record_digest("digest-%d" % index, "result-%d" % index)
-        size = os.path.getsize(journal)
-        with open(journal, "r+b") as handle:
-            data = bytearray(handle.read())
-            data[size * 2 // 5] ^= 0xFF
-            handle.seek(0)
-            handle.write(data)
-        reloaded = SweepCheckpoint(journal)
-        assert len(reloaded) == 2
-        good = os.path.getsize(journal)
-        with open("%s.corrupt-%d" % (journal, good), "rb") as handle:
-            assert handle.read() == bytes(data[good:])
-        err = capsys.readouterr().err
-        assert "%d unreadable bytes at offset %d" % (size - good, good) in err
-
-    def test_done_removes_journal(self, tmp_path):
-        journal = str(tmp_path / "sweep.ckpt")
-        checkpoint = SweepCheckpoint(journal)
-        checkpoint.record(point(RunPoint, 71), "r")
-        assert os.path.exists(journal)
-        checkpoint.done()
-        assert not os.path.exists(journal)
-        checkpoint.done()  # idempotent
 
 
 class TestSerialDegradation:
